@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one module per figure/table of the paper's
 //! evaluation (§V), plus the ablations `DESIGN.md` §6 calls out. The
-//! `experiments` binary dispatches to these; criterion microbenchmarks
-//! live in `benches/`.
+//! `experiments` binary dispatches to these. (Throughput is measured by
+//! the repository's `benchmark/` package, not here.)
 //!
 //! | module | reproduces |
 //! |---|---|

@@ -18,8 +18,8 @@
 //! every entry shares a timestamp (slots are page-aligned, see below), so
 //! the sort resolves exactly the same ties the heap resolved, in exactly
 //! the same order. The retained heap implementations ([`HeapQueue`],
-//! [`HeapShardQueue`]) exist so property tests and the `perf_smoke`
-//! microbench can check that claim differentially.
+//! [`HeapShardQueue`]) exist so property tests and the benchmark's
+//! `node.event.*` metrics can check that claim differentially.
 //!
 //! Two debug invariants guard causality, unchanged from the heap era:
 //!
@@ -374,7 +374,8 @@ impl<K: WheelKey, V> Wheel<K, V> {
 /// and live (`VirtualService`) drains: timed events that pop in
 /// `(time, insertion order)`. [`EventQueue`] is the wheel-backed
 /// production implementation; [`HeapQueue`] the binary-heap reference the
-/// property tests and the `perf_smoke` microbench compare it against.
+/// property tests and the benchmark's `node.event.wheel_vs_heap` metric
+/// compare it against.
 ///
 /// [`AsyncNet`]: crate::loopback::AsyncNet
 pub trait EventSched<K> {
@@ -460,8 +461,8 @@ impl<K> EventSched<K> for EventQueue<K> {
 
 /// The binary-heap queue the wheel replaced, kept as the differential
 /// reference: property tests assert [`EventQueue`] pops the identical
-/// `(time, seq)` sequence, and the `perf_smoke` microbench reports
-/// heap-vs-wheel throughput.
+/// `(time, seq)` sequence, and the benchmark's `node.event.heap_ns` /
+/// `node.event.wheel_vs_heap` metrics report heap-vs-wheel throughput.
 #[derive(Debug)]
 pub struct HeapQueue<K> {
     heap: BinaryHeap<Reverse<OverEnt<(u64, u64), K>>>,
@@ -788,7 +789,8 @@ mod tests {
     fn slot_capacity_is_recycled_across_laps() {
         // Drive several full inner-wheel laps through one slot index and
         // check the queue keeps draining correctly (allocation reuse is
-        // measured in perf_smoke; correctness of the swap-back is here).
+        // measured by the benchmark's `node.event.allocs_per_event`;
+        // correctness of the swap-back is here).
         let mut q = EventQueue::new();
         let mut expect = Vec::new();
         for lap in 0u64..5 {

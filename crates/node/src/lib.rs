@@ -7,7 +7,7 @@
 //! byte payloads ([`dynagg_core::wire`]), peers discovered at runtime, and
 //! **no global synchronization whatsoever**.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * [`runtime`] — the sans-io per-device driver. A
 //!   [`runtime::NodeRuntime`] performs no networking itself: you call
@@ -17,26 +17,30 @@
 //!   arrive. Frames carry a [`runtime::FrameHeader`] (kind + sender
 //!   round), and the local timer advances through a
 //!   [`dynagg_core::epoch::DriftModel`].
-//! * [`loopback`] — [`loopback::AsyncNet`], a deterministic discrete-event
-//!   engine over those runtimes: a time-ordered event queue (a
-//!   hierarchical timing wheel, [`event::EventQueue`]), per-link
-//!   latency distributions, frame loss, failure plans
-//!   mirroring [`dynagg_sim::FailureSpec`], and estimate sampling into
-//!   the same [`dynagg_sim::metrics::Series`] the lockstep engines emit.
-//!   Peers come from a [`dynagg_sim::membership::Membership`] topology
-//!   (uniform, spatial grid, drifting cliques, trace replay), tracked in
-//!   a [`views::ViewTable`] whose inverted index lets churn repair touch
-//!   only the views a departure actually appears in. This is what
-//!   `engine = "async"` scenarios run on — over every environment.
-//! * [`shard`] — [`shard::ShardedNet`], the **parallel** counterpart:
-//!   hosts partitioned into topology-aware shards (one worker thread and
-//!   one [`event::ShardQueue`] each), cross-shard frames exchanged
-//!   through mailboxes under a conservative time-window barrier whose
-//!   lookahead is the latency model's lower bound. Results are
-//!   bit-identical at any shard count — every random draw is attributed
-//!   to a node and every queue orders events by a canonical
-//!   [`event::EventKey`], so the worker interleaving cannot leak into
-//!   the [`dynagg_sim::metrics::Series`].
+//! * [`control`] — the discrete-event engines' **one control plane**:
+//!   population, peers from a [`dynagg_sim::membership::Membership`]
+//!   topology (uniform, spatial grid, drifting cliques, trace replay)
+//!   tracked in a [`views::ViewTable`] whose inverted index lets churn
+//!   repair touch only the views a departure actually appears in,
+//!   failure plans through the [`dynagg_sim::FailurePlan`] kernel the
+//!   lockstep engines share, partition schedule, and estimate sampling
+//!   into the same [`dynagg_sim::metrics::Series`] the lockstep engines
+//!   emit.
+//! * two **drains** under it, which own only what differs — event
+//!   queue(s), dispatch, send, link RNG stream(s), traffic counters:
+//!   [`loopback::AsyncNet`], one time-ordered queue (a hierarchical
+//!   timing wheel, [`event::EventQueue`]) with per-link latency
+//!   distributions and frame loss — what `engine = "async"` scenarios
+//!   run on, over every environment; and [`shard::ShardedNet`], the
+//!   **parallel** drain: hosts partitioned into topology-aware shards
+//!   (one worker thread and one [`event::ShardQueue`] each),
+//!   cross-shard frames exchanged through mailboxes under a
+//!   conservative time-window barrier whose lookahead is the latency
+//!   model's lower bound. Its results are bit-identical at any shard
+//!   count — every random draw is attributed to a node and every queue
+//!   orders events by a canonical [`event::EventKey`], so the worker
+//!   interleaving cannot leak into the
+//!   [`dynagg_sim::metrics::Series`].
 //!
 //! The engine doubles as evidence for a claim the paper makes only in
 //! passing: the dynamic protocols need no round synchronization. Nodes
@@ -47,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod control;
 pub mod event;
 pub mod hot;
 pub mod loopback;

@@ -1,4 +1,4 @@
-//! The asynchronous discrete-event engine.
+//! The sequential asynchronous discrete-event engine.
 //!
 //! [`AsyncNet`] drives a population of [`NodeRuntime`]s with **no global
 //! round synchronization whatsoever**: every node owns a jittered,
@@ -10,6 +10,13 @@
 //! capped it at a few hundred nodes; the wheel replaced an intermediate
 //! binary heap without changing a single pop).
 //!
+//! This file is the engine's **drain**: one event queue, `dispatch`,
+//! `send`, one global link RNG stream consumed in pop order, and the
+//! per-sample traffic counters. Everything else — population, membership
+//! views, failure plan, partition schedule, sampling — is the shared
+//! [control plane](crate::control), which
+//! [`ShardedNet`](crate::ShardedNet) runs unmodified over its own drain.
+//!
 //! The engine mirrors the lockstep simulator's instrumentation so
 //! asynchronous runs are first-class experiments, not a side rig:
 //!
@@ -18,66 +25,33 @@
 //!   (error, settling, disruptions, messages, payload + wire bytes) the
 //!   lockstep engines emit,
 //! * the failure plan is a [`dynagg_sim::FailureSpec`] applied at nominal
-//!   round boundaries — mass failures (random or value-correlated) and
-//!   Poisson churn behave like `sim::runner`'s, and
+//!   round boundaries through the same [`dynagg_sim::FailurePlan`] kernel
+//!   `sim::runner` uses, and
 //! * a run is a pure function of the master seed: bit-identical across
 //!   `sim::par` trial parallelism at any thread count.
 //!
-//! ## Membership
-//!
-//! Nodes address peers through bounded **views** drawn from a
-//! [`Membership`] implementation — the same topology layer the lockstep
-//! engines sample partners from, so *every* environment (uniform,
-//! spatial grid, drifting cliques, trace replay) runs asynchronously.
-//! The default is [`UniformEnv`] (a uniform sample of the live
-//! population, like partial-view membership services in deployed gossip
-//! systems); [`AsyncNet::with_membership`] swaps in any other topology.
-//! At every nominal round boundary the engine advances the membership
-//! clock (mobility events, trace replay) and rebuilds **only the views
-//! the change report names**.
-//!
-//! Failure-plan departures and churn are repaired *incrementally* through
-//! a [`ViewTable`]'s inverted index: a departure patches exactly the
-//! views containing the departed node (one slot each, refilled via
-//! [`Membership::sample`] so repairs respect the topology), and a join
-//! assigns the newcomer one view plus a handful of introductions. That is
-//! `O(changed × view)` per churn round where a full refresh is
-//! `O(live × view)` — the difference between unusable and routine at
-//! 100 000 hosts.
+//! `Sample` and `Boundary` are queue events here (scheduled up front by
+//! [`AsyncNet::run`], samples first), so their order against same-instant
+//! timers and deliveries is the queue's `(time, seq)` order — part of
+//! this family's pinned output.
 
+use crate::control::{engine_facade, Coordinator, Drain};
 use crate::event::{EventQueue, EventSched};
-use crate::hot::NodeHot;
 use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig};
-use crate::views::ViewTable;
 use dynagg_core::epoch::DriftModel;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
 use dynagg_sim::alive::AliveSet;
-use dynagg_sim::env::UniformEnv;
-use dynagg_sim::membership::{Membership, ViewChange};
-use dynagg_sim::metrics::{Series, StatsAcc, Truth};
+use dynagg_sim::membership::Membership;
+use dynagg_sim::metrics::{Series, Truth};
 use dynagg_sim::rng::{self, stream};
-use dynagg_sim::{FailureMode, FailureSpec, PartitionTable, PartitionTransition};
+use dynagg_sim::{FailureSpec, PartitionTable};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Stream tag for per-node runtime seeds (disjoint from the engine's small
-/// [`stream`] constants by construction). Shared with the sharded engine
-/// so both spawn identical node populations from a seed.
-pub(crate) const NODE_SEED_BASE: u64 = 0x6E6F_6465_5F73_6565; // "node_see"
-
-/// Slot-repair attempts before a patched view is allowed to shrink (a
-/// candidate can be a duplicate or freshly dead).
-pub(crate) const REPAIR_TRIES: usize = 4;
-
-/// Existing views a churn join is introduced into. The newcomer's own
-/// view gives it full outbound fan-out immediately; a few inbound slots
-/// are enough to pull it into the gossip flow, and later repairs keep
-/// sampling it like anyone else. Kept deliberately small: introductions
-/// are `O(1)` slot edits, so joins stay `O(view)` rather than
-/// `O(view²)`.
-pub(crate) const INTRODUCTIONS: usize = 8;
+/// [`stream`] constants by construction).
+const NODE_SEED_BASE: u64 = 0x6E6F_6465_5F73_6565; // "node_see"
 
 /// Per-link one-way latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,8 +172,8 @@ pub type ValueFn = Box<dyn FnMut(&mut SmallRng, NodeId) -> f64>;
 pub type DriftFn = Box<dyn FnMut(NodeId) -> DriftModel>;
 
 /// Draw one node's initial value and runtime config — the single recipe
-/// behind every spawn site (sequential engine, sharded engine, and the
-/// live service's [`AsyncConfig::population`]), so a given seed yields
+/// behind every spawn site (the engines' shared coordinator and the live
+/// service's [`AsyncConfig::population`]), so a given seed yields
 /// the identical population no matter what drives it. Draw order is part
 /// of the golden contract: value stream first, then the setup stream for
 /// interval (only when jitter is nonzero) and phase offset.
@@ -288,57 +262,58 @@ impl AsyncConfig {
     }
 }
 
-/// An asynchronous in-memory network of [`NodeRuntime`]s.
-pub struct AsyncNet<P: PushProtocol>
+/// The sequential drain's node-side state — what the coordinator's seam
+/// reaches.
+struct SeqDrain<P: PushProtocol>
 where
     P::Message: WireMessage,
 {
-    cfg: AsyncConfig,
     runtimes: Vec<NodeRuntime<P>>,
-    /// The live set (powered-on nodes; a silent failure removes its id) —
-    /// the *sampling* structure (uniform draws, live-id iteration).
-    alive: AliveSet,
-    /// Struct-of-arrays hot block (alive bits + timer deadlines): what
-    /// the per-event drain consults instead of pulling runtimes or the
-    /// sampling set through the cache.
-    hot: NodeHot,
-    /// Initial values of live nodes (`None` = dead), for truth and
-    /// value-correlated failure selection.
-    values: Vec<Option<f64>>,
-    /// The topology: who can each node currently reach.
-    membership: Box<dyn Membership>,
-    /// Per-node views + inverted index for incremental repair.
-    views: ViewTable,
-    /// Whether initial views have been materialized (deferred so
-    /// [`AsyncNet::with_membership`] can swap the topology first).
-    views_ready: bool,
     queue: EventQueue<Ev>,
+    /// One global loss/latency stream, consumed in pop order.
     link_rng: SmallRng,
-    fail_rng: SmallRng,
-    value_rng: SmallRng,
-    setup_rng: SmallRng,
-    /// View-draw randomness, on its own stream so topology-internal RNGs
-    /// (clustered migrations) never interleave with view sampling.
-    view_rng: SmallRng,
-    value_gen: ValueFn,
-    drift_of: DriftFn,
-    factory: NodeFactory<P>,
-    truth: Truth,
-    failure: FailureSpec,
-    /// The chaos layer's partition schedule, advanced at nominal round
-    /// boundaries. Cross-island frames are dropped in [`AsyncNet::send`]
-    /// and views are kept island-local while a partition holds.
-    partition: PartitionTable,
-    series: Series,
-    sample_idx: u64,
     msgs_since_sample: u64,
     /// Raw payload bytes ([`PushProtocol::message_bytes`]) since the last
     /// sample — the lockstep engines' `bytes` convention.
     bytes_since_sample: u64,
     /// Encoded frame bytes (header + codec) since the last sample.
     wire_since_sample: u64,
-    initial_n: usize,
-    join_accum: f64,
+}
+
+impl<P: PushProtocol> Drain<P> for SeqDrain<P>
+where
+    P::Message: WireMessage,
+{
+    fn runtime(&self, id: NodeId) -> &NodeRuntime<P> {
+        &self.runtimes[id as usize]
+    }
+
+    fn runtime_mut(&mut self, id: NodeId) -> &mut NodeRuntime<P> {
+        &mut self.runtimes[id as usize]
+    }
+
+    fn install(&mut self, id: NodeId, runtime: NodeRuntime<P>) {
+        debug_assert_eq!(id as usize, self.runtimes.len());
+        self.queue.schedule(runtime.next_tick_ms(), Ev::Timer(id));
+        self.runtimes.push(runtime);
+    }
+
+    fn take_traffic(&mut self) -> (u64, u64, u64) {
+        (
+            std::mem::take(&mut self.msgs_since_sample),
+            std::mem::take(&mut self.bytes_since_sample),
+            std::mem::take(&mut self.wire_since_sample),
+        )
+    }
+}
+
+/// An asynchronous in-memory network of [`NodeRuntime`]s.
+pub struct AsyncNet<P: PushProtocol>
+where
+    P::Message: WireMessage,
+{
+    ctl: Coordinator<P>,
+    drain: SeqDrain<P>,
     horizon_ms: Option<u64>,
     events_processed: u64,
     /// Count of frames that failed to decode (should stay 0).
@@ -347,22 +322,6 @@ where
     /// any in-flight Push-Sum mass they carried is destroyed, like loss).
     pub partition_drops: u64,
     out_buf: Vec<Envelope>,
-    scratch: Vec<NodeId>,
-    /// Per-host truth buffer, filled on the group-truth sampling path.
-    truth_buf: Vec<Option<f64>>,
-    /// View assembly buffer.
-    view_buf: Vec<NodeId>,
-    /// Holders of a departed node, mid-repair.
-    holder_buf: Vec<NodeId>,
-    /// Membership change report buffer.
-    changed_buf: Vec<NodeId>,
-    /// Nodes whose runtime peer list needs re-syncing from the table.
-    dirty: Vec<NodeId>,
-    dirty_flag: Vec<bool>,
-    /// Whole views drawn from scratch (init, topology changes, joins).
-    full_view_assignments: u64,
-    /// Individual slots patched by incremental repair.
-    view_slots_patched: u64,
 }
 
 impl<P: PushProtocol> AsyncNet<P>
@@ -381,137 +340,37 @@ where
         drift_of: DriftFn,
         factory: NodeFactory<P>,
     ) -> Self {
-        assert!((0.0..=1.0).contains(&cfg.loss), "loss probability must be in [0, 1]");
-        assert!((0.0..1.0).contains(&cfg.jitter), "jitter fraction must be in [0, 1)");
-        assert!(cfg.interval_ms >= 1, "round interval must be at least 1 ms");
-        let mut net = Self {
+        let mut drain = SeqDrain {
             runtimes: Vec::with_capacity(n),
-            alive: AliveSet::empty(n),
-            hot: NodeHot::with_population(n),
-            values: Vec::with_capacity(n),
-            membership: Box::new(UniformEnv::new()),
-            views: ViewTable::new(),
-            views_ready: false,
             // Pre-sized from the population: one outstanding timer per
             // node plus in-flight frames, instead of growing pop by pop.
             queue: EventQueue::with_capacity(2 * n),
             link_rng: rng::rng_for(cfg.seed, stream::ENGINE),
-            fail_rng: rng::rng_for(cfg.seed, stream::FAILURES),
-            value_rng: rng::rng_for(cfg.seed, stream::VALUES),
-            setup_rng: rng::rng_for(cfg.seed, stream::ENVIRONMENT),
-            view_rng: rng::rng_for(cfg.seed, stream::VIEWS),
-            value_gen,
-            drift_of,
-            factory,
-            truth: Truth::Mean,
-            failure: FailureSpec::None,
-            partition: PartitionTable::empty(),
-            series: Series::default(),
-            sample_idx: 0,
             msgs_since_sample: 0,
             bytes_since_sample: 0,
             wire_since_sample: 0,
-            initial_n: n,
-            join_accum: 0.0,
+        };
+        Self {
+            ctl: Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut drain),
+            drain,
             horizon_ms: None,
             events_processed: 0,
             decode_errors: 0,
             partition_drops: 0,
             out_buf: Vec::new(),
-            scratch: Vec::new(),
-            truth_buf: Vec::new(),
-            view_buf: Vec::new(),
-            holder_buf: Vec::new(),
-            changed_buf: Vec::new(),
-            dirty: Vec::new(),
-            dirty_flag: Vec::new(),
-            full_view_assignments: 0,
-            view_slots_patched: 0,
-            cfg,
-        };
-        for _ in 0..n {
-            net.spawn_node(0);
         }
-        net
     }
 
-    /// What estimates are measured against (default: [`Truth::Mean`]).
-    /// Group truths read the membership layer's
-    /// [`Membership::group_view`] at each wall-clock sample, so they
-    /// require a group-aware topology (the trace environment).
-    pub fn with_truth(mut self, truth: Truth) -> Self {
-        self.truth = truth;
-        self
-    }
-
-    /// The failure plan, applied at nominal round boundaries
-    /// (`k × interval_ms`), mirroring the lockstep engine's round
-    /// semantics.
-    pub fn with_failure(mut self, failure: FailureSpec) -> Self {
-        self.failure = failure;
-        self
-    }
-
-    /// The partition schedule (default: never partitioned). While a
-    /// partition holds, frames whose endpoints sit on different islands
-    /// are dropped in flight (the link is down; bandwidth was still
-    /// spent) and membership views are rebuilt island-locally on split
-    /// and globally on heal, through the same full-view path topology
-    /// changes use. Must be installed before the network first runs.
-    pub fn with_partition(mut self, partition: PartitionTable) -> Self {
-        assert!(
-            !self.views_ready && self.queue.now_ms() == 0,
-            "install the partition schedule before running"
-        );
-        self.partition = partition;
-        self
-    }
-
-    /// Replace the membership/topology layer (default: uniform). Must be
-    /// called before the network first runs — views materialize lazily
-    /// from whatever topology is installed then.
-    pub fn with_membership(mut self, membership: Box<dyn Membership>) -> Self {
-        assert!(
-            !self.views_ready && self.queue.now_ms() == 0,
-            "install the membership layer before running"
-        );
-        self.membership = membership;
-        self
-    }
-
-    /// Spawn one node whose first round fires at `from_ms` plus a random
-    /// phase offset, and schedule its timer. View assignment is the
-    /// caller's business.
-    fn spawn_node(&mut self, from_ms: u64) -> NodeId {
-        let id = self.runtimes.len() as NodeId;
-        let (v, rt_cfg) = node_recipe(
-            &self.cfg,
-            id,
-            from_ms,
-            &mut self.value_rng,
-            &mut self.setup_rng,
-            &mut self.value_gen,
-            &mut self.drift_of,
-        );
-        let rt = NodeRuntime::new(rt_cfg, (self.factory)(id, v));
-        self.queue.schedule(rt.next_tick_ms(), Ev::Timer(id));
-        let hot_id = self.hot.push(rt.next_tick_ms());
-        debug_assert_eq!(hot_id, id);
-        self.runtimes.push(rt);
-        self.values.push(Some(v));
-        self.alive.insert(id);
-        self.views.ensure(self.runtimes.len());
-        self.dirty_flag.push(false);
-        id
-    }
+    engine_facade!();
 
     /// Current simulated wall-clock.
     pub fn now_ms(&self) -> u64 {
-        self.queue.now_ms()
+        self.drain.queue.now_ms()
     }
 
     /// Events processed so far (timers, deliveries, samples, boundaries) —
-    /// the throughput unit `perf_smoke` reports.
+    /// the unit behind the benchmark's `node.loopback.*_ns_per_event`
+    /// metrics.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -521,38 +380,12 @@ where
     /// changes this stays `O(joins)` per round — the observable proof that
     /// repair is incremental.
     pub fn full_view_assignments(&self) -> u64 {
-        self.full_view_assignments
+        self.ctl.full_view_assignments
     }
 
     /// Individual view slots patched by incremental repair (departures).
     pub fn view_slots_patched(&self) -> u64 {
-        self.view_slots_patched
-    }
-
-    /// Access a node's runtime.
-    pub fn node(&self, id: NodeId) -> &NodeRuntime<P> {
-        &self.runtimes[id as usize]
-    }
-
-    /// A node's current membership view (empty until the network first
-    /// runs).
-    pub fn view_of(&self, id: NodeId) -> &[NodeId] {
-        self.views.view(id)
-    }
-
-    /// Validate the views ↔ holders index invariant (test support;
-    /// `O(n × view²)`).
-    pub fn check_view_consistency(&self) {
-        self.views.check_consistency();
-    }
-
-    /// Iterate over the powered nodes' protocol state.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.runtimes
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| self.alive.contains(id as NodeId))
-            .map(|(id, rt)| (id as NodeId, rt.protocol()))
+        self.ctl.view_slots_patched
     }
 
     /// Silently power a node off: it stops polling and receiving, exactly
@@ -560,10 +393,7 @@ where
     /// [`AsyncNet::refresh_views`] models neighbor rediscovery; the
     /// failure plan instead repairs affected views incrementally.)
     pub fn power_off(&mut self, id: NodeId) {
-        if self.alive.remove(id) {
-            self.hot.kill(id);
-            self.values[id as usize] = None;
-        }
+        self.ctl.power_off(id);
     }
 
     /// Re-run "neighbor discovery": every live node's view is re-drawn
@@ -575,94 +405,12 @@ where
     /// Costs `O(live × view)` draws — the rig-API sledgehammer. The
     /// failure plan never calls this; it patches only affected views.
     pub fn refresh_views(&mut self) {
-        if !self.views_ready {
-            self.membership.advance(0, &self.alive, &mut self.changed_buf);
-            self.views_ready = true;
-        }
-        for id in 0..self.runtimes.len() as NodeId {
-            if self.alive.contains(id) {
-                self.assign_view(id);
-            }
-        }
-        self.sync_dirty();
-    }
-
-    /// Materialize initial views on first run.
-    fn ensure_views(&mut self) {
-        if !self.views_ready {
-            self.refresh_views();
-        }
-    }
-
-    /// Draw `id` a fresh view from the membership layer and index it.
-    /// While a partition holds, cross-island draws are filtered out, so
-    /// repaired views stay island-local.
-    fn assign_view(&mut self, id: NodeId) {
-        self.membership.view_into(
-            id,
-            &self.alive,
-            self.cfg.view_size,
-            &mut self.view_rng,
-            &mut self.view_buf,
-        );
-        let mut view = std::mem::take(&mut self.view_buf);
-        if self.partition.active() {
-            view.retain(|&p| self.partition.allows(id, p));
-        }
-        self.views.assign(id, &view);
-        self.view_buf = view;
-        self.full_view_assignments += 1;
-        self.mark_dirty(id);
-    }
-
-    fn mark_dirty(&mut self, id: NodeId) {
-        let idx = id as usize;
-        if !self.dirty_flag[idx] {
-            self.dirty_flag[idx] = true;
-            self.dirty.push(id);
-        }
-    }
-
-    /// Push repaired views into the affected runtimes' peer lists.
-    fn sync_dirty(&mut self) {
-        let dirty = std::mem::take(&mut self.dirty);
-        for &id in &dirty {
-            self.dirty_flag[id as usize] = false;
-            if self.alive.contains(id) {
-                self.runtimes[id as usize].set_peers(self.views.view(id));
-            }
-        }
-        let mut dirty = dirty;
-        dirty.clear();
-        self.dirty = dirty;
-    }
-
-    /// Powered (live) node ids, ascending.
-    pub fn live(&self) -> Vec<NodeId> {
-        let mut ids = self.alive.ids().to_vec();
-        ids.sort_unstable();
-        ids
+        self.ctl.refresh_views(&mut self.drain);
     }
 
     /// Estimates of all powered nodes.
     pub fn estimates(&self) -> Vec<f64> {
-        self.runtimes
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| self.alive.contains(id as NodeId))
-            .filter_map(|(_, rt)| rt.estimate())
-            .collect()
-    }
-
-    /// The series sampled so far (empty unless [`AsyncNet::run`] scheduled
-    /// sampling).
-    pub fn series(&self) -> &Series {
-        &self.series
-    }
-
-    /// Consume the network, returning its series.
-    pub fn into_series(self) -> Series {
-        self.series
+        self.nodes().filter_map(|(_, p)| p.estimate()).collect()
     }
 
     /// Run for `nominal_rounds × interval_ms` of simulated time: schedules
@@ -672,22 +420,23 @@ where
     pub fn run(&mut self, nominal_rounds: u64) {
         assert!(self.horizon_ms.is_none(), "run() may only be called once");
         assert_eq!(
-            self.queue.now_ms(),
+            self.drain.queue.now_ms(),
             0,
             "run() schedules its cadence from time 0 and cannot follow run_until(); \
              drive a sampled engine with run() alone (run_until is the rig API)"
         );
-        self.ensure_views();
-        let horizon = nominal_rounds * self.cfg.interval_ms;
+        self.ctl.ensure_views(&mut self.drain);
+        let interval_ms = self.ctl.cfg.interval_ms;
+        let horizon = nominal_rounds * interval_ms;
         self.horizon_ms = Some(horizon);
-        let cadence = self.cfg.sample_every_ms.max(1);
+        let cadence = self.ctl.cfg.sample_every_ms.max(1);
         let mut t = cadence;
         while t <= horizon {
-            self.queue.schedule(t, Ev::Sample);
+            self.drain.queue.schedule(t, Ev::Sample);
             t += cadence;
         }
         for k in 0..nominal_rounds {
-            self.queue.schedule(k * self.cfg.interval_ms, Ev::Boundary(k));
+            self.drain.queue.schedule(k * interval_ms, Ev::Boundary(k));
         }
         self.drain_until(horizon);
     }
@@ -696,12 +445,12 @@ where
     /// deliveries (the rig API: no sampling, failure plan, or membership
     /// clock involved).
     pub fn run_until(&mut self, until_ms: u64) {
-        self.ensure_views();
+        self.ctl.ensure_views(&mut self.drain);
         self.drain_until(until_ms);
     }
 
     fn drain_until(&mut self, horizon_ms: u64) {
-        while let Some((at, ev)) = self.queue.pop_before(horizon_ms) {
+        while let Some((at, ev)) = self.drain.queue.pop_before(horizon_ms) {
             self.events_processed += 1;
             self.dispatch(at, ev);
         }
@@ -710,38 +459,42 @@ where
     fn dispatch(&mut self, at: u64, ev: Ev) {
         match ev {
             Ev::Timer(id) => {
-                if !self.hot.is_alive(id) {
+                if !self.ctl.hot.is_alive(id) {
                     return; // a dark node's timer dies with it
                 }
-                debug_assert_eq!(at, self.hot.deadline(id), "timer fires at its recorded deadline");
+                debug_assert_eq!(
+                    at,
+                    self.ctl.hot.deadline(id),
+                    "timer fires at its recorded deadline"
+                );
                 let mut out = std::mem::take(&mut self.out_buf);
                 out.clear();
-                let rt = &mut self.runtimes[id as usize];
+                let rt = &mut self.drain.runtimes[id as usize];
                 rt.poll(at, &mut out);
                 let next = rt.next_tick_ms();
-                self.queue.schedule(next, Ev::Timer(id));
-                self.hot.set_deadline(id, next);
+                self.drain.queue.schedule(next, Ev::Timer(id));
+                self.ctl.hot.set_deadline(id, next);
                 for env in out.drain(..) {
                     self.send(at, env);
                 }
                 self.out_buf = out;
             }
             Ev::Deliver(env) => {
-                if !self.hot.is_alive(env.to) {
+                if !self.ctl.hot.is_alive(env.to) {
                     // Receiver is dark; hand the buffer back to the sender.
-                    self.runtimes[env.from as usize].recycle_buffer(env.payload);
+                    self.drain.runtimes[env.from as usize].recycle_buffer(env.payload);
                     return;
                 }
                 let to = env.to as usize;
-                match self.runtimes[to].handle(env.from, &env.payload) {
+                match self.drain.runtimes[to].handle(env.from, &env.payload) {
                     Ok(Some(reply)) => self.send(at, reply),
                     Ok(None) => {}
                     Err(_) => self.decode_errors += 1,
                 }
-                self.runtimes[to].recycle_buffer(env.payload);
+                self.drain.runtimes[to].recycle_buffer(env.payload);
             }
-            Ev::Sample => self.record_sample(),
-            Ev::Boundary(k) => self.nominal_round(k),
+            Ev::Sample => self.ctl.record_sample(&mut self.drain),
+            Ev::Boundary(k) => self.ctl.nominal_round(k, at, &mut self.drain),
         }
     }
 
@@ -749,257 +502,23 @@ where
     /// arrival (lost frames still count as sent — bandwidth is spent
     /// whether or not they arrive, exactly as in the lockstep engine).
     fn send(&mut self, now_ms: u64, env: Envelope) {
-        self.msgs_since_sample += 1;
-        self.bytes_since_sample += env.raw_bytes as u64;
-        self.wire_since_sample += env.payload.len() as u64;
-        if !self.partition.allows(env.from, env.to) {
+        let drain = &mut self.drain;
+        drain.msgs_since_sample += 1;
+        drain.bytes_since_sample += env.raw_bytes as u64;
+        drain.wire_since_sample += env.payload.len() as u64;
+        if !self.ctl.partition.allows(env.from, env.to) {
             // The link across the cut is down; the frame dies in flight.
             self.partition_drops += 1;
-            self.runtimes[env.from as usize].recycle_buffer(env.payload);
+            drain.runtimes[env.from as usize].recycle_buffer(env.payload);
             return;
         }
-        if self.cfg.loss > 0.0 && self.link_rng.gen::<f64>() < self.cfg.loss {
-            self.runtimes[env.from as usize].recycle_buffer(env.payload);
+        let cfg = &self.ctl.cfg;
+        if cfg.loss > 0.0 && drain.link_rng.gen::<f64>() < cfg.loss {
+            drain.runtimes[env.from as usize].recycle_buffer(env.payload);
             return;
         }
-        let at = now_ms + self.cfg.latency.sample(&mut self.link_rng);
-        self.queue.schedule(at, Ev::Deliver(env));
-    }
-
-    /// One streaming pass over the live nodes, mirroring the lockstep
-    /// engine's per-round statistics. Global truths cost a single scalar;
-    /// group truths ([`Truth::needs_groups`]) read the membership layer's
-    /// group structure as it stands at this wall-clock instant, exactly
-    /// as the lockstep sampler reads the environment's.
-    fn record_sample(&mut self) {
-        let mut acc = StatsAcc::default();
-        let group_view = self.membership.group_view();
-        let mean_group_size = group_view.map_or(0.0, |g| g.mean_experienced_size());
-        let (mut audit_v, mut audit_w) = (0.0f64, 0.0f64);
-        if let Some(t) = self.truth.global_scalar(&self.values) {
-            for (rt, value) in self.runtimes.iter().zip(&self.values) {
-                if value.is_some() {
-                    let p = rt.protocol();
-                    acc.note_lifecycle(p.is_settling(), p.disruptions());
-                    if let Some(e) = p.estimate() {
-                        acc.add(e, t);
-                    }
-                    if let Some(m) = p.audit_mass() {
-                        audit_v += m.value;
-                        audit_w += m.weight;
-                    }
-                }
-            }
-        } else {
-            let mut truth_buf = std::mem::take(&mut self.truth_buf);
-            self.truth.per_host_into(&self.values, group_view, &mut truth_buf);
-            for (rt, truth) in self.runtimes.iter().zip(&truth_buf) {
-                if let Some(t) = truth {
-                    let p = rt.protocol();
-                    acc.note_lifecycle(p.is_settling(), p.disruptions());
-                    if let Some(e) = p.estimate() {
-                        acc.add(e, *t);
-                    }
-                    if let Some(m) = p.audit_mass() {
-                        audit_v += m.value;
-                        audit_w += m.weight;
-                    }
-                }
-            }
-            self.truth_buf = truth_buf;
-        }
-        let mut stats = acc.finish(
-            self.sample_idx,
-            self.alive.len(),
-            self.msgs_since_sample,
-            self.bytes_since_sample,
-            self.wire_since_sample,
-            mean_group_size,
-        );
-        // Global mass audit against the true mean — nonzero only when an
-        // adversary mints mass (benign chaos merely redistributes it).
-        if audit_w > 0.0 {
-            if let Some(mean) = Truth::Mean.global_scalar(&self.values) {
-                stats.mass_audit = audit_v / audit_w - mean;
-            }
-        }
-        stats.islands = self.partition.islands();
-        self.series.push(stats);
-        self.sample_idx += 1;
-        self.msgs_since_sample = 0;
-        self.bytes_since_sample = 0;
-        self.wire_since_sample = 0;
-    }
-
-    /// A nominal round boundary: apply the failure plan (victims repaired
-    /// incrementally, joins introduced), then advance the membership
-    /// clock and rebuild exactly the views its change report names.
-    fn nominal_round(&mut self, k: u64) {
-        // Advance the partition schedule first so failure repair and
-        // membership rebuilds within this boundary already respect the
-        // new connectivity.
-        let transition = self.partition.begin_round(k);
-        self.apply_failure(k);
-        if k > 0 {
-            match self.membership.advance(k, &self.alive, &mut self.changed_buf) {
-                ViewChange::Unchanged => {}
-                ViewChange::Nodes => {
-                    let changed = std::mem::take(&mut self.changed_buf);
-                    for &id in &changed {
-                        if self.alive.contains(id) {
-                            self.assign_view(id);
-                        }
-                    }
-                    self.changed_buf = changed;
-                }
-                ViewChange::All => {
-                    for id in 0..self.runtimes.len() as NodeId {
-                        if self.alive.contains(id) {
-                            self.assign_view(id);
-                        }
-                    }
-                }
-            }
-        }
-        if transition != PartitionTransition::None {
-            // Split: re-draw every view island-locally (assign_view
-            // filters). Heal: re-draw globally, re-merging the islands
-            // through the ordinary view path.
-            for id in 0..self.runtimes.len() as NodeId {
-                if self.alive.contains(id) {
-                    self.assign_view(id);
-                }
-            }
-        }
-        self.sync_dirty();
-    }
-
-    /// Apply the failure plan for nominal round `k` (same victim-selection
-    /// semantics as `sim::runner`), repairing views incrementally.
-    fn apply_failure(&mut self, k: u64) {
-        let mut victims = std::mem::take(&mut self.scratch);
-        victims.clear();
-        let mut joins = 0usize;
-        let mut graceful = false;
-        match self.failure {
-            FailureSpec::None => {}
-            FailureSpec::AtRound { round, mode, fraction, graceful: g } => {
-                if k == round {
-                    graceful = g;
-                    let count = ((self.alive.len() as f64) * fraction).round() as usize;
-                    victims.extend(
-                        (0..self.runtimes.len() as NodeId).filter(|&id| self.alive.contains(id)),
-                    );
-                    match mode {
-                        FailureMode::Random => victims.shuffle(&mut self.fail_rng),
-                        FailureMode::TopValue => victims.sort_unstable_by(|&a, &b| {
-                            let va = self.values[a as usize].unwrap_or(f64::MIN);
-                            let vb = self.values[b as usize].unwrap_or(f64::MIN);
-                            vb.partial_cmp(&va).expect("values are finite")
-                        }),
-                        FailureMode::BottomValue => victims.sort_unstable_by(|&a, &b| {
-                            let va = self.values[a as usize].unwrap_or(f64::MAX);
-                            let vb = self.values[b as usize].unwrap_or(f64::MAX);
-                            va.partial_cmp(&vb).expect("values are finite")
-                        }),
-                    }
-                    victims.truncate(count);
-                }
-            }
-            FailureSpec::Churn { start, leave_per_round, join_per_round } => {
-                if k >= start {
-                    for id in 0..self.runtimes.len() as NodeId {
-                        if self.alive.contains(id) && self.fail_rng.gen::<f64>() < leave_per_round {
-                            victims.push(id);
-                        }
-                    }
-                    self.join_accum += join_per_round * self.initial_n as f64;
-                    joins = self.join_accum as usize;
-                    self.join_accum -= joins as f64;
-                }
-            }
-        }
-        for &id in &victims {
-            if graceful {
-                self.runtimes[id as usize].protocol_mut().depart_gracefully();
-            }
-            self.power_off(id);
-        }
-        // Incremental repair: first unindex every victim's own view, then
-        // patch exactly the surviving views that referenced a victim —
-        // one slot each, refilled through the topology's own sampler.
-        for &id in &victims {
-            self.views.clear_node(id);
-        }
-        let mut holders = std::mem::take(&mut self.holder_buf);
-        for &id in &victims {
-            self.views.take_holders_into(id, &mut holders);
-            for &h in &holders {
-                if !self.alive.contains(h) {
-                    continue; // the holder died in the same batch
-                }
-                self.views.drop_slot(h, id);
-                self.view_slots_patched += 1;
-                for _ in 0..REPAIR_TRIES {
-                    let Some(y) = self.membership.repair_peer(h, &self.alive, &mut self.view_rng)
-                    else {
-                        break; // adjacency topologies: the view just shrinks
-                    };
-                    if y != h
-                        && self.alive.contains(y)
-                        && self.partition.allows(h, y)
-                        && !self.views.has_member(h, y)
-                    {
-                        self.views.push_slot(h, y);
-                        break;
-                    }
-                }
-                self.mark_dirty(h);
-            }
-        }
-        self.holder_buf = holders;
-        self.scratch = victims;
-        let now = self.queue.now_ms();
-        for _ in 0..joins {
-            let id = self.spawn_node(now);
-            if self.views_ready {
-                self.assign_view(id);
-                self.introduce(id);
-            }
-        }
-    }
-
-    /// Splice a joined node into a handful of existing views so inbound
-    /// gossip reaches it (its own fresh view covers the outbound side).
-    /// Targets come from the topology's repair draw, so a clustered join
-    /// is introduced to clique-mates, a uniform join to anyone — and
-    /// adjacency topologies (grid, trace) get no artificial inbound
-    /// links: their neighbors notice the newcomer at the next refresh.
-    fn introduce(&mut self, id: NodeId) {
-        let want = INTRODUCTIONS.min(self.cfg.view_size).min(self.alive.len().saturating_sub(1));
-        let mut done = 0;
-        let mut tries = 0;
-        while done < want && tries < want * 4 {
-            tries += 1;
-            let Some(h) = self.membership.repair_peer(id, &self.alive, &mut self.view_rng) else {
-                break;
-            };
-            if h == id
-                || !self.alive.contains(h)
-                || !self.partition.allows(h, id)
-                || self.views.has_member(h, id)
-            {
-                continue;
-            }
-            if self.views.view_len(h) < self.cfg.view_size {
-                self.views.push_slot(h, id);
-            } else {
-                let slot = self.view_rng.gen_range(0..self.views.view_len(h));
-                self.views.replace_slot(h, slot, id);
-            }
-            self.mark_dirty(h);
-            done += 1;
-        }
+        let at = now_ms + cfg.latency.sample(&mut drain.link_rng);
+        drain.queue.schedule(at, Ev::Deliver(env));
     }
 }
 
@@ -1054,6 +573,7 @@ mod tests {
     use dynagg_core::moments::DynamicMoments;
     use dynagg_core::push_sum_revert::PushSumRevert;
     use dynagg_sim::env::{ClusteredEnv, MobilityEvent, MobilityKind, SpatialEnv};
+    use dynagg_sim::FailureMode;
 
     #[test]
     fn unsynchronized_averaging_converges() {

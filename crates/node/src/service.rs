@@ -624,8 +624,8 @@ where
 
     /// Timer firings plus frame deliveries so far — comparable to
     /// [`crate::AsyncNet::events_processed`] (minus its sample/boundary
-    /// events), and the capacity unit `perf_smoke` reports for the live
-    /// service loop.
+    /// events), and the unit behind the benchmark's
+    /// `node.service.virtual_ns_per_event`.
     pub fn events_processed(&self) -> u64 {
         self.events
     }

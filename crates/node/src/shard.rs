@@ -1,6 +1,8 @@
 //! The **sharded** asynchronous engine: conservative parallel
-//! discrete-event simulation over the same [`NodeRuntime`]s the
-//! single-threaded [`AsyncNet`](crate::AsyncNet) drives.
+//! discrete-event simulation over the same [`NodeRuntime`]s and the same
+//! [control plane](crate::control) the single-threaded
+//! [`AsyncNet`](crate::AsyncNet) drives. This file is the parallel
+//! **drain** only.
 //!
 //! ## Execution model
 //!
@@ -17,10 +19,12 @@
 //! holds by construction (and is still debug-asserted per queue).
 //!
 //! Sample and nominal-round-boundary work (failure plan, membership
-//! clock, view repair) happens **between** windows on the coordinating
-//! thread, exactly like the sequential engine's `Sample`/`Boundary`
-//! events: at a barrier point every queue has drained past the previous
-//! window, so the coordinator sees a globally consistent state.
+//! clock, view repair) is the shared coordinator's, called **between**
+//! windows on the coordinating thread: at a barrier point every queue
+//! has drained past the previous window, so the coordinator sees a
+//! globally consistent state. At a shared instant the sample runs before
+//! the boundary, and both run before any timer or frame due at that
+//! instant — part of this family's pinned output.
 //!
 //! ## Determinism: bit-identical at any shard count
 //!
@@ -32,7 +36,8 @@
 //!   global event order: loss and latency come from a **per-node link
 //!   stream** (`derive(seed, LINK_SEED_BASE ^ id)`) consumed in the
 //!   sender's own send order, and node boot/value/failure/view draws
-//!   happen on the coordinator in ascending-id order,
+//!   happen on the coordinator in ascending-id order (see
+//!   [`crate::control`]),
 //! * events carry a canonical [`EventKey`] `(time, class, receiver,
 //!   sender, sender-sequence)`, so each node observes its timers and
 //!   frames in one total order no matter which shard popped them, and
@@ -47,24 +52,21 @@
 //! distributions, different draws). The scenario layer therefore maps
 //! `shards = 1` to the sequential engine (pinned goldens stay
 //! byte-identical) and `shards ≥ 2` to this engine, which is
-//! bit-identical across every shard count ≥ 2.
+//! bit-identical across every shard count ≥ 1.
 
+use crate::control::{engine_facade, Coordinator, Drain};
 use crate::event::{EventKey, ShardQueue};
 use crate::hot::NodeHot;
-use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn, INTRODUCTIONS, REPAIR_TRIES};
+use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime};
-use crate::views::ViewTable;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
-use dynagg_sim::alive::AliveSet;
-use dynagg_sim::env::UniformEnv;
-use dynagg_sim::membership::{Membership, ViewChange};
-use dynagg_sim::metrics::{Series, StatsAcc, Truth};
-use dynagg_sim::rng::{self};
+use dynagg_sim::membership::Membership;
+use dynagg_sim::metrics::{Series, Truth};
+use dynagg_sim::rng;
 use dynagg_sim::shard::ShardMap;
-use dynagg_sim::{FailureMode, FailureSpec, PartitionTable, PartitionTransition};
+use dynagg_sim::{FailureSpec, PartitionTable};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::{Barrier, Mutex};
@@ -242,9 +244,9 @@ where
     }
 }
 
-/// Account a frame as sent, maybe lose it, else schedule its arrival —
-/// the sequential engine's `send`, with loss/latency drawn from the
-/// **sender's** link stream so the draw order is shard-invariant.
+/// Account a frame as sent, maybe lose it, else schedule its arrival.
+/// Loss and latency are drawn from the **sender's** link stream, so the
+/// draw order is shard-invariant.
 fn send<P>(shard: &mut Shard<P>, now_ms: u64, env: Envelope, me: usize, ctx: &Window<'_>)
 where
     P: PushProtocol + Send,
@@ -277,52 +279,73 @@ where
     }
 }
 
-/// A sharded asynchronous network: the parallel counterpart of
-/// [`AsyncNet`](crate::AsyncNet), bit-identical at any shard count.
-pub struct ShardedNet<P: PushProtocol>
+/// The sharded drain's node-side state — what the coordinator's seam
+/// reaches, and what [`ShardedNet::parallel_drain`] lends to the workers.
+struct ShardDrain<P: PushProtocol>
 where
     P::Message: WireMessage,
 {
-    cfg: AsyncConfig,
-    /// Conservative lookahead: [`crate::LatencyModel::min_ms`] (≥ 1 asserted).
-    lookahead_ms: u64,
+    /// Master seed, for the per-node link streams `install` creates.
+    seed: u64,
     map: ShardMap,
     shards: Vec<Shard<P>>,
     /// Global id → (shard, slot), grown by churn joins.
     home: Vec<Home>,
     /// Reused `shards²` cross-shard mailboxes.
     mail: Vec<Mutex<Vec<Flight>>>,
-    alive: AliveSet,
-    /// Struct-of-arrays hot block (alive bits; per-shard `deadline_ms`
-    /// slices carry the deadlines) — what window drains consult.
-    hot: NodeHot,
-    values: Vec<Option<f64>>,
-    membership: Box<dyn Membership>,
-    views: ViewTable,
-    views_ready: bool,
-    fail_rng: SmallRng,
-    value_rng: SmallRng,
-    setup_rng: SmallRng,
-    view_rng: SmallRng,
-    value_gen: ValueFn,
-    drift_of: DriftFn,
-    factory: NodeFactory<P>,
-    truth: Truth,
-    failure: FailureSpec,
-    partition: PartitionTable,
-    series: Series,
-    sample_idx: u64,
-    initial_n: usize,
-    join_accum: f64,
+}
+
+impl<P: PushProtocol> Drain<P> for ShardDrain<P>
+where
+    P::Message: WireMessage,
+{
+    fn runtime(&self, id: NodeId) -> &NodeRuntime<P> {
+        let h = self.home[id as usize];
+        &self.shards[h.shard as usize].runtimes[h.slot as usize]
+    }
+
+    fn runtime_mut(&mut self, id: NodeId) -> &mut NodeRuntime<P> {
+        let h = self.home[id as usize];
+        &mut self.shards[h.shard as usize].runtimes[h.slot as usize]
+    }
+
+    fn install(&mut self, id: NodeId, runtime: NodeRuntime<P>) {
+        debug_assert_eq!(id as usize, self.home.len());
+        let s = self.map.shard_of(id as usize);
+        let shard = &mut self.shards[s];
+        self.home.push(Home { shard: s as u32, slot: shard.runtimes.len() as u32 });
+        let first_tick = runtime.next_tick_ms();
+        shard.queue.schedule(EventKey::timer(first_tick, id), SEv::Timer(id));
+        shard.link_rngs.push(rng::rng_for(self.seed, LINK_SEED_BASE ^ u64::from(id)));
+        shard.send_seq.push(0);
+        shard.deadline_ms.push(first_tick);
+        shard.runtimes.push(runtime);
+    }
+
+    fn take_traffic(&mut self) -> (u64, u64, u64) {
+        let (mut msgs, mut bytes, mut wire) = (0u64, 0u64, 0u64);
+        for s in &mut self.shards {
+            msgs += std::mem::take(&mut s.msgs);
+            bytes += std::mem::take(&mut s.bytes);
+            wire += std::mem::take(&mut s.wire);
+        }
+        (msgs, bytes, wire)
+    }
+}
+
+/// A sharded asynchronous network: the parallel counterpart of
+/// [`AsyncNet`](crate::AsyncNet), bit-identical at any shard count.
+pub struct ShardedNet<P: PushProtocol>
+where
+    P::Message: WireMessage,
+{
+    ctl: Coordinator<P>,
+    drain: ShardDrain<P>,
+    /// Conservative lookahead: [`crate::LatencyModel::min_ms`] (≥ 1 asserted).
+    lookahead_ms: u64,
     ran: bool,
     now_ms: u64,
     coord_events: u64,
-    scratch: Vec<NodeId>,
-    view_buf: Vec<NodeId>,
-    holder_buf: Vec<NodeId>,
-    changed_buf: Vec<NodeId>,
-    dirty: Vec<NodeId>,
-    dirty_flag: Vec<bool>,
 }
 
 impl<P> ShardedNet<P>
@@ -344,9 +367,6 @@ where
         drift_of: DriftFn,
         factory: NodeFactory<P>,
     ) -> Self {
-        assert!((0.0..=1.0).contains(&cfg.loss), "loss probability must be in [0, 1]");
-        assert!((0.0..1.0).contains(&cfg.jitter), "jitter fraction must be in [0, 1)");
-        assert!(cfg.interval_ms >= 1, "round interval must be at least 1 ms");
         let lookahead_ms = cfg.latency.min_ms();
         assert!(
             lookahead_ms >= 1,
@@ -356,8 +376,8 @@ where
         );
         let k = map.shards();
         assert!(k >= 1, "at least one shard");
-        let mut net = Self {
-            lookahead_ms,
+        let mut drain = ShardDrain {
+            seed: cfg.seed,
             shards: (0..k)
                 .map(|_| Shard {
                     // Pre-sized from this shard's share of the population
@@ -382,107 +402,22 @@ where
             home: Vec::with_capacity(n),
             mail: (0..k * k).map(|_| Mutex::new(Vec::new())).collect(),
             map,
-            alive: AliveSet::empty(n),
-            hot: NodeHot::with_population(n),
-            values: Vec::with_capacity(n),
-            membership: Box::new(UniformEnv::new()),
-            views: ViewTable::new(),
-            views_ready: false,
-            fail_rng: rng::rng_for(cfg.seed, dynagg_sim::rng::stream::FAILURES),
-            value_rng: rng::rng_for(cfg.seed, dynagg_sim::rng::stream::VALUES),
-            setup_rng: rng::rng_for(cfg.seed, dynagg_sim::rng::stream::ENVIRONMENT),
-            view_rng: rng::rng_for(cfg.seed, dynagg_sim::rng::stream::VIEWS),
-            value_gen,
-            drift_of,
-            factory,
-            truth: Truth::Mean,
-            failure: FailureSpec::None,
-            partition: PartitionTable::empty(),
-            series: Series::default(),
-            sample_idx: 0,
-            initial_n: n,
-            join_accum: 0.0,
+        };
+        Self {
+            ctl: Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut drain),
+            drain,
+            lookahead_ms,
             ran: false,
             now_ms: 0,
             coord_events: 0,
-            scratch: Vec::new(),
-            view_buf: Vec::new(),
-            holder_buf: Vec::new(),
-            changed_buf: Vec::new(),
-            dirty: Vec::new(),
-            dirty_flag: Vec::new(),
-            cfg,
-        };
-        for _ in 0..n {
-            net.spawn_node(0);
         }
-        net
     }
 
-    /// What estimates are measured against (default: [`Truth::Mean`]).
-    pub fn with_truth(mut self, truth: Truth) -> Self {
-        assert!(!truth.needs_groups(), "async engine supports global truths only");
-        self.truth = truth;
-        self
-    }
-
-    /// The failure plan, applied at nominal round boundaries.
-    pub fn with_failure(mut self, failure: FailureSpec) -> Self {
-        self.failure = failure;
-        self
-    }
-
-    /// The partition schedule. Must be installed before the first run.
-    pub fn with_partition(mut self, partition: PartitionTable) -> Self {
-        assert!(!self.views_ready && !self.ran, "install the partition schedule before running");
-        self.partition = partition;
-        self
-    }
-
-    /// Replace the membership/topology layer (default: uniform). Must be
-    /// called before the first run.
-    pub fn with_membership(mut self, membership: Box<dyn Membership>) -> Self {
-        assert!(!self.views_ready && !self.ran, "install the membership layer before running");
-        self.membership = membership;
-        self
-    }
-
-    /// Spawn one node, mirroring the sequential engine's draw order
-    /// (value stream, then setup stream for interval and phase), and
-    /// schedule its timer on its home shard.
-    fn spawn_node(&mut self, from_ms: u64) -> NodeId {
-        let id = self.home.len() as NodeId;
-        let (v, rt_cfg) = crate::loopback::node_recipe(
-            &self.cfg,
-            id,
-            from_ms,
-            &mut self.value_rng,
-            &mut self.setup_rng,
-            &mut self.value_gen,
-            &mut self.drift_of,
-        );
-        let rt = NodeRuntime::new(rt_cfg, (self.factory)(id, v));
-        let s = self.map.shard_of(id as usize);
-        let shard = &mut self.shards[s];
-        self.home.push(Home { shard: s as u32, slot: shard.runtimes.len() as u32 });
-        let first_tick = rt.next_tick_ms();
-        shard.queue.schedule(EventKey::timer(first_tick, id), SEv::Timer(id));
-        shard.link_rngs.push(rng::rng_for(self.cfg.seed, LINK_SEED_BASE ^ u64::from(id)));
-        shard.send_seq.push(0);
-        shard.deadline_ms.push(first_tick);
-        shard.runtimes.push(rt);
-        self.values.push(Some(v));
-        self.alive.insert(id);
-        let hot_id = self.hot.push(first_tick);
-        debug_assert_eq!(hot_id, id);
-        self.views.ensure(self.home.len());
-        self.dirty_flag.push(false);
-        id
-    }
+    engine_facade!();
 
     /// Shard count.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.drain.shards.len()
     }
 
     /// The conservative lookahead (window length) in milliseconds.
@@ -498,135 +433,31 @@ where
     /// Events processed across all shards plus coordinator phases —
     /// comparable to [`AsyncNet::events_processed`](crate::AsyncNet::events_processed).
     pub fn events_processed(&self) -> u64 {
-        self.coord_events + self.shards.iter().map(|s| s.events).sum::<u64>()
+        self.coord_events + self.drain.shards.iter().map(|s| s.events).sum::<u64>()
     }
 
     /// Frames that failed to decode (should stay 0).
     pub fn decode_errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.decode_errors).sum()
+        self.drain.shards.iter().map(|s| s.decode_errors).sum()
     }
 
     /// Frames dropped at the partition boundary.
     pub fn partition_drops(&self) -> u64 {
-        self.shards.iter().map(|s| s.partition_drops).sum()
+        self.drain.shards.iter().map(|s| s.partition_drops).sum()
     }
 
     /// Frames that *arrived* across an active cut — only frames already
     /// in flight when a split fires can do this; with a split active
     /// from round 0 this must be 0 (test hook for partition gating).
     pub fn cross_island_deliveries(&self) -> u64 {
-        self.shards.iter().map(|s| s.cross_island_deliveries).sum()
+        self.drain.shards.iter().map(|s| s.cross_island_deliveries).sum()
     }
 
     /// Cross-shard frames ingested below their window edge — always 0,
     /// or the conservative time-window barrier is broken (test hook;
     /// also debug-asserted at ingest).
     pub fn horizon_violations(&self) -> u64 {
-        self.shards.iter().map(|s| s.horizon_violations).sum()
-    }
-
-    /// Access a node's runtime.
-    pub fn node(&self, id: NodeId) -> &NodeRuntime<P> {
-        let h = self.home[id as usize];
-        &self.shards[h.shard as usize].runtimes[h.slot as usize]
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> &mut NodeRuntime<P> {
-        let h = self.home[id as usize];
-        &mut self.shards[h.shard as usize].runtimes[h.slot as usize]
-    }
-
-    /// A node's current membership view.
-    pub fn view_of(&self, id: NodeId) -> &[NodeId] {
-        self.views.view(id)
-    }
-
-    /// Validate the views ↔ holders index invariant (test support).
-    pub fn check_view_consistency(&self) {
-        self.views.check_consistency();
-    }
-
-    /// Powered (live) node ids, ascending.
-    pub fn live(&self) -> Vec<NodeId> {
-        let mut ids = self.alive.ids().to_vec();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The series sampled so far.
-    pub fn series(&self) -> &Series {
-        &self.series
-    }
-
-    /// Consume the network, returning its series.
-    pub fn into_series(self) -> Series {
-        self.series
-    }
-
-    /// Silently power a node off.
-    fn power_off(&mut self, id: NodeId) {
-        if self.alive.remove(id) {
-            self.hot.kill(id);
-            self.values[id as usize] = None;
-        }
-    }
-
-    /// Materialize initial views on first run (same path as the
-    /// sequential engine's `refresh_views`).
-    fn ensure_views(&mut self) {
-        if self.views_ready {
-            return;
-        }
-        self.membership.advance(0, &self.alive, &mut self.changed_buf);
-        self.views_ready = true;
-        for id in 0..self.home.len() as NodeId {
-            if self.alive.contains(id) {
-                self.assign_view(id);
-            }
-        }
-        self.sync_dirty();
-    }
-
-    /// Draw `id` a fresh island-filtered view and index it.
-    fn assign_view(&mut self, id: NodeId) {
-        self.membership.view_into(
-            id,
-            &self.alive,
-            self.cfg.view_size,
-            &mut self.view_rng,
-            &mut self.view_buf,
-        );
-        let mut view = std::mem::take(&mut self.view_buf);
-        if self.partition.active() {
-            view.retain(|&p| self.partition.allows(id, p));
-        }
-        self.views.assign(id, &view);
-        self.view_buf = view;
-        self.mark_dirty(id);
-    }
-
-    fn mark_dirty(&mut self, id: NodeId) {
-        let idx = id as usize;
-        if !self.dirty_flag[idx] {
-            self.dirty_flag[idx] = true;
-            self.dirty.push(id);
-        }
-    }
-
-    /// Push repaired views into the affected runtimes' peer lists.
-    fn sync_dirty(&mut self) {
-        let dirty = std::mem::take(&mut self.dirty);
-        for &id in &dirty {
-            self.dirty_flag[id as usize] = false;
-            if self.alive.contains(id) {
-                let h = self.home[id as usize];
-                self.shards[h.shard as usize].runtimes[h.slot as usize]
-                    .set_peers(self.views.view(id));
-            }
-        }
-        let mut dirty = dirty;
-        dirty.clear();
-        self.dirty = dirty;
+        self.drain.shards.iter().map(|s| s.horizon_violations).sum()
     }
 
     /// Run for `nominal_rounds × interval_ms` of simulated time. May
@@ -634,21 +465,21 @@ where
     pub fn run(&mut self, nominal_rounds: u64) {
         assert!(!self.ran, "run() may only be called once");
         self.ran = true;
-        self.ensure_views();
-        let horizon = nominal_rounds * self.cfg.interval_ms;
+        self.ctl.ensure_views(&mut self.drain);
+        let interval_ms = self.ctl.cfg.interval_ms;
+        let horizon = nominal_rounds * interval_ms;
         // Coordinator timeline: barrier points are the union of sample
-        // times and nominal round boundaries. Samples run before
-        // boundaries at shared points, matching the sequential engine's
-        // scheduling order.
+        // times and nominal round boundaries; samples run before
+        // boundaries at shared points.
         let mut points: BTreeMap<u64, (bool, Option<u64>)> = BTreeMap::new();
-        let cadence = self.cfg.sample_every_ms.max(1);
+        let cadence = self.ctl.cfg.sample_every_ms.max(1);
         let mut t = cadence;
         while t <= horizon {
             points.entry(t).or_insert((false, None)).0 = true;
             t += cadence;
         }
         for k in 0..nominal_rounds {
-            points.entry(k * self.cfg.interval_ms).or_insert((false, None)).1 = Some(k);
+            points.entry(k * interval_ms).or_insert((false, None)).1 = Some(k);
         }
         points.entry(horizon).or_insert((false, None));
         let mut prev = 0;
@@ -657,11 +488,11 @@ where
             self.now_ms = at;
             if sample {
                 self.coord_events += 1;
-                self.record_sample();
+                self.ctl.record_sample(&mut self.drain);
             }
             if let Some(k) = boundary {
                 self.coord_events += 1;
-                self.nominal_round(k);
+                self.ctl.nominal_round(k, at, &mut self.drain);
             }
             prev = at;
         }
@@ -672,218 +503,24 @@ where
         if from_ms == to_ms {
             return;
         }
-        let barrier = Barrier::new(self.shards.len());
+        let k = self.drain.shards.len();
+        let barrier = Barrier::new(k);
         let ctx = Window {
-            cfg: self.cfg,
+            cfg: self.ctl.cfg,
             lookahead: self.lookahead_ms,
-            shards: self.shards.len(),
-            hot: &self.hot,
-            partition: &self.partition,
-            home: &self.home,
-            mail: &self.mail,
+            shards: k,
+            hot: &self.ctl.hot,
+            partition: &self.ctl.partition,
+            home: &self.drain.home,
+            mail: &self.drain.mail,
             barrier: &barrier,
         };
         std::thread::scope(|s| {
-            for (me, shard) in self.shards.iter_mut().enumerate() {
+            for (me, shard) in self.drain.shards.iter_mut().enumerate() {
                 let ctx = &ctx;
                 s.spawn(move || drain_windows(shard, me, from_ms, to_ms, ctx));
             }
         });
-    }
-
-    /// One streaming pass over the live nodes in global id order —
-    /// floating-point accumulation order is fixed regardless of shard
-    /// layout.
-    fn record_sample(&mut self) {
-        let mut acc = StatsAcc::default();
-        let t = self.truth.global_scalar(&self.values).expect("global truth");
-        let (mut audit_v, mut audit_w) = (0.0f64, 0.0f64);
-        for (id, value) in self.values.iter().enumerate() {
-            if value.is_some() {
-                let h = self.home[id];
-                let p = self.shards[h.shard as usize].runtimes[h.slot as usize].protocol();
-                acc.note_lifecycle(p.is_settling(), p.disruptions());
-                if let Some(e) = p.estimate() {
-                    acc.add(e, t);
-                }
-                if let Some(m) = p.audit_mass() {
-                    audit_v += m.value;
-                    audit_w += m.weight;
-                }
-            }
-        }
-        let (mut msgs, mut bytes, mut wire) = (0u64, 0u64, 0u64);
-        for s in &mut self.shards {
-            msgs += std::mem::take(&mut s.msgs);
-            bytes += std::mem::take(&mut s.bytes);
-            wire += std::mem::take(&mut s.wire);
-        }
-        let mut stats = acc.finish(self.sample_idx, self.alive.len(), msgs, bytes, wire, 0.0);
-        if audit_w > 0.0 {
-            if let Some(mean) = Truth::Mean.global_scalar(&self.values) {
-                stats.mass_audit = audit_v / audit_w - mean;
-            }
-        }
-        stats.islands = self.partition.islands();
-        self.series.push(stats);
-        self.sample_idx += 1;
-    }
-
-    /// A nominal round boundary — the sequential engine's logic verbatim
-    /// (partition schedule, failure plan, membership clock, view sync).
-    fn nominal_round(&mut self, k: u64) {
-        let transition = self.partition.begin_round(k);
-        self.apply_failure(k);
-        if k > 0 {
-            match self.membership.advance(k, &self.alive, &mut self.changed_buf) {
-                ViewChange::Unchanged => {}
-                ViewChange::Nodes => {
-                    let changed = std::mem::take(&mut self.changed_buf);
-                    for &id in &changed {
-                        if self.alive.contains(id) {
-                            self.assign_view(id);
-                        }
-                    }
-                    self.changed_buf = changed;
-                }
-                ViewChange::All => {
-                    for id in 0..self.home.len() as NodeId {
-                        if self.alive.contains(id) {
-                            self.assign_view(id);
-                        }
-                    }
-                }
-            }
-        }
-        if transition != PartitionTransition::None {
-            for id in 0..self.home.len() as NodeId {
-                if self.alive.contains(id) {
-                    self.assign_view(id);
-                }
-            }
-        }
-        self.sync_dirty();
-    }
-
-    /// Apply the failure plan for nominal round `k`, repairing views
-    /// incrementally — identical victim-selection and repair draw order
-    /// to the sequential engine.
-    fn apply_failure(&mut self, k: u64) {
-        let mut victims = std::mem::take(&mut self.scratch);
-        victims.clear();
-        let mut joins = 0usize;
-        let mut graceful = false;
-        match self.failure {
-            FailureSpec::None => {}
-            FailureSpec::AtRound { round, mode, fraction, graceful: g } => {
-                if k == round {
-                    graceful = g;
-                    let count = ((self.alive.len() as f64) * fraction).round() as usize;
-                    victims.extend(
-                        (0..self.home.len() as NodeId).filter(|&id| self.alive.contains(id)),
-                    );
-                    match mode {
-                        FailureMode::Random => victims.shuffle(&mut self.fail_rng),
-                        FailureMode::TopValue => victims.sort_unstable_by(|&a, &b| {
-                            let va = self.values[a as usize].unwrap_or(f64::MIN);
-                            let vb = self.values[b as usize].unwrap_or(f64::MIN);
-                            vb.partial_cmp(&va).expect("values are finite")
-                        }),
-                        FailureMode::BottomValue => victims.sort_unstable_by(|&a, &b| {
-                            let va = self.values[a as usize].unwrap_or(f64::MAX);
-                            let vb = self.values[b as usize].unwrap_or(f64::MAX);
-                            va.partial_cmp(&vb).expect("values are finite")
-                        }),
-                    }
-                    victims.truncate(count);
-                }
-            }
-            FailureSpec::Churn { start, leave_per_round, join_per_round } => {
-                if k >= start {
-                    for id in 0..self.home.len() as NodeId {
-                        if self.alive.contains(id) && self.fail_rng.gen::<f64>() < leave_per_round {
-                            victims.push(id);
-                        }
-                    }
-                    self.join_accum += join_per_round * self.initial_n as f64;
-                    joins = self.join_accum as usize;
-                    self.join_accum -= joins as f64;
-                }
-            }
-        }
-        for &id in &victims {
-            if graceful {
-                self.node_mut(id).protocol_mut().depart_gracefully();
-            }
-            self.power_off(id);
-        }
-        for &id in &victims {
-            self.views.clear_node(id);
-        }
-        let mut holders = std::mem::take(&mut self.holder_buf);
-        for &id in &victims {
-            self.views.take_holders_into(id, &mut holders);
-            for &h in &holders {
-                if !self.alive.contains(h) {
-                    continue; // the holder died in the same batch
-                }
-                self.views.drop_slot(h, id);
-                for _ in 0..REPAIR_TRIES {
-                    let Some(y) = self.membership.repair_peer(h, &self.alive, &mut self.view_rng)
-                    else {
-                        break; // adjacency topologies: the view just shrinks
-                    };
-                    if y != h
-                        && self.alive.contains(y)
-                        && self.partition.allows(h, y)
-                        && !self.views.has_member(h, y)
-                    {
-                        self.views.push_slot(h, y);
-                        break;
-                    }
-                }
-                self.mark_dirty(h);
-            }
-        }
-        self.holder_buf = holders;
-        self.scratch = victims;
-        let now = self.now_ms;
-        for _ in 0..joins {
-            let id = self.spawn_node(now);
-            if self.views_ready {
-                self.assign_view(id);
-                self.introduce(id);
-            }
-        }
-    }
-
-    /// Splice a joined node into a handful of existing views (the
-    /// sequential engine's join introduction, same draw order).
-    fn introduce(&mut self, id: NodeId) {
-        let want = INTRODUCTIONS.min(self.cfg.view_size).min(self.alive.len().saturating_sub(1));
-        let mut done = 0;
-        let mut tries = 0;
-        while done < want && tries < want * 4 {
-            tries += 1;
-            let Some(h) = self.membership.repair_peer(id, &self.alive, &mut self.view_rng) else {
-                break;
-            };
-            if h == id
-                || !self.alive.contains(h)
-                || !self.partition.allows(h, id)
-                || self.views.has_member(h, id)
-            {
-                continue;
-            }
-            if self.views.view_len(h) < self.cfg.view_size {
-                self.views.push_slot(h, id);
-            } else {
-                let slot = self.view_rng.gen_range(0..self.views.view_len(h));
-                self.views.replace_slot(h, slot, id);
-            }
-            self.mark_dirty(h);
-            done += 1;
-        }
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! The table is pure bookkeeping — *what* goes into a view (topology,
 //! sampling) is the [`Membership`] implementation's business, and *when*
-//! to patch is the engine's ([`crate::loopback::AsyncNet`]).
+//! to patch is the engines' shared coordinator's ([`crate::control`]).
 //!
 //! [`Membership`]: dynagg_sim::membership::Membership
 

@@ -1,8 +1,8 @@
 //! Property tests for the sharded engine's two headline invariants:
 //!
 //! * **shard-count invariance** — over arbitrary topology / latency /
-//!   drift / churn specs, a [`ShardedNet`] produces a bit-identical
-//!   [`Series`] at every shard count, and
+//!   drift / churn specs (global and group truths), a [`ShardedNet`]
+//!   produces a bit-identical [`Series`] at every shard count, and
 //! * **conservative safety** — no cross-shard frame is ever ingested
 //!   below its window's horizon, and active partitions gate cross-shard
 //!   frames exactly like local ones.
@@ -11,22 +11,27 @@ use dynagg_core::epoch::DriftModel;
 use dynagg_core::protocol::NodeId;
 use dynagg_core::push_sum_revert::PushSumRevert;
 use dynagg_node::{AsyncConfig, LatencyModel, ShardedNet};
-use dynagg_sim::env::{ClusteredEnv, SpatialEnv, UniformEnv};
+use dynagg_sim::env::{ClusteredEnv, SpatialEnv, TraceEnv, UniformEnv};
 use dynagg_sim::membership::Membership;
-use dynagg_sim::metrics::Series;
+use dynagg_sim::metrics::{Series, Truth};
 use dynagg_sim::partition::{resolve, Island, PartitionEvent, PartitionTable, TopologyInfo};
 use dynagg_sim::shard::ShardMap;
 use dynagg_sim::FailureSpec;
+use dynagg_trace::model::{TraceModel, TraceModelConfig};
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use rand::Rng;
 
-/// Which membership/topology layer a generated spec runs on.
+/// Which membership/topology layer a generated spec runs on. `Trace` is
+/// a generated contact trace — the group-aware topology, sampled against
+/// [`Truth::GroupMean`] so the shared sampler's group-truth path is
+/// under test too.
 #[derive(Debug, Clone, Copy)]
 enum Topo {
     Uniform,
     Clustered { clusters: u32 },
     Spatial,
+    Trace,
 }
 
 /// One generated spec: everything that parameterizes a run except the
@@ -48,6 +53,7 @@ fn topo_strategy() -> impl Strategy<Value = Topo> {
         Just(Topo::Uniform),
         (2u32..5).prop_map(|clusters| Topo::Clustered { clusters }),
         Just(Topo::Spatial),
+        Just(Topo::Trace),
     ]
 }
 
@@ -91,12 +97,29 @@ fn membership_for(spec: &Spec) -> Box<dyn Membership> {
             Box::new(ClusteredEnv::new(spec.n, clusters, 0.01, 0.02, spec.seed))
         }
         Topo::Spatial => Box::new(SpatialEnv::for_nodes(spec.n)),
+        Topo::Trace => {
+            // Meetings every ~20 s around the clock, so the few minutes of
+            // trace a run replays hold real multi-host groups.
+            let model = TraceModelConfig {
+                devices: spec.n as u16,
+                duration_s: 3600,
+                mean_meeting_gap_s: 20.0,
+                grow_p: 0.6,
+                max_meeting_size: 8,
+                mean_meeting_duration_s: 300.0,
+                min_meeting_duration_s: 60,
+                communities: 4,
+                community_bias: 0.6,
+                diurnal: [1.0; 24],
+            };
+            Box::new(TraceEnv::paper(TraceModel::new(model, spec.seed).generate()))
+        }
     }
 }
 
 fn map_for(spec: &Spec, shards: usize) -> ShardMap {
     match spec.topo {
-        Topo::Uniform => ShardMap::uniform(spec.n, shards),
+        Topo::Uniform | Topo::Trace => ShardMap::uniform(spec.n, shards),
         Topo::Clustered { clusters } => ShardMap::clustered(spec.n, clusters, shards),
         Topo::Spatial => ShardMap::spatial(spec.n, SpatialEnv::for_nodes(spec.n).side(), shards),
     }
@@ -129,8 +152,12 @@ fn run_sharded(spec: &Spec, shards: usize) -> (Series, u64, u64) {
         net = net.with_failure(FailureSpec::Churn {
             start: 0,
             leave_per_round: leave,
-            join_per_round: join,
+            // A trace's group structure covers its devices only.
+            join_per_round: if matches!(spec.topo, Topo::Trace) { 0.0 } else { join },
         });
+    }
+    if matches!(spec.topo, Topo::Trace) {
+        net = net.with_truth(Truth::GroupMean);
     }
     net.run(spec.rounds);
     let horizon = net.horizon_violations();

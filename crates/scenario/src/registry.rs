@@ -485,7 +485,7 @@ where
         Engine::Async => {
             debug_assert!(probe.is_none(), "validation rejects probes under the async engine");
             TrialOutput {
-                series: run_async(spec, seed, n, rounds, factory),
+                series: run_async(spec, seed, n, rounds, factory, None),
                 counter_samples: None,
                 probe: None,
             }
@@ -583,53 +583,54 @@ where
 /// the same shape as a lockstep run of the same horizon. Peers come from
 /// the spec's environment through the shared membership layer, so every
 /// `env` kind runs asynchronously — topology changes (clique mobility,
-/// trace replay) land at nominal round boundaries.
-fn run_async<P, F>(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64, factory: F) -> Series
+/// trace replay) land at nominal round boundaries. `read`, when given,
+/// sees every live node's protocol state (ascending id) once the run has
+/// finished.
+fn run_async<P, F>(
+    spec: &ScenarioSpec,
+    seed: u64,
+    n: usize,
+    rounds: u64,
+    factory: F,
+    read: Option<&mut dyn FnMut(&P)>,
+) -> Series
 where
     P: PushProtocol + Send + 'static,
     P::Message: WireMessage + Send,
     F: FnMut(NodeId, f64) -> P + 'static,
 {
-    let a = spec.asynchrony.unwrap_or_default();
     let cfg = async_net_config(spec, seed);
     let value_gen = async_value_gen(spec);
-    let drift = a.drift;
+    let drift = spec.asynchrony.unwrap_or_default().drift;
+    let drift_of = Box::new(move |id| drift.model_for(id, n));
+    // The two drains share one control plane, so everything from here on
+    // is the same builder chain and the same post-run readout.
+    macro_rules! drive {
+        ($net:expr) => {{
+            let mut net = $net
+                .with_membership(build_env(&spec.env, n, seed))
+                .with_truth(spec.truth)
+                .with_failure(spec.failure)
+                .with_partition(partition_table(spec, n));
+            net.run(rounds);
+            if let Some(read) = read {
+                net.nodes().for_each(|(_, node)| read(node));
+            }
+            net.into_series()
+        }};
+    }
     // `shards = 1` (or an absent key) keeps the sequential engine, whose
     // pinned digests predate sharding; `shards ≥ 2` runs the sharded
-    // engine, bit-identical across every count ≥ 2 but statistically
+    // engine, bit-identical across every count but statistically
     // distinct from the sequential engine (its loss/latency draws are
     // per-node streams, not one global stream in pop order).
     let (shards, _fallback) = spec.effective_shards(n);
     if shards >= 2 {
         let map = ShardMap::from_topology(&topology_info(&spec.env, n), n, shards);
-        let mut net = ShardedNet::new(
-            n,
-            cfg,
-            map,
-            value_gen,
-            Box::new(move |id| drift.model_for(id, n)),
-            Box::new(factory),
-        )
-        .with_membership(build_env(&spec.env, n, seed))
-        .with_truth(spec.truth)
-        .with_failure(spec.failure)
-        .with_partition(partition_table(spec, n));
-        net.run(rounds);
-        return net.into_series();
+        drive!(ShardedNet::new(n, cfg, map, value_gen, drift_of, Box::new(factory)))
+    } else {
+        drive!(AsyncNet::new(n, cfg, value_gen, drift_of, Box::new(factory)))
     }
-    let mut net = AsyncNet::new(
-        n,
-        cfg,
-        value_gen,
-        Box::new(move |id| drift.model_for(id, n)),
-        Box::new(factory),
-    )
-    .with_membership(build_env(&spec.env, n, seed))
-    .with_truth(spec.truth)
-    .with_failure(spec.failure)
-    .with_partition(partition_table(spec, n));
-    net.run(rounds);
-    net.into_series()
 }
 
 /// The `[async]` table resolved to an engine configuration.
@@ -773,32 +774,9 @@ fn run_counter_cdf(
     };
 
     if spec.engine == Engine::Async {
-        // The sequential async engine owns every node, so the post-run
-        // readout walks the same matrices a lockstep run would
-        // (validation rejects `shards ≥ 2`, whose nodes live in worker
-        // threads).
-        let a = spec.asynchrony.unwrap_or_default();
-        let drift = a.drift;
-        let mut net = AsyncNet::new(
-            n,
-            async_net_config(spec, seed),
-            async_value_gen(spec),
-            Box::new(move |id| drift.model_for(id, n)),
-            Box::new(factory),
-        )
-        .with_membership(build_env(&spec.env, n, seed))
-        .with_truth(spec.truth)
-        .with_failure(spec.failure)
-        .with_partition(partition_table(spec, n));
-        net.run(rounds);
-        for (_, node) in net.nodes() {
-            read_node(&mut samples, node);
-        }
-        return TrialOutput {
-            series: net.into_series(),
-            counter_samples: Some(samples),
-            probe: None,
-        };
+        let mut read = |node: &CountSketchReset| read_node(&mut samples, node);
+        let series = run_async(spec, seed, n, rounds, factory, Some(&mut read));
+        return TrialOutput { series, counter_samples: Some(samples), probe: None };
     }
 
     let mut sim = base_builder(spec, seed, n)

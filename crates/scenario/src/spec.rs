@@ -791,29 +791,12 @@ impl ScenarioSpec {
                         .into(),
                 });
             }
-            match self.engine {
-                Engine::Push => {}
-                Engine::Async => {
-                    // The sequential async engine owns every node and can
-                    // read their age matrices after the run; the sharded
-                    // engine moves nodes into worker threads.
-                    let a = self.asynchrony.unwrap_or_default();
-                    if matches!(a.shards, Some(ShardsSpec::Auto) | Some(ShardsSpec::Count(2..))) {
-                        return Err(ScenarioError::Unsupported {
-                            reason: "report = \"counter-cdf\" reads per-node age matrices, \
-                                     which the sharded async engine distributes across worker \
-                                     threads; use shards = 1 (or drop the key)"
-                                .into(),
-                        });
-                    }
-                }
-                Engine::Pairwise => {
-                    return Err(ScenarioError::Unsupported {
-                        reason: "report = \"counter-cdf\" requires the push engine or the \
-                                 sequential async engine"
-                            .into(),
-                    });
-                }
+            if self.engine == Engine::Pairwise {
+                return Err(ScenarioError::Unsupported {
+                    reason: "report = \"counter-cdf\" requires the push engine or the \
+                             async engine"
+                        .into(),
+                });
             }
             if self.trials != 1 {
                 return Err(ScenarioError::Unsupported {
@@ -1065,20 +1048,6 @@ impl ScenarioSpec {
             return Ok(());
         }
         let a = self.asynchrony.unwrap_or_default();
-        // The sequential async engine samples group truths through the
-        // membership layer's group view; the *sharded* engine's samplers
-        // are per-shard and cannot see cross-shard group structure.
-        let may_shard = matches!(a.shards, Some(ShardsSpec::Auto) | Some(ShardsSpec::Count(2..)));
-        if self.truth.needs_groups() && may_shard {
-            return Err(ScenarioError::Unsupported {
-                reason: format!(
-                    "truth `{:?}` needs per-round group structure, which the sharded async \
-                     engine's per-shard samplers do not read; use shards = 1 (or drop the key) \
-                     or a global truth",
-                    self.truth
-                ),
-            });
-        }
         if a.interval_ms == 0 {
             return Err(invalid("async.interval_ms", "must be at least 1".into()));
         }

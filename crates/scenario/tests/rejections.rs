@@ -311,31 +311,30 @@ fn async_engine_runs_every_environment() {
 }
 
 #[test]
-fn group_truth_under_sharded_async_engine_is_unsupported() {
-    // The sequential async engine samples group truths through the
-    // membership layer's group view, so a trace + group-mean async spec
-    // validates; the *sharded* engine's per-shard samplers cannot see
-    // cross-shard group structure — a typed rejection, not a panic.
+fn group_truth_under_async_is_shard_count_invariant() {
+    // Both async drains sample through one coordinator, which reads group
+    // truths from the membership layer's group view on the coordinating
+    // thread — so a trace + group-mean spec validates at every shard
+    // setting and the sharded series cannot depend on the count.
     let src =
         replace(VALID_ASYNC, "[env]\nkind = \"uniform\"", "[env]\nkind = \"trace\"\ndataset = 1");
     let src = replace(&src, "n = 200\n", "");
     let src = replace(&src, "rounds = 10", "rounds = 10\ntruth = \"group-mean\"");
     ScenarioSpec::from_toml_str(&src).expect("sequential async samples group truths");
-
-    let sharded = replace(&src, "interval_ms = 100", "interval_ms = 100\nshards = 2");
-    match ScenarioSpec::from_toml_str(&sharded) {
-        Err(ScenarioError::Unsupported { reason }) => {
-            assert!(reason.contains("per-shard samplers"), "{reason}");
-        }
-        other => panic!("expected Unsupported, got {other:?}"),
-    }
     let auto = replace(&src, "interval_ms = 100", "interval_ms = 100\nshards = \"auto\"");
-    match ScenarioSpec::from_toml_str(&auto) {
-        Err(ScenarioError::Unsupported { reason }) => {
-            assert!(reason.contains("per-shard samplers"), "{reason}");
-        }
-        other => panic!("expected Unsupported, got {other:?}"),
-    }
+    ScenarioSpec::from_toml_str(&auto).expect("so does the sharded engine");
+
+    let run = |shards: u32| {
+        let src =
+            replace(&src, "interval_ms = 100", &format!("interval_ms = 100\nshards = {shards}"));
+        dynagg_scenario::run_series(&ScenarioSpec::from_toml_str(&src).unwrap()).unwrap()
+    };
+    let two = run(2);
+    assert_eq!(two, run(4), "group-truth series must not depend on the shard count");
+    assert!(
+        two.rounds.iter().any(|r| r.mean_group_size > 0.0),
+        "the sharded sampler must read the trace's group structure"
+    );
 }
 
 #[test]
@@ -383,25 +382,30 @@ fn async_range_violations_are_typed() {
 }
 
 #[test]
-fn counter_cdf_under_async_requires_the_sequential_engine() {
+fn counter_cdf_under_async_is_shard_count_invariant() {
     let base = replace(
         VALID_ASYNC,
         "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01",
         "[protocol]\nname = \"count-sketch-reset\"\n\n[output]\nreport = \"counter-cdf\"",
     );
-    // No shards key (and shards = 1): the sequential engine owns every
-    // node, so the post-run counter readout is supported.
+    // Every async drain hands its nodes back once `run` returns, so the
+    // post-run counter readout validates at every shard setting.
     ScenarioSpec::from_toml_str(&base).unwrap();
-    let one = replace(&base, "interval_ms = 100", "interval_ms = 100\nshards = 1");
-    ScenarioSpec::from_toml_str(&one).unwrap();
-    // Sharded engines move nodes into worker threads: typed rejection.
-    for shards in ["shards = 2", "shards = \"auto\""] {
+    for shards in ["shards = 1", "shards = \"auto\""] {
         let src = replace(&base, "interval_ms = 100", &format!("interval_ms = 100\n{shards}"));
-        assert!(
-            matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })),
-            "`{shards}` must reject counter-cdf"
-        );
+        ScenarioSpec::from_toml_str(&src).unwrap();
     }
+    let run = |shards: u32| {
+        let src =
+            replace(&base, "interval_ms = 100", &format!("interval_ms = 100\nshards = {shards}"));
+        let mut outcome =
+            dynagg_scenario::run(&ScenarioSpec::from_toml_str(&src).unwrap()).unwrap();
+        outcome.instances.remove(0).trials.remove(0)
+    };
+    let two = run(2);
+    assert_eq!(two, run(4), "series and counter samples must not depend on the shard count");
+    let samples = two.counter_samples.expect("counter-cdf report under the sharded engine");
+    assert!(samples.iter().flatten().sum::<u64>() > 0, "live hosts hold finite counters");
 }
 
 // ── wire accounting ─────────────────────────────────────────────────────

@@ -49,7 +49,7 @@ pub mod shard;
 
 pub use alive::AliveSet;
 pub use env::Environment;
-pub use failure::{FailureMode, FailureSpec};
+pub use failure::{FailureMode, FailurePlan, FailureSpec};
 pub use membership::{Membership, ViewChange};
 pub use metrics::{RoundStats, Series, Truth};
 pub use partition::{PartitionTable, PartitionTransition};

@@ -15,16 +15,16 @@
 //!
 //! The paper's sweeps run hundreds of (protocol × environment × failure ×
 //! trial) configurations, so the per-round path is kept allocation-free in
-//! steady state: the message queue, emission buffer, victim list, victim-
-//! selection scratch, and the metrics' estimate/truth buffers are all
-//! owned by the engine and reused across rounds. The protocol factory is
+//! steady state: the message queue, emission buffer, victim list, and the
+//! metrics' estimate/truth buffers are all owned by the engine and reused
+//! across rounds. The protocol factory is
 //! a generic parameter (not a boxed closure), so node construction during
 //! churn stays devirtualized. Per-trial parallelism lives in
 //! [`crate::par`]; one engine is strictly single-threaded.
 
 use crate::alive::AliveSet;
 use crate::env::{EnvSampler, Environment};
-use crate::failure::{FailureMode, FailureSpec};
+use crate::failure::{FailurePlan, FailureSpec};
 use crate::metrics::{Series, Truth};
 use crate::partition::PartitionTable;
 use crate::rng::{rng_for, stream};
@@ -190,20 +190,16 @@ impl<P, F: FnMut(NodeId, f64) -> P> TypedBuilder<P, F> {
             alive: AliveSet::full(self.n),
             env,
             truth: self.truth,
-            failure: self.failure,
+            failure: FailurePlan::new(self.failure, self.seed, self.n),
             round: 0,
             engine_rng: rng_for(self.seed, stream::ENGINE),
-            failure_rng: rng_for(self.seed, stream::FAILURES),
             value_rng,
             value_gen,
             factory,
-            initial_n: self.n,
-            join_accum: 0.0,
             loss: self.loss,
             partition: self.partition,
             series: Series::default(),
             victims: Vec::new(),
-            victim_scratch: Vec::new(),
             truth_buf: Vec::new(),
         }
     }
@@ -239,15 +235,12 @@ struct SimCore<P, F> {
     alive: AliveSet,
     env: Box<dyn Environment>,
     truth: Truth,
-    failure: FailureSpec,
+    failure: FailurePlan,
     round: u64,
     engine_rng: SmallRng,
-    failure_rng: SmallRng,
     value_rng: SmallRng,
     value_gen: ValueGen,
     factory: F,
-    initial_n: usize,
-    join_accum: f64,
     /// Per-message loss probability.
     loss: f64,
     /// The chaos layer's partition schedule.
@@ -255,73 +248,38 @@ struct SimCore<P, F> {
     series: Series,
     /// Reused per-round buffer: this round's failure victims.
     victims: Vec<NodeId>,
-    /// Reused scratch for victim selection (live-id copy).
-    victim_scratch: Vec<NodeId>,
     /// Reused per-round buffer: per-host truths (group-truth path only).
     truth_buf: Vec<Option<f64>>,
 }
 
 impl<P, F: FnMut(NodeId, f64) -> P> SimCore<P, F> {
-    /// Apply the failure plan at the top of `round`, filling
-    /// [`SimCore::victims`]. Returns `(graceful, joins)`; the caller
-    /// handles protocol-specific graceful hooks before removal.
-    fn plan_failures(&mut self) -> (bool, usize) {
-        self.victims.clear();
-        let mut graceful = false;
-        let mut joins = 0usize;
-        match self.failure {
-            FailureSpec::None => {}
-            FailureSpec::AtRound { round, mode, fraction, graceful: g } => {
-                if self.round == round {
-                    graceful = g;
-                    let count = ((self.alive.len() as f64) * fraction).round() as usize;
-                    self.select_victims(mode, count);
+    /// Apply the failure plan at the top of the round: victims leave
+    /// (through `sign_off` first when the plan is graceful), then joins
+    /// arrive; returns the joined ids. Live hosts are offered to the plan
+    /// in `alive.ids()` order — the lockstep family's pinned candidate
+    /// order.
+    fn churn(&mut self, sign_off: impl Fn(&mut P)) -> std::ops::Range<usize> {
+        let mut victims = std::mem::take(&mut self.victims);
+        let (graceful, joins) = self.failure.plan(
+            self.round,
+            self.alive.ids().iter().copied(),
+            &self.values,
+            &mut victims,
+        );
+        for &id in &victims {
+            if graceful {
+                if let Some(node) = self.nodes[id as usize].as_mut() {
+                    sign_off(node);
                 }
             }
-            FailureSpec::Churn { start, leave_per_round, join_per_round } => {
-                if self.round >= start {
-                    for &id in self.alive.ids() {
-                        if self.failure_rng.gen::<f64>() < leave_per_round {
-                            self.victims.push(id);
-                        }
-                    }
-                    self.join_accum += join_per_round * self.initial_n as f64;
-                    joins = self.join_accum as usize;
-                    self.join_accum -= joins as f64;
-                }
-            }
+            self.remove(id);
         }
-        (graceful, joins)
-    }
-
-    /// Fill [`SimCore::victims`] with `count` ids chosen per `mode`, using
-    /// the reusable scratch copy of the live set.
-    fn select_victims(&mut self, mode: FailureMode, count: usize) {
-        let mut ids = std::mem::take(&mut self.victim_scratch);
-        ids.clear();
-        ids.extend_from_slice(self.alive.ids());
-        match mode {
-            FailureMode::Random => {
-                ids.shuffle(&mut self.failure_rng);
-            }
-            FailureMode::TopValue => {
-                ids.sort_unstable_by(|&a, &b| {
-                    let va = self.values[a as usize].unwrap_or(f64::MIN);
-                    let vb = self.values[b as usize].unwrap_or(f64::MIN);
-                    vb.partial_cmp(&va).expect("values are finite")
-                });
-            }
-            FailureMode::BottomValue => {
-                ids.sort_unstable_by(|&a, &b| {
-                    let va = self.values[a as usize].unwrap_or(f64::MAX);
-                    let vb = self.values[b as usize].unwrap_or(f64::MAX);
-                    va.partial_cmp(&vb).expect("values are finite")
-                });
-            }
+        self.victims = victims;
+        let first = self.nodes.len();
+        for _ in 0..joins {
+            self.join_one();
         }
-        ids.truncate(count);
-        self.victims.extend_from_slice(&ids);
-        self.victim_scratch = ids;
+        first..self.nodes.len()
     }
 
     fn remove(&mut self, id: NodeId) {
@@ -331,13 +289,12 @@ impl<P, F: FnMut(NodeId, f64) -> P> SimCore<P, F> {
         }
     }
 
-    fn join_one(&mut self) -> NodeId {
+    fn join_one(&mut self) {
         let id = self.nodes.len() as NodeId;
         let v = (self.value_gen)(&mut self.value_rng, id);
         self.values.push(Some(v));
         self.nodes.push(Some((self.factory)(id, v)));
         self.alive.insert(id);
-        id
     }
 
     fn record_stats(&mut self, messages: u64, bytes: u64, wire: u64)
@@ -482,20 +439,8 @@ impl<P: PushProtocol, F: FnMut(NodeId, f64) -> P> Simulation<P, F> {
         let core = &mut self.core;
 
         // 1. failures / churn at the round boundary
-        let (graceful, joins) = core.plan_failures();
-        let victims = std::mem::take(&mut core.victims);
-        for &id in &victims {
-            if graceful {
-                if let Some(n) = core.nodes[id as usize].as_mut() {
-                    n.depart_gracefully();
-                }
-            }
-            core.remove(id);
-        }
-        core.victims = victims;
-        for _ in 0..joins {
-            let id = core.join_one();
-            if let Some(node) = core.nodes[id as usize].as_mut() {
+        for id in core.churn(P::depart_gracefully) {
+            if let Some(node) = core.nodes[id].as_mut() {
                 node.hint_atomic_exchanges();
             }
         }
@@ -643,15 +588,7 @@ impl<P: PairwiseProtocol, F: FnMut(NodeId, f64) -> P> PairwiseSimulation<P, F> {
     pub fn step(&mut self) {
         let core = &mut self.core;
 
-        let (_graceful, joins) = core.plan_failures();
-        let victims = std::mem::take(&mut core.victims);
-        for &id in &victims {
-            core.remove(id);
-        }
-        core.victims = victims;
-        for _ in 0..joins {
-            core.join_one();
-        }
+        core.churn(|_| {}); // pairwise protocols have no sign-off
 
         core.env.begin_round(core.round, &core.alive);
         core.partition.begin_round(core.round);
@@ -698,6 +635,7 @@ impl<P: PairwiseProtocol, F: FnMut(NodeId, f64) -> P> PairwiseSimulation<P, F> {
 mod tests {
     use super::*;
     use crate::env::uniform::UniformEnv;
+    use crate::failure::FailureMode;
     use dynagg_core::push_sum::PushSum;
     use dynagg_core::push_sum_revert::PushSumRevert;
 

@@ -17,7 +17,8 @@
 //! never disagree.
 //!
 //! This module is test infrastructure: nothing on a hot path uses it, and
-//! `perf_smoke`'s `sketch` section benchmarks it as the "before" column.
+//! the benchmark's `sketch.age.lazy_vs_ref_merge` metric times it as the
+//! "before" column.
 //!
 //! [`AgeMatrix`]: crate::age::AgeMatrix
 
