@@ -336,6 +336,12 @@ fn drive<T: Transport + 'static>(opts: &ServeOpts, mesh: Vec<T>) -> Result<Serve
     if report.decode_errors > 0 {
         return Err(format!("{} frames failed to decode on a clean wire", report.decode_errors));
     }
+    if report.workers_lost > 0 || report.commands_undelivered > 0 {
+        return Err(format!(
+            "{} worker(s) panicked mid-run; {} command(s) never reached one",
+            report.workers_lost, report.commands_undelivered
+        ));
+    }
 
     let summary = ServeSummary { observations, report, updates };
     if let Some(gate) = opts.assert_error {

@@ -53,7 +53,7 @@ use dynagg_core::wire::WireMessage;
 use dynagg_sim::alive::AliveSet;
 use dynagg_sim::env::UniformEnv;
 use dynagg_sim::membership::{Membership, ViewChange};
-use dynagg_sim::metrics::{Series, StatsAcc, Truth};
+use dynagg_sim::metrics::{sample_round, Series, Truth};
 use dynagg_sim::rng::{self, stream};
 use dynagg_sim::{FailurePlan, FailureSpec, PartitionTable, PartitionTransition};
 use rand::rngs::SmallRng;
@@ -443,53 +443,24 @@ where
         self.dirty.clear();
     }
 
-    /// One streaming pass over the live nodes in ascending id order (so
-    /// floating-point accumulation is fixed regardless of where runtimes
-    /// live), mirroring the lockstep engine's per-round statistics.
-    /// Global truths cost a single scalar; group truths
+    /// Sample the live nodes through the shared [`sample_round`] pass
+    /// (ascending id order, so floating-point accumulation is fixed
+    /// regardless of where runtimes live). Group truths
     /// ([`Truth::needs_groups`]) read the membership layer's group
     /// structure as it stands at this wall-clock instant, exactly as the
     /// lockstep sampler reads the environment's.
     pub(crate) fn record_sample(&mut self, drain: &mut impl Drain<P>) {
-        let mut acc = StatsAcc::default();
-        let (mut audit_v, mut audit_w) = (0.0f64, 0.0f64);
-        let mut note = |id: usize, truth: f64| {
-            let p = drain.runtime(id as NodeId).protocol();
-            acc.note_lifecycle(p.is_settling(), p.disruptions());
-            if let Some(e) = p.estimate() {
-                acc.add(e, truth);
-            }
-            if let Some(m) = p.audit_mass() {
-                audit_v += m.value;
-                audit_w += m.weight;
-            }
-        };
-        let group_view = self.membership.group_view();
-        let mean_group_size = group_view.map_or(0.0, |g| g.mean_experienced_size());
-        if let Some(t) = self.truth.global_scalar(&self.values) {
-            for (id, value) in self.values.iter().enumerate() {
-                if value.is_some() {
-                    note(id, t);
-                }
-            }
-        } else {
-            self.truth.per_host_into(&self.values, group_view, &mut self.truth_buf);
-            for (id, truth) in self.truth_buf.iter().enumerate() {
-                if let Some(t) = truth {
-                    note(id, *t);
-                }
-            }
-        }
-        let (msgs, bytes, wire) = drain.take_traffic();
-        let mut stats =
-            acc.finish(self.sample_idx, self.alive.len(), msgs, bytes, wire, mean_group_size);
-        // Global mass audit against the true mean — nonzero only when an
-        // adversary mints mass (benign chaos merely redistributes it).
-        if audit_w > 0.0 {
-            if let Some(mean) = Truth::Mean.global_scalar(&self.values) {
-                stats.mass_audit = audit_v / audit_w - mean;
-            }
-        }
+        let traffic = drain.take_traffic();
+        let drain = &*drain;
+        let mut stats = sample_round(
+            self.sample_idx,
+            self.truth,
+            &self.values,
+            self.membership.group_view(),
+            &mut self.truth_buf,
+            traffic,
+            |id| drain.runtime(id as NodeId).protocol(),
+        );
         stats.islands = self.partition.islands();
         self.series.push(stats);
         self.sample_idx += 1;

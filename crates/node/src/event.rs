@@ -1,7 +1,7 @@
 //! The time-ordered event queues behind the asynchronous engines.
 //!
 //! All three async-family drains — the sequential [`AsyncNet`] loop, the
-//! per-shard queues of `ShardedNet`, and the `VirtualService` timer loop —
+//! per-shard queues of `ShardedNet`, and the live service's timer pump —
 //! schedule through one implementation: a two-level **timing wheel**
 //! (the private `Wheel`) with a sorted overflow heap. Enqueue and
 //! dequeue are O(1)
@@ -371,7 +371,7 @@ impl<K: WheelKey, V> Wheel<K, V> {
 }
 
 /// The scheduling seam shared by the simulation ([`AsyncNet`]), sharded,
-/// and live (`VirtualService`) drains: timed events that pop in
+/// and live-service drains: timed events that pop in
 /// `(time, insertion order)`. [`EventQueue`] is the wheel-backed
 /// production implementation; [`HeapQueue`] the binary-heap reference the
 /// property tests and the benchmark's `node.event.wheel_vs_heap` metric

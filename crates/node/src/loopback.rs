@@ -41,7 +41,6 @@ use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig};
 use dynagg_core::epoch::DriftModel;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
-use dynagg_sim::alive::AliveSet;
 use dynagg_sim::membership::Membership;
 use dynagg_sim::metrics::{Series, Truth};
 use dynagg_sim::rng::{self, stream};
@@ -171,9 +170,9 @@ pub type ValueFn = Box<dyn FnMut(&mut SmallRng, NodeId) -> f64>;
 /// Closure assigning a node's clock-drift model.
 pub type DriftFn = Box<dyn FnMut(NodeId) -> DriftModel>;
 
-/// Draw one node's initial value and runtime config — the single recipe
-/// behind every spawn site (the engines' shared coordinator and the live
-/// service's [`AsyncConfig::population`]), so a given seed yields
+/// Draw one node's initial value and runtime config — the recipe behind
+/// the one spawn site, the shared coordinator, which the discrete-event
+/// engines and the live service all boot through, so a given seed yields
 /// the identical population no matter what drives it. Draw order is part
 /// of the golden contract: value stream first, then the setup stream for
 /// interval (only when jitter is nonzero) and phase offset.
@@ -202,64 +201,6 @@ pub(crate) fn node_recipe(
         max_round_lag: None,
     };
     (v, rt_cfg)
-}
-
-impl AsyncConfig {
-    /// Spawn the population this config describes, exactly as the
-    /// discrete-event engines spawn it: same RNG streams, same draw
-    /// order, same per-node runtime seeds. Returns each node's runtime
-    /// paired with its initial value. This is how a **live** deployment
-    /// ([`crate::service`]) starts from the same state a simulation of
-    /// the same seed starts from — the sim↔live equivalence tests hang
-    /// on this being bit-identical.
-    pub fn population<P: PushProtocol>(
-        &self,
-        n: usize,
-        mut value_gen: ValueFn,
-        mut drift_of: DriftFn,
-        mut factory: NodeFactory<P>,
-    ) -> Vec<(NodeRuntime<P>, f64)>
-    where
-        P::Message: WireMessage,
-    {
-        let mut value_rng = rng::rng_for(self.seed, stream::VALUES);
-        let mut setup_rng = rng::rng_for(self.seed, stream::ENVIRONMENT);
-        (0..n as NodeId)
-            .map(|id| {
-                let (v, rt_cfg) = node_recipe(
-                    self,
-                    id,
-                    0,
-                    &mut value_rng,
-                    &mut setup_rng,
-                    &mut value_gen,
-                    &mut drift_of,
-                );
-                (NodeRuntime::new(rt_cfg, factory(id, v)), v)
-            })
-            .collect()
-    }
-
-    /// Materialize the initial membership views exactly as the engines
-    /// do on first run (membership clock advanced to 0, then one view
-    /// per node in id order from the dedicated view stream). The live
-    /// service installs these as each runtime's peer table.
-    pub fn initial_views(&self, n: usize, membership: &mut dyn Membership) -> Vec<Vec<NodeId>> {
-        let mut view_rng = rng::rng_for(self.seed, stream::VIEWS);
-        let mut alive = AliveSet::empty(n);
-        for id in 0..n as NodeId {
-            alive.insert(id);
-        }
-        let mut changed = Vec::new();
-        membership.advance(0, &alive, &mut changed);
-        let mut buf = Vec::new();
-        (0..n as NodeId)
-            .map(|id| {
-                membership.view_into(id, &alive, self.view_size, &mut view_rng, &mut buf);
-                buf.clone()
-            })
-            .collect()
-    }
 }
 
 /// The sequential drain's node-side state — what the coordinator's seam

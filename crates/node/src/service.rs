@@ -19,11 +19,21 @@
 //!   capacity benchmark — how many protocol events per second the
 //!   service loop can push when never sleeping.
 //!
-//! Both spawn their population through [`AsyncConfig::population`] /
-//! [`AsyncConfig::initial_views`], i.e. from the *identical* RNG streams
-//! the discrete-event engines use — a seed names one population, no
-//! matter which of the three drivers runs it.
+//! There is one way to boot and one way to pump. Both drivers get their
+//! runtimes and initial views by running the engines' own control plane
+//! (`Coordinator::new` + `ensure_views`, [`crate::control`]) into a drain
+//! that merely collects — a seed names one population through one
+//! function under all four drivers (`AsyncNet`, `ShardedNet`, live,
+//! virtual). Both then move their nodes with one private data-plane pump
+//! (`fire due timers → ship`, `recv → handle → ship reply → recycle`)
+//! that has no clock of its own, so the loop the bit-exact sim↔live test
+//! exercises is the production worker loop, not a copy of it.
+//!
+//! The handle never panics on client input and never loses a worker
+//! silently: unknown node ids, commands a dead worker could not take and
+//! workers that panicked are all counted in [`ServiceReport`].
 
+use crate::control::{Coordinator, Drain};
 use crate::event::{EventQueue, EventSched};
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig};
@@ -31,7 +41,7 @@ use crate::transport::{RecvFrame, Transport, TransportStats};
 use dynagg_core::mass::Mass;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
-use dynagg_sim::env::UniformEnv;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -73,10 +83,10 @@ impl ServiceConfig {
         Self { nodes, workers: 1, interval_ms: 100, jitter: 0.05, view_size: 64, seed }
     }
 
-    /// The [`AsyncConfig`] describing this population — what
-    /// [`AsyncConfig::population`] draws from, and what a simulator run
-    /// of the same seed would use. Latency/loss are zeroed: on a live
-    /// transport those are properties of the wire, not the config.
+    /// The [`AsyncConfig`] describing this population — what the service
+    /// boots from, and what a simulator run of the same seed would use.
+    /// Latency/loss are zeroed: on a live transport those are properties
+    /// of the wire, not the config.
     pub fn engine_config(&self) -> AsyncConfig {
         let mut cfg = AsyncConfig::new(self.seed);
         cfg.interval_ms = self.interval_ms;
@@ -116,7 +126,9 @@ pub struct NodeSnap {
     pub stale_frames: u64,
 }
 
-/// Aggregate run accounting returned by [`LiveService::shutdown`].
+/// Aggregate run accounting returned by [`LiveService::shutdown`]: the
+/// workers' data-plane counters summed, plus what the handle itself saw
+/// go wrong on the control plane.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceReport {
     /// Round-timer firings across all workers.
@@ -127,15 +139,25 @@ pub struct ServiceReport {
     pub frames_out: u64,
     /// Frames that failed to decode (should stay 0 on a clean wire).
     pub decode_errors: u64,
-    /// Frames addressed to a node the receiving worker no longer runs
-    /// (stopped between route lookup and arrival).
+    /// Frames addressed to a node the receiving worker does not run
+    /// (stopped between route lookup and arrival, or never its own).
     pub dark_frames: u64,
     /// Summed transport endpoint counters.
     pub transport: TransportStats,
+    /// Node ids named by `set_values`/`stop`/`restart` that lie outside
+    /// the service's universe; the request was dropped.
+    pub unknown_ids: u64,
+    /// Client commands (value batches, stops, restarts, snapshots) that
+    /// could not be delivered because the owning worker was gone.
+    pub commands_undelivered: u64,
+    /// Workers that panicked instead of reporting; their counters are
+    /// missing from the sums above.
+    pub workers_lost: u64,
 }
 
 impl ServiceReport {
-    fn absorb(&mut self, w: &WorkerReport) {
+    /// Add one worker's data-plane counters.
+    fn absorb(&mut self, w: &ServiceReport) {
         self.polls += w.polls;
         self.frames_in += w.frames_in;
         self.frames_out += w.frames_out;
@@ -145,14 +167,188 @@ impl ServiceReport {
     }
 }
 
-/// What one worker thread hands back when it exits.
-struct WorkerReport {
-    polls: u64,
-    frames_in: u64,
-    frames_out: u64,
-    decode_errors: u64,
-    dark_frames: u64,
-    transport: TransportStats,
+/// Spawn the population `cfg` names and materialize its initial views by
+/// running the engines' own control plane — [`Coordinator::new`] then
+/// `ensure_views` — into a drain that merely collects. The runtimes come
+/// back in id order with their peer lists installed.
+fn boot<P>(
+    n: usize,
+    cfg: AsyncConfig,
+    value_gen: ValueFn,
+    drift_of: DriftFn,
+    factory: NodeFactory<P>,
+) -> Vec<NodeRuntime<P>>
+where
+    P: PushProtocol,
+    P::Message: WireMessage,
+{
+    /// No queue (the pump schedules a runtime's timer when it takes it
+    /// over) and no traffic.
+    struct Collect<P: PushProtocol>(Vec<NodeRuntime<P>>)
+    where
+        P::Message: WireMessage;
+
+    impl<P: PushProtocol> Drain<P> for Collect<P>
+    where
+        P::Message: WireMessage,
+    {
+        fn runtime(&self, id: NodeId) -> &NodeRuntime<P> {
+            &self.0[id as usize]
+        }
+        fn runtime_mut(&mut self, id: NodeId) -> &mut NodeRuntime<P> {
+            &mut self.0[id as usize]
+        }
+        fn install(&mut self, _id: NodeId, runtime: NodeRuntime<P>) {
+            self.0.push(runtime);
+        }
+        fn take_traffic(&mut self) -> (u64, u64, u64) {
+            (0, 0, 0)
+        }
+    }
+
+    let mut booted = Collect(Vec::with_capacity(n));
+    Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut booted).ensure_views(&mut booted);
+    booted.0
+}
+
+/// The service's **data plane**, written once: a contiguous range of
+/// runtimes, their round timers (the same wheel-backed [`EventQueue`] the
+/// discrete-event engines drain), and one transport endpoint. It has no
+/// clock of its own — [`Worker`] hands it wall-clock milliseconds,
+/// [`VirtualService`] an injected instant — so the loop the sim↔live
+/// tests pin is the loop production runs.
+struct Pump<P, T>
+where
+    P: PushProtocol,
+    P::Message: WireMessage,
+{
+    transport: T,
+    /// `slots[i]` runs node `lo + i`; `None` while stopped.
+    slots: Vec<Option<NodeRuntime<P>>>,
+    lo: NodeId,
+    timers: EventQueue<NodeId>,
+    /// Data-plane counters (the handle-side fields stay 0 here).
+    report: ServiceReport,
+    out_buf: Vec<Envelope>,
+    in_buf: Vec<RecvFrame>,
+}
+
+impl<P, T> Pump<P, T>
+where
+    P: PushProtocol,
+    P::Message: WireMessage,
+    T: Transport,
+{
+    /// Take over the booted runtimes of nodes `lo..lo + runtimes.len()`.
+    fn new(transport: T, lo: NodeId, runtimes: Vec<NodeRuntime<P>>) -> Self {
+        let mut pump = Self {
+            transport,
+            slots: runtimes.iter().map(|_| None).collect(),
+            lo,
+            timers: EventQueue::with_capacity(runtimes.len()),
+            report: ServiceReport::default(),
+            out_buf: Vec::new(),
+            in_buf: Vec::new(),
+        };
+        for rt in runtimes {
+            pump.start(rt);
+        }
+        pump
+    }
+
+    /// `id`'s slot, if this pump owns the id at all.
+    fn slot(&mut self, id: NodeId) -> Option<&mut Option<NodeRuntime<P>>> {
+        self.slots.get_mut(id.checked_sub(self.lo)? as usize)
+    }
+
+    fn running_mut(&mut self, id: NodeId) -> Option<&mut NodeRuntime<P>> {
+        self.slot(id)?.as_mut()
+    }
+
+    /// The running nodes, ascending by id.
+    fn running(&self) -> impl Iterator<Item = &NodeRuntime<P>> {
+        self.slots.iter().flatten()
+    }
+
+    /// Run `rt` in its own (empty) slot: arm its timer, route its id here.
+    fn start(&mut self, rt: NodeRuntime<P>) {
+        let id = rt.id();
+        self.timers.schedule(rt.next_tick_ms(), id);
+        self.transport.bind(id, self.transport.endpoint());
+        *self.slot(id).expect("a pump only starts its own nodes") = Some(rt);
+    }
+
+    /// Kill a node: unbind its route and drop its runtime; its pending
+    /// timer dies when it next pops.
+    fn stop(&mut self, id: NodeId) {
+        self.transport.unbind(id);
+        if let Some(slot) = self.slot(id) {
+            *slot = None;
+        }
+    }
+
+    /// Fire every timer due at or before `now`, in scheduling order:
+    /// poll, re-arm, ship the round's frames.
+    fn fire_due(&mut self, now: u64) {
+        let mut out = std::mem::take(&mut self.out_buf);
+        while let Some((_, id)) = self.timers.pop_before(now) {
+            let Some(rt) = self.running_mut(id) else { continue };
+            rt.poll(now, &mut out);
+            let next = rt.next_tick_ms();
+            self.timers.schedule(next, id);
+            self.report.polls += 1;
+            for env in out.drain(..) {
+                self.ship(env);
+            }
+        }
+        self.out_buf = out;
+    }
+
+    fn ship(&mut self, env: Envelope) {
+        let from = env.from;
+        self.report.frames_out += 1;
+        if let Some(buf) = self.transport.send(env) {
+            if let Some(rt) = self.running_mut(from) {
+                rt.recycle_buffer(buf);
+            }
+        }
+    }
+
+    /// Receive one batch — blocking up to `wait` when given — and feed
+    /// each frame to its runtime in arrival order; replies join the
+    /// transport behind whatever is already in flight. Returns the number
+    /// of frames received.
+    fn deliver(&mut self, wait: Option<Duration>) -> usize {
+        let mut frames = std::mem::take(&mut self.in_buf);
+        let got = match wait {
+            Some(wait) => self.transport.recv_wait(wait, &mut frames),
+            None => self.transport.recv(&mut frames),
+        };
+        for frame in frames.drain(..) {
+            let Some(rt) = self.running_mut(frame.to) else {
+                self.report.dark_frames += 1;
+                continue;
+            };
+            let outcome = rt.handle(frame.from, &frame.payload);
+            rt.recycle_buffer(frame.payload);
+            match outcome {
+                Ok(reply) => {
+                    self.report.frames_in += 1;
+                    if let Some(reply) = reply {
+                        self.ship(reply);
+                    }
+                }
+                Err(_) => self.report.decode_errors += 1,
+            }
+        }
+        self.in_buf = frames;
+        got
+    }
+
+    /// Deliver until the transport is quiescent.
+    fn settle(&mut self) {
+        while self.deliver(None) > 0 {}
+    }
 }
 
 /// Control-plane messages from the handle to a worker.
@@ -174,31 +370,23 @@ enum Command {
 /// command latency without busy-spinning.
 const IDLE_WAIT_MS: u64 = 5;
 
-/// One live worker: a contiguous node range, its transport endpoint,
-/// and a wall-clock timer schedule (the same wheel-backed [`EventQueue`]
-/// the discrete-event engines drain, driven by elapsed milliseconds).
+/// One live worker: a [`Pump`] driven by elapsed wall-clock milliseconds,
+/// plus the control plane only a live deployment has — a command channel
+/// and what a restart needs to rebuild a node.
 struct Worker<P, T>
 where
     P: PushProtocol,
     P::Message: WireMessage,
 {
-    transport: T,
-    /// `slots[i]` runs node `lo + i`; `None` while stopped.
-    slots: Vec<Option<NodeRuntime<P>>>,
+    pump: Pump<P, T>,
     /// Each local node's spawn-time config, kept for restarts.
     cfgs: Vec<RuntimeConfig>,
     /// Each local node's membership view (restarts re-install it).
     views: Vec<Vec<NodeId>>,
-    lo: NodeId,
-    index: usize,
     start: Instant,
-    timers: EventQueue<NodeId>,
     cmds: Receiver<Command>,
     factory: SharedFactory<P>,
     update: ValueUpdate<P>,
-    report: WorkerReport,
-    out_buf: Vec<Envelope>,
-    in_buf: Vec<RecvFrame>,
 }
 
 impl<P, T> Worker<P, T>
@@ -207,118 +395,52 @@ where
     P::Message: WireMessage,
     T: Transport,
 {
-    fn slot_mut(&mut self, id: NodeId) -> Option<&mut NodeRuntime<P>> {
-        self.slots.get_mut((id - self.lo) as usize).and_then(Option::as_mut)
-    }
-
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
-    }
-
-    /// Fire every due timer, ship the frames, reschedule.
-    fn run_timers(&mut self, now: u64) {
-        while let Some((_, id)) = self.timers.pop_before(now) {
-            let mut out = std::mem::take(&mut self.out_buf);
-            out.clear();
-            if let Some(rt) = self.slots.get_mut((id - self.lo) as usize).and_then(Option::as_mut) {
-                rt.poll(now, &mut out);
-                let next = rt.next_tick_ms();
-                self.report.polls += 1;
-                self.timers.schedule(next, id);
-                for env in out.drain(..) {
-                    self.ship(env);
-                }
-            }
-            self.out_buf = out;
-        }
-    }
-
-    fn ship(&mut self, env: Envelope) {
-        let from = env.from;
-        self.report.frames_out += 1;
-        if let Some(buf) = self.transport.send(env) {
-            if let Some(rt) = self.slot_mut(from) {
-                rt.recycle_buffer(buf);
-            }
-        }
-    }
-
-    /// Feed every frame in `in_buf` to its runtime.
-    fn handle_frames(&mut self) {
-        let mut frames = std::mem::take(&mut self.in_buf);
-        for frame in frames.drain(..) {
-            let Some(rt) = self.slot_mut(frame.to) else {
-                self.report.dark_frames += 1;
-                continue;
-            };
-            let outcome = rt.handle(frame.from, &frame.payload);
-            rt.recycle_buffer(frame.payload);
-            match outcome {
-                Ok(Some(reply)) => {
-                    self.report.frames_in += 1;
-                    self.ship(reply);
-                }
-                Ok(None) => self.report.frames_in += 1,
-                Err(_) => self.report.decode_errors += 1,
-            }
-        }
-        self.in_buf = frames;
     }
 
     fn apply(&mut self, cmd: Command) {
         match cmd {
             Command::SetValues(batch) => {
                 for (id, v) in batch {
-                    let update = Arc::clone(&self.update);
-                    if let Some(rt) = self.slot_mut(id) {
-                        update(rt.protocol_mut(), v);
+                    if let Some(rt) = self.pump.running_mut(id) {
+                        (self.update)(rt.protocol_mut(), v);
                     }
                 }
             }
-            Command::Stop(id) => {
-                self.transport.unbind(id);
-                if let Some(slot) = self.slots.get_mut((id - self.lo) as usize) {
-                    *slot = None;
-                }
-            }
+            Command::Stop(id) => self.pump.stop(id),
             Command::Restart(id, v) => {
-                let idx = (id - self.lo) as usize;
-                if idx >= self.slots.len() || self.slots[idx].is_some() {
-                    return;
+                if !matches!(self.pump.slot(id), Some(None)) {
+                    return; // not ours, or already running
                 }
+                let idx = (id - self.pump.lo) as usize;
                 let mut cfg = self.cfgs[idx];
                 // Re-phase: the node boots now, first round one interval
                 // out, exactly like a rebooted host rejoining.
                 cfg.start_offset_ms = self.now_ms() + cfg.round_interval_ms;
                 let mut rt = NodeRuntime::new(cfg, (self.factory)(id, v));
                 rt.set_peers(&self.views[idx]);
-                self.timers.schedule(rt.next_tick_ms(), id);
-                self.slots[idx] = Some(rt);
-                self.transport.bind(id, self.index);
+                self.pump.start(rt);
             }
             Command::Snapshot(reply) => {
                 let snaps = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, slot)| {
-                        let rt = slot.as_ref()?;
-                        let p = rt.protocol();
-                        Some(NodeSnap {
-                            id: self.lo + i as NodeId,
-                            estimate: p.estimate(),
-                            mass: p.audit_mass(),
-                            stale_frames: rt.stale_frames(),
-                        })
+                    .pump
+                    .running()
+                    .map(|rt| NodeSnap {
+                        id: rt.id(),
+                        estimate: rt.estimate(),
+                        mass: rt.protocol().audit_mass(),
+                        stale_frames: rt.stale_frames(),
                     })
                     .collect();
+                // A handle that stopped waiting needs no answer.
                 let _ = reply.send(snaps);
             }
             Command::Shutdown => unreachable!("handled by the caller"),
         }
     }
 
-    fn run(mut self) -> WorkerReport {
+    fn run(mut self) -> ServiceReport {
         loop {
             // Control plane first, so stop/restart/shutdown never wait
             // behind a busy data plane.
@@ -327,32 +449,22 @@ where
                     Ok(Command::Shutdown) | Err(TryRecvError::Disconnected) => {
                         // Drain whatever is already in flight toward us,
                         // then report out.
-                        self.in_buf.clear();
-                        while self.transport.recv(&mut self.in_buf) > 0 {
-                            self.handle_frames();
-                        }
-                        self.report.transport = self.transport.stats();
-                        return self.report;
+                        self.pump.settle();
+                        self.pump.report.transport = self.pump.transport.stats();
+                        return self.pump.report;
                     }
                     Ok(cmd) => self.apply(cmd),
                     Err(TryRecvError::Empty) => break,
                 }
             }
-            let now = self.now_ms();
-            self.run_timers(now);
+            self.pump.fire_due(self.now_ms());
             // Sleep in the transport until the next timer is due (capped
             // so commands stay responsive), handling whatever arrives.
-            let wait = match self.timers.peek_time() {
+            let wait = match self.pump.timers.peek_time() {
                 Some(t) => t.saturating_sub(self.now_ms()).min(IDLE_WAIT_MS),
                 None => IDLE_WAIT_MS,
             };
-            self.in_buf.clear();
-            if wait == 0 {
-                self.transport.recv(&mut self.in_buf);
-            } else {
-                self.transport.recv_wait(Duration::from_millis(wait), &mut self.in_buf);
-            }
-            self.handle_frames();
+            self.pump.deliver((wait > 0).then(|| Duration::from_millis(wait)));
         }
     }
 }
@@ -362,8 +474,12 @@ where
 /// workers (they exit when the command channels disconnect).
 pub struct LiveService {
     cmd_tx: Vec<Sender<Command>>,
-    joins: Vec<JoinHandle<WorkerReport>>,
+    joins: Vec<JoinHandle<ServiceReport>>,
     bounds: Vec<(NodeId, NodeId)>,
+    /// Handle-side [`ServiceReport`] counters; the client API takes
+    /// `&self`, and they publish nothing but themselves.
+    unknown_ids: AtomicU64,
+    commands_undelivered: AtomicU64,
 }
 
 impl LiveService {
@@ -389,99 +505,87 @@ impl LiveService {
     {
         assert_eq!(transports.len(), cfg.workers, "one transport endpoint per worker");
         assert!(cfg.nodes >= cfg.workers, "at least one node per worker");
-        let engine_cfg = cfg.engine_config();
         let spawn_factory = Arc::clone(&factory);
-        let population = engine_cfg.population(
+        let mut runtimes = boot(
             cfg.nodes,
+            cfg.engine_config(),
             value_gen,
             drift_of,
             Box::new(move |id, v| spawn_factory(id, v)),
-        );
-        let views = engine_cfg.initial_views(cfg.nodes, &mut UniformEnv::new());
+        )
+        .into_iter();
         let bounds = cfg.worker_bounds();
 
-        // Routes first, so no frame from an early-starting worker finds
+        // Every pump is built — and with it every route bound — before
+        // the first thread starts, so no frame from an early worker finds
         // a not-yet-bound peer.
-        for (w, &(lo, hi)) in bounds.iter().enumerate() {
-            for id in lo..hi {
-                transports[0].bind(id, w);
-            }
-        }
-
         let start = Instant::now();
         let mut cmd_tx = Vec::with_capacity(cfg.workers);
-        let mut joins = Vec::with_capacity(cfg.workers);
-        let mut population = population.into_iter();
-        let mut views = views.into_iter();
-        for (w, transport) in transports.into_iter().enumerate() {
-            let (lo, hi) = bounds[w];
-            let len = (hi - lo) as usize;
-            let mut slots = Vec::with_capacity(len);
-            let mut cfgs = Vec::with_capacity(len);
-            let mut wviews = Vec::with_capacity(len);
-            let mut timers = EventQueue::with_capacity(len);
-            for id in lo..hi {
-                let (mut rt, _v) = population.next().expect("population covers every worker");
-                let view = views.next().expect("one view per node");
-                rt.set_peers(&view);
-                cfgs.push(*rt.config());
-                timers.schedule(rt.next_tick_ms(), id);
-                slots.push(Some(rt));
-                wviews.push(view);
-            }
+        let mut workers = Vec::with_capacity(cfg.workers);
+        for (transport, &(lo, hi)) in transports.into_iter().zip(&bounds) {
+            let local: Vec<_> = runtimes.by_ref().take((hi - lo) as usize).collect();
             let (tx, rx) = mpsc::channel();
             cmd_tx.push(tx);
-            let worker = Worker {
-                transport,
-                slots,
-                cfgs,
-                views: wviews,
-                lo,
-                index: w,
+            workers.push(Worker {
+                cfgs: local.iter().map(|rt| *rt.config()).collect(),
+                views: local.iter().map(|rt| rt.peers().to_vec()).collect(),
+                pump: Pump::new(transport, lo, local),
                 start,
-                timers,
                 cmds: rx,
                 factory: Arc::clone(&factory),
                 update: Arc::clone(&update),
-                report: WorkerReport {
-                    polls: 0,
-                    frames_in: 0,
-                    frames_out: 0,
-                    decode_errors: 0,
-                    dark_frames: 0,
-                    transport: TransportStats::default(),
-                },
-                out_buf: Vec::new(),
-                in_buf: Vec::new(),
-            };
-            joins.push(
+            });
+        }
+        let joins = workers
+            .into_iter()
+            .enumerate()
+            .map(|(w, worker)| {
                 std::thread::Builder::new()
                     .name(format!("dynagg-worker-{w}"))
                     .spawn(move || worker.run())
-                    .expect("spawn worker thread"),
-            );
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        Self {
+            cmd_tx,
+            joins,
+            bounds,
+            unknown_ids: AtomicU64::new(0),
+            commands_undelivered: AtomicU64::new(0),
         }
-        Self { cmd_tx, joins, bounds }
     }
 
-    fn owner_of(&self, id: NodeId) -> usize {
-        self.bounds
-            .iter()
-            .position(|&(lo, hi)| (lo..hi).contains(&id))
-            .expect("node id within the service universe")
+    /// The worker running `id`; an id outside the universe is counted
+    /// and has no owner (client input never panics the handle).
+    fn owner_of(&self, id: NodeId) -> Option<usize> {
+        let owner = self.bounds.iter().position(|&(lo, hi)| (lo..hi).contains(&id));
+        if owner.is_none() {
+            self.unknown_ids.fetch_add(1, Ordering::Relaxed);
+        }
+        owner
+    }
+
+    /// Hand `cmd` to worker `w`, counting it if that worker is gone.
+    fn send(&self, w: usize, cmd: Command) {
+        if self.cmd_tx[w].send(cmd).is_err() {
+            self.commands_undelivered.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Inject client value updates (the writes whose mean the network is
     /// estimating). Batched: one command per worker that owns any of the
-    /// named nodes.
+    /// named nodes. Ids outside the universe are dropped and counted in
+    /// [`ServiceReport::unknown_ids`].
     pub fn set_values(&self, batch: &[(NodeId, f64)]) {
         let mut per_worker: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); self.cmd_tx.len()];
         for &(id, v) in batch {
-            per_worker[self.owner_of(id)].push((id, v));
+            if let Some(w) = self.owner_of(id) {
+                per_worker[w].push((id, v));
+            }
         }
         for (w, chunk) in per_worker.into_iter().enumerate() {
             if !chunk.is_empty() {
-                let _ = self.cmd_tx[w].send(Command::SetValues(chunk));
+                self.send(w, Command::SetValues(chunk));
             }
         }
     }
@@ -494,31 +598,30 @@ impl LiveService {
     /// Kill a node mid-run (chaos): its route disappears, its timer and
     /// state die. Peers keep gossiping around it.
     pub fn stop(&self, id: NodeId) {
-        let _ = self.cmd_tx[self.owner_of(id)].send(Command::Stop(id));
+        if let Some(w) = self.owner_of(id) {
+            self.send(w, Command::Stop(id));
+        }
     }
 
     /// Restart a stopped node with a fresh protocol anchored at `value`.
     pub fn restart(&self, id: NodeId, value: f64) {
-        let _ = self.cmd_tx[self.owner_of(id)].send(Command::Restart(id, value));
+        if let Some(w) = self.owner_of(id) {
+            self.send(w, Command::Restart(id, value));
+        }
     }
 
     /// Snapshot every running node's state, ascending by id. Blocks
-    /// until all workers respond (bounded by their command latency).
+    /// until every worker still alive has responded (bounded by their
+    /// command latency); a lost worker's nodes are simply absent.
     pub fn snapshot(&self) -> Vec<NodeSnap> {
         let (tx, rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for cmd in &self.cmd_tx {
-            if cmd.send(Command::Snapshot(tx.clone())).is_ok() {
-                expected += 1;
-            }
+        for w in 0..self.cmd_tx.len() {
+            self.send(w, Command::Snapshot(tx.clone()));
         }
         drop(tx);
-        let mut snaps = Vec::new();
-        for _ in 0..expected {
-            if let Ok(mut chunk) = rx.recv() {
-                snaps.append(&mut chunk);
-            }
-        }
+        // Ends when the last reply sender is gone: answered, or dropped
+        // with the command queue of a worker that died holding it.
+        let mut snaps: Vec<NodeSnap> = rx.iter().flatten().collect();
         snaps.sort_unstable_by_key(|s| s.id);
         snaps
     }
@@ -529,48 +632,49 @@ impl LiveService {
     }
 
     /// Stop all workers (draining in-flight frames) and return the
-    /// aggregate run accounting.
+    /// aggregate run accounting. A worker that panicked is counted in
+    /// [`ServiceReport::workers_lost`], never silently omitted.
     pub fn shutdown(self) -> ServiceReport {
         for cmd in &self.cmd_tx {
+            // A worker that is already gone shows up below as lost.
             let _ = cmd.send(Command::Shutdown);
         }
-        let mut report = ServiceReport::default();
+        let mut report = ServiceReport {
+            unknown_ids: self.unknown_ids.into_inner(),
+            commands_undelivered: self.commands_undelivered.into_inner(),
+            ..ServiceReport::default()
+        };
         for join in self.joins {
-            if let Ok(w) = join.join() {
-                report.absorb(&w);
+            match join.join() {
+                Ok(w) => report.absorb(&w),
+                Err(_) => report.workers_lost += 1,
             }
         }
         report
     }
 }
 
-/// The deterministic single-threaded driver: same population, same
-/// transport seam, **virtual** time. `run_until` advances an injected
-/// clock through the node timer schedule; at every instant it first
-/// fires *all* timers due at that instant, in scheduling order — it
-/// shares [`EventQueue`] with the discrete-event engine, so the
-/// same-instant tie-break is the engine's, by construction — then drains the
-/// transport to quiescence, delivering frames in send (FIFO) order with
-/// replies appended behind in-flight traffic. Over a zero-latency
-/// single-endpoint [`crate::transport::ChannelMesh`] this is exactly the
-/// schedule `AsyncNet` executes with zero latency, zero loss and zero
-/// jitter — pinned by `tests/sim_live_equivalence.rs`.
+/// The deterministic single-threaded driver: the same boot and the same
+/// data-plane pump as a live worker, on **virtual** time. `run_until` advances
+/// an injected clock through the node timer schedule; at every instant it
+/// fires *all* timers due at that instant, in scheduling order (a re-armed
+/// timer always lands strictly later, and the queue is the
+/// discrete-event engine's, so the same-instant tie-break is the engine's
+/// by construction), then drains the transport to quiescence, delivering
+/// frames in send (FIFO) order with replies appended behind in-flight
+/// traffic. Over a zero-latency single-endpoint
+/// [`crate::transport::ChannelMesh`] this is exactly the schedule
+/// `AsyncNet` executes with zero latency, zero loss and zero jitter —
+/// pinned by `tests/sim_live_equivalence.rs`.
 pub struct VirtualService<P, T>
 where
     P: PushProtocol,
     P::Message: WireMessage,
 {
-    slots: Vec<Option<NodeRuntime<P>>>,
-    transport: T,
-    timers: EventQueue<NodeId>,
+    pump: Pump<P, T>,
     now_ms: u64,
-    events: u64,
-    frames_delivered: u64,
     /// Frames that failed to decode (should stay 0 on a clean wire).
     pub decode_errors: u64,
-    out_buf: Vec<Envelope>,
-    in_buf: Vec<RecvFrame>,
-    due: Vec<NodeId>,
 }
 
 impl<P, T> VirtualService<P, T>
@@ -579,10 +683,8 @@ where
     P::Message: WireMessage,
     T: Transport,
 {
-    /// Spawn `n` nodes (drawn via [`AsyncConfig::population`], views via
-    /// [`AsyncConfig::initial_views`] over a uniform membership) all
-    /// bound to `transport`'s own endpoint — the whole population rides
-    /// one endpoint because one thread drives it.
+    /// Spawn `n` nodes, all bound to `transport`'s own endpoint — the
+    /// whole population rides one endpoint because one thread drives it.
     pub fn new(
         cfg: &AsyncConfig,
         n: usize,
@@ -591,30 +693,8 @@ where
         factory: NodeFactory<P>,
         transport: T,
     ) -> Self {
-        let population = cfg.population(n, value_gen, drift_of, factory);
-        let views = cfg.initial_views(n, &mut UniformEnv::new());
-        let ep = transport.endpoint();
-        let mut timers = EventQueue::with_capacity(n);
-        let mut slots = Vec::with_capacity(n);
-        for ((mut rt, _v), view) in population.into_iter().zip(views) {
-            let id = slots.len() as NodeId;
-            transport.bind(id, ep);
-            rt.set_peers(&view);
-            timers.schedule(rt.next_tick_ms(), id);
-            slots.push(Some(rt));
-        }
-        Self {
-            slots,
-            transport,
-            timers,
-            now_ms: 0,
-            events: 0,
-            frames_delivered: 0,
-            decode_errors: 0,
-            out_buf: Vec::new(),
-            in_buf: Vec::new(),
-            due: Vec::new(),
-        }
+        let runtimes = boot(n, *cfg, value_gen, drift_of, factory);
+        Self { pump: Pump::new(transport, 0, runtimes), now_ms: 0, decode_errors: 0 }
     }
 
     /// Current virtual time.
@@ -627,37 +707,36 @@ where
     /// events), and the unit behind the benchmark's
     /// `node.service.virtual_ns_per_event`.
     pub fn events_processed(&self) -> u64 {
-        self.events
+        self.pump.report.polls + self.frames_delivered()
     }
 
     /// Access the transport (for its counters).
     pub fn transport(&self) -> &T {
-        &self.transport
+        &self.pump.transport
     }
 
-    /// Frames delivered to runtimes so far.
+    /// Frames taken off the transport and dispatched so far (handled,
+    /// undecodable, or addressed to a stopped node).
     pub fn frames_delivered(&self) -> u64 {
-        self.frames_delivered
+        let r = &self.pump.report;
+        r.frames_in + r.decode_errors + r.dark_frames
     }
 
     /// Running nodes' estimates, ascending by id — the same shape
     /// [`crate::AsyncNet::estimates`] returns.
     pub fn estimates(&self) -> Vec<f64> {
-        self.slots.iter().filter_map(|slot| slot.as_ref().and_then(|rt| rt.estimate())).collect()
+        self.pump.running().filter_map(NodeRuntime::estimate).collect()
     }
 
     /// Mutable access to a running node's protocol (inject a value
     /// update between advances).
     pub fn protocol_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.slots.get_mut(id as usize)?.as_mut().map(|rt| rt.protocol_mut())
+        self.pump.running_mut(id).map(NodeRuntime::protocol_mut)
     }
 
     /// Kill a node: unbind its route, drop its runtime and timer.
     pub fn stop(&mut self, id: NodeId) {
-        self.transport.unbind(id);
-        if let Some(slot) = self.slots.get_mut(id as usize) {
-            *slot = None;
-        }
+        self.pump.stop(id);
     }
 
     /// Advance virtual time, firing every timer scheduled at or before
@@ -665,78 +744,49 @@ where
     /// instant (zero-latency semantics: a frame sent at `t` arrives and
     /// is answered at `t`).
     pub fn run_until(&mut self, until_ms: u64) {
-        while let Some(t0) = self.timers.peek_time() {
-            if t0 > until_ms {
-                break;
-            }
+        while let Some(t0) = self.pump.timers.peek_time().filter(|&t| t <= until_ms) {
             self.now_ms = t0;
-            // All timers due at this instant fire before any delivery —
-            // the discrete-event queue's ordering (timers were scheduled
-            // strictly earlier than any same-instant frame).
-            self.due.clear();
-            while self.timers.peek_time() == Some(t0) {
-                let (_, id) = self.timers.pop().expect("just peeked");
-                self.due.push(id);
-            }
-            let due = std::mem::take(&mut self.due);
-            for &id in &due {
-                if let Some(rt) = self.slots[id as usize].as_mut() {
-                    let mut out = std::mem::take(&mut self.out_buf);
-                    out.clear();
-                    rt.poll(t0, &mut out);
-                    self.events += 1;
-                    let next = rt.next_tick_ms();
-                    self.timers.schedule(next, id);
-                    for env in out.drain(..) {
-                        self.ship(env);
-                    }
-                    self.out_buf = out;
-                }
-            }
-            self.due = due;
-            self.drain_deliveries();
+            self.pump.fire_due(t0);
+            self.pump.settle();
         }
         self.now_ms = self.now_ms.max(until_ms);
+        self.decode_errors = self.pump.report.decode_errors;
     }
+}
 
-    fn ship(&mut self, env: Envelope) {
-        let from = env.from;
-        if let Some(buf) = self.transport.send(env) {
-            if let Some(rt) = self.slots.get_mut(from as usize).and_then(Option::as_mut) {
-                rt.recycle_buffer(buf);
-            }
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loopback::AsyncNet;
+    use dynagg_core::epoch::DriftModel;
+    use dynagg_core::push_sum_revert::PushSumRevert;
+    use rand::Rng;
 
-    /// Deliver in FIFO order until the transport is quiescent; replies
-    /// generated along the way join the back of the queue, exactly like
-    /// same-instant events appended to a discrete-event heap.
-    fn drain_deliveries(&mut self) {
-        loop {
-            self.in_buf.clear();
-            if self.transport.recv(&mut self.in_buf) == 0 {
-                return;
-            }
-            let frames = std::mem::take(&mut self.in_buf);
-            for frame in frames {
-                self.events += 1;
-                self.frames_delivered += 1;
-                let Some(rt) = self.slots.get_mut(frame.to as usize).and_then(Option::as_mut)
-                else {
-                    continue;
-                };
-                match rt.handle(frame.from, &frame.payload) {
-                    Ok(Some(reply)) => {
-                        rt.recycle_buffer(frame.payload);
-                        self.ship(reply);
-                    }
-                    Ok(None) => rt.recycle_buffer(frame.payload),
-                    Err(_) => {
-                        self.decode_errors += 1;
-                        rt.recycle_buffer(frame.payload);
-                    }
-                }
-            }
+    /// The service boots *through* the engines' coordinator, so its
+    /// runtimes are the engine's runtimes: same config (interval, phase,
+    /// drift, per-node seed) and same initial view. (Initial values and
+    /// first ticks are pinned from outside, in
+    /// `tests/sim_live_equivalence.rs`.)
+    #[test]
+    fn boot_yields_the_engines_population_and_views() {
+        let mut cfg = AsyncConfig::new(42);
+        cfg.view_size = 8;
+        let n = 40;
+        let values = || -> ValueFn { Box::new(|rng, _| rng.gen_range(0.0..100.0)) };
+        let drift = || -> DriftFn {
+            Box::new(|id| DriftModel::ConstantSkew { rate: 1.0 + f64::from(id) / 400.0 })
+        };
+        let factory =
+            || -> NodeFactory<PushSumRevert> { Box::new(|_, v| PushSumRevert::new(v, 0.1)) };
+        let mut net = AsyncNet::new(n, cfg, values(), drift(), factory());
+        net.refresh_views(); // first call: the engine's initial views, no event run
+        let booted = boot(n, cfg, values(), drift(), factory());
+        assert_eq!(booted.len(), n);
+        for rt in &booted {
+            let engine = net.node(rt.id());
+            assert_eq!(rt.config(), engine.config(), "node {} config", rt.id());
+            assert_eq!(rt.peers(), engine.peers(), "node {} view", rt.id());
+            assert_eq!(rt.peers().len(), cfg.view_size);
         }
     }
 }

@@ -22,8 +22,9 @@
 //! is CI-safe on slow, noisy machines.
 
 use dynagg_core::push_sum_revert::PushSumRevert;
-use dynagg_node::service::{LiveService, ServiceConfig};
-use dynagg_node::transport::ChannelMesh;
+use dynagg_node::runtime::Envelope;
+use dynagg_node::service::{LiveService, ServiceConfig, SharedFactory};
+use dynagg_node::transport::{encode_datagram, ChannelMesh, Transport, UdpMesh};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,6 +36,27 @@ const TOL: f64 = 0.05;
 /// compute the truth the network should estimate).
 fn value_of(id: u32) -> f64 {
     50.0 + f64::from(id % 100)
+}
+
+fn healthy_factory() -> SharedFactory<PushSumRevert> {
+    Arc::new(|_, v| PushSumRevert::new(v, LAMBDA))
+}
+
+/// A push-sum-revert service over `mesh` whose node `id` starts at
+/// `value_of(id)`.
+fn start<T: Transport + 'static>(
+    cfg: &ServiceConfig,
+    mesh: Vec<T>,
+    factory: SharedFactory<PushSumRevert>,
+) -> LiveService {
+    LiveService::start(
+        cfg,
+        mesh,
+        Box::new(|_, id| value_of(id)),
+        Box::new(|_| dynagg_core::epoch::DriftModel::Synced),
+        factory,
+        Arc::new(|p: &mut PushSumRevert, v| p.set_value(v)),
+    )
 }
 
 fn truth(shift: f64) -> f64 {
@@ -64,14 +86,7 @@ fn chaos_soak_converges_reconverges_and_conserves_mass() {
     cfg.workers = 2;
     cfg.interval_ms = 25; // fast rounds: seconds of wall clock ≈ a long soak
     cfg.view_size = 32;
-    let svc = LiveService::start(
-        &cfg,
-        ChannelMesh::new(cfg.workers, N),
-        Box::new(|_, id| value_of(id)),
-        Box::new(|_| dynagg_core::epoch::DriftModel::Synced),
-        Arc::new(|_, v| PushSumRevert::new(v, LAMBDA)),
-        Arc::new(|p: &mut PushSumRevert, v| p.set_value(v)),
-    );
+    let svc = start(&cfg, ChannelMesh::new(cfg.workers, N), healthy_factory());
 
     // Phase 1: converge on the initial truth.
     let err = await_convergence(&svc, truth(0.0), TOL, Duration::from_secs(10));
@@ -132,31 +147,105 @@ fn chaos_soak_converges_reconverges_and_conserves_mass() {
     assert_eq!(report.transport.unknown_dest, 0);
 }
 
-/// A stopped node must not resurrect on a duplicate restart, and a
-/// duplicate stop is harmless — the chaos control plane is idempotent.
+/// A stopped node must not resurrect on a duplicate restart, a
+/// duplicate stop is harmless, and ids outside the universe — one stray
+/// or a flood of them — are dropped and counted, never a panic: the
+/// chaos control plane is idempotent and total over client input.
 #[test]
 fn chaos_control_plane_is_idempotent() {
     let mut cfg = ServiceConfig::new(32, 7);
     cfg.interval_ms = 20;
-    let svc = LiveService::start(
-        &cfg,
-        ChannelMesh::new(1, 32),
-        Box::new(|_, id| value_of(id)),
-        Box::new(|_| dynagg_core::epoch::DriftModel::Synced),
-        Arc::new(|_, v| PushSumRevert::new(v, LAMBDA)),
-        Arc::new(|p: &mut PushSumRevert, v| p.set_value(v)),
-    );
+    let svc = start(&cfg, ChannelMesh::new(1, 32), healthy_factory());
     svc.stop(5);
     svc.stop(5); // double-stop: no panic, still stopped
     svc.restart(5, value_of(5));
     svc.restart(5, 1e9); // double-restart: ignored, value unchanged
+    svc.stop(32); // first id past the universe
+    svc.restart(u32::MAX, 1e9);
+    let flood: Vec<(u32, f64)> = (0..10_000u32).map(|k| (32 + k * 429_000, 1e9)).collect();
+    svc.set_values(&flood);
+    svc.set_values(&[(7, value_of(7)), (1 << 20, 1e9)]); // a known id among strangers still lands
     std::thread::sleep(Duration::from_millis(100));
     let snaps = svc.snapshot();
-    assert_eq!(snaps.len(), 32, "node 5 is back exactly once");
-    let five = snaps.iter().find(|s| s.id == 5).expect("node 5 reports");
-    if let Some(est) = five.estimate {
-        assert!(est < 1e6, "the duplicate restart's value was ignored");
+    assert_eq!(snaps.len(), 32, "node 5 is back exactly once, nobody else appeared");
+    for s in &snaps {
+        if let Some(est) = s.estimate {
+            assert!(est < 1e6, "node {}: a dropped or duplicate command's value leaked", s.id);
+        }
     }
     let report = svc.shutdown();
     assert_eq!(report.decode_errors, 0);
+    assert_eq!(report.unknown_ids, 2 + 10_000 + 1, "every stray id is accounted");
+    assert_eq!((report.commands_undelivered, report.workers_lost), (0, 0));
+}
+
+/// A worker that dies is reported, not omitted: its factory panics on a
+/// restart, and from then on the handle keeps serving the survivors —
+/// snapshots shrink to the live workers, commands toward the dead one
+/// are counted, and `shutdown` returns with the loss on the books.
+#[test]
+fn a_lost_worker_is_reported_and_the_survivors_keep_serving() {
+    let n = 32u32;
+    let mut cfg = ServiceConfig::new(n as usize, 11);
+    cfg.workers = 2;
+    cfg.interval_ms = 20;
+    // The injected fault: a NaN restart value blows up the factory on the
+    // owning worker's thread.
+    let faulty: SharedFactory<PushSumRevert> = Arc::new(|id, v: f64| {
+        assert!(!v.is_nan(), "injected fault: node {id} restarted on garbage");
+        PushSumRevert::new(v, LAMBDA)
+    });
+    let svc = start(&cfg, ChannelMesh::new(cfg.workers, n as usize), faulty);
+    assert_eq!(svc.snapshot().len(), n as usize);
+    svc.stop(20); // worker 1 owns 16..32
+    svc.restart(20, f64::NAN);
+    // The snapshot ends once worker 1's command queue is gone, so from
+    // the first short one on its channel is closed for good.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while svc.snapshot().len() > 16 {
+        assert!(Instant::now() < deadline, "worker 1 never went down");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    svc.set_value(21, 1.0);
+    svc.stop(22);
+    svc.restart(20, value_of(20));
+    svc.set_value(3, value_of(3)); // worker 0 still takes commands
+    let survivors = svc.snapshot();
+    assert_eq!(survivors.len(), 16, "worker 0's nodes keep reporting");
+    assert!(survivors.iter().all(|s| s.id < 16));
+    let report = svc.shutdown();
+    assert_eq!(report.workers_lost, 1, "the panicked worker is on the books");
+    assert!(
+        report.commands_undelivered >= 4,
+        "three client commands and a snapshot went to a dead worker: {}",
+        report.commands_undelivered
+    );
+    assert!(report.polls > 0, "the survivor's counters made it into the report");
+    assert_eq!((report.decode_errors, report.unknown_ids), (0, 0));
+}
+
+/// Socket bytes are client input too: a well-formed datagram that lands
+/// on the wrong worker's socket (addressed to a node another worker
+/// owns, below this worker's range) is a dark frame, not a dead worker.
+#[test]
+fn a_misrouted_datagram_is_a_dark_frame_not_a_lost_worker() {
+    let mut cfg = ServiceConfig::new(32, 13);
+    cfg.workers = 2;
+    cfg.interval_ms = 20;
+    let mesh = UdpMesh::new(cfg.workers, 32).expect("bind loopback sockets");
+    let worker1 = mesh[1].local_addr().expect("bound socket has an address");
+    let svc = start(&cfg, mesh, healthy_factory());
+    let mut datagram = Vec::new();
+    let stray = Envelope { from: 20, to: 3, payload: vec![0; 5], raw_bytes: 0 };
+    encode_datagram(&stray, &mut datagram);
+    let gun = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind sender socket");
+    gun.send_to(&datagram, worker1).expect("loopback send");
+    // Loopback delivery completes inside `send_to`; give the worker a few
+    // rounds anyway so the frame meets the live loop, not only the
+    // shutdown drain.
+    std::thread::sleep(Duration::from_millis(60));
+    assert_eq!(svc.snapshot().len(), 32, "both workers still answer");
+    let report = svc.shutdown();
+    assert_eq!(report.workers_lost, 0);
+    assert!(report.dark_frames >= 1, "the stray frame was counted: {report:?}");
 }

@@ -20,7 +20,6 @@
 //!   agree with the true mean within tolerance.
 
 use dynagg_core::push_sum_revert::PushSumRevert;
-use dynagg_core::Estimator;
 use dynagg_node::loopback::{AsyncConfig, AsyncNet};
 use dynagg_node::service::{LiveService, ServiceConfig, VirtualService};
 use dynagg_node::transport::ChannelMesh;
@@ -65,8 +64,24 @@ fn live(cfg: &AsyncConfig, n: usize) -> VirtualService<PushSumRevert, impl dynag
     )
 }
 
+/// Every live node's estimate, bit for bit, or the first divergence.
+fn assert_bit_identical(
+    net: &AsyncNet<PushSumRevert>,
+    svc: &VirtualService<PushSumRevert, impl dynagg_node::Transport>,
+    at: &str,
+) {
+    let (sim_est, live_est) = (net.estimates(), svc.estimates());
+    assert_eq!(sim_est.len(), live_est.len(), "same population {at}");
+    for (live_id, (s, l)) in net.live().iter().zip(sim_est.iter().zip(&live_est)) {
+        assert_eq!(s.to_bits(), l.to_bits(), "node {live_id} diverged {at}: sim {s} vs live {l}");
+    }
+}
+
 /// Driven by the deterministic clock, the transport swap changes
-/// nothing: every node's estimate is bit-identical at every checkpoint.
+/// nothing: every node's estimate is bit-identical at every checkpoint —
+/// including after a mid-run kill of the same nodes on both sides, where
+/// survivors keep addressing the dead (the engine drops those frames at
+/// delivery, the transport at send) and must still agree to the bit.
 #[test]
 fn virtual_clock_matches_asyncnet_exactly() {
     let n = 48;
@@ -76,15 +91,14 @@ fn virtual_clock_matches_asyncnet_exactly() {
     for checkpoint in [150, 400, 1000, 2500, 5000] {
         net.run_until(checkpoint);
         svc.run_until(checkpoint);
-        let sim_est = net.estimates();
-        let live_est = svc.estimates();
-        assert_eq!(sim_est.len(), live_est.len(), "same population at t={checkpoint}");
-        for (id, (s, l)) in sim_est.iter().zip(&live_est).enumerate() {
-            assert_eq!(
-                s.to_bits(),
-                l.to_bits(),
-                "node {id} diverged at t={checkpoint}: sim {s} vs live {l}"
-            );
+        assert_bit_identical(&net, &svc, &format!("at t={checkpoint}"));
+        if checkpoint == 1000 {
+            for id in (0..n as u32).filter(|id| id % 6 == 1) {
+                net.power_off(id);
+                svc.stop(id);
+            }
+            assert_eq!(svc.estimates().len(), n - n / 6, "the victims left both populations");
+            assert_bit_identical(&net, &svc, "right after the kill");
         }
     }
     assert_eq!(svc.decode_errors, 0);
@@ -100,11 +114,7 @@ fn exact_equivalence_across_seeds() {
         let mut svc = live(&cfg, n);
         net.run_until(1200);
         svc.run_until(1200);
-        let (a, b) = (net.estimates(), svc.estimates());
-        assert_eq!(a.len(), b.len());
-        for (s, l) in a.iter().zip(&b) {
-            assert_eq!(s.to_bits(), l.to_bits(), "seed {seed} n {n} diverged");
-        }
+        assert_bit_identical(&net, &svc, &format!("for seed {seed}, n {n}"));
     }
 }
 
@@ -156,27 +166,35 @@ fn wall_clock_matches_asyncnet_within_tolerance() {
     assert!(rel < 0.05, "live mean {live_mean} vs sim mean {sim_mean}: {:.2}% apart", rel * 100.0);
 }
 
-/// The two drivers also agree on the *population itself*: same initial
-/// values, same phases, same per-node seeds (the shared spawn recipe).
+/// The two drivers also agree on the *population itself*: the service's
+/// own booted runtimes carry the same configs (interval, phase, per-node
+/// seed), first ticks and initial values as the engine's — both boot
+/// through the one coordinator spawn path. Read off the service before
+/// its clock moves: a node polls for the first time exactly at its first
+/// tick, so the number of frames sent by `t` counts the nodes whose first
+/// tick is `<= t`, and a push-sum node's estimate before any exchange is
+/// its initial value.
 #[test]
 fn populations_are_identical() {
     let cfg = exact_cfg(42, 8);
     let n = 24;
     let net = sim(&cfg, n);
-    let pop = cfg.population::<PushSumRevert>(
-        n,
-        Box::new(|rng, _| rng.gen_range(0.0..100.0)),
-        Box::new(|_| dynagg_core::epoch::DriftModel::Synced),
-        Box::new(|_, v| PushSumRevert::new(v, LAMBDA)),
-    );
-    for (id, (rt, _v)) in pop.iter().enumerate() {
-        let engine_rt = net.node(id as u32);
-        assert_eq!(engine_rt.config(), rt.config(), "node {id} config diverged");
-        assert_eq!(engine_rt.next_tick_ms(), rt.next_tick_ms(), "node {id} phase diverged");
+    let mut svc = live(&cfg, n);
+    let (sim_est, live_est) = (net.estimates(), svc.estimates());
+    assert_eq!(live_est.len(), n);
+    for (id, (s, l)) in sim_est.iter().zip(&live_est).enumerate() {
+        assert_eq!(s.to_bits(), l.to_bits(), "node {id} initial value diverged");
+    }
+    for t in 0..cfg.interval_ms {
+        svc.run_until(t);
+        let first_ticks_due =
+            (0..n as u32).filter(|&id| net.node(id).next_tick_ms() <= t).count() as u64;
+        // One initiation per first round (replies travel too, so count
+        // timer firings, not frames).
         assert_eq!(
-            engine_rt.protocol().estimate().map(f64::to_bits),
-            rt.protocol().estimate().map(f64::to_bits),
-            "node {id} initial value diverged"
+            svc.events_processed() - svc.frames_delivered(),
+            first_ticks_due,
+            "a node's first tick diverged at t={t}"
         );
     }
 }

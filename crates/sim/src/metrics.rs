@@ -6,6 +6,7 @@
 //! host's **group** aggregate ("a host's error is reported relative to the
 //! aggregate of its group", Fig. 11).
 
+use dynagg_core::protocol::Estimator;
 use dynagg_trace::GroupView;
 use serde::{Deserialize, Serialize};
 
@@ -267,6 +268,64 @@ impl StatsAcc {
             islands: 1,
         }
     }
+}
+
+/// Sample one round of a population — the single pass behind every
+/// engine's [`RoundStats`] (the lockstep engines call it between rounds,
+/// the async coordinator at each wall-clock sample).
+///
+/// `values[id]` is `Some` exactly for the live hosts, and `node(id)` is
+/// asked only for those, in **ascending id order** — so every
+/// floating-point sum is fixed no matter where the caller keeps its
+/// nodes. A live host's lifecycle state and mass are recorded whether or
+/// not its estimate is defined; it enters the error statistics only when
+/// it is. Global truths cost one scalar; group truths read `groups`
+/// through `truth_buf`. Fills [`RoundStats::mass_audit`]; `islands` is
+/// left at 1 for the caller's partition layer to overwrite.
+pub fn sample_round<'a, E: Estimator + 'a>(
+    round: u64,
+    truth: Truth,
+    values: &[Option<f64>],
+    groups: Option<&GroupView>,
+    truth_buf: &mut Vec<Option<f64>>,
+    (messages, bytes, wire_bytes): (u64, u64, u64),
+    node: impl Fn(usize) -> &'a E,
+) -> RoundStats {
+    let mut acc = StatsAcc::default();
+    let (mut live, mut mass_value, mut mass_weight) = (0usize, 0.0f64, 0.0f64);
+    let mut note = |id: usize, truth: f64| {
+        let p = node(id);
+        live += 1;
+        acc.note_lifecycle(p.is_settling(), p.disruptions());
+        if let Some(e) = p.estimate() {
+            acc.add(e, truth);
+        }
+        if let Some(m) = p.audit_mass() {
+            mass_value += m.value;
+            mass_weight += m.weight;
+        }
+    };
+    if let Some(t) = truth.global_scalar(values) {
+        for (id, value) in values.iter().enumerate() {
+            if value.is_some() {
+                note(id, t);
+            }
+        }
+    } else {
+        truth.per_host_into(values, groups, truth_buf);
+        for (id, truth) in truth_buf.iter().enumerate() {
+            if let Some(t) = truth {
+                note(id, *t);
+            }
+        }
+    }
+    let mean_group_size = groups.map_or(0.0, GroupView::mean_experienced_size);
+    let mut stats = acc.finish(round, live, messages, bytes, wire_bytes, mean_group_size);
+    if mass_weight > 0.0 {
+        let mean = Truth::Mean.global_scalar(values).expect("the mean is a global truth");
+        stats.mass_audit = mass_value / mass_weight - mean;
+    }
+    stats
 }
 
 /// A time series of round statistics with export helpers.

@@ -25,7 +25,7 @@
 use crate::alive::AliveSet;
 use crate::env::{EnvSampler, Environment};
 use crate::failure::{FailurePlan, FailureSpec};
-use crate::metrics::{Series, Truth};
+use crate::metrics::{sample_round, Series, Truth};
 use crate::partition::PartitionTable;
 use crate::rng::{rng_for, stream};
 use dynagg_core::protocol::{Estimator, NodeId, PairwiseProtocol, PushProtocol, RoundCtx};
@@ -297,70 +297,26 @@ impl<P, F: FnMut(NodeId, f64) -> P> SimCore<P, F> {
         self.alive.insert(id);
     }
 
+    /// Sample this round through the shared [`sample_round`] pass.
+    /// `wire` is 0 unless the engine measured frames (the push engine's
+    /// optional wire meter); the scenario registry prices unmeasured
+    /// rounds per message via `registry::wire_cost`.
     fn record_stats(&mut self, messages: u64, bytes: u64, wire: u64)
     where
         P: Estimator,
     {
-        let group_size = self.env.group_view().map_or(0.0, |g| g.mean_experienced_size());
-        // One streaming pass over the nodes, no buffers on the global-truth
-        // path. A host enters the error statistics iff it is alive (value
-        // present) and its estimate is defined; its lifecycle state
-        // (settling, disruptions) is recorded either way.
-        let mut acc = crate::metrics::StatsAcc::default();
-        if let Some(t) = self.truth.global_scalar(&self.values) {
-            for (node, value) in self.nodes.iter().zip(&self.values) {
-                if value.is_some() {
-                    let node = node.as_ref().expect("alive node present");
-                    acc.note_lifecycle(node.is_settling(), node.disruptions());
-                    if let Some(e) = node.estimate() {
-                        acc.add(e, t);
-                    }
-                }
-            }
-        } else {
-            self.truth.per_host_into(&self.values, self.env.group_view(), &mut self.truth_buf);
-            for (node, truth) in self.nodes.iter().zip(&self.truth_buf) {
-                if let Some(node) = node.as_ref() {
-                    acc.note_lifecycle(node.is_settling(), node.disruptions());
-                    if let (Some(e), Some(t)) = (node.estimate(), truth) {
-                        acc.add(e, *t);
-                    }
-                }
-            }
-        }
-        // `wire` is 0 unless the engine measured frames (the push
-        // engine's optional wire meter); the scenario registry prices
-        // unmeasured rounds per message via `registry::wire_cost`.
-        let mut stats = acc.finish(self.round, self.alive.len(), messages, bytes, wire, group_size);
-        stats.mass_audit = self.mass_audit();
+        let nodes = &self.nodes;
+        let mut stats = sample_round(
+            self.round,
+            self.truth,
+            &self.values,
+            self.env.group_view(),
+            &mut self.truth_buf,
+            (messages, bytes, wire),
+            |id| nodes[id].as_ref().expect("alive node present"),
+        );
         stats.islands = self.partition.islands();
         self.series.push(stats);
-    }
-
-    /// Deviation of the globally aggregated mass (`Σ value / Σ weight`
-    /// over live hosts) from the true mean. Mass-conserving protocols
-    /// keep this at ~0 through any benign disruption — loss, churn, and
-    /// partitions redistribute mass but never mint it — so a nonzero
-    /// audit is the signature of an inflation adversary. 0.0 when the
-    /// protocol exposes no mass.
-    fn mass_audit(&self) -> f64
-    where
-        P: Estimator,
-    {
-        let (mut value, mut weight) = (0.0f64, 0.0f64);
-        for node in self.nodes.iter().flatten() {
-            if let Some(m) = node.audit_mass() {
-                value += m.value;
-                weight += m.weight;
-            }
-        }
-        if weight <= 0.0 {
-            return 0.0;
-        }
-        match Truth::Mean.global_scalar(&self.values) {
-            Some(mean) => value / weight - mean,
-            None => 0.0,
-        }
     }
 }
 
