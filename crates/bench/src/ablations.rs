@@ -8,7 +8,9 @@
 use crate::opts::ExpOpts;
 use crate::output::Table;
 use dynagg_core::mass::MASS_WIRE_BYTES;
-use dynagg_scenario::{wire_cost, Engine, EnvSpec, Probe, ProtocolSpec, ScenarioSpec, ValueSpec};
+use dynagg_scenario::{
+    converged_wire_bytes, wire_cost, Engine, EnvSpec, Probe, ProtocolSpec, ScenarioSpec, ValueSpec,
+};
 use dynagg_sim::{par, FailureMode, FailureSpec, Series, Truth};
 use dynagg_sketch::cutoff::Cutoff;
 
@@ -235,19 +237,23 @@ pub fn bandwidth(opts: &ExpOpts) -> Table {
             "protocol(0=psr,1=csr_sum,2=sketch_sum,3=invert_avg)",
             "bytes_per_round_per_host",
             "encoded_bytes",
+            "encoded_bytes_converged",
             "bytes_for_10_sums",
         ],
     );
-    let cost = |p: &ProtocolSpec| wire_cost(p, n, opts.seed);
+    // Each protocol's message priced fresh (raw + encoded) and converged.
+    let price = |p: &ProtocolSpec| {
+        (wire_cost(p, n, opts.seed), converged_wire_bytes(p, n, opts.seed) as f64)
+    };
 
     // 0: Push-Sum-Revert alone (the marginal cost of each extra sum).
-    let psr = cost(&ProtocolSpec::PushSumRevert { lambda: 0.1 });
+    let (psr, psr_converged) = price(&ProtocolSpec::PushSumRevert { lambda: 0.1 });
     let psr_bytes = psr.raw_bytes as f64;
-    t.push_row(vec![0.0, psr_bytes, psr.encoded_bytes as f64, 10.0 * psr_bytes]);
+    t.push_row(vec![0.0, psr_bytes, psr.encoded_bytes as f64, psr_converged, 10.0 * psr_bytes]);
 
     // 1: Count-Sketch-Reset summation load (multi-insertion of the value
     // range: the counter matrix is sized for the total sum range).
-    let csr = cost(&ProtocolSpec::CountSketchReset {
+    let (csr, csr_converged) = price(&ProtocolSpec::CountSketchReset {
         cutoff: Cutoff::paper_uniform(),
         push_pull: true,
         multiplier: sum_range,
@@ -257,26 +263,35 @@ pub fn bandwidth(opts: &ExpOpts) -> Table {
         1.0,
         csr.raw_bytes as f64,
         csr.encoded_bytes as f64,
+        csr_converged,
         10.0 * csr.raw_bytes as f64,
     ]);
 
     // 2: static multi-insertion sketch summation.
-    let cs = cost(&ProtocolSpec::CountSketch { multiplier: sum_range, hash_seed_xor: 0 });
-    t.push_row(vec![2.0, cs.raw_bytes as f64, cs.encoded_bytes as f64, 10.0 * cs.raw_bytes as f64]);
+    let (cs, cs_converged) =
+        price(&ProtocolSpec::CountSketch { multiplier: sum_range, hash_seed_xor: 0 });
+    t.push_row(vec![
+        2.0,
+        cs.raw_bytes as f64,
+        cs.encoded_bytes as f64,
+        cs_converged,
+        10.0 * cs.raw_bytes as f64,
+    ]);
 
     // 3: Invert-Average: one counting matrix (sized for n hosts, not the
     // sum range) amortized over all sums + 16 bytes per sum.
-    let ia = cost(&ProtocolSpec::InvertAverage { lambda: 0.1, hash_seed_xor: 0 });
+    let (ia, ia_converged) = price(&ProtocolSpec::InvertAverage { lambda: 0.1, hash_seed_xor: 0 });
     let ia_matrix = (ia.raw_bytes - MASS_WIRE_BYTES) as f64;
     t.push_row(vec![
         3.0,
         ia.raw_bytes as f64,
         ia.encoded_bytes as f64,
+        ia_converged,
         ia_matrix + 10.0 * psr_bytes,
     ]);
 
     t.note("invert-average amortizes the counting matrix across sums; each extra sum costs 16 bytes vs a full matrix".to_string());
-    t.note("encoded_bytes = the RLE wire codec (sketch::codec); raw bytes keep the paper-comparable accounting".to_string());
+    t.note("encoded_bytes = the wire codec (sketch::codec) on a freshly initialised host's message - what the lockstep wire_bytes column is priced at; encoded_bytes_converged = the same message once every host's identifiers have spread (all claimed and released); raw bytes keep the paper-comparable accounting".to_string());
     t
 }
 
@@ -409,13 +424,20 @@ mod tests {
         let t = bandwidth(&quick());
         let psr = t.rows[0][1];
         let csr_sum = t.rows[1][1];
-        let invert_10 = t.rows[3][2];
-        let csr_10 = t.rows[1][2];
+        let invert_10 = t.rows[3][4];
+        let csr_10 = t.rows[1][4];
         assert!(psr < csr_sum / 10.0, "mass messages are orders cheaper than matrices");
         assert!(
             invert_10 < csr_10,
             "10 sums via invert-average ({invert_10}) must undercut 10 summation matrices ({csr_10})"
         );
+        for row in &t.rows {
+            assert!(row[2] <= row[3], "a host only ever learns of more cells");
+        }
+        for matrix_row in [&t.rows[1], &t.rows[3]] {
+            assert!(matrix_row[3] < matrix_row[1], "steady-state frames undercut the raw grid");
+        }
+        assert!(t.rows[3][3] > 10.0 * t.rows[3][2], "the boot frame is not the steady state");
     }
 
     #[test]

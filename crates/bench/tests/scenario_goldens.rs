@@ -353,8 +353,9 @@ fn async_topology_scenarios_run_from_toml() {
 
     // The async spatial cutoff, scaled down: strictly grid-local gossip
     // still converges the count (the diameter-scaled cutoff keeps distant
-    // bits alive), and the RLE wire codec undercuts the raw age-matrix
-    // accounting while counters populate.
+    // bits alive), and the plane-coded wire frames undercut the raw
+    // age-matrix accounting (from the first exchange on; they stay below
+    // it once converged too — `sketch/tests/properties.rs` holds that).
     let mut spec = load("async_spatial.toml");
     spec.n = Some(400);
     spec.rounds = Some(120);
@@ -367,7 +368,7 @@ fn async_topology_scenarios_run_from_toml() {
     let early = &series.rounds[1];
     assert!(
         early.wire_bytes < early.bytes,
-        "RLE frames beat raw matrix accounting early on: {} vs {}",
+        "encoded frames beat raw matrix accounting early on: {} vs {}",
         early.wire_bytes,
         early.bytes
     );
@@ -826,7 +827,7 @@ fn measured_wire_tracks_payload_growth() {
     let ratio0 = m0.wire_bytes as f64 / p0.wire_bytes as f64;
     assert!((0.9..=1.8).contains(&ratio0), "fresh-population ratio {ratio0}");
 
-    // Converged: matrices carry hundreds of finite counters, the RLE
+    // Converged: matrices carry hundreds of finite counters, the encoded
     // payload has grown far past the fresh-node price, and only the
     // measured column sees it.
     let ml = measured.last().unwrap();

@@ -102,6 +102,11 @@ impl PushProtocol for CountSketch {
         msg: &Arc<Pcsa>,
         _ctx: &mut RoundCtx<'_>,
     ) -> Option<Arc<Pcsa>> {
+        // A sketch of foreign geometry (a differently configured or forged
+        // peer) is dropped like a lost frame: no merge, no reply.
+        if !self.sketch.same_geometry(msg) {
+            return None;
+        }
         // Reply *before* merging: the reply is this host's own view, which
         // the initiator does not have yet (sending the merged view would be
         // fine too — OR is idempotent — but costs an extra clone).
@@ -111,7 +116,9 @@ impl PushProtocol for CountSketch {
     }
 
     fn on_reply(&mut self, _from: NodeId, msg: &Arc<Pcsa>, _ctx: &mut RoundCtx<'_>) {
-        self.sketch.merge(msg);
+        if self.sketch.same_geometry(msg) {
+            self.sketch.merge(msg);
+        }
     }
 
     fn end_round(&mut self, _ctx: &mut RoundCtx<'_>) {}

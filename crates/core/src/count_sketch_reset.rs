@@ -40,12 +40,20 @@ use std::sync::Arc;
 /// the sole holder, otherwise a single fused pass building the merged
 /// matrix into a fresh allocation ([`AgeMatrix::merged_with`]) rather
 /// than `Arc::make_mut`'s copy-then-rewrite.
+///
+/// A `msg` of another geometry — a well-formed frame from a peer
+/// configured differently, or forged — is not merged: `ages` stays as it
+/// is and the result is `false`, which callers treat like a lost frame.
 #[inline]
-fn merge_cow(ages: &mut Arc<AgeMatrix>, msg: &AgeMatrix) {
+fn merge_cow(ages: &mut Arc<AgeMatrix>, msg: &AgeMatrix) -> bool {
+    if !ages.same_geometry(msg) {
+        return false;
+    }
     match Arc::get_mut(ages) {
         Some(own) => own.merge_min(msg),
         None => *ages = Arc::new(ages.merged_with(msg)),
     }
+    true
 }
 
 /// One host's Count-Sketch-Reset state.
@@ -140,12 +148,17 @@ impl CountSketchReset {
 
     /// Absorb a received matrix (composite-protocol delivery path);
     /// returns the pre-merge snapshot to reply with when push-pull is on.
+    /// A matrix of foreign geometry is dropped like a lost frame: no
+    /// merge, no reply.
     pub fn absorb(&mut self, msg: &AgeMatrix) -> Option<Arc<AgeMatrix>> {
         let reply = self.push_pull.then(|| Arc::clone(&self.ages));
         // With a reply alive this copies-on-write, preserving the
         // pre-merge bytes the reply must carry.
-        merge_cow(&mut self.ages, msg);
-        reply
+        if merge_cow(&mut self.ages, msg) {
+            reply
+        } else {
+            None
+        }
     }
 }
 
@@ -184,19 +197,17 @@ impl PushProtocol for CountSketchReset {
             // initiator's state already dominates the message it sent, so
             // join(initiator, pre ⊔ sent) = join(initiator, pre). That
             // makes the reply a reference-count bump instead of a copy.
-            merge_cow(&mut self.ages, msg);
-            self.push_pull.then(|| Arc::clone(&self.ages))
+            (merge_cow(&mut self.ages, msg) && self.push_pull).then(|| Arc::clone(&self.ages))
         } else {
             // A discrete-event engine may let the initiator tick while the
             // reply is in flight, so the reply must pin the pre-merge
             // bytes; the merge then builds into a fresh allocation.
-            let reply = self.push_pull.then(|| Arc::clone(&self.ages));
-            merge_cow(&mut self.ages, msg);
-            reply
+            self.absorb(msg)
         }
     }
 
     fn on_reply(&mut self, _from: NodeId, msg: &Arc<AgeMatrix>, _ctx: &mut RoundCtx<'_>) {
+        // A reply of foreign geometry is not merged — a lost frame.
         merge_cow(&mut self.ages, msg);
     }
 

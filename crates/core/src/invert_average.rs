@@ -87,6 +87,13 @@ impl InvertAverage {
         self.avg.estimate()
     }
 
+    /// Whether `msg`'s matrix, if it carries one, has this host's
+    /// geometry. One that does not makes the whole message a lost frame —
+    /// mass included, as if the datagram never arrived.
+    fn accepts(&self, msg: &InvertMsg) -> bool {
+        msg.count.as_ref().is_none_or(|m| self.count.ages().same_geometry(m))
+    }
+
     /// Update the host's local value.
     pub fn set_value(&mut self, value: f64) {
         self.avg.set_value(value);
@@ -124,6 +131,9 @@ impl PushProtocol for InvertAverage {
         msg: &InvertMsg,
         _ctx: &mut RoundCtx<'_>,
     ) -> Option<InvertMsg> {
+        if !self.accepts(msg) {
+            return None;
+        }
         self.avg.absorb(msg.avg);
         let count_reply = msg.count.as_ref().and_then(|m| self.count.absorb(m));
         // Only the counting half replies (the averaging half is pure push
@@ -132,6 +142,9 @@ impl PushProtocol for InvertAverage {
     }
 
     fn on_reply(&mut self, from: NodeId, msg: &InvertMsg, ctx: &mut RoundCtx<'_>) {
+        if !self.accepts(msg) {
+            return;
+        }
         if !msg.avg.is_zero() {
             self.avg.absorb(msg.avg);
         }

@@ -3,7 +3,10 @@
 //! The simulator passes messages as Rust values; a real deployment ships
 //! bytes. This module gives every protocol payload a compact, versionless
 //! little-endian encoding (sketch payloads delegate to
-//! [`dynagg_sketch::codec`]'s run-length format). The sans-io node runtime
+//! [`dynagg_sketch::codec`]: register planes for age matrices, packed
+//! registers for PCSA). Every encoding is canonical — an accepted input
+//! re-encodes to the same bytes — which the fuzz suite in
+//! `tests/properties.rs` demands of each type. The sans-io node runtime
 //! (`dynagg-node`) is built on these.
 //!
 //! Encodings are *self-describing per protocol*, not self-describing per

@@ -16,8 +16,14 @@
 //! 3. **The runtime** — decoded frames replayed with duplicates and
 //!    reordering through [`NodeRuntime::handle`] under a
 //!    `max_round_lag` guard: `stale_frames` counts exactly the frames
-//!    the guard rejects, duplicates included.
+//!    the guard rejects, duplicates included. A sketch frame that
+//!    decodes but names another geometry than the receiver's is dropped
+//!    like a lost one.
 
+use dynagg_core::config::{ResetConfig, SketchConfig};
+use dynagg_core::count_sketch::CountSketch;
+use dynagg_core::count_sketch_reset::CountSketchReset;
+use dynagg_core::invert_average::InvertAverage;
 use dynagg_core::mass::Mass;
 use dynagg_core::push_sum_revert::PushSumRevert;
 use dynagg_core::wire::WireMessage;
@@ -249,5 +255,58 @@ proptest! {
         FrameHeader { kind: FrameKind::Initiation, sender_round: 0 }.encode(&mut good);
         Mass::new(0.5, 1.0).encode(&mut good);
         prop_assert!(rt.handle(1, &good).is_ok());
+    }
+}
+
+/// A well-formed sketch frame of foreign geometry — a differently
+/// configured peer, or thirteen forged bytes — must cost the receiver
+/// nothing: `handle` returns without a reply and the protocol state is
+/// what it was. (It used to decode a valid 2 × 2 matrix and then die on
+/// the merge's bin-count assertion, taking the worker with it.)
+#[test]
+fn foreign_geometry_sketch_frames_are_dropped_like_lost_ones() {
+    // 2 bins × 2 registers against the receivers' 64 bins: header (m = 2,
+    // l = 1), then one finite cell of age 4 at (0, 0) as planes — mask
+    // 0b01, bin bitmap 0b01, the age — and as PCSA registers.
+    const AGES_2X2: [u8; 8] = [2, 0, 0, 0, 1, 0b01, 0b01, 4];
+    const PCSA_2X2: [u8; 7] = [2, 0, 0, 0, 1, 0b01, 0b10];
+    let frame = |kind: FrameKind, body: &[u8]| {
+        let mut payload = Vec::new();
+        FrameHeader { kind, sender_round: 0 }.encode(&mut payload);
+        payload.extend_from_slice(body);
+        payload
+    };
+    let mut invert_body = vec![1u8];
+    Mass::new(0.5, 3.0).encode(&mut invert_body);
+    invert_body.extend_from_slice(&AGES_2X2);
+
+    for kind in [FrameKind::Initiation, FrameKind::Reply] {
+        let reset = ResetConfig::paper(1000, 7);
+        let mut rt =
+            NodeRuntime::new(RuntimeConfig::for_node(0, 100), CountSketchReset::counting(reset, 0));
+        let before = rt.protocol().ages().clone();
+        assert_eq!(rt.handle(1, &frame(kind, &AGES_2X2)), Ok(None));
+        assert_eq!(rt.protocol().ages(), &before, "Count-Sketch-Reset state untouched");
+
+        let mut rt = NodeRuntime::new(
+            RuntimeConfig::for_node(0, 100),
+            InvertAverage::new(25.0, 0.05, reset, 0),
+        );
+        let before = rt.protocol().clone();
+        assert_eq!(rt.handle(1, &frame(kind, &invert_body)).map(|r| r.is_some()), Ok(false));
+        assert_eq!(rt.protocol().counter().ages(), before.counter().ages());
+        assert_eq!(
+            rt.protocol().avg_estimate().map(f64::to_bits),
+            before.avg_estimate().map(f64::to_bits),
+            "the mass riding on a dropped frame is lost with it"
+        );
+
+        let mut rt = NodeRuntime::new(
+            RuntimeConfig::for_node(0, 100),
+            CountSketch::counting(SketchConfig::paper(1000, 7), 0),
+        );
+        let before = rt.protocol().sketch().clone();
+        assert_eq!(rt.handle(1, &frame(kind, &PCSA_2X2)), Ok(None));
+        assert_eq!(rt.protocol().sketch(), &before, "Sketch-Count state untouched");
     }
 }

@@ -48,8 +48,8 @@ mod spec;
 
 pub use error::ScenarioError;
 pub use registry::{
-    build_env, run, run_series, trace_info, wire_cost, InstanceOutcome, ScenarioOutcome, TraceInfo,
-    TrialOutput, WireCost,
+    build_env, converged_wire_bytes, run, run_series, trace_info, wire_cost, InstanceOutcome,
+    ScenarioOutcome, TraceInfo, TrialOutput, WireCost,
 };
 pub use spec::{
     AdversarySpec, AsyncSpec, CliqueDrift, DriftSpec, Engine, EnvSpec, LatencySpec, Metric,

@@ -38,8 +38,11 @@ use dynagg_sim::env::{ClusteredEnv, Environment, SpatialEnv, TraceEnv, UniformEn
 use dynagg_sim::partition::{self, PartitionTable};
 use dynagg_sim::shard::ShardMap;
 use dynagg_sim::{par, runner, Series};
-use dynagg_sketch::age::INF_AGE;
+use dynagg_sketch::age::{AgeMatrix, INF_AGE};
 use dynagg_sketch::codec;
+use dynagg_sketch::hash::SplitMix64;
+use dynagg_sketch::pcsa::Pcsa;
+use dynagg_sketch::sum::insert_value;
 use dynagg_trace::datasets::Dataset;
 use dynagg_trace::Timeline;
 use rand::Rng;
@@ -661,8 +664,12 @@ fn async_value_gen(spec: &ScenarioSpec) -> ValueFn {
 /// count raw payload bytes and never encode frames, so the registry
 /// prices each message at the protocol's [`wire_cost`] plus the async
 /// frame header — the same frame shape `AsyncNet` measures. Exact for
-/// scalar payloads; an approximation for sketch payloads, whose RLE size
-/// varies over a run (the priced size is a freshly-initialized node's).
+/// scalar payloads; an approximation for sketch payloads, whose plane-
+/// coded size grows over a run with the finite cells a host has heard of.
+/// The price is [`WireCost::encoded_bytes`] — a *freshly initialized*
+/// node's frame, the round-0 floor — not the steady state
+/// ([`converged_wire_bytes`], several hundred bytes at paper geometry):
+/// a series that needs the real curve sets `wire = "measured"`.
 fn price_wire(series: &mut Series, protocol: &ProtocolSpec, n: usize, seed: u64) {
     let per_msg = (wire_cost(protocol, n, seed).encoded_bytes + FRAME_HEADER_BYTES) as u64;
     for r in &mut series.rounds {
@@ -685,8 +692,9 @@ where
 /// Per-message wire cost of a protocol as the registry would build it for
 /// population `n`: `raw_bytes` is the paper-comparable in-memory payload
 /// accounting ([`PushProtocol::message_bytes`]'s convention), and
-/// `encoded_bytes` the actual wire codec's size (RLE for age matrices,
-/// packed registers for PCSA; identical to raw for scalar payloads).
+/// `encoded_bytes` the actual wire codec's size (register planes for age
+/// matrices, packed registers for PCSA; identical to raw for scalar
+/// payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireCost {
     /// Raw payload bytes.
@@ -753,6 +761,46 @@ pub fn wire_cost(protocol: &ProtocolSpec, n: usize, seed: u64) -> WireCost {
     }
 }
 
+/// [`WireCost::encoded_bytes`] in the steady state instead of at boot: the
+/// encoded size of the same message once gossip has converged — every one
+/// of the `n` hosts' identifiers claimed into the protocol's geometry and
+/// released. Only age matrices differ from the fresh price (a fresh one
+/// holds the host's own cells, a converged one the ≈ `log2(n/m)` live
+/// registers); PCSA and scalar payloads are content-independent.
+///
+/// Costs one hash per identifier (`n × multiplier`), which is why it is
+/// not a [`WireCost`] field: `wire_cost` runs on every lockstep series.
+pub fn converged_wire_bytes(protocol: &ProtocolSpec, n: usize, seed: u64) -> usize {
+    use ProtocolSpec as P;
+    let matrix = |sketch: SketchConfig, per_host: u64| {
+        // The cells the hosts source between them are the bits of the
+        // static sketch of the same identifiers (`claim_value` claims
+        // the cell `insert_value` sets), and setting a bit is cheap.
+        let hasher = SplitMix64::new(sketch.hash_seed);
+        let mut bits = Pcsa::new(sketch.bins, sketch.width);
+        for host in 0..n as u64 {
+            insert_value(&mut bits, &hasher, host, per_host);
+        }
+        let mut ages = AgeMatrix::new(sketch.bins, sketch.width);
+        for (bin, register) in bits.bins().iter().enumerate() {
+            for k in (0..=sketch.width).filter(|&k| register.bit(k)) {
+                ages.claim_cell(bin as u32, k);
+            }
+        }
+        ages.release_all();
+        codec::encoded_len_ages(&ages)
+    };
+    match *protocol {
+        P::CountSketchReset { multiplier, hash_seed_xor, .. } => {
+            matrix(SketchConfig::paper(n as u64 * multiplier, seed ^ hash_seed_xor), multiplier)
+        }
+        P::InvertAverage { hash_seed_xor, .. } => {
+            1 + MASS_WIRE_BYTES + matrix(SketchConfig::paper(n as u64, seed ^ hash_seed_xor), 1)
+        }
+        _ => wire_cost(protocol, n, seed).encoded_bytes,
+    }
+}
+
 /// The Fig. 6 readout: run to convergence, then histogram every live
 /// host's finite age counters per bit index.
 fn run_counter_cdf(
@@ -800,4 +848,38 @@ fn run_counter_cdf(
         price_wire(&mut series, &spec.protocol, n, seed);
     }
     TrialOutput { series, counter_samples: Some(samples), probe: None }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynagg_sketch::cutoff::Cutoff;
+
+    /// The shortcut through the static sketch prices exactly the matrix
+    /// real hosts converge to by merging.
+    #[test]
+    fn converged_price_is_the_merged_network_frame() {
+        let (n, seed, multiplier) = (40usize, 9u64, 25u64);
+        let protocol = ProtocolSpec::CountSketchReset {
+            cutoff: Cutoff::paper_uniform(),
+            push_pull: true,
+            multiplier,
+            hash_seed_xor: 0x5E7C,
+        };
+        let cfg = ResetConfig::paper(n as u64 * multiplier, seed ^ 0x5E7C);
+        let mut network = CountSketchReset::with_multiplier(cfg, 0, multiplier);
+        for host in 1..n as u64 {
+            network.absorb(CountSketchReset::with_multiplier(cfg, host, multiplier).ages());
+        }
+        network.depart_gracefully();
+        assert_eq!(
+            converged_wire_bytes(&protocol, n, seed),
+            codec::encoded_len_ages(network.ages())
+        );
+        let fresh = wire_cost(&protocol, n, seed).encoded_bytes;
+        assert!(fresh < converged_wire_bytes(&protocol, n, seed), "one host's cells < everyone's");
+        // Content-independent payloads price the same fresh and converged.
+        let mass = ProtocolSpec::PushSumRevert { lambda: 0.1 };
+        assert_eq!(converged_wire_bytes(&mass, n, seed), wire_cost(&mass, n, seed).encoded_bytes);
+    }
 }

@@ -159,7 +159,8 @@ pub struct RoundStats {
     /// [`message_bytes`]: dynagg_core::protocol::PushProtocol::message_bytes
     pub bytes: u64,
     /// Wire bytes sent this round: frame header plus the `core::wire`
-    /// codec's output (RLE for sketch matrices). The asynchronous engine
+    /// codec's output (register planes for sketch matrices, whose size
+    /// follows the finite cells a host has heard of). The asynchronous engine
     /// counts real frames; the lockstep engines leave this 0 and the
     /// scenario registry prices it per message (`registry::wire_cost`),
     /// since they never encode.

@@ -83,8 +83,25 @@ fn age_of(now: u16, s: u16) -> u8 {
     if s == 0 {
         INF_AGE
     } else {
-        (u32::from(now) + 1 - u32::from(s)).min(u32::from(MAX_FINITE_AGE)) as u8
+        finite_age_of(now, s)
     }
+}
+
+/// [`age_of`] for a stamp known to be finite (`s ≥ 1`), without the
+/// sentinel test. Total on the sentinel too — it reads `MAX_FINITE_AGE`
+/// there — so a branch-free pass may call it on every stamp and discard
+/// the sentinels' bytes.
+#[inline]
+pub(crate) fn finite_age_of(now: u16, s: u16) -> u8 {
+    (u32::from(now) + 1 - u32::from(s)).min(u32::from(MAX_FINITE_AGE)) as u8
+}
+
+/// Stamp of a cell of age `a` under the base clock — what a matrix loaded
+/// from age bytes holds. One mapping covers both kinds: `255 − a` puts age
+/// 0 at `BASE_NOW + 1`, age 254 at 1, and `INF_AGE` (255) at the 0 sentinel.
+#[inline]
+pub(crate) fn wire_stamp(a: u8) -> u16 {
+    u16::from(u8::MAX - a)
 }
 
 /// Codec memo for one matrix: the encoded payload (and its length) of the
@@ -114,9 +131,9 @@ pub struct AgeMatrix {
     /// Matrix-global clock; a cell's age is `now + 1 − stamp`, clamped.
     now: u16,
     /// Register-major (column-major) birth stamps: `l + 1` columns of `m`
-    /// stamps each, so column `k` — the cells the run-length scan reads —
-    /// is contiguous. 0 = never sourced. The wire cell stream stays
-    /// bin-major; [`dump_ages`](AgeMatrix::dump_ages) transposes.
+    /// stamps each, so column `k` — what the estimate's live-run scan and
+    /// the wire codec's plane pass both read — is contiguous. 0 = never
+    /// sourced.
     stamps: Box<[u16]>,
     /// Flat indices of cells this host sources (kept pinned at age 0).
     /// Sorted and deduplicated.
@@ -190,6 +207,13 @@ impl AgeMatrix {
         self.l
     }
 
+    /// Whether `other` has this matrix's `(m, L)` — the precondition of
+    /// every merge. A protocol checks it on a matrix decoded off the wire
+    /// and drops a foreign one instead of panicking in the merge.
+    pub fn same_geometry(&self, other: &AgeMatrix) -> bool {
+        self.m == other.m && self.l == other.l
+    }
+
     /// Mutation version. Monotone per object within a lineage of `&mut`
     /// calls; clones keep the version they were cloned at. Any call that
     /// can change an observable (ages, ownership) assigns a fresh value —
@@ -201,6 +225,21 @@ impl AgeMatrix {
 
     pub(crate) fn encode_cache(&self) -> &Mutex<EncodeSlot> {
         &self.cache
+    }
+
+    /// The matrix clock and the register-major stamps under it, column `k`
+    /// at `[k·m, (k+1)·m)`: the wire encoder reads planes straight off the
+    /// storage ([`finite_age_of`] turns a stamp into its wire byte).
+    pub(crate) fn clock_and_stamps(&self) -> (u16, &[u16]) {
+        (self.now, &self.stamps)
+    }
+
+    /// The stamps of a matrix whose clock is still at base — a fresh one
+    /// the wire decoder fills in place through [`wire_stamp`].
+    pub(crate) fn base_stamps_mut(&mut self) -> &mut [u16] {
+        debug_assert_eq!(self.now, BASE_NOW, "only a base-clock matrix takes wire stamps");
+        self.bump();
+        &mut self.stamps
     }
 
     #[inline]
@@ -226,11 +265,9 @@ impl AgeMatrix {
         age_of(self.now, self.stamps[self.flat(bin, k)])
     }
 
-    /// Append the bin-major clamped age bytes (the wire cell stream) to
-    /// `out` — the wire order is independent of the register-major storage.
-    /// The codec materializes this eager view at most once per
-    /// [`version`](AgeMatrix::version); tests use it to compare
-    /// representations.
+    /// Append the bin-major clamped age bytes — the eager reference's cell
+    /// order, independent of the register-major storage — to `out`. Tests
+    /// use it to compare representations; the wire codec does not.
     pub fn dump_ages(&self, out: &mut Vec<u8>) {
         out.reserve(self.stamps.len());
         let m = self.m as usize;
@@ -335,10 +372,11 @@ impl AgeMatrix {
         self.now = BASE_NOW;
     }
 
-    /// Replace every counter from a flat bin-major cell slice (wire
-    /// decoding). Clears ownership: ages arriving over the wire are a
-    /// peer's *view*, not sourcing duties. The clock restarts at base, so
-    /// a decoded matrix merges through the clock-translation path.
+    /// Replace every counter from a flat bin-major cell slice (the inverse
+    /// of [`dump_ages`](AgeMatrix::dump_ages)). Clears ownership: the
+    /// cells are a peer's *view*, not sourcing duties. The clock restarts
+    /// at base, so the loaded matrix merges through the clock-translation
+    /// path, exactly like a decoded wire frame.
     ///
     /// # Panics
     /// Panics if `cells` does not match the matrix geometry.
@@ -347,11 +385,9 @@ impl AgeMatrix {
         self.now = BASE_NOW;
         let m = self.m as usize;
         let row = self.row_len();
-        // One mapping covers both kinds: age a → stamp 255 − a puts age 0
-        // at BASE_NOW + 1, age 254 at 1, and INF (255) at the 0 sentinel.
         for (bin, ages) in cells.chunks_exact(row).enumerate() {
             for (k, &a) in ages.iter().enumerate() {
-                self.stamps[k * m + bin] = u16::from(u8::MAX - a);
+                self.stamps[k * m + bin] = wire_stamp(a);
             }
         }
         self.own.clear();

@@ -2,30 +2,69 @@
 //!
 //! The counter matrix dominates Count-Sketch-Reset's bandwidth (§IV-B's
 //! cost argument, our `ablation_bandwidth`). Real deployments would not
-//! ship raw byte grids: a converged matrix is mostly ∞ ("never sourced")
-//! in the high bits and small ages in the low bits. This module provides a
-//! simple, dependency-free encoding exploiting exactly that:
+//! ship raw byte grids: a converged matrix is all ∞ ("never sourced") in
+//! the registers above `log2(n/m)` and small ages below. This module
+//! provides a simple, dependency-free encoding exploiting exactly that:
 //!
-//! * **age matrices** — run-length encoding of the ∞ sentinel interleaved
-//!   with literal runs of finite ages (both with u16 lengths),
+//! * **age matrices** — a *plane code* in the matrix's own register-major
+//!   order: a presence mask of the register columns holding any finite
+//!   cell, then per present column a bin bitmap and one age byte per set
+//!   bit ([`encode_ages`] has the layout),
 //! * **PCSA sketches** — the raw bit registers, bit-packed little-endian.
 //!
-//! The codec is exact (lossless round-trip, property-tested) and typically
-//! shrinks converged matrices 2–4× and sparse (young) matrices far more.
-//! The simulator's bandwidth accounting intentionally reports *raw* sizes
-//! to stay comparable with the paper; `encoded_len` gives the deployment
-//! number (and backs `wire = "measured"` scenario accounting).
+//! The codec is exact (lossless round-trip, property-tested) and
+//! *canonical*: a matrix has exactly one encoding and the decoder accepts
+//! nothing else, so `decode` ∘ `encode` and `encode` ∘ `decode` are both
+//! identities. Measured on the traffic the engines ship — a converged
+//! paper-geometry matrix (64 bins, `width_for(n, 64)`, every id claimed
+//! and released under hash seed 7, ten ticks) — against the raw grid and
+//! the run-length code this format replaced (3-byte chunk headers over a
+//! bin-major cell stream, which two of the four rows show *inflating*):
+//!
+//! | hosts `n` | geometry | raw B | run-length B | plane B |
+//! |---|---|---|---|---|
+//! | 100 | 64 × 10 | 640 | 470 | 144 |
+//! | 1 000 | 64 × 13 | 832 | 884 | 360 |
+//! | 6 000 | 64 × 16 | 1 024 | 984 | 542 |
+//! | 100 000 | 64 × 20 | 1 280 | 1 344 | 857 |
+//!
+//! ```
+//! use dynagg_sketch::age::AgeMatrix;
+//! use dynagg_sketch::codec::encoded_len_ages;
+//! use dynagg_sketch::estimate::width_for;
+//! use dynagg_sketch::hash::SplitMix64;
+//!
+//! let plane = |n: u64| {
+//!     let mut m = AgeMatrix::new(64, width_for(n, 64));
+//!     for id in 0..n {
+//!         m.claim_id(&SplitMix64::new(7), id);
+//!     }
+//!     m.release_all();
+//!     (0..10).for_each(|_| m.tick());
+//!     (m.wire_bytes(), encoded_len_ages(&m))
+//! };
+//! assert_eq!(plane(100), (640, 144));
+//! assert_eq!(plane(1_000), (832, 360));
+//! assert_eq!(plane(6_000), (1_024, 542));
+//! assert_eq!(plane(100_000), (1_280, 857));
+//! ```
+//!
+//! A fresh host (one finite cell) costs 16–17 B at these geometries
+//! (header, mask, one bitmap, one age). The simulator's bandwidth
+//! accounting intentionally reports *raw* sizes to stay comparable with
+//! the paper; `encoded_len` gives the deployment number (and backs
+//! `wire = "measured"` scenario accounting).
 //!
 //! Encoding is **memoized per mutation version**: both payload types carry
 //! a version ([`AgeMatrix::version`], [`Pcsa::version`]) and a per-object
-//! slot, so a host fanning one `Arc` snapshot to k partners pays the run
-//! decomposition once and the k−1 remaining sends are a `memcpy`. A
-//! length-only probe ([`encoded_len_ages`]) fills the same slot without
-//! building the payload.
+//! slot, so a host fanning one `Arc` snapshot to k partners pays the plane
+//! pass once and the k−1 remaining sends are a `memcpy`. A length-only
+//! probe ([`encoded_len_ages`]) fills the same slot without building the
+//! payload.
 
-use crate::age::{AgeMatrix, EncodeSlot, INF_AGE};
+use crate::age::{finite_age_of, wire_stamp, AgeMatrix, EncodeSlot, INF_AGE};
 use crate::pcsa::Pcsa;
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 /// Encoding errors (decode side).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,17 +86,41 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-const TAG_INF_RUN: u8 = 0;
-const TAG_LITERALS: u8 = 1;
+/// Largest geometry, in cells, [`decode_ages`] builds for a frame that
+/// names no present column. Every present column is backed by its
+/// ⌈m/8⌉-byte bitmap, so a frame with one can only make the decoder
+/// allocate in proportion to its own length; an all-∞ matrix is five
+/// header bytes and a zero mask whatever geometry it claims, so that one
+/// case is capped — 1 024 bins × 64 registers, 128 KiB of stamps.
+pub const MAX_EMPTY_CELLS: u64 = 1 << 16;
 
-/// Encode an age matrix: header `(m: u32, l: u8)`, then a sequence of
-/// `(tag, len: u16, [payload])` chunks — tag 0 is a run of ∞ cells, tag 1
-/// is a literal run of finite ages.
+/// Bytes of the presence mask for register width `l`: one bit per
+/// register `0..=l`.
+fn mask_len(l: u8) -> usize {
+    (usize::from(l) + 1).div_ceil(8)
+}
+
+fn lock_memo(m: &AgeMatrix) -> MutexGuard<'_, EncodeSlot> {
+    m.encode_cache().lock().expect("no encode panics while holding the memo lock")
+}
+
+/// Encode an age matrix as register planes:
+///
+/// ```text
+/// m: u32 LE | l: u8 | presence mask: ⌈(l+1)/8⌉ B, bit k ⇔ column k has a finite cell
+/// then, for each present column in ascending k:
+///   bin bitmap: ⌈m/8⌉ B, bit b ⇔ cell (b, k) is finite | one age byte per set bit, ascending b
+/// ```
+///
+/// Bits are LSB-first within a byte. Absent columns, bitmap bits beyond
+/// `m`, mask bits beyond `l`, a present column without a set bit, an age
+/// byte equal to [`INF_AGE`] and trailing bytes never occur — which is
+/// what makes the encoding canonical.
 ///
 /// Owned-cell bookkeeping is *not* encoded: a receiver merges the ages; it
 /// never inherits sourcing duties (Fig. 5's exchange sends counters only).
 pub fn encode_ages(m: &AgeMatrix) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + m.wire_bytes() / 4);
+    let mut out = Vec::with_capacity(16 + m.wire_bytes() / 2);
     encode_ages_into(m, &mut out);
     out
 }
@@ -70,57 +133,57 @@ pub fn encode_ages(m: &AgeMatrix) -> Vec<u8> {
 /// `Arc`) copy the cached payload instead of re-running the encoder.
 pub fn encode_ages_into(m: &AgeMatrix, out: &mut Vec<u8>) {
     let version = m.version();
-    {
-        let slot = m.encode_cache().lock().unwrap();
-        if slot.version == version {
-            if let Some(bytes) = &slot.bytes {
-                out.extend_from_slice(bytes);
-                return;
-            }
+    let mut slot = lock_memo(m);
+    if slot.version == version {
+        if let Some(bytes) = &slot.bytes {
+            out.extend_from_slice(bytes);
+            return;
         }
     }
-    // Miss: materialize the eager byte view once, encode it, memoize.
-    let mut cells = Vec::with_capacity(m.wire_bytes());
-    m.dump_ages(&mut cells);
-    let mut built = Vec::with_capacity(16 + cells.len() / 4);
-    built.extend_from_slice(&m.num_bins().to_le_bytes());
-    built.push(m.width());
-    for (start, len, inf) in age_runs(&cells) {
-        if inf {
-            built.push(TAG_INF_RUN);
-            built.extend_from_slice(&(len as u16).to_le_bytes());
-        } else {
-            built.push(TAG_LITERALS);
-            built.extend_from_slice(&(len as u16).to_le_bytes());
-            built.extend_from_slice(&cells[start..start + len]);
+    let start = out.len();
+    write_planes(m, out);
+    let built = out[start..].to_vec();
+    *slot = EncodeSlot { version, len: built.len(), bytes: Some(Arc::new(built)) };
+}
+
+/// The miss path of [`encode_ages_into`]: one contiguous pass over each
+/// live column of the register-major stamps.
+fn write_planes(m: &AgeMatrix, out: &mut Vec<u8>) {
+    let bins = m.num_bins() as usize;
+    let bitmap_len = bins.div_ceil(8);
+    let (now, stamps) = m.clock_and_stamps();
+    out.extend_from_slice(&m.num_bins().to_le_bytes());
+    out.push(m.width());
+    let mask_at = out.len();
+    out.resize(mask_at + mask_len(m.width()), 0);
+    for (k, col) in stamps.chunks_exact(bins).enumerate() {
+        if col.iter().fold(0, |any, &s| any | s) == 0 {
+            continue;
         }
+        out[mask_at + k / 8] |= 1 << (k % 8);
+        // Room for the bitmap and the worst case of `bins` ages. Every
+        // stamp's age byte is stored at the write cursor, and the cursor
+        // moves only past a finite one (branch-free compaction); the tail
+        // left over is cut off below.
+        let plane_at = out.len();
+        out.resize(plane_at + bitmap_len + bins, 0);
+        let (bitmap, ages) = out[plane_at..].split_at_mut(bitmap_len);
+        for (byte, group) in bitmap.iter_mut().zip(col.chunks(8)) {
+            *byte = (group.iter().enumerate())
+                .fold(0, |bits, (bit, &s)| bits | u8::from(s != 0) << bit);
+        }
+        let mut finite = 0usize;
+        for &s in col {
+            ages[finite] = finite_age_of(now, s);
+            finite += usize::from(s != 0);
+        }
+        out.truncate(plane_at + bitmap_len + finite);
     }
-    out.extend_from_slice(&built);
-    *m.encode_cache().lock().unwrap() =
-        EncodeSlot { version, len: built.len(), bytes: Some(Arc::new(built)) };
 }
 
-/// The run decomposition both [`encode_ages_into`] and
-/// [`encoded_len_ages`] consume: maximal `(start, len, is_inf)` runs of
-/// same-kind cells, capped at `u16::MAX` so the length always fits the
-/// chunk header. One definition, so encoder and size pass cannot drift.
-fn age_runs(cells: &[u8]) -> impl Iterator<Item = (usize, usize, bool)> + '_ {
-    let mut i = 0usize;
-    std::iter::from_fn(move || {
-        if i >= cells.len() {
-            return None;
-        }
-        let inf = cells[i] == INF_AGE;
-        let start = i;
-        while i < cells.len() && (cells[i] == INF_AGE) == inf && i - start < usize::from(u16::MAX) {
-            i += 1;
-        }
-        Some((start, i - start, inf))
-    })
-}
-
-/// Decode an age matrix previously produced by [`encode_ages`]. The result
-/// has no owned cells (it is a peer's view, to be min-merged).
+/// Decode an age matrix previously produced by [`encode_ages`]; anything
+/// but a canonical encoding is an error. The result has no owned cells
+/// (it is a peer's view, to be min-merged) and its clock is at base.
 pub fn decode_ages(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
     if bytes.len() < 5 {
         return Err(CodecError::Truncated);
@@ -130,73 +193,88 @@ pub fn decode_ages(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
     if !m.is_power_of_two() || l == 0 || l > crate::fm::MAX_WIDTH {
         return Err(CodecError::Malformed("invalid geometry header"));
     }
-    let total = (m as usize) * (usize::from(l) + 1);
-    // Every 3-byte chunk contributes at most u16::MAX cells, so a header
-    // claiming more geometry than the payload could possibly encode is
-    // malformed — reject it *before* reserving `total` cells, or arbitrary
-    // input could demand a multi-gigabyte allocation (abort, not `Err`).
-    let max_cells = ((bytes.len() - 5) / 3 + 1).saturating_mul(usize::from(u16::MAX));
-    if total > max_cells {
-        return Err(CodecError::Malformed("geometry exceeds payload capacity"));
+    let registers = usize::from(l) + 1;
+    let body = bytes.get(5 + mask_len(l)..).ok_or(CodecError::Truncated)?;
+    let mut mask = [0u8; 8];
+    mask[..mask_len(l)].copy_from_slice(&bytes[5..5 + mask_len(l)]);
+    let mask = u64::from_le_bytes(mask);
+    if registers < 64 && mask >> registers != 0 {
+        return Err(CodecError::Malformed("presence mask names a register beyond the geometry"));
     }
-    let mut cells = Vec::with_capacity(total);
-    let mut pos = 5usize;
-    while pos < bytes.len() {
-        let tag = bytes[pos];
-        pos += 1;
-        if pos + 2 > bytes.len() {
-            return Err(CodecError::Truncated);
+    // Pre-allocation guard: nothing is reserved for geometry the payload
+    // does not pay for. A present column costs its bitmap plus at least
+    // one age, so the stamps allocated below are at most 16·(l+1) bytes
+    // per payload byte; only the all-∞ matrix is described in fewer, and
+    // that one is capped (see `MAX_EMPTY_CELLS`).
+    let bitmap_len = (m as usize).div_ceil(8);
+    if mask == 0 {
+        if u64::from(m) * registers as u64 > MAX_EMPTY_CELLS {
+            return Err(CodecError::Malformed("empty matrix exceeds the unbacked-geometry cap"));
         }
-        let len = usize::from(u16::from_le_bytes(bytes[pos..pos + 2].try_into().expect("2 bytes")));
-        pos += 2;
-        match tag {
-            TAG_INF_RUN => cells.resize(cells.len() + len, INF_AGE),
-            TAG_LITERALS => {
-                if pos + len > bytes.len() {
-                    return Err(CodecError::Truncated);
-                }
-                if bytes[pos..pos + len].contains(&INF_AGE) {
-                    return Err(CodecError::Malformed("literal run contains the INF sentinel"));
-                }
-                cells.extend_from_slice(&bytes[pos..pos + len]);
-                pos += len;
-            }
-            _ => return Err(CodecError::Malformed("unknown chunk tag")),
-        }
-        if cells.len() > total {
-            return Err(CodecError::Malformed("payload exceeds geometry"));
-        }
-    }
-    if cells.len() != total {
+    } else if (body.len() as u64) < u64::from(mask.count_ones()) * (bitmap_len as u64 + 1) {
         return Err(CodecError::Truncated);
     }
     let mut out = AgeMatrix::new(m, l);
-    out.load_ages(&cells);
+    let mut rest = body;
+    for (k, col) in out.base_stamps_mut().chunks_exact_mut(m as usize).enumerate() {
+        if mask >> k & 1 == 0 {
+            continue;
+        }
+        if rest.len() < bitmap_len {
+            return Err(CodecError::Truncated);
+        }
+        let (bitmap, tail) = rest.split_at(bitmap_len);
+        if m < 8 && bitmap[0] >> m != 0 {
+            return Err(CodecError::Malformed("bin bitmap names a bin beyond the geometry"));
+        }
+        let finite = bitmap.iter().map(|b| b.count_ones() as usize).sum::<usize>();
+        if finite == 0 {
+            return Err(CodecError::Malformed("present column holds no finite cell"));
+        }
+        if tail.len() < finite {
+            return Err(CodecError::Truncated);
+        }
+        let (ages, tail) = tail.split_at(finite);
+        if ages.contains(&INF_AGE) {
+            return Err(CodecError::Malformed("age byte is the INF sentinel"));
+        }
+        let mut ages = ages.iter();
+        for (group, &byte) in col.chunks_mut(8).zip(bitmap) {
+            let mut bits = byte;
+            while bits != 0 {
+                let &a = ages.next().expect("one age per set bit, counted above");
+                group[bits.trailing_zeros() as usize] = wire_stamp(a);
+                bits &= bits - 1;
+            }
+        }
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(CodecError::Malformed("trailing bytes"));
+    }
     Ok(out)
 }
 
 /// Encoded size without materializing the payload (bandwidth accounting,
-/// `wire = "measured"` lockstep metering): one streaming pass over the
-/// same run decomposition the encoder uses, memoized in the same
-/// version-stamped slot so re-probing an unmutated snapshot is O(1).
+/// `wire = "measured"` lockstep metering): header, mask, and per live
+/// column its bitmap plus one byte per nonzero stamp — one counting pass
+/// over the stamps, memoized in the same version-stamped slot as the
+/// payload so re-probing an unmutated snapshot is O(1).
 pub fn encoded_len_ages(m: &AgeMatrix) -> usize {
     let version = m.version();
-    {
-        let slot = m.encode_cache().lock().unwrap();
-        if slot.version == version && slot.len != 0 {
-            return slot.len;
-        }
+    let mut slot = lock_memo(m);
+    if slot.version == version && slot.len != 0 {
+        return slot.len;
     }
-    let mut cells = Vec::with_capacity(m.wire_bytes());
-    m.dump_ages(&mut cells);
-    let len =
-        5 + age_runs(&cells).map(|(_, len, inf)| 3 + if inf { 0 } else { len }).sum::<usize>();
-    let mut slot = m.encode_cache().lock().unwrap();
-    if slot.version == version {
-        slot.len = len;
-    } else {
-        *slot = EncodeSlot { version, len, bytes: None };
-    }
+    let bins = m.num_bins() as usize;
+    let (_, stamps) = m.clock_and_stamps();
+    let planes: usize = (stamps.chunks_exact(bins))
+        .map(|col| col.iter().filter(|&&s| s != 0).count())
+        .filter(|&finite| finite != 0)
+        .map(|finite| bins.div_ceil(8) + finite)
+        .sum();
+    let len = 5 + mask_len(m.width()) + planes;
+    *slot = EncodeSlot { version, len, bytes: None };
     len
 }
 
@@ -355,7 +433,7 @@ mod tests {
         let mut bad = 3u32.to_le_bytes().to_vec();
         bad.push(24);
         assert!(matches!(decode_ages(&bad), Err(CodecError::Malformed(_))));
-        // truncated mid-chunk
+        // truncated mid-plane
         let m = sample_matrix(100, 2);
         let enc = encode_ages(&m);
         assert!(decode_ages(&enc[..enc.len() - 3]).is_err());
@@ -364,6 +442,32 @@ mod tests {
         let mut enc = encode_pcsa(&p);
         enc.pop();
         assert!(decode_pcsa(&enc).is_err());
+    }
+
+    #[test]
+    fn decode_accepts_only_the_canonical_planes() {
+        // 2 bins × 2 registers, by hand: header, mask, then per present
+        // register a bin bitmap and the ages of its set bits.
+        const HEADER: [u8; 5] = [2, 0, 0, 0, 1];
+        let frame = |planes: &[u8]| [&HEADER[..], planes].concat();
+        let m = decode_ages(&frame(&[0b11, 0b01, 4, 0b11, 0, 9])).unwrap();
+        assert_eq!([m.age(0, 0), m.age(1, 0), m.age(0, 1), m.age(1, 1)], [4, INF_AGE, 0, 9]);
+        assert_eq!(encode_ages(&m), frame(&[0b11, 0b01, 4, 0b11, 0, 9]));
+        assert_eq!(encode_ages(&decode_ages(&frame(&[0])).unwrap()), frame(&[0]));
+
+        let malformed = |planes: &[u8]| match decode_ages(&frame(planes)) {
+            Err(CodecError::Malformed(why)) => why,
+            other => panic!("{planes:?} must be malformed, got {other:?}"),
+        };
+        assert!(malformed(&[0b100, 0b01, 4]).contains("register beyond"));
+        assert!(malformed(&[0b01, 0b100, 4]).contains("bin beyond"));
+        assert!(malformed(&[0b01, 0b00, 4]).contains("no finite cell"));
+        assert!(malformed(&[0b01, 0b01, INF_AGE]).contains("INF sentinel"));
+        assert_eq!(malformed(&[0b01, 0b01, 4, 0]), "trailing bytes");
+        assert_eq!(malformed(&[0, 0]), "trailing bytes");
+        assert_eq!(decode_ages(&frame(&[])), Err(CodecError::Truncated));
+        assert_eq!(decode_ages(&frame(&[0b01, 0b01])), Err(CodecError::Truncated));
+        assert_eq!(decode_ages(&frame(&[0b11, 0b11, 4, 5, 0b01])), Err(CodecError::Truncated));
     }
 
     #[test]

@@ -91,6 +91,12 @@ impl Pcsa {
         self.l
     }
 
+    /// Whether `other` has this sketch's `(m, L)` — the precondition of
+    /// [`merge`](Pcsa::merge); see [`crate::age::AgeMatrix::same_geometry`].
+    pub fn same_geometry(&self, other: &Pcsa) -> bool {
+        self.l == other.l && self.bins.len() == other.bins.len()
+    }
+
     /// Access the per-bin sketches.
     pub fn bins(&self) -> &[FmSketch] {
         &self.bins

@@ -9,7 +9,8 @@
 //!
 //! [`RefAgeMatrix`] *is* that eager representation, kept verbatim (same
 //! branchless tick, same scalar min-merge, same estimate path), plus an
-//! independent run-length encoder producing the exact wire format of
+//! independent encoder — written from the format description over the
+//! bin-major grid — producing the exact plane wire format of
 //! [`crate::codec::encode_ages`]. The differential proptests in
 //! `tests/lazy_equivalence.rs` drive both implementations through
 //! arbitrary interleaved claim/tick/merge/release/load programs — the
@@ -206,32 +207,33 @@ impl RefAgeMatrix {
             .any(|(i, &a)| a != INF_AGE && cutoff.admits((i % row) as u8, u32::from(a)))
     }
 
-    /// Independent run-length encoder producing the wire format of
+    /// Independent encoder for the plane wire format of
     /// [`crate::codec::encode_ages`], written from the format description
-    /// rather than shared helpers so a codec bug cannot hide from the
-    /// differential suite: header (`m` LE, `l`), then alternating
-    /// `(tag, len u16 LE)` chunks — tag 0 an `INF` run, tag 1 a literal
-    /// run followed by its bytes — with runs capped at `u16::MAX`.
+    /// over this bin-major grid — cell lookups through
+    /// [`age`](RefAgeMatrix::age), no stamps, no shared helpers — so a
+    /// codec bug cannot hide from the differential suite. Header (`m` LE,
+    /// `l`); a ⌈(l+1)/8⌉-byte mask with bit `k` set iff register `k` is
+    /// finite in some bin; then for each such register, ascending, a
+    /// ⌈m/8⌉-byte bitmap of the bins where it is finite followed by those
+    /// bins' ages in ascending bin order. Bits are LSB-first.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&self.m.to_le_bytes());
         out.push(self.l);
-        let mut i = 0usize;
-        while i < self.ages.len() {
-            let inf = self.ages[i] == INF_AGE;
-            let mut j = i;
-            while j < self.ages.len()
-                && (self.ages[j] == INF_AGE) == inf
-                && j - i < usize::from(u16::MAX)
-            {
-                j += 1;
+        let finite_bins = |k: u8| (0..self.m).filter(move |&bin| self.age(bin, k) != INF_AGE);
+        let present: Vec<u8> = (0..=self.l).filter(|&k| finite_bins(k).next().is_some()).collect();
+        let mut mask = vec![0u8; self.row_len().div_ceil(8)];
+        for &k in &present {
+            mask[usize::from(k / 8)] |= 1 << (k % 8);
+        }
+        out.extend_from_slice(&mask);
+        for &k in &present {
+            let mut bitmap = vec![0u8; (self.m as usize).div_ceil(8)];
+            for bin in finite_bins(k) {
+                bitmap[(bin / 8) as usize] |= 1 << (bin % 8);
             }
-            out.push(u8::from(!inf));
-            out.extend_from_slice(&((j - i) as u16).to_le_bytes());
-            if !inf {
-                out.extend_from_slice(&self.ages[i..j]);
-            }
-            i = j;
+            out.extend_from_slice(&bitmap);
+            out.extend(finite_bins(k).map(|bin| self.age(bin, k)));
         }
         out
     }

@@ -5,17 +5,89 @@
 //! idempotent semilattice joins, and estimates must be monotone under
 //! union. A violation of any law would silently corrupt a gossip run
 //! (merges happen in arbitrary orders along arbitrary paths).
+//!
+//! They also pin the age-matrix wire decoder as a total function over
+//! untrusted bytes: no panic, no allocation the payload does not back,
+//! and nothing accepted but the one canonical encoding of a matrix.
 
 use dynagg_sketch::age::{AgeMatrix, INF_AGE};
-use dynagg_sketch::codec;
+use dynagg_sketch::codec::{self, CodecError, MAX_EMPTY_CELLS};
 use dynagg_sketch::cutoff::Cutoff;
+use dynagg_sketch::estimate::width_for;
 use dynagg_sketch::hash::{Hash64, SplitMix64, XxLike64};
 use dynagg_sketch::pcsa::Pcsa;
 use dynagg_sketch::rho::{bin_and_rho, rho};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 const M: u32 = 16;
 const L: u8 = 24;
+
+thread_local! {
+    /// Largest single request this thread has made of the allocator since
+    /// the last reset. Const-initialised and without a destructor, so
+    /// reading it never allocates.
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `System`, noting each thread's largest request — how the decoder's
+/// pre-allocation guard is observed from outside.
+struct NotingAlloc;
+
+fn note(size: usize) {
+    // `try_with`: a thread being torn down still frees and allocates.
+    let _ = LARGEST_REQUEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: every method hands its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; `note` touches only the thread-local
+// above and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for NotingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through one of the methods here.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: NotingAlloc = NotingAlloc;
+
+/// Decode `bytes` and check the three things that must hold of *any*
+/// input: the call returns; its largest allocation is one the guard
+/// allows — the stamps of [`MAX_EMPTY_CELLS`] cells, or of the at most
+/// `8 · len` bins × 64 registers a frame with a present column can back
+/// with its bitmap; and an accepted input is the canonical encoding of
+/// what it decoded to.
+fn decode_checked(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
+    LARGEST_REQUEST.with(|c| c.set(0));
+    let decoded = codec::decode_ages(bytes);
+    let largest = LARGEST_REQUEST.with(Cell::get);
+    let allowed = 2 * (MAX_EMPTY_CELLS as usize).max(8 * 64 * bytes.len());
+    assert!(largest <= allowed, "{largest} B requested for a {} B frame", bytes.len());
+    if let Ok(m) = &decoded {
+        assert_eq!(codec::encode_ages(m), bytes, "accepted a non-canonical encoding");
+    }
+    decoded
+}
 
 fn pcsa_from_ids(ids: &[u64]) -> Pcsa {
     let h = SplitMix64::new(99);
@@ -259,4 +331,120 @@ proptest! {
             }
         }
     }
+
+    /// The age decoder is total, guarded and canonical on byte soup —
+    /// raw, and behind a well-formed geometry header so the mask and
+    /// plane checks are reached.
+    #[test]
+    fn age_decoder_is_total_on_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..96),
+        bins_log2 in prop_oneof![0u32..5, 0u32..32],
+        l in 0u8..=70,
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+        sparse in proptest::collection::vec(0u8..4, 0..24),
+    ) {
+        let _ = decode_checked(&raw);
+        for body in [body, sparse] {
+            let mut framed = (1u32 << bins_log2).to_le_bytes().to_vec();
+            framed.push(l);
+            framed.extend_from_slice(&body);
+            let _ = decode_checked(&framed);
+        }
+    }
+
+    /// Every truncation and every single-bit flip of a valid frame — of
+    /// any small geometry, so bitmaps narrower than a byte and masks with
+    /// spare bits are covered — is either rejected or is itself the
+    /// canonical encoding of the matrix it decodes to (a flipped age bit
+    /// is just another matrix — unless it makes the ∞ sentinel, which the
+    /// long agings reach from 254 and 127).
+    #[test]
+    fn age_decoder_survives_truncations_and_bit_flips(
+        bins_log2 in 0u32..5,
+        l in 1u8..=24,
+        cells in proptest::collection::vec((any::<u32>(), any::<u8>()), 0..40),
+        aged in prop_oneof![0u16..8, 100u16..300],
+    ) {
+        let mut m = AgeMatrix::new(1 << bins_log2, l);
+        for &(bin, k) in &cells {
+            m.claim_cell(bin % m.num_bins(), k % (l + 1));
+            m.release_all();
+            m.tick();
+        }
+        for _ in 0..aged {
+            m.tick();
+        }
+        let frame = codec::encode_ages(&m);
+        prop_assert!(decode_checked(&frame).is_ok());
+        for cut in 0..frame.len() {
+            prop_assert!(decode_checked(&frame[..cut]).is_err(), "prefix {} decoded", cut);
+        }
+        let mut flipped = frame.clone();
+        for bit in 0..frame.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_checked(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+/// A header may claim 2³¹ bins × 64 registers — 256 GiB of stamps — in
+/// five bytes. Whatever follows in a datagram-sized tail, the decoder
+/// answers `Err` without reserving for it.
+#[test]
+fn age_decoder_never_reserves_for_unbacked_geometry() {
+    for tail_len in 0..=16 {
+        for fill in [0x00, 0x01, 0x80, 0xFF] {
+            let mut frame = (1u32 << 31).to_le_bytes().to_vec();
+            frame.push(63);
+            frame.resize(5 + tail_len, fill);
+            assert!(decode_checked(&frame).is_err(), "tail of {tail_len} × {fill:#04x} accepted");
+        }
+    }
+    // The cap sits on the all-∞ matrix only, and exactly at the constant.
+    let empty = |m: u32, l: u8| {
+        let mut frame = m.to_le_bytes().to_vec();
+        frame.push(l);
+        frame.resize(5 + (usize::from(l) + 1).div_ceil(8), 0);
+        decode_checked(&frame)
+    };
+    assert!(empty(1024, 63).is_ok(), "1 024 × 64 cells is the cap");
+    assert!(matches!(empty(2048, 63), Err(CodecError::Malformed(_))));
+}
+
+/// The size contract on the traffic the engines ship: a converged
+/// paper-geometry matrix (every id claimed and released, ten ticks — the
+/// benchmark's `network_bits`) encodes strictly below its raw byte grid
+/// at every population, and to exactly header + mask + one bitmap per
+/// live register + one byte per finite cell. (The run-length code this
+/// format replaced inflated the 1 000- and 100 000-host rows.)
+#[test]
+fn converged_matrices_encode_below_their_raw_size() {
+    for seed in [7u64, 11 ^ 0x5E7C] {
+        let h = SplitMix64::new(seed);
+        for n in [100u64, 1_000, 6_000, 100_000] {
+            let mut m = AgeMatrix::new(64, width_for(n, 64));
+            for id in 0..n {
+                m.claim_id(&h, id);
+            }
+            m.release_all();
+            for _ in 0..10 {
+                m.tick();
+            }
+            let encoded = codec::encoded_len_ages(&m);
+            assert!(encoded < m.wire_bytes(), "n = {n}: {encoded} B vs {} B raw", m.wire_bytes());
+            let finite = m.finite_cells().count();
+            let live = (0..=m.width())
+                .filter(|&k| m.finite_cells().any(|(_, register, _)| register == k))
+                .count();
+            let mask = (usize::from(m.width()) + 1).div_ceil(8);
+            assert_eq!(encoded, 5 + mask + live * 8 + finite, "n = {n}");
+            assert_eq!(codec::encode_ages(&m).len(), encoded);
+        }
+    }
+    // The frames of a host that has heard nothing yet stay tiny.
+    let mut young = AgeMatrix::new(64, 24);
+    assert!(codec::encoded_len_ages(&young) <= 32);
+    young.claim_id(&SplitMix64::new(7), 42);
+    assert!(codec::encoded_len_ages(&young) <= 32);
 }
