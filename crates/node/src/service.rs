@@ -279,7 +279,7 @@ where
     }
 
     /// Kill a node: unbind its route and drop its runtime; its pending
-    /// timer dies when it next pops.
+    /// timer dies when it next pops (see [`Pump::fire_due`]).
     fn stop(&mut self, id: NodeId) {
         self.transport.unbind(id);
         if let Some(slot) = self.slot(id) {
@@ -288,11 +288,16 @@ where
     }
 
     /// Fire every timer due at or before `now`, in scheduling order:
-    /// poll, re-arm, ship the round's frames.
+    /// poll, re-arm, ship the round's frames. A live timer fires at its
+    /// runtime's recorded deadline; an entry at any other instant was armed
+    /// for a runtime since stopped (and maybe restarted, with a timer of
+    /// its own) and dies here instead of re-arming.
     fn fire_due(&mut self, now: u64) {
         let mut out = std::mem::take(&mut self.out_buf);
-        while let Some((_, id)) = self.timers.pop_before(now) {
-            let Some(rt) = self.running_mut(id) else { continue };
+        while let Some((at, id)) = self.timers.pop_before(now) {
+            let Some(rt) = self.running_mut(id).filter(|rt| rt.next_tick_ms() == at) else {
+                continue;
+            };
             rt.poll(now, &mut out);
             let next = rt.next_tick_ms();
             self.timers.schedule(next, id);

@@ -179,6 +179,40 @@ fn chaos_control_plane_is_idempotent() {
     assert_eq!((report.commands_undelivered, report.workers_lost), (0, 0));
 }
 
+/// A stop→restart flood leaves one round timer per node, not one per
+/// cycle: a stopped node's pending timer must die when it pops even if
+/// the node is running again by then. Every cycle lands inside the first
+/// few intervals; were each to leak a timer that re-arms forever, every
+/// node would poll `CYCLES + 1` times per interval from then on.
+#[test]
+fn a_restart_flood_leaves_one_timer_per_node() {
+    const NODES: u32 = 16;
+    const CYCLES: usize = 40;
+    let mut cfg = ServiceConfig::new(NODES as usize, 17);
+    cfg.interval_ms = 50;
+    cfg.jitter = 0.0; // every interval is exactly 50 ms: a clean bound
+    let booted = Instant::now();
+    let svc = start(&cfg, ChannelMesh::new(1, NODES as usize), healthy_factory());
+    for _ in 0..CYCLES {
+        for id in 0..NODES {
+            svc.stop(id);
+            svc.restart(id, value_of(id));
+        }
+    }
+    std::thread::sleep(Duration::from_millis(6 * cfg.interval_ms));
+    assert_eq!(svc.snapshot().len(), NODES as usize, "every node came back");
+    let report = svc.shutdown();
+    // A node fires at most once per elapsed interval, plus its first
+    // (phase-offset) round; restarts only push a node's next round out.
+    let intervals = booted.elapsed().as_millis() as u64 / cfg.interval_ms + 1;
+    assert!(report.polls > 0, "restarted nodes keep gossiping");
+    assert!(
+        report.polls <= u64::from(NODES) * intervals,
+        "{} polls from {NODES} nodes in {intervals} intervals: stale timers re-armed",
+        report.polls
+    );
+}
+
 /// A worker that dies is reported, not omitted: its factory panics on a
 /// restart, and from then on the handle keeps serving the survivors —
 /// snapshots shrink to the live workers, commands toward the dead one

@@ -10,8 +10,8 @@
 
 use crate::error::ScenarioError;
 use crate::spec::{
-    topology_info, AdversarySpec, Engine, EnvSpec, LatencySpec, Probe, ProtocolSpec, Report,
-    ScenarioSpec, ValueSpec, WireAccounting,
+    topology_info, AdversarySpec, Engine, EnvSpec, Probe, ProtocolSpec, Report, ScenarioSpec,
+    ValueSpec, WireAccounting,
 };
 use dynagg_core::adaptive::AdaptiveRevert;
 use dynagg_core::adversary::{Adversarial, Corruptible};
@@ -24,7 +24,7 @@ use dynagg_core::extremum::DynamicExtremum;
 use dynagg_core::full_transfer::FullTransfer;
 use dynagg_core::histogram::{Buckets, DynamicHistogram};
 use dynagg_core::invert_average::InvertAverage;
-use dynagg_core::mass::MASS_WIRE_BYTES;
+use dynagg_core::mass::{Mass, MASS_WIRE_BYTES};
 use dynagg_core::moments::DynamicMoments;
 use dynagg_core::protocol::{NodeId, PairwiseProtocol, PushProtocol};
 use dynagg_core::push_sum::PushSum;
@@ -33,7 +33,7 @@ use dynagg_core::tree::TagTree;
 use dynagg_core::wire::WireMessage;
 use dynagg_node::loopback::ValueFn;
 use dynagg_node::runtime::FRAME_HEADER_BYTES;
-use dynagg_node::{AsyncConfig, AsyncNet, LatencyModel, ShardedNet};
+use dynagg_node::{AsyncConfig, AsyncNet, ShardedNet};
 use dynagg_sim::env::{ClusteredEnv, Environment, SpatialEnv, TraceEnv, UniformEnv};
 use dynagg_sim::partition::{self, PartitionTable};
 use dynagg_sim::shard::ShardMap;
@@ -207,78 +207,60 @@ fn resolve_shape(spec: &ScenarioSpec) -> (usize, u64) {
     }
 }
 
-/// One trial: dispatch over (protocol × engine) into a concrete,
-/// monomorphized simulation. This match *is* the protocol registry.
+/// One trial of a validated spec: its resolved shape plus the engine
+/// assemblies every (protocol × engine) run goes through. Each assembly
+/// builds its engine once, runs it, and ends in [`Trial::visit`]: every
+/// live node's final protocol state (ascending id) goes to `read` — the
+/// one readout seam, so a probe or report is a closure, not a per-engine
+/// code path.
+struct Trial<'a> {
+    spec: &'a ScenarioSpec,
+    seed: u64,
+    n: usize,
+    rounds: u64,
+}
+
+/// The post-run node reader the assemblies call.
+type Read<'r, P> = &'r mut dyn FnMut(&P);
+
+/// One trial: pick the protocol's factory and readers, and the assembly
+/// its capabilities admit — pairwise-capable protocols branch on the
+/// engine, protocols with a [`Corruptible`] message go through the
+/// adversary seam, the rest straight to the message-passing engines. This
+/// match *is* the protocol registry.
 fn run_trial(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64) -> TrialOutput {
     use ProtocolSpec as P;
-    match spec.protocol {
+    let t = Trial { spec, seed, n, rounds };
+    let pairwise = spec.engine == Engine::Pairwise;
+    let mut probe = spec.output.probe.map(|Probe::MassWeight| 0.0);
+    let mut counter_samples = None;
+    let mut series = match spec.protocol {
         P::PushSum => {
-            let probe = spec.output.probe.map(|Probe::MassWeight| |p: &PushSum| p.mass().weight);
             let factory = |_, v| PushSum::averaging(v);
-            match (spec.engine, spec.adversary) {
-                (Engine::Pairwise, _) => run_pairwise(spec, seed, n, rounds, factory, probe),
-                (_, Some(adv)) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    adversarial(adv, n, factory),
-                    None::<fn(&Adversarial<PushSum>) -> f64>,
-                ),
-                _ => run_message(spec, seed, n, rounds, factory, probe),
+            let read = &mut weigh(&mut probe, PushSum::mass);
+            if pairwise {
+                t.pairwise(factory, read)
+            } else {
+                t.corruptible(factory, read)
             }
         }
         P::PushSumRevert { lambda } => {
-            let probe =
-                spec.output.probe.map(|Probe::MassWeight| |p: &PushSumRevert| p.mass().weight);
             let factory = move |_, v| PushSumRevert::new(v, lambda);
-            match (spec.engine, spec.adversary) {
-                (Engine::Pairwise, _) => run_pairwise(spec, seed, n, rounds, factory, probe),
-                (_, Some(adv)) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    adversarial(adv, n, factory),
-                    None::<fn(&Adversarial<PushSumRevert>) -> f64>,
-                ),
-                _ => run_message(spec, seed, n, rounds, factory, probe),
+            let read = &mut weigh(&mut probe, PushSumRevert::mass);
+            if pairwise {
+                t.pairwise(factory, read)
+            } else {
+                t.corruptible(factory, read)
             }
         }
-        P::FullTransfer { lambda, parcels, window } => {
-            let probe =
-                spec.output.probe.map(|Probe::MassWeight| |p: &FullTransfer| p.mass().weight);
-            let factory = move |_, v: f64| {
-                FullTransfer::try_new(v, lambda, parcels, window).expect("validated config")
-            };
-            match spec.adversary {
-                Some(adv) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    adversarial(adv, n, factory),
-                    None::<fn(&Adversarial<FullTransfer>) -> f64>,
-                ),
-                None => run_message(spec, seed, n, rounds, factory, probe),
-            }
-        }
-        P::AdaptiveRevert { lambda } => {
-            let probe =
-                spec.output.probe.map(|Probe::MassWeight| |p: &AdaptiveRevert| p.mass().weight);
-            let factory = move |_, v| AdaptiveRevert::new(v, lambda);
-            match spec.adversary {
-                Some(adv) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    adversarial(adv, n, factory),
-                    None::<fn(&Adversarial<AdaptiveRevert>) -> f64>,
-                ),
-                None => run_message(spec, seed, n, rounds, factory, probe),
-            }
-        }
+        P::FullTransfer { lambda, parcels, window } => t.corruptible(
+            move |_, v| FullTransfer::try_new(v, lambda, parcels, window).expect("validated"),
+            &mut weigh(&mut probe, FullTransfer::mass),
+        ),
+        P::AdaptiveRevert { lambda } => t.corruptible(
+            move |_, v| AdaptiveRevert::new(v, lambda),
+            &mut weigh(&mut probe, AdaptiveRevert::mass),
+        ),
         P::EpochPushSum { epoch_len, settle_len, drift_prob, clique_drift } => {
             let factory = move |id: NodeId, v| {
                 let mut p = EpochPushSum::new(v, epoch_len);
@@ -296,19 +278,7 @@ fn run_trial(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64) -> TrialOutp
                 }
                 p
             };
-            match spec.adversary {
-                Some(adv) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    adversarial(adv, n, factory),
-                    None::<fn(&Adversarial<EpochPushSum>) -> f64>,
-                ),
-                None => {
-                    run_message(spec, seed, n, rounds, factory, None::<fn(&EpochPushSum) -> f64>)
-                }
-            }
+            t.corruptible(factory, &mut |_| {})
         }
         P::CountSketch { multiplier, hash_seed_xor } => {
             let cfg = SketchConfig::paper(n as u64 * multiplier, seed ^ hash_seed_xor);
@@ -319,102 +289,75 @@ fn run_trial(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64) -> TrialOutp
                     CountSketch::summing(cfg, u64::from(id), multiplier)
                 }
             };
-            match spec.adversary {
-                Some(adv) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    adversarial(adv, n, factory),
-                    None::<fn(&Adversarial<CountSketch>) -> f64>,
-                ),
-                None => {
-                    run_message(spec, seed, n, rounds, factory, None::<fn(&CountSketch) -> f64>)
-                }
-            }
+            t.corruptible(factory, &mut |_| {})
         }
         P::CountSketchReset { cutoff, push_pull, multiplier, hash_seed_xor } => {
             let cfg = ResetConfig::paper(n as u64 * multiplier, seed ^ hash_seed_xor)
                 .with_cutoff(cutoff)
                 .with_push_pull(push_pull);
-            let factory = move |id: NodeId, _| {
-                CountSketchReset::with_multiplier(cfg, u64::from(id), multiplier)
-            };
-            match (spec.output.report, spec.adversary) {
-                (Report::Series, Some(adv)) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    adversarial(adv, n, factory),
-                    None::<fn(&Adversarial<CountSketchReset>) -> f64>,
-                ),
-                (Report::Series, None) => run_message(
-                    spec,
-                    seed,
-                    n,
-                    rounds,
-                    factory,
-                    None::<fn(&CountSketchReset) -> f64>,
-                ),
-                (Report::CounterCdf, _) => run_counter_cdf(spec, seed, n, rounds, cfg, multiplier),
+            if spec.output.report == Report::CounterCdf {
+                let width = cfg.sketch.width as usize + 1;
+                counter_samples = Some(vec![vec![0u64; usize::from(INF_AGE)]; width]);
             }
+            t.corruptible(
+                move |id, _| CountSketchReset::with_multiplier(cfg, u64::from(id), multiplier),
+                &mut tally_ages(&mut counter_samples),
+            )
         }
         P::InvertAverage { lambda, hash_seed_xor } => {
             let cfg = ResetConfig::paper(n as u64, seed ^ hash_seed_xor);
-            run_message(
-                spec,
-                seed,
-                n,
-                rounds,
-                move |id, v| InvertAverage::new(v, lambda, cfg, u64::from(id)),
-                None::<fn(&InvertAverage) -> f64>,
-            )
+            t.message(move |id, v| InvertAverage::new(v, lambda, cfg, u64::from(id)), &mut |_| {})
         }
-        P::TagTree { child_timeout } => run_message(
-            spec,
-            seed,
-            n,
-            rounds,
-            move |id, v| TagTree::new(v, id == 0, child_timeout),
-            None::<fn(&TagTree) -> f64>,
-        ),
+        P::TagTree { child_timeout } => {
+            t.message(move |id, v| TagTree::new(v, id == 0, child_timeout), &mut |_| {})
+        }
         P::Extremum { mode, ttl } => {
             use dynagg_core::extremum::ExtremumMode;
-            run_message(
-                spec,
-                seed,
-                n,
-                rounds,
-                move |_, v| match (ttl, mode) {
-                    (Some(t), _) => DynamicExtremum::new(mode, v, t),
-                    (None, ExtremumMode::Max) => DynamicExtremum::max(v),
-                    (None, ExtremumMode::Min) => DynamicExtremum::min(v),
-                },
-                None::<fn(&DynamicExtremum) -> f64>,
-            )
+            let factory = move |_, v| match (ttl, mode) {
+                (Some(t), _) => DynamicExtremum::new(mode, v, t),
+                (None, ExtremumMode::Max) => DynamicExtremum::max(v),
+                (None, ExtremumMode::Min) => DynamicExtremum::min(v),
+            };
+            t.message(factory, &mut |_| {})
         }
         P::Moments { lambda } => {
             let factory = move |_, v| DynamicMoments::new(v, lambda);
-            match spec.engine {
-                Engine::Pairwise => {
-                    run_pairwise(spec, seed, n, rounds, factory, None::<fn(&DynamicMoments) -> f64>)
-                }
-                _ => {
-                    run_message(spec, seed, n, rounds, factory, None::<fn(&DynamicMoments) -> f64>)
-                }
+            if pairwise {
+                t.pairwise(factory, &mut |_| {})
+            } else {
+                t.message(factory, &mut |_| {})
             }
         }
         P::Histogram { lo, hi, buckets, lambda } => {
             let geometry = Buckets::new(lo, hi, buckets);
-            run_message(
-                spec,
-                seed,
-                n,
-                rounds,
-                move |_, v| DynamicHistogram::new(geometry, v, lambda),
-                None::<fn(&DynamicHistogram) -> f64>,
-            )
+            t.message(move |_, v| DynamicHistogram::new(geometry, v, lambda), &mut |_| {})
+        }
+    };
+    if t.priced() {
+        price_wire(&mut series, &spec.protocol, n, seed);
+    }
+    TrialOutput { series, counter_samples, probe }
+}
+
+/// [`Probe::MassWeight`] as a node reader: when the probe was requested,
+/// add every visited node's mass weight to its total.
+fn weigh<P: 'static>(total: &mut Option<f64>, mass_of: fn(&P) -> Mass) -> impl FnMut(&P) + '_ {
+    move |node| {
+        if let Some(total) = total {
+            *total += mass_of(node).weight;
+        }
+    }
+}
+
+/// [`Report::CounterCdf`] (the Fig. 6 readout) as a node reader: when the
+/// report was requested, histogram every visited host's finite age
+/// counters per bit index into `samples[k][age]`.
+fn tally_ages(samples: &mut Option<Vec<Vec<u64>>>) -> impl FnMut(&CountSketchReset) + '_ {
+    move |node| {
+        if let Some(samples) = samples {
+            for (_, k, age) in node.ages().finite_cells() {
+                samples[usize::from(k)][usize::from(age)] += 1;
+            }
         }
     }
 }
@@ -457,206 +400,168 @@ where
     }
 }
 
-/// Assemble the engine-agnostic half of the builder.
-fn base_builder(spec: &ScenarioSpec, seed: u64, n: usize) -> runner::Builder {
-    let b = runner::builder(seed).environment_boxed(build_env(&spec.env, n, seed));
-    match spec.values {
-        ValueSpec::Paper => b.nodes_with_paper_values(n),
-        ValueSpec::Constant(x) => b.nodes_with_constant(n, x),
-    }
-}
-
-/// Message-passing dispatch: the push engine or the asynchronous
-/// discrete-event engine, chosen by the spec (atomic pairwise exchanges
-/// are handled per-protocol by the caller). `probe` is the optional
-/// post-run node-state reading.
-fn run_message<P, F, G>(
-    spec: &ScenarioSpec,
-    seed: u64,
-    n: usize,
-    rounds: u64,
-    factory: F,
-    probe: Option<G>,
-) -> TrialOutput
-where
-    P: PushProtocol + Send + 'static,
-    P::Message: WireMessage + Send,
-    F: FnMut(NodeId, f64) -> P + 'static,
-    G: Fn(&P) -> f64,
-{
-    match spec.engine {
-        Engine::Async => {
-            debug_assert!(probe.is_none(), "validation rejects probes under the async engine");
-            TrialOutput {
-                series: run_async(spec, seed, n, rounds, factory, None),
-                counter_samples: None,
-                probe: None,
-            }
+impl Trial<'_> {
+    /// Hand every live node an engine yields (ascending id) to the reader
+    /// — when the spec asked for a readout at all: a plain series run
+    /// never walks its nodes.
+    fn visit<'n, P: 'n>(&self, nodes: impl Iterator<Item = (NodeId, &'n P)>, read: Read<P>) {
+        let output = &self.spec.output;
+        if output.probe.is_some() || output.report == Report::CounterCdf {
+            nodes.for_each(|(_, node)| read(node));
         }
-        _ => run_push(spec, seed, n, rounds, factory, probe),
     }
-}
 
-fn run_push<P, F, G>(
-    spec: &ScenarioSpec,
-    seed: u64,
-    n: usize,
-    rounds: u64,
-    factory: F,
-    probe: Option<G>,
-) -> TrialOutput
-where
-    P: PushProtocol + 'static,
-    P::Message: WireMessage,
-    F: FnMut(NodeId, f64) -> P,
-    G: Fn(&P) -> f64,
-{
-    let mut sim = base_builder(spec, seed, n)
+    /// A protocol whose message is [`Corruptible`]: the one site where the
+    /// `[adversary]` table wraps the factory. Readers keep seeing the
+    /// wrapped protocol's own state — an attacker forges what it sends,
+    /// never its own books.
+    fn corruptible<P, F>(&self, factory: F, read: Read<P>) -> Series
+    where
+        P: PushProtocol + Send + 'static,
+        P::Message: WireMessage + Corruptible + Send,
+        F: FnMut(NodeId, f64) -> P + 'static,
+    {
+        match self.spec.adversary {
+            Some(adv) => {
+                self.message(adversarial(adv, self.n, factory), &mut |node| read(node.inner()))
+            }
+            None => self.message(factory, read),
+        }
+    }
+
+    /// Message passing: the push engine or the asynchronous discrete-event
+    /// engine, as the spec says.
+    fn message<P, F>(&self, factory: F, read: Read<P>) -> Series
+    where
+        P: PushProtocol + Send + 'static,
+        P::Message: WireMessage + Send,
+        F: FnMut(NodeId, f64) -> P + 'static,
+    {
+        match self.spec.engine {
+            Engine::Async => self.asynchronous(factory, read),
+            _ => self.push(factory, read),
+        }
+    }
+
+    /// Does the registry price this trial's `wire_bytes` column after the
+    /// run ([`price_wire`])? The lockstep engines never encode, so it does
+    /// unless the spec asked the push engine to measure each message
+    /// (`wire = "measured"`); the async engine always measures real frames.
+    fn priced(&self) -> bool {
+        self.spec.engine != Engine::Async && self.spec.wire == WireAccounting::Priced
+    }
+
+    /// The lockstep assembly, shared by both lockstep engines up to the
+    /// final `build` / `build_pairwise`.
+    fn lockstep<P, F>(&self, factory: F) -> runner::TypedBuilder<P, F>
+    where
+        F: FnMut(NodeId, f64) -> P,
+    {
+        let (spec, n) = (self.spec, self.n);
+        let b = runner::builder(self.seed).environment_boxed(build_env(&spec.env, n, self.seed));
+        match spec.values {
+            ValueSpec::Paper => b.nodes_with_paper_values(n),
+            ValueSpec::Constant(x) => b.nodes_with_constant(n, x),
+        }
         .protocol(factory)
         .truth(spec.truth)
         .failure(spec.failure)
         .message_loss(spec.loss)
         .partition(partition_table(spec, n))
-        .build();
-    if spec.wire == WireAccounting::Measured {
-        sim = sim.with_wire_meter(measured_frame_bytes::<P>);
     }
-    let mut out = match probe {
-        None => TrialOutput { series: sim.run(rounds), counter_samples: None, probe: None },
-        Some(read) => {
-            let mut sim = sim;
-            for _ in 0..rounds {
-                sim.step();
-            }
-            let reading = sim.nodes().map(|(_, p)| read(p)).sum();
-            TrialOutput {
-                series: sim.series().clone(),
-                counter_samples: None,
-                probe: Some(reading),
-            }
+
+    /// The push engine; measures each message when the series will not be
+    /// priced.
+    fn push<P, F>(&self, factory: F, read: Read<P>) -> Series
+    where
+        P: PushProtocol + 'static,
+        P::Message: WireMessage,
+        F: FnMut(NodeId, f64) -> P,
+    {
+        let mut sim = self.lockstep(factory).build();
+        if !self.priced() {
+            // The message's actual codec size (via the version-stamped
+            // encode memo for sketch payloads — one `Arc` snapshot fanned
+            // to `k` partners is encoded once) plus the same frame header
+            // `AsyncNet` frames carry.
+            sim = sim.with_wire_meter(|msg: &P::Message| {
+                (msg.encoded_len() + FRAME_HEADER_BYTES) as u64
+            });
         }
-    };
-    if spec.wire == WireAccounting::Priced {
-        price_wire(&mut out.series, &spec.protocol, n, seed);
-    }
-    out
-}
-
-fn run_pairwise<P, F, G>(
-    spec: &ScenarioSpec,
-    seed: u64,
-    n: usize,
-    rounds: u64,
-    factory: F,
-    probe: Option<G>,
-) -> TrialOutput
-where
-    P: PairwiseProtocol,
-    F: FnMut(NodeId, f64) -> P,
-    G: Fn(&P) -> f64,
-{
-    let sim = base_builder(spec, seed, n)
-        .protocol(factory)
-        .truth(spec.truth)
-        .failure(spec.failure)
-        .message_loss(spec.loss)
-        .partition(partition_table(spec, n))
-        .build_pairwise();
-    let mut out = match probe {
-        None => TrialOutput { series: sim.run(rounds), counter_samples: None, probe: None },
-        Some(read) => {
-            let mut sim = sim;
-            for _ in 0..rounds {
-                sim.step();
-            }
-            let reading = sim.nodes().map(|(_, p)| read(p)).sum();
-            TrialOutput {
-                series: sim.series().clone(),
-                counter_samples: None,
-                probe: Some(reading),
-            }
+        for _ in 0..self.rounds {
+            sim.step();
         }
-    };
-    price_wire(&mut out.series, &spec.protocol, n, seed);
-    out
-}
-
-/// Assemble and drive the asynchronous engine: nominal rounds map to
-/// `interval_ms` of simulated wall-clock each, and the sampled series has
-/// the same shape as a lockstep run of the same horizon. Peers come from
-/// the spec's environment through the shared membership layer, so every
-/// `env` kind runs asynchronously — topology changes (clique mobility,
-/// trace replay) land at nominal round boundaries. `read`, when given,
-/// sees every live node's protocol state (ascending id) once the run has
-/// finished.
-fn run_async<P, F>(
-    spec: &ScenarioSpec,
-    seed: u64,
-    n: usize,
-    rounds: u64,
-    factory: F,
-    read: Option<&mut dyn FnMut(&P)>,
-) -> Series
-where
-    P: PushProtocol + Send + 'static,
-    P::Message: WireMessage + Send,
-    F: FnMut(NodeId, f64) -> P + 'static,
-{
-    let cfg = async_net_config(spec, seed);
-    let value_gen = async_value_gen(spec);
-    let drift = spec.asynchrony.unwrap_or_default().drift;
-    let drift_of = Box::new(move |id| drift.model_for(id, n));
-    // The two drains share one control plane, so everything from here on
-    // is the same builder chain and the same post-run readout.
-    macro_rules! drive {
-        ($net:expr) => {{
-            let mut net = $net
-                .with_membership(build_env(&spec.env, n, seed))
-                .with_truth(spec.truth)
-                .with_failure(spec.failure)
-                .with_partition(partition_table(spec, n));
-            net.run(rounds);
-            if let Some(read) = read {
-                net.nodes().for_each(|(_, node)| read(node));
-            }
-            net.into_series()
-        }};
+        self.visit(sim.nodes(), read);
+        sim.run(0) // steps nothing: moves the series out
     }
-    // `shards = 1` (or an absent key) keeps the sequential engine, whose
-    // pinned digests predate sharding; `shards ≥ 2` runs the sharded
-    // engine, bit-identical across every count but statistically
-    // distinct from the sequential engine (its loss/latency draws are
-    // per-node streams, not one global stream in pop order).
-    let (shards, _fallback) = spec.effective_shards(n);
-    if shards >= 2 {
-        let map = ShardMap::from_topology(&topology_info(&spec.env, n), n, shards);
-        drive!(ShardedNet::new(n, cfg, map, value_gen, drift_of, Box::new(factory)))
-    } else {
-        drive!(AsyncNet::new(n, cfg, value_gen, drift_of, Box::new(factory)))
+
+    /// The atomic push/pull engine (exchanges pass state by reference, so
+    /// there is nothing to measure or corrupt).
+    fn pairwise<P, F>(&self, factory: F, read: Read<P>) -> Series
+    where
+        P: PairwiseProtocol,
+        F: FnMut(NodeId, f64) -> P,
+    {
+        let mut sim = self.lockstep(factory).build_pairwise();
+        for _ in 0..self.rounds {
+            sim.step();
+        }
+        self.visit(sim.nodes(), read);
+        sim.run(0) // steps nothing: moves the series out
     }
-}
 
-/// The `[async]` table resolved to an engine configuration.
-fn async_net_config(spec: &ScenarioSpec, seed: u64) -> AsyncConfig {
-    let a = spec.asynchrony.unwrap_or_default();
-    let mut cfg = AsyncConfig::new(seed);
-    cfg.interval_ms = a.interval_ms;
-    cfg.jitter = a.jitter;
-    cfg.latency = match a.latency {
-        LatencySpec::Constant { ms } => LatencyModel::Constant { ms },
-        LatencySpec::Uniform { lo_ms, hi_ms } => LatencyModel::Uniform { lo_ms, hi_ms },
-        LatencySpec::Exponential { mean_ms } => LatencyModel::Exponential { mean_ms },
-    };
-    cfg.loss = spec.loss;
-    cfg.sample_every_ms = a.sample_every_ms.unwrap_or(a.interval_ms);
-    cfg
-}
-
-/// The spec's initial-value generator in the async engine's boxed form.
-fn async_value_gen(spec: &ScenarioSpec) -> ValueFn {
-    match spec.values {
-        ValueSpec::Paper => Box::new(|rng, _| rng.gen_range(0.0..100.0)),
-        ValueSpec::Constant(x) => Box::new(move |_, _| x),
+    /// The asynchronous assembly: nominal rounds map to `interval_ms` of
+    /// simulated wall-clock each, and the sampled series has the same
+    /// shape as a lockstep run of the same horizon. Peers come from the
+    /// spec's environment through the shared membership layer, so every
+    /// `env` kind runs asynchronously — topology changes (clique mobility,
+    /// trace replay) land at nominal round boundaries.
+    fn asynchronous<P, F>(&self, factory: F, read: Read<P>) -> Series
+    where
+        P: PushProtocol + Send + 'static,
+        P::Message: WireMessage + Send,
+        F: FnMut(NodeId, f64) -> P + 'static,
+    {
+        let (spec, seed, n) = (self.spec, self.seed, self.n);
+        let a = spec.asynchrony.unwrap_or_default();
+        let mut cfg = AsyncConfig::new(seed);
+        cfg.interval_ms = a.interval_ms;
+        cfg.jitter = a.jitter;
+        cfg.latency = a.latency;
+        cfg.loss = spec.loss;
+        cfg.sample_every_ms = a.sample_every_ms.unwrap_or(a.interval_ms);
+        let value_gen: ValueFn = match spec.values {
+            ValueSpec::Paper => Box::new(|rng, _| rng.gen_range(0.0..100.0)),
+            ValueSpec::Constant(x) => Box::new(move |_, _| x),
+        };
+        let drift_of = Box::new(move |id| a.drift.model_for(id, n));
+        // The two drains share one control plane, so everything from here
+        // on is the same builder chain and the same post-run readout.
+        macro_rules! drive {
+            ($net:expr) => {{
+                let mut net = $net
+                    .with_membership(build_env(&spec.env, n, seed))
+                    .with_truth(spec.truth)
+                    .with_failure(spec.failure)
+                    .with_partition(partition_table(spec, n));
+                net.run(self.rounds);
+                self.visit(net.nodes(), read);
+                net.into_series()
+            }};
+        }
+        // `shards = 1` (or an absent key) keeps the sequential engine,
+        // whose pinned digests predate sharding; `shards ≥ 2` runs the
+        // sharded engine, bit-identical across every count but
+        // statistically distinct from the sequential engine (its
+        // loss/latency draws are per-node streams, not one global stream
+        // in pop order).
+        let (shards, _fallback) = spec.effective_shards(n);
+        if shards >= 2 {
+            let map = ShardMap::from_topology(&topology_info(&spec.env, n), n, shards);
+            drive!(ShardedNet::new(n, cfg, map, value_gen, drift_of, Box::new(factory)))
+        } else {
+            drive!(AsyncNet::new(n, cfg, value_gen, drift_of, Box::new(factory)))
+        }
     }
 }
 
@@ -675,18 +580,6 @@ fn price_wire(series: &mut Series, protocol: &ProtocolSpec, n: usize, seed: u64)
     for r in &mut series.rounds {
         r.wire_bytes = r.messages * per_msg;
     }
-}
-
-/// The push engine's `wire = "measured"` meter: the message's actual
-/// codec size (via the version-stamped encode memo for sketch payloads —
-/// one `Arc` snapshot fanned to `k` partners is encoded once) plus the
-/// same frame header `AsyncNet` frames carry.
-fn measured_frame_bytes<P>(msg: &P::Message) -> u64
-where
-    P: PushProtocol,
-    P::Message: WireMessage,
-{
-    (msg.encoded_len() + FRAME_HEADER_BYTES) as u64
 }
 
 /// Per-message wire cost of a protocol as the registry would build it for
@@ -801,59 +694,66 @@ pub fn converged_wire_bytes(protocol: &ProtocolSpec, n: usize, seed: u64) -> usi
     }
 }
 
-/// The Fig. 6 readout: run to convergence, then histogram every live
-/// host's finite age counters per bit index.
-fn run_counter_cdf(
-    spec: &ScenarioSpec,
-    seed: u64,
-    n: usize,
-    rounds: u64,
-    cfg: ResetConfig,
-    multiplier: u64,
-) -> TrialOutput {
-    let factory =
-        move |id: NodeId, _: f64| CountSketchReset::with_multiplier(cfg, u64::from(id), multiplier);
-    let width = cfg.sketch.width as usize + 1;
-    let mut samples = vec![vec![0u64; usize::from(INF_AGE)]; width];
-    let read_node = |samples: &mut Vec<Vec<u64>>, node: &CountSketchReset| {
-        for (_, k, age) in node.ages().finite_cells() {
-            samples[usize::from(k)][usize::from(age)] += 1;
-        }
-    };
-
-    if spec.engine == Engine::Async {
-        let mut read = |node: &CountSketchReset| read_node(&mut samples, node);
-        let series = run_async(spec, seed, n, rounds, factory, Some(&mut read));
-        return TrialOutput { series, counter_samples: Some(samples), probe: None };
-    }
-
-    let mut sim = base_builder(spec, seed, n)
-        .protocol(factory)
-        .truth(spec.truth)
-        .failure(spec.failure)
-        .message_loss(spec.loss)
-        .partition(partition_table(spec, n))
-        .build();
-    if spec.wire == WireAccounting::Measured {
-        sim = sim.with_wire_meter(measured_frame_bytes::<CountSketchReset>);
-    }
-    for _ in 0..rounds {
-        sim.step();
-    }
-    for (_, node) in sim.nodes() {
-        read_node(&mut samples, node);
-    }
-    let mut series = sim.series().clone();
-    if spec.wire == WireAccounting::Priced {
-        price_wire(&mut series, &spec.protocol, n, seed);
-    }
-    TrialOutput { series, counter_samples: Some(samples), probe: None }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{AsyncSpec, ShardsSpec};
+    use dynagg_sim::failure::FailureMode;
+    use dynagg_sim::FailureSpec;
     use dynagg_sketch::cutoff::Cutoff;
+
+    /// The one reader sees exactly the hosts the last series row counts
+    /// alive, in ascending id order, whichever engine was assembled.
+    #[test]
+    fn the_reader_visits_the_last_rows_live_hosts_in_id_order() {
+        let (n, rounds, seed) = (60usize, 8u64, 5u64);
+        let env = EnvSpec::Uniform { broadcast_fanout: None };
+        let mut spec = ScenarioSpec::new("parity", seed, env, ProtocolSpec::PushSum);
+        (spec.n, spec.rounds) = (Some(n), Some(rounds));
+        spec.output.probe = Some(Probe::MassWeight); // any readout: the reader runs
+        spec.failure = FailureSpec::AtRound {
+            round: 3,
+            mode: FailureMode::Random,
+            fraction: 0.3,
+            graceful: false,
+        };
+        let sharded = AsyncSpec { shards: Some(ShardsSpec::Count(2)), ..AsyncSpec::default() };
+        for (engine, asynchrony) in [
+            (Engine::Push, None),
+            (Engine::Pairwise, None),
+            (Engine::Async, None),
+            (Engine::Async, Some(sharded)),
+        ] {
+            (spec.engine, spec.asynchrony) = (engine, asynchrony);
+            spec.validate().unwrap();
+            let t = Trial { spec: &spec, seed, n, rounds };
+            let what = format!("{engine:?} {asynchrony:?}");
+
+            // A host's reversion anchor keeps the value it booted with:
+            // here, its id.
+            let anchored = |id: NodeId, _| PushSumRevert::new(f64::from(id), 0.1);
+            let mut ids = Vec::new();
+            let read = &mut |node: &PushSumRevert| ids.push(node.initial().value);
+            let series = match engine {
+                Engine::Pairwise => t.pairwise(anchored, read),
+                _ => t.corruptible(anchored, read),
+            };
+            assert_eq!(series.rounds.len() as u64, rounds, "{what}");
+            assert_eq!(ids.len(), series.last().unwrap().alive, "{what}");
+            assert_eq!(ids.len(), 42, "{what}: the failure struck");
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{what}: {ids:?}");
+
+            if engine != Engine::Pairwise {
+                let cfg = ResetConfig::paper(n as u64, seed);
+                let mut visits = 0;
+                let series = t.corruptible(
+                    move |id, _| CountSketchReset::counting(cfg, u64::from(id)),
+                    &mut |_| visits += 1,
+                );
+                assert_eq!(visits, series.last().unwrap().alive, "{what}");
+            }
+        }
+    }
 
     /// The shortcut through the static sketch prices exactly the matrix
     /// real hosts converge to by merging.

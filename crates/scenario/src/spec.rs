@@ -51,27 +51,9 @@ pub enum WireAccounting {
     Measured,
 }
 
-/// Per-link latency distribution for the async engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencySpec {
-    /// Every frame takes exactly `ms`.
-    Constant {
-        /// One-way delay in milliseconds.
-        ms: u64,
-    },
-    /// Uniform in `[lo_ms, hi_ms]`.
-    Uniform {
-        /// Minimum delay.
-        lo_ms: u64,
-        /// Maximum delay (inclusive).
-        hi_ms: u64,
-    },
-    /// Exponentially distributed (heavy-tailed) with the given mean.
-    Exponential {
-        /// Mean delay in milliseconds.
-        mean_ms: f64,
-    },
-}
+/// Per-link latency distribution for the async engine: the engine's own
+/// [`dynagg_node::LatencyModel`] under the name scenario files use.
+pub use dynagg_node::LatencyModel as LatencySpec;
 
 /// How node clocks drift under the async engine (the per-node incarnation
 /// of [`dynagg_core::epoch::DriftModel`]).
@@ -113,20 +95,6 @@ impl DriftSpec {
             }
             DriftSpec::Bernoulli { skip_prob } => DriftModel::Bernoulli { skip_prob },
             DriftSpec::RandomWalk { step_prob } => DriftModel::RandomWalk { step_prob },
-        }
-    }
-}
-
-impl LatencySpec {
-    /// The distribution's lower bound in milliseconds — the sharded
-    /// engine's conservative *lookahead*. Zero (exponential latency, or a
-    /// zero-delay constant/uniform) means no safe parallel window exists
-    /// and the run must stay on the sequential engine.
-    pub fn min_lookahead_ms(self) -> u64 {
-        match self {
-            LatencySpec::Constant { ms } => ms,
-            LatencySpec::Uniform { lo_ms, .. } => lo_ms,
-            LatencySpec::Exponential { .. } => 0,
         }
     }
 }
@@ -560,7 +528,7 @@ pub enum Report {
     #[default]
     Series,
     /// Fig. 6's readout: the converged per-bit age-counter histograms
-    /// (Count-Sketch-Reset under the push engine only).
+    /// (Count-Sketch-Reset under the push or the async engine).
     CounterCdf,
 }
 
@@ -823,13 +791,6 @@ impl ScenarioSpec {
                                  carries none",
                                 self.protocol.name()
                             ),
-                        });
-                    }
-                    if self.engine == Engine::Async {
-                        return Err(ScenarioError::Unsupported {
-                            reason: "probe `mass-weight` is not implemented for the async \
-                                     engine; use engine = \"push\" or \"pairwise\""
-                                .into(),
                         });
                     }
                 }
@@ -1121,7 +1082,7 @@ impl ScenarioSpec {
                         ));
                     }
                 }
-                if s >= 2 && a.latency.min_lookahead_ms() == 0 {
+                if s >= 2 && a.latency.min_ms() == 0 {
                     return Err(invalid(
                         "async.shards",
                         format!(
@@ -1151,7 +1112,7 @@ impl ScenarioSpec {
             None => (1, None),
             Some(ShardsSpec::Count(s)) => {
                 let s = (s as usize).min(n.max(1));
-                if s >= 2 && a.latency.min_lookahead_ms() == 0 {
+                if s >= 2 && a.latency.min_ms() == 0 {
                     // Unreachable after validate(); kept as a belt for
                     // programmatic specs that skip it.
                     (1, Some(ShardFallback::ZeroLookahead { latency: a.latency }))
@@ -1160,7 +1121,7 @@ impl ScenarioSpec {
                 }
             }
             Some(ShardsSpec::Auto) => {
-                if a.latency.min_lookahead_ms() == 0 {
+                if a.latency.min_ms() == 0 {
                     return (1, Some(ShardFallback::ZeroLookahead { latency: a.latency }));
                 }
                 // Clamp to ≥ 2 so the digest never depends on the machine:
@@ -1280,20 +1241,6 @@ impl ScenarioSpec {
                     ));
                 }
             }
-        }
-        if self.output.probe.is_some() {
-            return Err(ScenarioError::Unsupported {
-                reason: "probes read the inner protocol state, which the adversarial wrapper \
-                         hides; drop the probe or the [adversary] table"
-                    .into(),
-            });
-        }
-        if self.output.report == Report::CounterCdf {
-            return Err(ScenarioError::Unsupported {
-                reason: "report = \"counter-cdf\" reads raw age matrices, which the adversarial \
-                         wrapper hides; drop the report or the [adversary] table"
-                    .into(),
-            });
         }
         Ok(())
     }

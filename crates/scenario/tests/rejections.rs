@@ -23,6 +23,12 @@ fn replace(base: &str, from: &str, to: &str) -> String {
     base.replace(from, to)
 }
 
+/// Parse, validate and run a sweepless single-trial file.
+fn run_trial(src: &str) -> dynagg_scenario::TrialOutput {
+    let spec = ScenarioSpec::from_toml_str(src).unwrap();
+    dynagg_scenario::run(&spec).unwrap().instances.remove(0).trials.remove(0)
+}
+
 #[test]
 fn the_fixture_itself_parses() {
     let spec = ScenarioSpec::from_toml_str(VALID).unwrap();
@@ -470,10 +476,66 @@ fn mass_weight_probe_on_massless_protocol_is_unsupported() {
     }
 }
 
+/// Every engine hands its live nodes to the one post-run reader, so the
+/// probe reads the async engines too (once a typed rejection).
 #[test]
-fn mass_weight_probe_under_async_engine_is_unsupported() {
+fn mass_weight_probe_reads_the_async_engines() {
     let src = format!("{VALID_ASYNC}\n[output]\nprobe = \"mass-weight\"\n");
-    assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
+    assert!(run_trial(&src).probe.is_some());
+
+    // Static Push-Sum neither creates nor reverts weight, so a lossless
+    // run reads Σw = n up to the shares in flight when the run stops (a
+    // host keeps counting the half it sent until its own round ends);
+    // lost frames take their weight with them.
+    let n = 200.0;
+    let push_sum =
+        replace(&src, "name = \"push-sum-revert\"\nlambda = 0.01", "name = \"push-sum\"");
+    let lossless = run_trial(&push_sum).probe.unwrap();
+    assert!((lossless - n).abs() <= n / 2.0, "lossless Σw = {lossless} for {n} hosts");
+    let lossy = replace(&push_sum, "rounds = 10", "rounds = 10\nloss = 0.2");
+    let lossy = run_trial(&lossy).probe.unwrap();
+    assert!(lossy < lossless.min(n), "20 % loss must leak weight: {lossy} vs {lossless}");
+
+    let sharded = |k: u32| {
+        run_trial(&replace(
+            &push_sum,
+            "interval_ms = 100",
+            &format!("interval_ms = 100\nshards = {k}"),
+        ))
+    };
+    let two = sharded(2);
+    assert_eq!(two, sharded(4), "the reading must not depend on the shard count");
+    let w = two.probe.expect("probe under the sharded engine");
+    assert!((w - n).abs() <= n / 2.0, "sharded Σw = {w} for {n} hosts");
+}
+
+/// The reader visits exactly the hosts the last row counts alive,
+/// whichever engine ran. λ = 1 re-anchors every host at weight 1 each
+/// round: a lockstep survivor ends its round holding its own half plus
+/// one half per frame received, and after the failure every frame goes to
+/// a survivor, so Σw *is* the head count; the async engines stop
+/// mid-round, within the shares in flight of it.
+#[test]
+fn mass_weight_probe_counts_the_live_hosts_on_every_engine() {
+    let base = replace(VALID, "lambda = 0.01", "lambda = 1.0");
+    let base = format!(
+        "{base}\n[failure]\nkind = \"at-round\"\nround = 3\nfraction = 0.3\n\n\
+         [output]\nmetrics = [\"alive\"]\nprobe = \"mass-weight\"\n"
+    );
+    let engine =
+        |keys: &str| run_trial(&replace(&base, "rounds = 10", &format!("rounds = 10\n{keys}")));
+    for keys in ["engine = \"push\"", "engine = \"pairwise\""] {
+        let trial = engine(keys);
+        let alive = trial.series.last().unwrap().alive;
+        assert_eq!(alive, 140, "{keys}: the failure struck");
+        assert_eq!(trial.probe, Some(alive as f64), "{keys}");
+    }
+    for keys in ["engine = \"async\"", "engine = \"async\"\n\n[async]\nshards = 2"] {
+        let trial = engine(keys);
+        let alive = trial.series.last().unwrap().alive as f64;
+        let w = trial.probe.expect("probe under async");
+        assert!((w - alive).abs() <= alive / 2.0, "{keys}: Σw = {w} for {alive} live hosts");
+    }
 }
 
 #[test]
@@ -818,22 +880,67 @@ fn attack_keys_are_attack_specific() {
     ));
 }
 
+/// Readers see through the adversarial wrapper to the protocol state it
+/// wraps (both once typed rejections).
 #[test]
-fn adversary_with_probe_or_counter_cdf_is_unsupported() {
+fn probe_and_counter_cdf_read_through_the_adversary() {
+    use dynagg_core::adversary::{Adversarial, Attack};
+    use dynagg_core::push_sum_revert::PushSumRevert;
+    use dynagg_sim::env::UniformEnv;
+
     let src = format!("{VALID_ADVERSARY}\n[output]\nprobe = \"mass-weight\"\n");
-    assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
-    let src = replace(
+    let trial = run_trial(&src);
+    // The same run assembled by hand, summing the wrapped protocols' own
+    // books.
+    let mut sim = dynagg_sim::runner::builder(7)
+        .environment(UniformEnv::new())
+        .nodes_with_paper_values(200)
+        .protocol(|id, v| {
+            let inner = PushSumRevert::new(v, 0.01);
+            if id < 4 {
+                Adversarial::malicious(inner, Attack::MassInflation { factor: 2.0 }, 3)
+            } else {
+                Adversarial::honest(inner)
+            }
+        })
+        .build();
+    for _ in 0..10 {
+        sim.step();
+    }
+    let by_hand: f64 = sim.nodes().map(|(_, node)| node.inner().mass().weight).sum();
+    assert_eq!(trial.probe, Some(by_hand));
+    assert!(trial.series.last().unwrap().mass_audit > 1e-3, "the attack was live");
+    // Mass inflation forges the value of what it sends, never a weight:
+    // the honest run of the same seed weighs the same.
+    let honest = run_trial(&format!("{VALID}\n[output]\nprobe = \"mass-weight\"\n"));
+    assert_eq!(trial.probe, honest.probe);
+    assert!(honest.series.last().unwrap().mass_audit.abs() < 1e-9);
+
+    let sketch = replace(
         VALID_ADVERSARY,
         "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01",
         "[protocol]\nname = \"count-sketch-reset\"",
     );
-    let src = replace(
-        &src,
+    let sketch = replace(
+        &sketch,
         "attack = \"mass-inflation\"\nfraction = 0.02\nfactor = 2.0",
         "attack = \"sketch-corruption\"\nfraction = 0.02\ncells = 4",
     );
-    let src = format!("{src}\n[output]\nreport = \"counter-cdf\"\n");
-    assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
+    let sketch = format!("{sketch}\n[output]\nreport = \"counter-cdf\"\n");
+    assert!(run_trial(&sketch).counter_samples.is_some());
+
+    // 256 forged cells fill bit indices 0..4 of all 64 bins. 200 honest
+    // hosts source a shrinking share of them (a host claims index k with
+    // probability 2^-(k+1)), so the forged run holds finite counters
+    // where the honest run of the same seed holds none.
+    let forged = run_trial(&replace(&sketch, "cells = 4", "cells = 256")).counter_samples.unwrap();
+    let honest = sketch.split("[adversary]").next().unwrap();
+    let honest = format!("{honest}\n[output]\nreport = \"counter-cdf\"\n");
+    let honest = run_trial(&honest).counter_samples.unwrap();
+    for k in 0..4 {
+        let (forged, honest): (u64, u64) = (forged[k].iter().sum(), honest[k].iter().sum());
+        assert!(forged > honest, "bit index {k}: {forged} forged vs {honest} honest counters");
+    }
 }
 
 #[test]

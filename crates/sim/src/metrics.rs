@@ -424,35 +424,6 @@ impl Series {
     pub fn total_messages(&self) -> u64 {
         self.rounds.iter().map(|s| s.messages).sum()
     }
-
-    /// CSV export (header + one row per round).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "round,alive,truth,mean_estimate,stddev,mean_abs_err,max_abs_err,defined,messages,bytes,wire_bytes,mean_group_size,settling,disruptions,mass_audit,islands\n",
-        );
-        for s in &self.rounds {
-            out.push_str(&format!(
-                "{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{:.3},{},{},{:.6},{}\n",
-                s.round,
-                s.alive,
-                s.truth,
-                s.mean_estimate,
-                s.stddev,
-                s.mean_abs_err,
-                s.max_abs_err,
-                s.defined,
-                s.messages,
-                s.bytes,
-                s.wire_bytes,
-                s.mean_group_size,
-                s.settling,
-                s.disruptions,
-                s.mass_audit,
-                s.islands,
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -538,20 +509,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let mut series = Series::default();
+    fn lifecycle_tallies_reach_the_round_stats() {
         let mut acc = StatsAcc::default();
         acc.add(1.0, 1.0);
         acc.note_lifecycle(true, 3);
-        series.push(acc.finish(0, 1, 2, 32, 42, 0.0));
-        let csv = series.to_csv();
-        assert!(csv.starts_with("round,alive"));
-        assert!(csv.lines().next().unwrap().ends_with("settling,disruptions,mass_audit,islands"));
-        assert_eq!(csv.lines().count(), 2);
-        assert!(
-            csv.lines().nth(1).unwrap().ends_with(",1,3,0.000000,1"),
-            "lifecycle + chaos columns: {csv}"
-        );
+        let stats = acc.finish(0, 1, 2, 32, 42, 0.0);
+        assert_eq!((stats.settling, stats.disruptions), (1, 3));
+        assert_eq!((stats.mass_audit, stats.islands), (0.0, 1), "chaos columns default clean");
     }
 
     #[test]
