@@ -21,7 +21,7 @@ use dynagg_scenario::{
     EnvSpec, Metric, ProtocolSpec, Report, ScenarioSpec, Sweep, SweepAxis, ValueSpec,
 };
 use dynagg_sim::Truth;
-use dynagg_sketch::age::INF_AGE;
+use dynagg_sketch::age::MAX_FINITE_AGE;
 use dynagg_sketch::cutoff::Cutoff;
 
 /// Rounds to converge before reading counters.
@@ -126,7 +126,7 @@ impl CounterDistribution {
                 }
             }
             cdf.push(row);
-            p99.push(p99_val.unwrap_or(f64::from(INF_AGE - 1)));
+            p99.push(p99_val.unwrap_or(f64::from(MAX_FINITE_AGE)));
         }
         let fit = linear_fit(&p99);
         CounterDistribution { n, cdf, p99, fit }

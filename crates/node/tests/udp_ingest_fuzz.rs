@@ -18,7 +18,9 @@
 //!    `max_round_lag` guard: `stale_frames` counts exactly the frames
 //!    the guard rejects, duplicates included. A sketch frame that
 //!    decodes but names another geometry than the receiver's is dropped
-//!    like a lost one.
+//!    like a lost one, and every truncation and bit flip of a sketch
+//!    frame aged up to the saturation clamp is merged or refused, never
+//!    fatal.
 
 use dynagg_core::config::{ResetConfig, SketchConfig};
 use dynagg_core::count_sketch::CountSketch;
@@ -255,6 +257,62 @@ proptest! {
         FrameHeader { kind: FrameKind::Initiation, sender_round: 0 }.encode(&mut good);
         Mass::new(0.5, 1.0).encode(&mut good);
         prop_assert!(rt.handle(1, &good).is_ok());
+    }
+}
+
+proptest! {
+    /// Sketch frames whose oldest cell sits at or near the saturation
+    /// clamp, through the runtime: every truncation is refused, every
+    /// single-bit flip is merged or refused without a panic, and an age
+    /// byte one past the clamp — the code the one-byte stamp window gave
+    /// up, which no encoder emits — is refused with the state untouched.
+    #[test]
+    fn sketch_frames_aged_to_the_clamp_survive_truncations_and_bit_flips(
+        aged in prop_oneof![0u16..8, 120u16..130, 248u16..262],
+    ) {
+        let reset = ResetConfig::paper(1000, 7);
+        // The sender's own cell stays pinned at 0; the cell it heard from
+        // a third host ages once per emitted snapshot.
+        let mut sender = CountSketchReset::counting(reset, 1);
+        let heard = CountSketchReset::counting(reset, 2).emit_snapshot();
+        sender.absorb(&heard);
+        let mut snapshot = sender.emit_snapshot();
+        for _ in 0..aged {
+            snapshot = sender.emit_snapshot();
+        }
+        // 253 is `dynagg_sketch::age::MAX_FINITE_AGE`, spelled out because
+        // this crate reaches the sketch crate only through `dynagg_core`.
+        let oldest = snapshot.finite_cells().map(|(_, _, age)| age).max().expect("two cells");
+        prop_assert_eq!(u16::from(oldest), (aged + 1).min(253), "ages saturate at the clamp");
+        let mut frame = Vec::new();
+        FrameHeader { kind: FrameKind::Initiation, sender_round: 0 }.encode(&mut frame);
+        let body_at = frame.len();
+        snapshot.encode(&mut frame);
+
+        let receiver = || {
+            NodeRuntime::new(RuntimeConfig::for_node(0, 100), CountSketchReset::counting(reset, 0))
+        };
+        let mut rt = receiver();
+        prop_assert!(rt.handle(1, &frame).is_ok(), "the sender's own frame merges");
+        prop_assert_eq!(rt.protocol().ages().finite_cells().count(), 3);
+        for cut in body_at..frame.len() {
+            prop_assert!(rt.handle(1, &frame[..cut]).is_err(), "prefix {} decoded", cut);
+        }
+        let mut flipped = frame.clone();
+        for bit in body_at * 8..frame.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = rt.handle(1, &flipped); // must never panic
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        prop_assert!(rt.estimate().is_some(), "runtime still estimating after the storm");
+
+        // The last byte of the frame is an age (planes end in ages); one
+        // past the clamp is not an age any more.
+        let mut rt = receiver();
+        let before = rt.protocol().ages().clone();
+        *flipped.last_mut().expect("non-empty frame") = 254;
+        prop_assert!(rt.handle(1, &flipped).is_err());
+        prop_assert_eq!(rt.protocol().ages(), &before);
     }
 }
 

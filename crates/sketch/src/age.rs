@@ -36,15 +36,22 @@
 //! cell; 0 is the identity, preserving the ∞ sentinel). Min-of-ages and
 //! max-of-stamps agree even past the saturation boundary because
 //! clamping is monotone: `clamp(min(e₁,e₂)) = min(clamp(e₁), clamp(e₂))`.
-//! When two matrices' clocks differ (a decoded wire view restarts at the
-//! base clock), the peer's stamps are translated by the clock delta
-//! first, which preserves each cell's true elapsed age exactly.
 //!
-//! Stamps are `u16`; the clock starts at [`MAX_FINITE_AGE`] so every
-//! representable age has a stamp ≥ 1, and once the clock nears `u16::MAX`
-//! (once per ~65 000 ticks) the matrix *rebases*: stamps shift down in
-//! one pass and the clock returns to base, preserving every clamped age.
-//! The eager representation this replaced is retained verbatim as
+//! A stamp is **one byte**, the paper's counter width, so a merge streams
+//! exactly the bytes the eager matrix would. A byte holds the ∞ sentinel
+//! plus 255 stamps, and the clock moves in a window of two values: at
+//! the base clock [`MAX_FINITE_AGE`] the ages `0..=MAX_FINITE_AGE` take
+//! stamps `now + 1 ..= 1`, and one tick later the pinned cells take the
+//! one stamp above that, `u8::MAX`. That spare code is why
+//! `MAX_FINITE_AGE` is 253 and not 254. Every merge translates both
+//! operands to the base clock as it takes their max (a saturating
+//! subtract of the operand's clock offset, 0 or 1, floored at 1 for
+//! finite cells — exact on each cell's clamped age) and leaves its result
+//! there, so the gossip rhythm tick → merge → tick never leaves the
+//! window. Only a tick that follows a tick with no merge between must
+//! first shift the stamps down itself: one eager pass over the cells,
+//! which is what the eager representation pays on *every* tick.
+//! That representation is retained verbatim as
 //! [`crate::reference::RefAgeMatrix`] and the two are proven
 //! indistinguishable by the differential suite in
 //! `tests/lazy_equivalence.rs`.
@@ -65,21 +72,19 @@ pub const INF_AGE: u8 = u8::MAX;
 
 /// Largest representable finite age; ages saturate here so a very old
 /// cell never wraps around into looking fresh. All practical cutoffs are
-/// far below this.
-pub const MAX_FINITE_AGE: u8 = u8::MAX - 1;
+/// far below this. Two below `u8::MAX`: one code is [`INF_AGE`], one is
+/// the stamp of a cell pinned a tick past the base clock.
+pub const MAX_FINITE_AGE: u8 = u8::MAX - 2;
 
-/// The clock value of a fresh (or freshly decoded) matrix. Starting at
+/// The clock value of a fresh, freshly decoded or freshly merged matrix;
+/// a tick moves the clock one past it and no further. Starting at
 /// `MAX_FINITE_AGE` keeps every stamp for ages `0..=MAX_FINITE_AGE`
 /// at least 1, so stamp 0 can mean ∞ unambiguously.
-const BASE_NOW: u16 = MAX_FINITE_AGE as u16;
-
-/// Clock value that triggers a rebase at the next [`AgeMatrix::tick`],
-/// leaving headroom so `now + 2` can never overflow between rebases.
-const REBASE_AT: u16 = 0xFF00;
+const BASE_NOW: u8 = MAX_FINITE_AGE;
 
 /// Clamped age of a stamp under clock `now` (`INF_AGE` for the 0 sentinel).
 #[inline]
-fn age_of(now: u16, s: u16) -> u8 {
+fn age_of(now: u8, s: u8) -> u8 {
     if s == 0 {
         INF_AGE
     } else {
@@ -92,16 +97,27 @@ fn age_of(now: u16, s: u16) -> u8 {
 /// there — so a branch-free pass may call it on every stamp and discard
 /// the sentinels' bytes.
 #[inline]
-pub(crate) fn finite_age_of(now: u16, s: u16) -> u8 {
-    (u32::from(now) + 1 - u32::from(s)).min(u32::from(MAX_FINITE_AGE)) as u8
+pub(crate) fn finite_age_of(now: u8, s: u8) -> u8 {
+    (now + 1 - s).min(MAX_FINITE_AGE)
 }
 
-/// Stamp of a cell of age `a` under the base clock — what a matrix loaded
-/// from age bytes holds. One mapping covers both kinds: `255 − a` puts age
-/// 0 at `BASE_NOW + 1`, age 254 at 1, and `INF_AGE` (255) at the 0 sentinel.
+/// Stamp of a finite cell of age `a ≤ MAX_FINITE_AGE` under the base
+/// clock — what a matrix loaded from age bytes holds: age 0 sits at
+/// `BASE_NOW + 1`, [`MAX_FINITE_AGE`] at 1, clear of the 0 sentinel.
 #[inline]
-pub(crate) fn wire_stamp(a: u8) -> u16 {
-    u16::from(u8::MAX - a)
+pub(crate) fn wire_stamp(a: u8) -> u8 {
+    BASE_NOW + 1 - a
+}
+
+/// The younger of two stamps at the base clock, `s` and `o` each coming
+/// from a matrix whose clock is `mine` / `theirs` (0 or 1) past it. The
+/// subtraction maps the ∞ sentinel to itself; the last term floors a
+/// finite stamp at 1 — for an offset of at most 1 only stamp 1 can sink
+/// below, and `& 1` picks it out — so a cell past the clamp stays exactly
+/// [`MAX_FINITE_AGE`], matching eager saturation. Six packed byte ops.
+#[inline]
+fn max_at_base(s: u8, mine: u8, o: u8, theirs: u8) -> u8 {
+    s.saturating_sub(mine).max(o.saturating_sub(theirs)).max((s | o) & 1)
 }
 
 /// Codec memo for one matrix: the encoded payload (and its length) of the
@@ -128,13 +144,14 @@ pub(crate) struct EncodeSlot {
 pub struct AgeMatrix {
     m: u32,
     l: u8,
-    /// Matrix-global clock; a cell's age is `now + 1 − stamp`, clamped.
-    now: u16,
+    /// Matrix-global clock, `BASE_NOW` or one tick past it; a cell's age
+    /// is `now + 1 − stamp`, clamped.
+    now: u8,
     /// Register-major (column-major) birth stamps: `l + 1` columns of `m`
     /// stamps each, so column `k` — what the estimate's live-run scan and
     /// the wire codec's plane pass both read — is contiguous. 0 = never
     /// sourced.
-    stamps: Box<[u16]>,
+    stamps: Box<[u8]>,
     /// Flat indices of cells this host sources (kept pinned at age 0).
     /// Sorted and deduplicated.
     own: Vec<u32>,
@@ -190,7 +207,7 @@ impl AgeMatrix {
             m,
             l,
             now: BASE_NOW,
-            stamps: vec![0u16; cells].into_boxed_slice(),
+            stamps: vec![0u8; cells].into_boxed_slice(),
             own: Vec::new(),
             version: 1,
             cache: Mutex::new(EncodeSlot::default()),
@@ -230,13 +247,13 @@ impl AgeMatrix {
     /// The matrix clock and the register-major stamps under it, column `k`
     /// at `[k·m, (k+1)·m)`: the wire encoder reads planes straight off the
     /// storage ([`finite_age_of`] turns a stamp into its wire byte).
-    pub(crate) fn clock_and_stamps(&self) -> (u16, &[u16]) {
+    pub(crate) fn clock_and_stamps(&self) -> (u8, &[u8]) {
         (self.now, &self.stamps)
     }
 
     /// The stamps of a matrix whose clock is still at base — a fresh one
     /// the wire decoder fills in place through [`wire_stamp`].
-    pub(crate) fn base_stamps_mut(&mut self) -> &mut [u16] {
+    pub(crate) fn base_stamps_mut(&mut self) -> &mut [u8] {
         debug_assert_eq!(self.now, BASE_NOW, "only a base-clock matrix takes wire stamps");
         self.bump();
         &mut self.stamps
@@ -345,10 +362,13 @@ impl AgeMatrix {
     /// (saturating at [`MAX_FINITE_AGE`]) *except* the cells this host
     /// sources, which stay pinned at 0.
     ///
-    /// O(own), not O(m·l): unsourced cells age implicitly through the
-    /// clock bump; only the pinned cells are rewritten.
+    /// O(own), not O(m·l), when a merge came since the last tick (every
+    /// gossip round with an exchange): unsourced cells age implicitly
+    /// through the clock bump; only the pinned cells are rewritten. A tick
+    /// straight after a tick first pays the one pass over the cells that a
+    /// merge would have folded in.
     pub fn tick(&mut self) {
-        if self.now >= REBASE_AT {
+        if self.now != BASE_NOW {
             self.rebase();
         }
         self.now += 1;
@@ -360,23 +380,23 @@ impl AgeMatrix {
     }
 
     /// Shift every stamp down so the clock returns to [`BASE_NOW`],
-    /// preserving every clamped age (cells older than the clamp floor at
-    /// stamp 1, which reads as exactly [`MAX_FINITE_AGE`] — the value the
-    /// eager representation saturates to). Amortized cost ≈ one cell pass
-    /// per 65 000 ticks.
+    /// preserving every clamped age: one pass over the cells, the eager
+    /// representation's per-tick cost.
     fn rebase(&mut self) {
-        let shift = self.now - BASE_NOW;
+        let ahead = self.now - BASE_NOW;
         for s in self.stamps.iter_mut() {
-            *s = (*s).saturating_sub(shift).max(u16::from(*s != 0));
+            *s = max_at_base(*s, ahead, 0, 0);
         }
         self.now = BASE_NOW;
+        #[cfg(test)]
+        tests::STANDALONE_REBASES.with(|n| n.set(n.get() + 1));
     }
 
     /// Replace every counter from a flat bin-major cell slice (the inverse
     /// of [`dump_ages`](AgeMatrix::dump_ages)). Clears ownership: the
     /// cells are a peer's *view*, not sourcing duties. The clock restarts
-    /// at base, so the loaded matrix merges through the clock-translation
-    /// path, exactly like a decoded wire frame.
+    /// at base, exactly like a decoded wire frame. A byte above
+    /// [`MAX_FINITE_AGE`] loads as [`INF_AGE`].
     ///
     /// # Panics
     /// Panics if `cells` does not match the matrix geometry.
@@ -387,7 +407,7 @@ impl AgeMatrix {
         let row = self.row_len();
         for (bin, ages) in cells.chunks_exact(row).enumerate() {
             for (k, &a) in ages.iter().enumerate() {
-                self.stamps[k * m + bin] = wire_stamp(a);
+                self.stamps[k * m + bin] = if a > MAX_FINITE_AGE { 0 } else { wire_stamp(a) };
             }
         }
         self.own.clear();
@@ -395,44 +415,26 @@ impl AgeMatrix {
     }
 
     /// Element-wise min-merge of a peer's matrix (Fig. 5 step 5), computed
-    /// as a branchless word-level **max of birth stamps** (the compiler
-    /// lowers each loop to packed `u16` max). Own cells stay pinned at 0
+    /// as a branchless **max of birth stamps** (the compiler lowers the
+    /// loop to packed `u8` lanes). Own cells stay pinned at 0
     /// automatically: their stamp `now + 1` is the lattice top.
     ///
-    /// When the clocks differ (decoded views, hosts that missed rounds),
-    /// the peer's stamps are translated by the clock delta first — an
-    /// exact operation on each cell's true elapsed age, so merge results
-    /// are identical to the eager element-wise min.
+    /// Both operands are translated to the base clock on the way — an
+    /// exact operation on each cell's clamped age, so merge results are
+    /// identical to the eager element-wise min — and the merged matrix is
+    /// left there, which is what keeps the next [`tick`](AgeMatrix::tick)
+    /// O(own).
     ///
     /// # Panics
     /// Panics on geometry mismatch.
     pub fn merge_min(&mut self, other: &AgeMatrix) {
         assert_eq!(self.m, other.m, "bin-count mismatch");
         assert_eq!(self.l, other.l, "width mismatch");
-        if self.now == other.now {
-            // Aligned clocks — the lockstep common case: a pure lane max.
-            for (s, &o) in self.stamps.iter_mut().zip(other.stamps.iter()) {
-                *s = (*s).max(o);
-            }
-        } else if self.now > other.now {
-            // Peer clock behind (decoded views start at base): lift its
-            // stamps by the delta. No overflow: o ≤ other.now + 1, so
-            // o + d ≤ self.now + 1. The ∞ sentinel maps to itself.
-            let d = self.now - other.now;
-            for (s, &o) in self.stamps.iter_mut().zip(other.stamps.iter()) {
-                let t = if o == 0 { 0 } else { o + d };
-                *s = (*s).max(t);
-            }
-        } else {
-            // Peer clock ahead (this host missed rounds): lower its
-            // stamps, flooring finite cells at 1 — ages past the clamp
-            // stay exactly [`MAX_FINITE_AGE`], matching eager saturation.
-            let d = other.now - self.now;
-            for (s, &o) in self.stamps.iter_mut().zip(other.stamps.iter()) {
-                let t = o.saturating_sub(d).max(u16::from(o != 0));
-                *s = (*s).max(t);
-            }
+        let (mine, theirs) = (self.now - BASE_NOW, other.now - BASE_NOW);
+        for (s, &o) in self.stamps.iter_mut().zip(other.stamps.iter()) {
+            *s = max_at_base(*s, mine, o, theirs);
         }
+        self.now = BASE_NOW;
         self.bump();
     }
 
@@ -448,48 +450,42 @@ impl AgeMatrix {
     pub fn merged_with(&self, other: &AgeMatrix) -> AgeMatrix {
         assert_eq!(self.m, other.m, "bin-count mismatch");
         assert_eq!(self.l, other.l, "width mismatch");
+        let (mine, theirs) = (self.now - BASE_NOW, other.now - BASE_NOW);
         let pairs = self.stamps.iter().zip(other.stamps.iter());
-        let stamps: Box<[u16]> = if self.now == other.now {
-            pairs.map(|(&s, &o)| s.max(o)).collect()
-        } else if self.now > other.now {
-            let d = self.now - other.now;
-            pairs.map(|(&s, &o)| s.max(if o == 0 { 0 } else { o + d })).collect()
-        } else {
-            let d = other.now - self.now;
-            pairs.map(|(&s, &o)| s.max(o.saturating_sub(d).max(u16::from(o != 0)))).collect()
-        };
         AgeMatrix {
             m: self.m,
             l: self.l,
-            now: self.now,
-            stamps,
+            now: BASE_NOW,
+            stamps: pairs.map(|(&s, &o)| max_at_base(s, mine, o, theirs)).collect(),
             own: self.own.clone(),
             version: self.version.wrapping_add(1),
             cache: Mutex::new(EncodeSlot::default()),
         }
     }
 
-    /// Lowest stamp a finite cell at register `k` may hold and still be
-    /// admitted by `cutoff`. Precomputing this per call site turns the
-    /// per-cell float compare of `Cutoff::admits` into one `u16` compare;
-    /// stamp 0 (∞) never passes because the floor is always ≥ 1.
-    fn stamp_floor(&self, cutoff: &Cutoff, k: u8) -> u16 {
+    /// Exclusive admission floor: the highest stamp a cell at register `k`
+    /// may hold and *not* be admitted by `cutoff`, so a cell is live iff
+    /// its stamp is strictly above. Precomputing this per call site turns
+    /// the per-cell float compare of `Cutoff::admits` into one `u8`
+    /// compare; stamp 0 (∞) is above no floor. (Exclusive because the
+    /// pinned stamp can be `u8::MAX`, which no inclusive floor excludes.)
+    fn stamp_floor(&self, cutoff: &Cutoff, k: u8) -> u8 {
         match cutoff.threshold(k) {
             // Infinite cutoff: every finite stamp is live.
-            None => 1,
+            None => 0,
             Some(t) => {
                 if t.is_nan() || t < 0.0 {
                     // Negative (or NaN) threshold admits no age at all.
-                    // `now + 2` exceeds every valid stamp.
-                    self.now + 2
+                    u8::MAX
                 } else if t >= f64::from(MAX_FINITE_AGE) {
                     // Ages clamp at MAX_FINITE_AGE, so every finite cell
                     // is admitted.
-                    1
+                    0
                 } else {
-                    // 0 ≤ t < 254: `age ≤ t ⇔ age ≤ ⌊t⌋` for integer
-                    // ages, and truncation is floor for non-negative t.
-                    self.now + 1 - t as u16
+                    // 0 ≤ t < MAX_FINITE_AGE: `age ≤ t ⇔ age ≤ ⌊t⌋` for
+                    // integer ages, and truncation is floor for
+                    // non-negative t.
+                    self.now - t as u8
                 }
             }
         }
@@ -497,7 +493,7 @@ impl AgeMatrix {
 
     /// Fill `lo[..row]` with per-register admission floors.
     #[inline]
-    fn stamp_floors(&self, cutoff: &Cutoff, lo: &mut [u16; MAX_ROW]) {
+    fn stamp_floors(&self, cutoff: &Cutoff, lo: &mut [u8; MAX_ROW]) {
         for (k, slot) in lo[..self.row_len()].iter_mut().enumerate() {
             *slot = self.stamp_floor(cutoff, k as u8);
         }
@@ -523,11 +519,11 @@ impl AgeMatrix {
         assert_eq!(out.width(), self.l, "width mismatch");
         out.clear();
         let m = self.m as usize;
-        let mut lo = [0u16; MAX_ROW];
+        let mut lo = [0u8; MAX_ROW];
         self.stamp_floors(cutoff, &mut lo);
         for (k, (col, &f)) in self.stamps.chunks_exact(m).zip(&lo[..self.row_len()]).enumerate() {
             for (bin, &s) in col.iter().enumerate() {
-                if s >= f {
+                if s > f {
                     out.set_cell(bin as u32, k as u8);
                 }
             }
@@ -562,7 +558,7 @@ impl AgeMatrix {
     /// both vectorizes and reads only the surviving-column prefix.
     fn live_run_sum(&self, cutoff: &Cutoff) -> u32 {
         let m = self.m as usize;
-        let mut lo = [0u16; MAX_ROW];
+        let mut lo = [0u8; MAX_ROW];
         self.stamp_floors(cutoff, &mut lo);
         let mut sum = 0u32;
         // Stack budget for the per-bin alive flags; geometries beyond it
@@ -581,7 +577,7 @@ impl AgeMatrix {
         for (col, &f) in self.stamps.chunks_exact(m).zip(&lo[..usize::from(self.l)]) {
             let mut survivors = 0u32;
             for (a, &s) in alive.iter_mut().zip(col) {
-                *a &= u8::from(s >= f);
+                *a &= u8::from(s > f);
                 survivors += u32::from(*a);
             }
             sum += survivors;
@@ -618,6 +614,13 @@ pub use estimate::expected_error;
 mod tests {
     use super::*;
     use crate::hash::SplitMix64;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Eager passes [`AgeMatrix::rebase`] has run on this thread —
+        /// each test runs on its own.
+        pub(super) static STANDALONE_REBASES: Cell<u32> = const { Cell::new(0) };
+    }
 
     #[test]
     fn new_matrix_is_all_infinite() {
@@ -739,6 +742,43 @@ mod tests {
         assert_eq!(m.age(1, 1), 7);
         assert_eq!(m.age(2, 2), 0, "still owned");
         assert_eq!(m.age(3, 3), INF_AGE);
+    }
+
+    #[test]
+    fn merges_land_on_the_base_clock_and_spare_the_next_tick_its_pass() {
+        let h = SplitMix64::new(9);
+        let rounds = 40u32;
+        let mut hosts: Vec<AgeMatrix> = (0..4u64)
+            .map(|id| {
+                let mut m = AgeMatrix::new(16, 12);
+                m.claim_id(&h, id);
+                m
+            })
+            .collect();
+        // Gossip rhythm: every host ticks, then merges a peer that has or
+        // has not merged yet this round — in place or out of place — and
+        // is merged back into that peer's snapshot, so all four (self,
+        // peer) clock combinations occur.
+        for round in 0..rounds as usize {
+            hosts.iter_mut().for_each(AgeMatrix::tick);
+            for i in 0..hosts.len() {
+                let peer = hosts[(i + 1 + round % 3) % hosts.len()].clone();
+                if round % 2 == 0 {
+                    hosts[i].merge_min(&peer);
+                } else {
+                    hosts[i] = hosts[i].merged_with(&peer);
+                }
+                assert_eq!(hosts[i].now, BASE_NOW, "a merged matrix is at the base clock");
+                assert_eq!(peer.merged_with(&hosts[i]).now, BASE_NOW);
+            }
+        }
+        assert_eq!(STANDALONE_REBASES.get(), 0, "a merge between ticks folds the rebase in");
+        // Back-to-back ticks: every tick but the first pays the pass.
+        let mut lone = hosts.swap_remove(0);
+        for _ in 0..rounds {
+            lone.tick();
+        }
+        assert_eq!(STANDALONE_REBASES.get(), rounds - 1);
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! probe ([`encoded_len_ages`]) fills the same slot without building the
 //! payload.
 
-use crate::age::{finite_age_of, wire_stamp, AgeMatrix, EncodeSlot, INF_AGE};
+use crate::age::{finite_age_of, wire_stamp, AgeMatrix, EncodeSlot, MAX_FINITE_AGE};
 use crate::pcsa::Pcsa;
 use std::sync::{Arc, MutexGuard};
 
@@ -91,7 +91,7 @@ impl std::error::Error for CodecError {}
 /// ⌈m/8⌉-byte bitmap, so a frame with one can only make the decoder
 /// allocate in proportion to its own length; an all-∞ matrix is five
 /// header bytes and a zero mask whatever geometry it claims, so that one
-/// case is capped — 1 024 bins × 64 registers, 128 KiB of stamps.
+/// case is capped — 1 024 bins × 64 registers, 64 KiB of stamps.
 pub const MAX_EMPTY_CELLS: u64 = 1 << 16;
 
 /// Bytes of the presence mask for register width `l`: one bit per
@@ -114,8 +114,8 @@ fn lock_memo(m: &AgeMatrix) -> MutexGuard<'_, EncodeSlot> {
 ///
 /// Bits are LSB-first within a byte. Absent columns, bitmap bits beyond
 /// `m`, mask bits beyond `l`, a present column without a set bit, an age
-/// byte equal to [`INF_AGE`] and trailing bytes never occur — which is
-/// what makes the encoding canonical.
+/// byte above [`MAX_FINITE_AGE`] and trailing bytes never occur — which
+/// is what makes the encoding canonical.
 ///
 /// Owned-cell bookkeeping is *not* encoded: a receiver merges the ages; it
 /// never inherits sourcing duties (Fig. 5's exchange sends counters only).
@@ -203,7 +203,7 @@ pub fn decode_ages(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
     }
     // Pre-allocation guard: nothing is reserved for geometry the payload
     // does not pay for. A present column costs its bitmap plus at least
-    // one age, so the stamps allocated below are at most 16·(l+1) bytes
+    // one age, so the stamps allocated below are at most 8·(l+1) bytes
     // per payload byte; only the all-∞ matrix is described in fewer, and
     // that one is capped (see `MAX_EMPTY_CELLS`).
     let bitmap_len = (m as usize).div_ceil(8);
@@ -235,8 +235,9 @@ pub fn decode_ages(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
             return Err(CodecError::Truncated);
         }
         let (ages, tail) = tail.split_at(finite);
-        if ages.contains(&INF_AGE) {
-            return Err(CodecError::Malformed("age byte is the INF sentinel"));
+        // A whole-slice max, not a short-circuiting search: it vectorizes.
+        if ages.iter().fold(0, |oldest, &a| oldest.max(a)) > MAX_FINITE_AGE {
+            return Err(CodecError::Malformed("age byte is past the saturation clamp"));
         }
         let mut ages = ages.iter();
         for (group, &byte) in col.chunks_mut(8).zip(bitmap) {
@@ -345,6 +346,7 @@ pub fn decode_pcsa(bytes: &[u8]) -> Result<Pcsa, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::age::INF_AGE;
     use crate::cutoff::Cutoff;
     use crate::hash::SplitMix64;
 
@@ -462,7 +464,9 @@ mod tests {
         assert!(malformed(&[0b100, 0b01, 4]).contains("register beyond"));
         assert!(malformed(&[0b01, 0b100, 4]).contains("bin beyond"));
         assert!(malformed(&[0b01, 0b00, 4]).contains("no finite cell"));
-        assert!(malformed(&[0b01, 0b01, INF_AGE]).contains("INF sentinel"));
+        assert!(malformed(&[0b01, 0b01, INF_AGE]).contains("saturation clamp"));
+        assert!(malformed(&[0b01, 0b01, MAX_FINITE_AGE + 1]).contains("saturation clamp"));
+        assert!(decode_ages(&frame(&[0b01, 0b01, MAX_FINITE_AGE])).is_ok());
         assert_eq!(malformed(&[0b01, 0b01, 4, 0]), "trailing bytes");
         assert_eq!(malformed(&[0, 0]), "trailing bytes");
         assert_eq!(decode_ages(&frame(&[])), Err(CodecError::Truncated));

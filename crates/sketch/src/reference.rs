@@ -1,11 +1,14 @@
 //! Retained scalar reference for the lazy-aged [`AgeMatrix`].
 //!
-//! [`crate::age::AgeMatrix`] stores birth stamps and a matrix-global clock
-//! so that `tick` is O(own) instead of O(m·l). Every golden digest in the
-//! repo pins behavior of the *eager* representation it replaced — one `u8`
-//! age per cell, incremented cell-by-cell each round — so the lazy matrix
-//! is only correct if the two can never be told apart through any public
-//! observation: ages, estimates, cutoff admits, or encoded wire bytes.
+//! [`crate::age::AgeMatrix`] stores one-byte birth stamps and a
+//! matrix-global clock so that `tick` is O(own) instead of O(m·l). Every
+//! golden digest in the repo pins behavior of the *eager* representation
+//! it replaced — one `u8` age per cell, incremented cell-by-cell each
+//! round — so the lazy matrix is only correct if the two can never be told
+//! apart through any public observation: ages, estimates, cutoff admits,
+//! or encoded wire bytes. The two share [`MAX_FINITE_AGE`] (253: the lazy
+//! matrix spends one byte code on the stamp of a cell pinned a tick past
+//! its base clock), so the saturation boundary is part of what is compared.
 //!
 //! [`RefAgeMatrix`] *is* that eager representation, kept verbatim (same
 //! branchless tick, same scalar min-merge, same estimate path), plus an
@@ -19,7 +22,7 @@
 //!
 //! This module is test infrastructure: nothing on a hot path uses it, and
 //! the benchmark's `sketch.age.lazy_vs_ref_merge` metric times it as the
-//! "before" column.
+//! "before" column — both sides of that ratio now stream one byte per cell.
 //!
 //! [`AgeMatrix`]: crate::age::AgeMatrix
 

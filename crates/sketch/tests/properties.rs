@@ -9,13 +9,20 @@
 //! They also pin the age-matrix wire decoder as a total function over
 //! untrusted bytes: no panic, no allocation the payload does not back,
 //! and nothing accepted but the one canonical encoding of a matrix.
+//!
+//! And they pin the one-byte stamp window of [`AgeMatrix`] from outside:
+//! in-place and out-of-place merges agree with the eager reference across
+//! every (self, peer) clock combination, the admission floors agree with
+//! [`Cutoff::admits`] at the saturation clamp, and a matrix costs one
+//! byte per cell.
 
-use dynagg_sketch::age::{AgeMatrix, INF_AGE};
+use dynagg_sketch::age::{AgeMatrix, INF_AGE, MAX_FINITE_AGE};
 use dynagg_sketch::codec::{self, CodecError, MAX_EMPTY_CELLS};
 use dynagg_sketch::cutoff::Cutoff;
 use dynagg_sketch::estimate::width_for;
 use dynagg_sketch::hash::{Hash64, SplitMix64, XxLike64};
 use dynagg_sketch::pcsa::Pcsa;
+use dynagg_sketch::reference::RefAgeMatrix;
 use dynagg_sketch::rho::{bin_and_rho, rho};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -71,17 +78,22 @@ unsafe impl GlobalAlloc for NotingAlloc {
 #[global_allocator]
 static ALLOC: NotingAlloc = NotingAlloc;
 
+/// Run `f` and report the largest single request it made of the allocator.
+fn largest_request_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_REQUEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST_REQUEST.with(Cell::get))
+}
+
 /// Decode `bytes` and check the three things that must hold of *any*
 /// input: the call returns; its largest allocation is one the guard
-/// allows — the stamps of [`MAX_EMPTY_CELLS`] cells, or of the at most
-/// `8 · len` bins × 64 registers a frame with a present column can back
-/// with its bitmap; and an accepted input is the canonical encoding of
-/// what it decoded to.
+/// allows — the one-byte stamps of [`MAX_EMPTY_CELLS`] cells, or of the
+/// at most `8 · len` bins × 64 registers a frame with a present column
+/// can back with its bitmap; and an accepted input is the canonical
+/// encoding of what it decoded to.
 fn decode_checked(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
-    LARGEST_REQUEST.with(|c| c.set(0));
-    let decoded = codec::decode_ages(bytes);
-    let largest = LARGEST_REQUEST.with(Cell::get);
-    let allowed = 2 * (MAX_EMPTY_CELLS as usize).max(8 * 64 * bytes.len());
+    let (decoded, largest) = largest_request_during(|| codec::decode_ages(bytes));
+    let allowed = (MAX_EMPTY_CELLS as usize).max(8 * 64 * bytes.len());
     assert!(largest <= allowed, "{largest} B requested for a {} B frame", bytes.len());
     if let Ok(m) = &decoded {
         assert_eq!(codec::encode_ages(m), bytes, "accepted a non-canonical encoding");
@@ -111,7 +123,115 @@ fn age_from_ids(ids: &[u64], ticks: u8) -> AgeMatrix {
     m
 }
 
+/// One gossip host three ways: merged in place, merged out of place
+/// (the copy-on-write path), and the eager reference.
+struct Host {
+    in_place: AgeMatrix,
+    out_of_place: AgeMatrix,
+    eager: RefAgeMatrix,
+}
+
+impl Host {
+    fn new() -> Self {
+        Host {
+            in_place: AgeMatrix::new(M, L),
+            out_of_place: AgeMatrix::new(M, L),
+            eager: RefAgeMatrix::new(M, L),
+        }
+    }
+
+    fn check(&self) {
+        let mut cells = Vec::new();
+        self.in_place.dump_ages(&mut cells);
+        assert_eq!(cells, self.eager.cells(), "merge_min diverged from the eager reference");
+        assert_eq!(self.out_of_place, self.in_place, "merged_with diverged from merge_min");
+        assert_eq!(self.out_of_place.version(), self.in_place.version());
+        assert_eq!(codec::encode_ages(&self.out_of_place), self.eager.encode());
+    }
+}
+
+/// A step of a gossip program over a small population; host and cell
+/// indices are reduced modulo the population and the geometry.
+#[derive(Debug, Clone)]
+enum Step {
+    Tick { host: usize, times: u16 },
+    Merge { into: usize, from: usize },
+    Claim { host: usize, bin: u32, k: u8 },
+    Release { host: usize },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        // A tick leaves a host one past the base clock and a merge puts
+        // it back, so single ticks between merges are what mixes the
+        // clocks; the bursts cross the saturation clamp.
+        (0usize..3).prop_map(|host| Step::Tick { host, times: 1 }),
+        (0usize..3, 0u16..4).prop_map(|(host, times)| Step::Tick { host, times }),
+        (0usize..3, 240u16..270).prop_map(|(host, times)| Step::Tick { host, times }),
+        (0usize..3, 0usize..3).prop_map(|(into, from)| Step::Merge { into, from }),
+        (0usize..3, 0usize..3).prop_map(|(into, from)| Step::Merge { into, from }),
+        (0usize..3, any::<u32>(), any::<u8>()).prop_map(|(host, bin, k)| Step::Claim {
+            host,
+            bin,
+            k
+        }),
+        (0usize..3).prop_map(|host| Step::Release { host }),
+    ]
+}
+
 proptest! {
+    /// `merge_min` ≡ `merged_with` ≡ the eager min over arbitrary
+    /// tick / merge / claim / release interleavings. The fixed opening
+    /// walks the four (self, peer) clock combinations in order — both
+    /// ticked, self merged, both merged, peer merged — before the
+    /// generated steps mix them freely.
+    #[test]
+    fn merges_agree_with_the_reference_across_clock_combinations(
+        steps in proptest::collection::vec(step_strategy(), 0..50),
+    ) {
+        let opening = [
+            Step::Claim { host: 0, bin: 1, k: 2 },
+            Step::Claim { host: 1, bin: 3, k: 0 },
+            Step::Tick { host: 0, times: 1 },
+            Step::Tick { host: 1, times: 1 },
+            Step::Merge { into: 0, from: 1 },
+            Step::Merge { into: 0, from: 1 },
+            Step::Merge { into: 2, from: 0 },
+            Step::Merge { into: 1, from: 0 },
+        ];
+        let mut hosts = [Host::new(), Host::new(), Host::new()];
+        for step in opening.iter().chain(&steps) {
+            match *step {
+                Step::Tick { host, times } => {
+                    for _ in 0..times {
+                        hosts[host].in_place.tick();
+                        hosts[host].out_of_place.tick();
+                        hosts[host].eager.tick();
+                    }
+                }
+                Step::Merge { into, from } => {
+                    let peer = hosts[from].in_place.clone();
+                    let eager_peer = hosts[from].eager.clone();
+                    let host = &mut hosts[into];
+                    host.in_place.merge_min(&peer);
+                    host.out_of_place = host.out_of_place.merged_with(&peer);
+                    host.eager.merge_min(&eager_peer);
+                }
+                Step::Claim { host, bin, k } => {
+                    hosts[host].in_place.claim_cell(bin % M, k % (L + 1));
+                    hosts[host].out_of_place.claim_cell(bin % M, k % (L + 1));
+                    hosts[host].eager.claim_cell(bin % M, k % (L + 1));
+                }
+                Step::Release { host } => {
+                    hosts[host].in_place.release_all();
+                    hosts[host].out_of_place.release_all();
+                    hosts[host].eager.release_all();
+                }
+            }
+            hosts.iter().for_each(Host::check);
+        }
+    }
+
     #[test]
     fn rho_never_exceeds_cap(hash: u64, l in 1u8..=64) {
         prop_assert!(rho(hash, l) <= l);
@@ -356,14 +476,15 @@ proptest! {
     /// any small geometry, so bitmaps narrower than a byte and masks with
     /// spare bits are covered — is either rejected or is itself the
     /// canonical encoding of the matrix it decodes to (a flipped age bit
-    /// is just another matrix — unless it makes the ∞ sentinel, which the
-    /// long agings reach from 254 and 127).
+    /// is just another matrix — unless it makes a byte past the clamp, 254
+    /// or the ∞ sentinel, which the long agings reach from 253, 252, 127
+    /// and 126; the third arm parks the oldest cell on that edge).
     #[test]
     fn age_decoder_survives_truncations_and_bit_flips(
         bins_log2 in 0u32..5,
         l in 1u8..=24,
         cells in proptest::collection::vec((any::<u32>(), any::<u8>()), 0..40),
-        aged in prop_oneof![0u16..8, 100u16..300],
+        aged in prop_oneof![0u16..8, 100u16..300, 250u16..258],
     ) {
         let mut m = AgeMatrix::new(1 << bins_log2, l);
         for &(bin, k) in &cells {
@@ -447,4 +568,81 @@ fn converged_matrices_encode_below_their_raw_size() {
     assert!(codec::encoded_len_ages(&young) <= 32);
     young.claim_id(&SplitMix64::new(7), 42);
     assert!(codec::encoded_len_ages(&young) <= 32);
+}
+
+/// The admission floors against `Cutoff::admits` at every representable
+/// age, for the thresholds around the saturation clamp — where ages stop
+/// at `MAX_FINITE_AGE` while thresholds keep going — and for
+/// `async_spatial`'s `scale = 24` cutoff, whose top registers reach 252.
+/// Checked at the base clock and one tick past it (one owned cell, so the
+/// pinned stamp sits at the top of the byte).
+#[test]
+fn admission_agrees_with_the_cutoff_at_the_saturation_clamp() {
+    const BINS: u32 = 256;
+    const WIDTH: u8 = 16;
+    // Bin `a` holds age `a` in every register; the bins past the clamp
+    // stay ∞.
+    let cells: Vec<u8> = (0..BINS)
+        .flat_map(|bin| {
+            let age = u8::try_from(bin).ok().filter(|&a| a <= MAX_FINITE_AGE).unwrap_or(INF_AGE);
+            std::iter::repeat_n(age, usize::from(WIDTH) + 1)
+        })
+        .collect();
+    let mut lazy = AgeMatrix::new(BINS, WIDTH);
+    let mut eager = RefAgeMatrix::new(BINS, WIDTH);
+    lazy.load_ages(&cells);
+    eager.load_ages(&cells);
+    lazy.claim_cell(BINS - 1, 0);
+    eager.claim_cell(BINS - 1, 0);
+
+    let cutoffs: Vec<Cutoff> = (0..=6)
+        .map(|half| Cutoff::Linear { base: 251.5 + 0.5 * f64::from(half), slope: 0.0 })
+        .chain([Cutoff::paper_uniform().scaled(24.0)])
+        .collect();
+    for ticks in 0..2 {
+        for cutoff in &cutoffs {
+            let view = lazy.bit_view(cutoff);
+            for bin in 0..BINS {
+                for k in 0..=WIDTH {
+                    let age = lazy.age(bin, k);
+                    assert_eq!(age, eager.age(bin, k));
+                    assert_eq!(
+                        view.bins()[bin as usize].bit(k),
+                        age != INF_AGE && cutoff.admits(k, u32::from(age)),
+                        "cell ({bin}, {k}) of age {age} under {cutoff:?}, {ticks} ticks past base"
+                    );
+                }
+            }
+            assert_eq!(lazy.mean_r(cutoff).to_bits(), eager.mean_r(cutoff).to_bits());
+        }
+        lazy.tick();
+        eager.tick();
+    }
+    assert_eq!(lazy.age(u32::from(MAX_FINITE_AGE), 3), MAX_FINITE_AGE, "the clamp holds");
+    assert_eq!(lazy.age(u32::from(MAX_FINITE_AGE) - 1, 3), MAX_FINITE_AGE);
+}
+
+/// A stamp is one byte: building a matrix, decoding one and merging one
+/// out of place each request one byte per cell from the allocator, plus
+/// nothing that grows with the geometry.
+#[test]
+fn a_matrix_costs_one_byte_per_cell() {
+    const SLACK: usize = 64;
+    for (bins, width) in [(64u32, 16u8), (64, 24), (1024, 63)] {
+        let cells = bins as usize * (usize::from(width) + 1);
+        let (mut m, built) = largest_request_during(|| AgeMatrix::new(bins, width));
+        assert!(built <= cells + SLACK, "new({bins}, {width}) requested {built} B");
+
+        for k in 0..=width {
+            m.claim_cell(u32::from(k) % bins, k);
+        }
+        m.release_all();
+        let frame = codec::encode_ages(&m);
+        let (decoded, largest) = largest_request_during(|| codec::decode_ages(&frame));
+        assert_eq!(decoded.as_ref(), Ok(&m));
+        assert!(largest <= cells + SLACK, "decoding {bins} × {width} requested {largest} B");
+
+        let (_, largest) = largest_request_during(|| m.merged_with(&decoded.unwrap()));
+        assert!(largest <= cells + SLACK, "merged_with requested {largest} B");
+    }
 }
