@@ -32,32 +32,64 @@ fn load(name: &str) -> ScenarioSpec {
     ScenarioSpec::from_toml_str(&src).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
+/// One FNV-1a step over a little-endian `u64`.
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x100_0000_01B3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over the full series content, order-sensitive, bit-exact
 /// (extends `tests/determinism.rs`' digest with the lifecycle columns).
 fn digest(s: &Series) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
+    let mut h = FNV_OFFSET;
     for r in &s.rounds {
-        eat(r.round);
-        eat(r.alive as u64);
-        eat(r.truth.to_bits());
-        eat(r.mean_estimate.to_bits());
-        eat(r.stddev.to_bits());
-        eat(r.mean_abs_err.to_bits());
-        eat(r.max_abs_err.to_bits());
-        eat(r.defined as u64);
-        eat(r.messages);
-        eat(r.bytes);
-        eat(r.mean_group_size.to_bits());
-        eat(r.settling as u64);
-        eat(r.disruptions);
+        for x in [
+            r.round,
+            r.alive as u64,
+            r.truth.to_bits(),
+            r.mean_estimate.to_bits(),
+            r.stddev.to_bits(),
+            r.mean_abs_err.to_bits(),
+            r.max_abs_err.to_bits(),
+            r.defined as u64,
+            r.messages,
+            r.bytes,
+            r.mean_group_size.to_bits(),
+            r.settling as u64,
+            r.disruptions,
+        ] {
+            fnv(&mut h, x);
+        }
     }
     h
+}
+
+/// FNV-1a over a counter-cdf run's raw per-bit age histograms (row
+/// lengths included, so a reshaped histogram cannot collide).
+fn digest_counters(spec: &ScenarioSpec) -> u64 {
+    let outcome = dynagg_scenario::run(spec).unwrap();
+    let samples = outcome.instances[0].trials[0].counter_samples.as_ref().expect("counter-cdf");
+    let mut h = FNV_OFFSET;
+    for row in samples {
+        fnv(&mut h, row.len() as u64);
+        for &c in row {
+            fnv(&mut h, c);
+        }
+    }
+    h
+}
+
+/// One λ line of a swept figure file, scaled to `n` hosts for test time.
+fn lambda_line(file: &str, lambda: f64, n: usize) -> ScenarioSpec {
+    let mut spec = load(file);
+    spec.n = Some(n);
+    spec.sweep = None;
+    *spec.protocol.lambda_mut().unwrap() = lambda;
+    spec
 }
 
 #[test]
@@ -147,11 +179,7 @@ const GOLDEN_EPOCH_CELL_N300: u64 = 0x7F24_3B97_E780_0A60;
 
 #[test]
 fn golden_digest_fig8_line() {
-    let mut spec = load("fig8.toml");
-    spec.n = Some(800);
-    spec.sweep = None;
-    *spec.protocol.lambda_mut().unwrap() = 0.01;
-    let series = dynagg_scenario::run_series(&spec).unwrap();
+    let series = dynagg_scenario::run_series(&lambda_line("fig8.toml", 0.01, 800)).unwrap();
     assert_eq!(
         digest(&series),
         GOLDEN_FIG8_L001_N800,
@@ -169,6 +197,64 @@ fn golden_digest_epoch_cell() {
         digest(&series),
         GOLDEN_EPOCH_CELL_N300,
         "epoch-disruption scenario output changed for a fixed seed"
+    );
+}
+
+/// Pinned digests for the remaining figure files, computed through the
+/// hand-written spec builders the figure modules carried before they
+/// embedded these files (the builders and the files agreed bit for bit).
+const GOLDEN_FIG9_PAPER_CUTOFF_N800: u64 = 0xF6D0_4B71_6C3E_D15F;
+const GOLDEN_FIG10A_L01_N800: u64 = 0x04F4_8F26_565D_8224;
+const GOLDEN_FIG10B_L01_N800: u64 = 0x623C_6D49_CA34_A949;
+const GOLDEN_FIG11_AVG_D1_L001_R24: u64 = 0xCABC_9BCA_BC74_0745;
+const GOLDEN_FIG6_COUNTERS_N600: u64 = 0xB89E_34D1_2E92_ECCD;
+const GOLDEN_SPATIAL_CUTOFF_COUNTERS_N400: u64 = 0x85B1_FB7A_F433_41D2;
+
+#[test]
+fn golden_digest_fig9_line() {
+    let mut spec = load("fig9.toml");
+    spec.n = Some(800);
+    let series = dynagg_scenario::run_series(&spec).unwrap();
+    assert_eq!(
+        digest(&series),
+        GOLDEN_FIG9_PAPER_CUTOFF_N800,
+        "fig9 scenario output changed for a fixed seed"
+    );
+}
+
+#[test]
+fn golden_digest_fig10_lines() {
+    let a = dynagg_scenario::run_series(&lambda_line("fig10a.toml", 0.1, 800)).unwrap();
+    assert_eq!(digest(&a), GOLDEN_FIG10A_L01_N800, "fig10a scenario output changed");
+    let b = dynagg_scenario::run_series(&lambda_line("fig10b.toml", 0.1, 800)).unwrap();
+    assert_eq!(digest(&b), GOLDEN_FIG10B_L01_N800, "fig10b scenario output changed");
+}
+
+#[test]
+fn golden_digest_fig11_avg_line() {
+    let mut spec = load("fig11_avg_d1.toml");
+    spec.rounds = Some(24);
+    spec.sweep = None;
+    *spec.protocol.lambda_mut().unwrap() = 0.01;
+    let series = dynagg_scenario::run_series(&spec).unwrap();
+    assert_eq!(
+        digest(&series),
+        GOLDEN_FIG11_AVG_D1_L001_R24,
+        "fig11 average scenario output changed for a fixed seed"
+    );
+}
+
+#[test]
+fn golden_digest_counter_cdf_figures() {
+    let mut fig6 = load("fig6.toml");
+    fig6.sweep.as_mut().expect("fig6 sweeps n").values = vec![600.0];
+    assert_eq!(digest_counters(&fig6), GOLDEN_FIG6_COUNTERS_N600, "fig6 counter samples changed");
+    let mut spatial = load("spatial_cutoff.toml");
+    spatial.n = Some(400);
+    assert_eq!(
+        digest_counters(&spatial),
+        GOLDEN_SPATIAL_CUTOFF_COUNTERS_N400,
+        "spatial-cutoff counter samples changed"
     );
 }
 
@@ -504,15 +590,9 @@ fn golden_digest_async_trace_groups() {
 /// columns (`mass_audit`, `islands`), which the older goldens predate.
 fn digest_chaos(s: &Series) -> u64 {
     let mut h = digest(s);
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
     for r in &s.rounds {
-        eat(r.mass_audit.to_bits());
-        eat(r.islands);
+        fnv(&mut h, r.mass_audit.to_bits());
+        fnv(&mut h, r.islands);
     }
     h
 }
