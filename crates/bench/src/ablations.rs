@@ -408,6 +408,27 @@ mod tests {
         ExpOpts { quick: true, seed: 11, ..ExpOpts::default() }
     }
 
+    /// Field count of one CSV line, honouring RFC 4180 quoting.
+    fn csv_fields(line: &str) -> usize {
+        let mut quoted = false;
+        let separators = line.chars().filter(|&c| {
+            quoted ^= c == '"';
+            c == ',' && !quoted
+        });
+        1 + separators.count()
+    }
+
+    #[test]
+    fn every_ablation_csv_header_is_as_wide_as_its_rows() {
+        for t in run_all(&quick()) {
+            let csv = t.to_csv();
+            let mut lines = csv.lines();
+            let header = csv_fields(lines.next().expect("header line"));
+            assert_eq!(header, t.columns.len(), "{}: header splits into the wrong fields", t.id);
+            assert!(lines.all(|l| csv_fields(l) == header), "{}: row width != header width", t.id);
+        }
+    }
+
     #[test]
     fn pushpull_converges_faster() {
         let t = push_vs_pushpull(&quick());

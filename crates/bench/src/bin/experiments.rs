@@ -227,16 +227,17 @@ fn usage() -> String {
     "usage: experiments <fig6|fig8|fig9|fig10a|fig10b|fig11-avg|fig11-sum|table-convergence|table-sketch-error|spatial-cutoff|epoch-disruption|ablations|all> [--n N] [--seed S] [--out DIR] [--quick] [--dataset 1|2|3]\n       experiments run <file.toml> [--n N] [--seed S] [--rounds R] [--trials T] [--engine push|pairwise|async] [--shards K|auto] [--out DIR] [--quick] [--check]\n       experiments serve [--nodes N] [--workers W] [--transport inproc|udp] [--duration-ms MS] [--interval-ms MS] [--clients C] [--push-every-ms MS] [--period-ms MS] [--lambda L] [--view V] [--seed S] [--report-every-ms MS] [--kill-frac F] [--assert-error PCT]".to_string()
 }
 
-fn emit(tables: Vec<Table>, opts: &ExpOpts) {
+/// Print each table and, under `--out`, write its CSV; a failed write is
+/// the command's failure, so a scripted run cannot end with no files.
+fn emit(tables: Vec<Table>, opts: &ExpOpts) -> Result<(), String> {
     for t in tables {
         println!("{}", t.render());
         if let Some(dir) = &opts.out_dir {
-            match t.write_csv(dir) {
-                Ok(p) => println!("csv: {}\n", p.display()),
-                Err(e) => eprintln!("csv write failed for {}: {e}", t.id),
-            }
+            let p = t.write_csv(dir).map_err(|e| format!("csv write failed for {}: {e}", t.id))?;
+            println!("csv: {}\n", p.display());
         }
     }
+    Ok(())
 }
 
 fn datasets(selected: Option<Dataset>) -> Vec<Dataset> {
@@ -251,24 +252,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let opts = &args.opts;
     let started = std::time::Instant::now();
+    if let Err(e) = run_command(args) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
+    eprintln!("[done in {:.1}s]", started.elapsed().as_secs_f64());
+    ExitCode::SUCCESS
+}
+
+fn run_command(args: Args) -> Result<(), String> {
+    let opts = &args.opts;
     match args.command.as_str() {
         "fig6" => emit(fig6::run(opts), opts),
         "fig8" => emit(vec![fig8::run(opts)], opts),
         "fig9" => emit(vec![fig9::run(opts)], opts),
         "fig10a" => emit(vec![fig10::run_a(opts)], opts),
         "fig10b" => emit(vec![fig10::run_b(opts)], opts),
-        "fig11-avg" => {
-            for d in datasets(args.dataset) {
-                emit(vec![fig11::run_avg(opts, d)], opts);
-            }
-        }
-        "fig11-sum" => {
-            for d in datasets(args.dataset) {
-                emit(vec![fig11::run_sum(opts, d)], opts);
-            }
-        }
+        "fig11-avg" => datasets(args.dataset)
+            .into_iter()
+            .try_for_each(|d| emit(vec![fig11::run_avg(opts, d)], opts)),
+        "fig11-sum" => datasets(args.dataset)
+            .into_iter()
+            .try_for_each(|d| emit(vec![fig11::run_sum(opts, d)], opts)),
         "table-convergence" => emit(vec![tables::convergence(opts)], opts),
         "table-sketch-error" => emit(vec![tables::sketch_error(opts)], opts),
         "spatial-cutoff" => emit(vec![spatial_cutoff::run(opts)], opts),
@@ -276,42 +282,25 @@ fn main() -> ExitCode {
         "ablations" => emit(ablations::run_all(opts), opts),
         "run" => {
             let file = args.file.as_deref().expect("run parsed a file argument");
-            match scenario_run::run_file(file, &args.overrides) {
-                Ok(tables) => emit(tables, opts),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            emit(scenario_run::run_file(file, &args.overrides)?, opts)
         }
-        "serve" => {
-            let serve_opts = args.serve.expect("serve parsed its flag set");
-            if let Err(e) = serve::run(&serve_opts) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        "serve" => serve::run(&args.serve.expect("serve parsed its flag set")).map(|_| ()),
         "all" => {
-            emit(vec![fig8::run(opts)], opts);
-            emit(vec![fig10::run_a(opts)], opts);
-            emit(vec![fig10::run_b(opts)], opts);
-            emit(vec![fig9::run(opts)], opts);
-            emit(fig6::run(opts), opts);
+            emit(vec![fig8::run(opts)], opts)?;
+            emit(vec![fig10::run_a(opts)], opts)?;
+            emit(vec![fig10::run_b(opts)], opts)?;
+            emit(vec![fig9::run(opts)], opts)?;
+            emit(fig6::run(opts), opts)?;
             for d in Dataset::ALL {
-                emit(vec![fig11::run_avg(opts, d)], opts);
-                emit(vec![fig11::run_sum(opts, d)], opts);
+                emit(vec![fig11::run_avg(opts, d)], opts)?;
+                emit(vec![fig11::run_sum(opts, d)], opts)?;
             }
-            emit(vec![tables::convergence(opts)], opts);
-            emit(vec![tables::sketch_error(opts)], opts);
-            emit(vec![spatial_cutoff::run(opts)], opts);
-            emit(vec![epoch_disruption::run(opts)], opts);
-            emit(ablations::run_all(opts), opts);
+            emit(vec![tables::convergence(opts)], opts)?;
+            emit(vec![tables::sketch_error(opts)], opts)?;
+            emit(vec![spatial_cutoff::run(opts)], opts)?;
+            emit(vec![epoch_disruption::run(opts)], opts)?;
+            emit(ablations::run_all(opts), opts)
         }
-        other => {
-            eprintln!("unknown command {other}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
+        other => Err(format!("unknown command {other}\n{}", usage())),
     }
-    eprintln!("[done in {:.1}s]", started.elapsed().as_secs_f64());
-    ExitCode::SUCCESS
 }

@@ -34,15 +34,10 @@
 
 use crate::opts::ExpOpts;
 use crate::output::Table;
-use dynagg_scenario::{CliqueDrift, EnvSpec, Metric, ProtocolSpec, ScenarioSpec};
-use dynagg_sim::{par, Truth};
+use crate::scenario_run;
+use dynagg_scenario::{EnvSpec, ProtocolSpec, ScenarioSpec};
+use dynagg_sim::par;
 
-/// Fixed scenario geometry (kept small enough for `--quick` CI smoke runs
-/// while large enough that clique averages differ from the global mean).
-const CLUSTERS: u32 = 6;
-const EPOCH_LEN: u64 = 20;
-const SETTLE_LEN: u64 = 5;
-const ROUNDS: u64 = 200;
 /// Steady-state window start: several epochs past the initial transient.
 const STEADY_FROM: u64 = 100;
 
@@ -62,33 +57,27 @@ struct Reading {
     disruptions: u64,
 }
 
-/// The §II-C cell as a declarative scenario: [`EpochPushSum`] whose
-/// per-clique drift clocks (initial offset `k · drift · epoch_len`,
-/// crystals spanning `1 ± 0.2·drift` ticks per round) follow the clique a
-/// host *started* in — migrants keep their crystal, so mobility mixes fast
-/// clocks into slow cliques, whose rollovers then repeatedly disrupt their
-/// new neighbors. `scenarios/epoch_disruption.toml` is this spec at the
-/// (migration 0.02, drift 1.0) cell.
+/// The §II-C cell: `scenarios/epoch_disruption.toml` — [`EpochPushSum`]
+/// over isolated cliques whose per-clique drift clocks (initial offset
+/// `k · drift · epoch_len`, crystals spanning `1 ± 0.2·drift` ticks per
+/// round) follow the clique a host *started* in, so mobility mixes fast
+/// clocks into slow cliques — at another population, seed, migration
+/// probability and drift magnitude. The file states the (0.02, 1.0) cell.
 ///
 /// [`EpochPushSum`]: dynagg_core::epoch::EpochPushSum
 pub fn epoch_cell_spec(n: usize, seed: u64, migration: f64, drift: f64) -> ScenarioSpec {
-    let mut s = ScenarioSpec::new(
-        "epoch-disruption",
-        seed,
-        EnvSpec::Clustered { clusters: CLUSTERS, migration, bridge: 0.0, events: Vec::new() },
-        ProtocolSpec::EpochPushSum {
-            epoch_len: EPOCH_LEN,
-            settle_len: Some(SETTLE_LEN),
-            drift_prob: 0.0,
-            clique_drift: Some(CliqueDrift { clusters: CLUSTERS, magnitude: drift }),
-        },
-    );
-    s.description =
-        "Extension — §II-C epoch disruption under clique mobility (one sweep cell)".into();
+    let mut s =
+        scenario_run::embedded(include_str!("../../../scenarios/epoch_disruption.toml"), seed);
     s.n = Some(n);
-    s.rounds = Some(ROUNDS);
-    s.truth = Truth::Mean;
-    s.output.metrics = vec![Metric::Stddev, Metric::Settling, Metric::Disruptions];
+    let (
+        EnvSpec::Clustered { migration: file_migration, .. },
+        ProtocolSpec::EpochPushSum { clique_drift: Some(file_drift), .. },
+    ) = (&mut s.env, &mut s.protocol)
+    else {
+        unreachable!("epoch_disruption.toml runs epoch-push-sum with clique drift over cliques");
+    };
+    *file_migration = migration;
+    file_drift.magnitude = drift;
     s
 }
 
@@ -125,11 +114,19 @@ pub fn run(opts: &ExpOpts) -> Table {
         .collect();
     let readings = par::par_map(&cells, |_, &cell| run_cell(n, opts.seed, cell));
 
+    let file = epoch_cell_spec(n, opts.seed, 0.0, 0.0);
+    let (
+        EnvSpec::Clustered { clusters, .. },
+        ProtocolSpec::EpochPushSum { epoch_len, settle_len: Some(settle_len), .. },
+    ) = (&file.env, &file.protocol)
+    else {
+        unreachable!("epoch_disruption.toml runs epoch-push-sum with a settle window over cliques");
+    };
     let mut t = Table::new(
         "epoch_disruption",
         format!(
-            "Epoch disruption under clique mobility (§II-C) — {n} hosts, {CLUSTERS} cliques, \
-             epoch_len {EPOCH_LEN}, settle {SETTLE_LEN}, steady-state rounds {STEADY_FROM}+"
+            "Epoch disruption under clique mobility (§II-C) — {n} hosts, {clusters} cliques, \
+             epoch_len {epoch_len}, settle {settle_len}, steady-state rounds {STEADY_FROM}+"
         ),
         &[
             "migration_prob",

@@ -12,123 +12,53 @@
 //! * (b) Full-Transfer (4 parcels, 3-round window): same trade-off but
 //!   every floor drops — the paper quotes σ≈2.13 (8.53 % of 25) for λ=0.5
 //!   and σ≈0.694 (2.77 %) for λ=0.1.
+//!
+//! The two workloads are `scenarios/fig10a.toml` and `fig10b.toml`,
+//! embedded here; each command runs its file at the CLI's seed and
+//! population.
 
-use crate::fig8;
 use crate::opts::ExpOpts;
 use crate::output::Table;
-use dynagg_core::config::RevertConfig;
-use dynagg_scenario::{EnvSpec, ProtocolSpec, ScenarioSpec, Sweep, SweepAxis};
-use dynagg_sim::{par, FailureMode, FailureSpec, Series, Truth};
+use crate::scenario_run;
+use dynagg_scenario::ScenarioSpec;
+use dynagg_sim::Series;
 
-/// Rounds simulated.
-pub const ROUNDS: u64 = 60;
+const PANEL_A: &str = include_str!("../../../scenarios/fig10a.toml");
+const PANEL_B: &str = include_str!("../../../scenarios/fig10b.toml");
 
-/// The scenario behind one Full-Transfer λ line (panel b): push-engine
-/// Full-Transfer with the top-valued half failing at round 20.
-pub fn line_spec_full_transfer(opts: &ExpOpts, lambda: f64) -> ScenarioSpec {
-    let mut s = ScenarioSpec::new(
-        "fig10b",
-        opts.seed,
-        EnvSpec::Uniform { broadcast_fanout: None },
-        ProtocolSpec::FullTransfer { lambda, parcels: 4, window: 3 },
-    );
-    s.description = "Fig. 10b — Full-Transfer under correlated failures".into();
+fn panel(src: &str, opts: &ExpOpts) -> ScenarioSpec {
+    let mut s = scenario_run::embedded(src, opts.seed);
     s.n = Some(opts.population());
-    s.rounds = Some(ROUNDS);
-    s.truth = Truth::Mean;
-    s.failure = FailureSpec::AtRound {
-        round: 20,
-        mode: FailureMode::TopValue,
-        fraction: 0.5,
-        graceful: false,
-    };
-    s
-}
-
-/// Panel (a) as one declarative scenario (`scenarios/fig10a.toml`): the
-/// fig8 pairwise line with correlated failures, swept over λ.
-pub fn scenario_a(opts: &ExpOpts) -> ScenarioSpec {
-    let mut s = fig8::line_spec(opts, 0.0, FailureMode::TopValue);
-    s.name = "fig10a".into();
-    s.description = "Fig. 10a — basic Push-Sum-Revert under correlated failures".into();
-    s.sweep = Some(Sweep { axis: SweepAxis::Lambda, values: RevertConfig::PAPER_LAMBDAS.to_vec() });
-    s
-}
-
-/// Panel (b) as one declarative scenario (`scenarios/fig10b.toml`).
-pub fn scenario_b(opts: &ExpOpts) -> ScenarioSpec {
-    let mut s = line_spec_full_transfer(opts, 0.0);
-    s.sweep = Some(Sweep { axis: SweepAxis::Lambda, values: RevertConfig::PAPER_LAMBDAS.to_vec() });
     s
 }
 
 /// One Full-Transfer λ line (panel b).
 pub fn run_line_full_transfer(opts: &ExpOpts, lambda: f64) -> Series {
-    dynagg_scenario::run_series(&line_spec_full_transfer(opts, lambda))
-        .expect("fig10b spec is valid")
+    scenario_run::lambda_line(panel(PANEL_B, opts), lambda)
 }
 
-fn build_table(id: &str, title: String, series: &[Series], lambdas: &[f64]) -> Table {
-    let mut columns = vec!["round".to_string()];
-    columns.extend(lambdas.iter().map(|l| format!("stddev(l={l})")));
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut table = Table::new(id, title, &col_refs);
-    for r in 0..ROUNDS as usize {
-        let mut row = vec![r as f64];
-        row.extend(series.iter().map(|s| s.rounds[r].stddev));
-        table.push_row(row);
-    }
-    table.note(format!(
-        "steady-state stddev (rounds 45+): {}",
-        lambdas
-            .iter()
-            .zip(series)
-            .map(|(l, s)| format!("l={l}: {:.3}", s.steady_state_stddev(45)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    table
+fn run_panel(src: &str, opts: &ExpOpts, note: &str) -> Table {
+    let mut t = scenario_run::run_series_table(&panel(src, opts));
+    t.note(note);
+    t
 }
 
 /// Panel (a): basic Push-Sum-Revert under correlated failure.
 pub fn run_a(opts: &ExpOpts) -> Table {
-    let lambdas = RevertConfig::PAPER_LAMBDAS;
-    let series: Vec<Series> =
-        par::par_map(&lambdas, |_, &l| fig8::run_line(opts, l, FailureMode::TopValue));
-    let mut t = build_table(
-        "fig10a",
-        format!(
-            "Fig. 10a — basic Push-Sum-Revert, correlated failures ({} hosts, top half fails at 20)",
-            opts.population()
-        ),
-        &series,
-        &lambdas,
-    );
-    t.note(
-        "paper shape: l=0 stays at ~25 error forever; larger l converges faster to a higher floor"
-            .to_string(),
-    );
-    t
+    run_panel(
+        PANEL_A,
+        opts,
+        "paper shape: l=0 stays at ~25 error forever; larger l converges faster to a higher floor",
+    )
 }
 
 /// Panel (b): the Full-Transfer optimization under correlated failure.
 pub fn run_b(opts: &ExpOpts) -> Table {
-    let lambdas = RevertConfig::PAPER_LAMBDAS;
-    let series: Vec<Series> = par::par_map(&lambdas, |_, &l| run_line_full_transfer(opts, l));
-    let mut t = build_table(
-        "fig10b",
-        format!(
-            "Fig. 10b — Full-Transfer (N=4, T=3), correlated failures ({} hosts)",
-            opts.population()
-        ),
-        &series,
-        &lambdas,
-    );
-    t.note(
-        "paper reference points: l=0.5 -> stddev ~2.13 (8.53% of 25); l=0.1 -> ~0.694 (2.77%)"
-            .to_string(),
-    );
-    t
+    run_panel(
+        PANEL_B,
+        opts,
+        "paper reference points: l=0.5 -> stddev ~2.13 (8.53% of 25); l=0.1 -> ~0.694 (2.77%)",
+    )
 }
 
 #[cfg(test)]
@@ -139,11 +69,15 @@ mod tests {
         ExpOpts { quick: true, seed: 2, ..ExpOpts::default() }
     }
 
+    fn run_line_basic(opts: &ExpOpts, lambda: f64) -> Series {
+        scenario_run::lambda_line(panel(PANEL_A, opts), lambda)
+    }
+
     #[test]
     fn static_lambda_never_recovers_but_half_lambda_does() {
         let opts = quick();
-        let stuck = fig8::run_line(&opts, 0.0, FailureMode::TopValue);
-        let healed = fig8::run_line(&opts, 0.5, FailureMode::TopValue);
+        let stuck = run_line_basic(&opts, 0.0);
+        let healed = run_line_basic(&opts, 0.5);
         let stuck_err = stuck.steady_state_stddev(50);
         let healed_err = healed.steady_state_stddev(50);
         assert!(stuck_err > 15.0, "static error should be ~25, got {stuck_err}");
@@ -153,7 +87,7 @@ mod tests {
     #[test]
     fn full_transfer_floor_beats_basic_at_same_lambda() {
         let opts = quick();
-        let basic = fig8::run_line(&opts, 0.1, FailureMode::TopValue).steady_state_stddev(50);
+        let basic = run_line_basic(&opts, 0.1).steady_state_stddev(50);
         let full = run_line_full_transfer(&opts, 0.1).steady_state_stddev(50);
         assert!(full < basic, "full-transfer steady error {full:.3} should beat basic {basic:.3}");
     }
@@ -162,7 +96,7 @@ mod tests {
     fn tables_have_expected_shape() {
         let opts = ExpOpts { quick: true, seed: 3, n: 50_000, ..ExpOpts::default() };
         let a = run_a(&opts);
-        assert_eq!(a.rows.len(), ROUNDS as usize);
+        assert_eq!(a.rows.len() as u64, panel(PANEL_A, &opts).rounds.unwrap());
         assert_eq!(a.columns.len(), 6);
     }
 }

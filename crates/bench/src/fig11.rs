@@ -9,42 +9,40 @@
 //! λ ∈ {0, 0.001, 0.01}. Right column: running group **size** via
 //! Count-Sketch-Reset with 100 identifiers per host and reversion
 //! off / on / slow. Each panel also plots the average group size.
+//!
+//! The average panel's workload is `scenarios/fig11_avg_d1.toml`, embedded
+//! here and pointed at the requested dataset; the sum panel's three
+//! cutoff variants have no scenario file and are built in code.
 
 use crate::opts::ExpOpts;
 use crate::output::Table;
-use dynagg_scenario::{trace_info, EnvSpec, ProtocolSpec, ScenarioSpec, TraceInfo, ValueSpec};
+use crate::scenario_run::{self, Overrides};
+use dynagg_scenario::{trace_info, EnvSpec, ProtocolSpec, ScenarioSpec, ValueSpec};
 use dynagg_sim::{Series, Truth};
 use dynagg_sketch::cutoff::Cutoff;
 use dynagg_trace::datasets::Dataset;
 
-/// The paper's λ grid for the dynamic-average panels.
-pub const AVG_LAMBDAS: [f64; 3] = [0.0, 0.001, 0.01];
 /// Identifiers per host in the dynamic-sum panels (§V-B).
 pub const IDS_PER_HOST: u64 = 100;
 
-fn horizon_rounds(info: &TraceInfo, opts: &ExpOpts) -> u64 {
-    let cap = opts.trace_hours_cap().map(|h| h * info.rounds_per_hour).unwrap_or(u64::MAX);
-    info.total_rounds.min(cap)
+/// `--quick` caps a trace scenario at the first 12 simulated hours (the
+/// rule `experiments run --quick` applies to a trace environment).
+fn cap_horizon(mut spec: ScenarioSpec, opts: &ExpOpts) -> ScenarioSpec {
+    let quick = Overrides { quick: opts.quick, ..Overrides::default() };
+    scenario_run::apply_overrides(&mut spec, &quick).expect("quick mode never overrides n");
+    spec
 }
 
-/// The scenario behind one dynamic-average line.
-pub fn avg_line_spec(opts: &ExpOpts, dataset: Dataset, lambda: f64) -> ScenarioSpec {
-    let info = trace_info(dataset);
-    let mut s = ScenarioSpec::new(
-        format!("fig11-avg-d{}", dataset.index()),
-        opts.seed,
-        EnvSpec::Trace { dataset },
-        ProtocolSpec::PushSumRevert { lambda },
-    );
-    s.description = "Fig. 11 — trace-driven dynamic group average".into();
-    s.rounds = Some(horizon_rounds(&info, opts));
-    s.truth = Truth::GroupMean;
-    s
+/// The dynamic-average scenario (the file's λ sweep) on `dataset`.
+pub fn avg_spec(opts: &ExpOpts, dataset: Dataset) -> ScenarioSpec {
+    let mut s =
+        scenario_run::embedded(include_str!("../../../scenarios/fig11_avg_d1.toml"), opts.seed);
+    s.env = EnvSpec::Trace { dataset };
+    cap_horizon(s, opts)
 }
 
 /// The scenario behind one dynamic-sum (group size) line.
 pub fn sum_line_spec(opts: &ExpOpts, dataset: Dataset, cutoff: Cutoff) -> ScenarioSpec {
-    let info = trace_info(dataset);
     let mut s = ScenarioSpec::new(
         format!("fig11-sum-d{}", dataset.index()),
         opts.seed,
@@ -57,26 +55,15 @@ pub fn sum_line_spec(opts: &ExpOpts, dataset: Dataset, cutoff: Cutoff) -> Scenar
         },
     );
     s.description = "Fig. 11 — trace-driven dynamic group size".into();
-    s.rounds = Some(horizon_rounds(&info, opts));
     s.values = ValueSpec::Constant(1.0);
     s.truth = Truth::GroupSize;
-    s
-}
-
-/// One dynamic-average line.
-pub fn run_avg_line(opts: &ExpOpts, dataset: Dataset, lambda: f64) -> (Series, u64) {
-    let rph = trace_info(dataset).rounds_per_hour;
-    let series = dynagg_scenario::run_series(&avg_line_spec(opts, dataset, lambda))
-        .expect("fig11 avg spec is valid");
-    (series, rph)
+    cap_horizon(s, opts)
 }
 
 /// One dynamic-sum (group size) line.
-pub fn run_sum_line(opts: &ExpOpts, dataset: Dataset, cutoff: Cutoff) -> (Series, u64) {
-    let rph = trace_info(dataset).rounds_per_hour;
-    let series = dynagg_scenario::run_series(&sum_line_spec(opts, dataset, cutoff))
-        .expect("fig11 sum spec is valid");
-    (series, rph)
+pub fn run_sum_line(opts: &ExpOpts, dataset: Dataset, cutoff: Cutoff) -> Series {
+    dynagg_scenario::run_series(&sum_line_spec(opts, dataset, cutoff))
+        .expect("fig11 sum spec is valid")
 }
 
 /// Average a series into per-hour means of `(stddev, group size)`.
@@ -94,79 +81,84 @@ pub fn hourly(series: &Series, rounds_per_hour: u64) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// The dynamic-average panel for one dataset.
-pub fn run_avg(opts: &ExpOpts, dataset: Dataset) -> Table {
-    let lines: Vec<(Series, u64)> =
-        dynagg_sim::par::par_map(&AVG_LAMBDAS, |_, &l| run_avg_line(opts, dataset, l));
-    let rph = lines[0].1;
-    let hourly_lines: Vec<Vec<(f64, f64)>> = lines.iter().map(|(s, _)| hourly(s, rph)).collect();
+/// One Fig. 11 panel: hourly stddev per labelled line beside the average
+/// group size, plus the mean-hourly-stddev and paper-shape notes.
+fn panel(
+    id: String,
+    title: String,
+    dataset: Dataset,
+    lines: &[(String, &Series)],
+    shape: &str,
+) -> Table {
+    let rph = trace_info(dataset).rounds_per_hour;
+    let hourly_lines: Vec<Vec<(f64, f64)>> = lines.iter().map(|(_, s)| hourly(s, rph)).collect();
 
     let mut columns = vec!["hour".to_string(), "avg_group_size".to_string()];
-    columns.extend(AVG_LAMBDAS.iter().map(|l| format!("stddev(l={l})")));
+    columns.extend(lines.iter().map(|(label, _)| format!("stddev({label})")));
     let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut t = Table::new(
-        format!("fig11_avg_d{}", dataset.index()),
-        format!(
-            "Fig. 11 — dynamic average, dataset {} ({} devices)",
-            dataset.index(),
-            lines[0].0.rounds[0].alive
-        ),
-        &col_refs,
-    );
+    let mut t = Table::new(id, title, &col_refs);
     for h in 0..hourly_lines[0].len() {
         let mut row = vec![h as f64 + 1.0, hourly_lines[0][h].1];
         row.extend(hourly_lines.iter().map(|l| l[h].0));
         t.push_row(row);
     }
-    let overall: Vec<String> = AVG_LAMBDAS
+    let overall: Vec<String> = lines
         .iter()
         .zip(&hourly_lines)
-        .map(|(l, hl)| {
+        .map(|((label, _), hl)| {
             let m = hl.iter().map(|(sd, _)| sd).sum::<f64>() / hl.len().max(1) as f64;
-            format!("l={l}: {m:.3}")
+            format!("{label}: {m:.3}")
         })
         .collect();
     t.note(format!("mean hourly stddev: {}", overall.join(", ")));
-    t.note("paper shape: reversion (l>0) tracks group churn better than static (l=0), most visibly when groups are small".to_string());
+    t.note(shape);
     t
+}
+
+/// The dynamic-average panel for one dataset: the file's λ sweep, one
+/// line per value.
+pub fn run_avg(opts: &ExpOpts, dataset: Dataset) -> Table {
+    let spec = avg_spec(opts, dataset);
+    let lambdas = &spec.sweep.as_ref().expect("fig11_avg_d1.toml sweeps lambda").values;
+    let outcome = dynagg_scenario::run(&spec).expect("fig11 avg scenario is valid");
+    let lines: Vec<(String, &Series)> = lambdas
+        .iter()
+        .zip(&outcome.instances)
+        .map(|(l, inst)| (format!("l={l}"), inst.series()))
+        .collect();
+    panel(
+        format!("fig11_avg_d{}", dataset.index()),
+        format!(
+            "Fig. 11 — dynamic average, dataset {} ({} devices)",
+            dataset.index(),
+            outcome.instances[0].n
+        ),
+        dataset,
+        &lines,
+        "paper shape: reversion (l>0) tracks group churn better than static (l=0), most visibly when groups are small",
+    )
 }
 
 /// The dynamic-sum panel for one dataset.
 pub fn run_sum(opts: &ExpOpts, dataset: Dataset) -> Table {
     let variants: [(&str, Cutoff); 3] =
         [("off", Cutoff::Infinite), ("on", Cutoff::paper_uniform()), ("slow", Cutoff::slow())];
-    let lines: Vec<(Series, u64)> =
-        dynagg_sim::par::par_map(&variants, |_, &(_, c)| run_sum_line(opts, dataset, c));
-    let rph = lines[0].1;
-    let hourly_lines: Vec<Vec<(f64, f64)>> = lines.iter().map(|(s, _)| hourly(s, rph)).collect();
-
-    let mut columns = vec!["hour".to_string(), "avg_group_size".to_string()];
-    columns.extend(variants.iter().map(|(name, _)| format!("stddev(reversion {name})")));
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut t = Table::new(
+    let series = dynagg_sim::par::par_map(&variants, |_, &(_, c)| run_sum_line(opts, dataset, c));
+    let lines: Vec<(String, &Series)> = variants
+        .iter()
+        .zip(&series)
+        .map(|((name, _), s)| (format!("reversion {name}"), s))
+        .collect();
+    panel(
         format!("fig11_sum_d{}", dataset.index()),
         format!(
             "Fig. 11 — dynamic sum (group size), dataset {} (100 ids/host, 64 bins)",
             dataset.index()
         ),
-        &col_refs,
-    );
-    for h in 0..hourly_lines[0].len() {
-        let mut row = vec![h as f64 + 1.0, hourly_lines[0][h].1];
-        row.extend(hourly_lines.iter().map(|l| l[h].0));
-        t.push_row(row);
-    }
-    let overall: Vec<String> = variants
-        .iter()
-        .zip(&hourly_lines)
-        .map(|((name, _), hl)| {
-            let m = hl.iter().map(|(sd, _)| sd).sum::<f64>() / hl.len().max(1) as f64;
-            format!("{name}: {m:.3}")
-        })
-        .collect();
-    t.note(format!("mean hourly stddev: {}", overall.join(", ")));
-    t.note("paper shape: reversion on/slow stays within ~half the correct value; 'off' drifts up monotonically".to_string());
-    t
+        dataset,
+        &lines,
+        "paper shape: reversion on/slow stays within ~half the correct value; 'off' drifts up monotonically",
+    )
 }
 
 #[cfg(test)]
@@ -189,7 +181,7 @@ mod tests {
     #[test]
     fn sum_reversion_off_is_monotonically_inflating() {
         let opts = quick();
-        let (off, _) = run_sum_line(&opts, Dataset::One, Cutoff::Infinite);
+        let off = run_sum_line(&opts, Dataset::One, Cutoff::Infinite);
         // Mean estimate under Infinite cutoff can never decrease.
         let mut prev = 0.0;
         for s in &off.rounds {
@@ -205,8 +197,9 @@ mod tests {
     #[test]
     fn sum_reversion_on_beats_off() {
         let opts = quick();
-        let (on, rph) = run_sum_line(&opts, Dataset::One, Cutoff::paper_uniform());
-        let (off, _) = run_sum_line(&opts, Dataset::One, Cutoff::Infinite);
+        let on = run_sum_line(&opts, Dataset::One, Cutoff::paper_uniform());
+        let rph = trace_info(Dataset::One).rounds_per_hour;
+        let off = run_sum_line(&opts, Dataset::One, Cutoff::Infinite);
         let on_mean = hourly(&on, rph).iter().map(|(sd, _)| sd).sum::<f64>();
         let off_mean = hourly(&off, rph).iter().map(|(sd, _)| sd).sum::<f64>();
         assert!(

@@ -14,18 +14,16 @@
 //! We reproduce the CDFs and additionally *fit* the high-percentile age as
 //! a linear function of `k`, reporting the fitted intercept/slope next to
 //! the paper's 7 + k/4.
+//!
+//! The workload is `scenarios/fig6.toml`, embedded here; the command runs
+//! the file's size sweep at the CLI's seed (two sizes under `--quick`).
 
 use crate::opts::ExpOpts;
 use crate::output::Table;
-use dynagg_scenario::{
-    EnvSpec, Metric, ProtocolSpec, Report, ScenarioSpec, Sweep, SweepAxis, ValueSpec,
-};
-use dynagg_sim::Truth;
+use crate::scenario_run;
+use dynagg_scenario::{InstanceOutcome, ScenarioSpec};
 use dynagg_sketch::age::MAX_FINITE_AGE;
-use dynagg_sketch::cutoff::Cutoff;
 
-/// Rounds to converge before reading counters.
-pub const CONVERGE_ROUNDS: u64 = 35;
 /// Highest counter value tabulated in the CDF.
 pub const MAX_AGE: u8 = 14;
 /// Minimum finite samples for a bit to be reported.
@@ -44,67 +42,36 @@ pub struct CounterDistribution {
     pub fit: (f64, f64),
 }
 
-/// The scenario behind one collection run: Count-Sketch-Reset counting
-/// under `env`, constant values, converge-then-read via the
-/// [`Report::CounterCdf`] readout.
-pub fn collect_spec(opts: &ExpOpts, n: usize, env: EnvSpec, converge_rounds: u64) -> ScenarioSpec {
-    let mut s = ScenarioSpec::new(
-        "fig6",
-        opts.seed,
-        env,
-        ProtocolSpec::CountSketchReset {
-            cutoff: Cutoff::paper_uniform(),
-            push_pull: true,
-            multiplier: 1,
-            hash_seed_xor: 0xF16,
-        },
-    );
-    s.description = "Fig. 6 — bit counter CDFs + cutoff fit".into();
-    s.n = Some(n);
-    s.rounds = Some(converge_rounds);
-    s.values = ValueSpec::Constant(1.0);
-    s.truth = Truth::Count;
-    s.output.metrics = vec![Metric::Stddev];
-    s.output.report = Report::CounterCdf;
-    s
-}
-
-/// The full figure as one declarative scenario (what `scenarios/fig6.toml`
-/// contains): the collection spec swept over the paper's network sizes.
+/// The figure's scenario at the CLI's seed, sweeping `opts.fig6_sizes()`.
 pub fn scenario(opts: &ExpOpts) -> ScenarioSpec {
-    let sizes = opts.fig6_sizes();
-    let mut s =
-        collect_spec(opts, sizes[0], EnvSpec::Uniform { broadcast_fanout: None }, CONVERGE_ROUNDS);
-    s.sweep = Some(Sweep { axis: SweepAxis::N, values: sizes.iter().map(|&n| n as f64).collect() });
+    let mut s = scenario_run::embedded(include_str!("../../../scenarios/fig6.toml"), opts.seed);
+    let sweep = s.sweep.as_mut().expect("fig6.toml sweeps n");
+    sweep.values = opts.fig6_sizes().iter().map(|&n| n as f64).collect();
     s
 }
 
 /// Collect the converged counter distribution for one network size under
 /// uniform gossip.
 pub fn collect(opts: &ExpOpts, n: usize) -> CounterDistribution {
-    collect_env(opts, n, EnvSpec::Uniform { broadcast_fanout: None }, CONVERGE_ROUNDS)
+    let mut s = scenario(opts);
+    s.sweep = None;
+    s.n = Some(n);
+    collect_from(&s)
 }
 
-/// Collect under an arbitrary environment (the `spatial-cutoff` extension
-/// reuses this with the grid environment and a longer convergence phase).
-pub fn collect_env(
-    opts: &ExpOpts,
-    n: usize,
-    env: EnvSpec,
-    converge_rounds: u64,
-) -> CounterDistribution {
-    let spec = collect_spec(opts, n, env, converge_rounds);
-    let outcome = dynagg_scenario::run(&spec).expect("fig6 spec is valid");
-    let samples =
-        outcome.instances[0].trials[0].counter_samples.as_ref().expect("counter-cdf report");
-    CounterDistribution::from_samples(n, samples)
+/// Run a sweepless counter-cdf scenario and reduce its samples (the
+/// `spatial-cutoff` extension collects its grid scenario through this).
+pub fn collect_from(spec: &ScenarioSpec) -> CounterDistribution {
+    let outcome = dynagg_scenario::run(spec).expect("counter-cdf scenario is valid");
+    CounterDistribution::from_instance(&outcome.instances[0])
 }
 
 impl CounterDistribution {
-    /// Reduce raw per-bit age histograms (`samples[k][age]`, the scenario
-    /// engine's [`Report::CounterCdf`] output) to CDFs, p99 ages, and the
-    /// linear fit.
-    pub fn from_samples(n: usize, samples: &[Vec<u64>]) -> Self {
+    /// Reduce one counter-cdf sweep instance's raw per-bit age histograms
+    /// (`samples[k][age]`, the scenario engine's `Report::CounterCdf`
+    /// output) to CDFs, p99 ages, and the linear fit.
+    pub fn from_instance(inst: &InstanceOutcome) -> Self {
+        let samples = inst.trials[0].counter_samples.as_ref().expect("counter-cdf report");
         let mut cdf = Vec::new();
         let mut p99 = Vec::new();
         for hist in samples {
@@ -129,7 +96,7 @@ impl CounterDistribution {
             p99.push(p99_val.unwrap_or(f64::from(MAX_FINITE_AGE)));
         }
         let fit = linear_fit(&p99);
-        CounterDistribution { n, cdf, p99, fit }
+        CounterDistribution { n: inst.n, cdf, p99, fit }
     }
 }
 
@@ -172,22 +139,12 @@ pub fn cdf_table(
     t
 }
 
-/// Run the full figure: one table per network size. Sizes are collected
-/// as parallel trials (each is an independent simulation).
+/// Run the full figure: one table per network size, the sizes collected as
+/// the scenario's parallel sweep instances.
 pub fn run(opts: &ExpOpts) -> Vec<Table> {
-    let sizes = opts.fig6_sizes();
-    let dists = dynagg_sim::par::par_map(&sizes, |_, &n| collect(opts, n));
-    sizes
-        .into_iter()
-        .zip(dists)
-        .map(|(n, dist)| {
-            cdf_table(
-                format!("fig6_n{n}"),
-                format!("Fig. 6 — bit counter CDF, {n} hosts (converged, uniform gossip)"),
-                &dist,
-            )
-        })
-        .collect()
+    let spec = scenario(opts);
+    let outcome = dynagg_scenario::run(&spec).expect("fig6 scenario is valid");
+    scenario_run::tables(&spec, &outcome)
 }
 
 #[cfg(test)]

@@ -10,80 +10,31 @@
 //! Expected shape (paper): the failure produces no lasting error for *any*
 //! λ — random failures do not move the average — so all lines converge and
 //! stay converged, with larger λ sitting at a slightly higher steady floor.
+//!
+//! The workload is `scenarios/fig8.toml`, embedded here; the command runs
+//! that file at the CLI's seed and population.
 
 use crate::opts::ExpOpts;
 use crate::output::Table;
-use dynagg_core::config::RevertConfig;
-use dynagg_scenario::{Engine, EnvSpec, ProtocolSpec, ScenarioSpec, Sweep, SweepAxis};
-use dynagg_sim::{par, FailureMode, FailureSpec, Series, Truth};
+use crate::scenario_run;
+use dynagg_scenario::ScenarioSpec;
+use dynagg_sim::Series;
 
-/// Rounds simulated (paper x-axis: 0..60).
-pub const ROUNDS: u64 = 60;
-
-/// The scenario behind one λ line: pairwise Push-Sum-Revert with half the
-/// population failing at round 20.
-pub fn line_spec(opts: &ExpOpts, lambda: f64, mode: FailureMode) -> ScenarioSpec {
-    let mut s = ScenarioSpec::new(
-        "fig8",
-        opts.seed,
-        EnvSpec::Uniform { broadcast_fanout: None },
-        ProtocolSpec::PushSumRevert { lambda },
-    );
-    s.description = "Fig. 8 — dynamic averaging under uncorrelated failures".into();
-    s.n = Some(opts.population());
-    s.rounds = Some(ROUNDS);
-    s.engine = Engine::Pairwise;
-    s.truth = Truth::Mean;
-    s.failure = FailureSpec::AtRound { round: 20, mode, fraction: 0.5, graceful: false };
-    s
-}
-
-/// The full figure as one declarative scenario (what `scenarios/fig8.toml`
-/// contains): the line spec swept over the paper's λ grid.
+/// The figure's scenario at the CLI's seed and population.
 pub fn scenario(opts: &ExpOpts) -> ScenarioSpec {
-    let mut s = line_spec(opts, 0.0, FailureMode::Random);
-    s.sweep = Some(Sweep { axis: SweepAxis::Lambda, values: RevertConfig::PAPER_LAMBDAS.to_vec() });
+    let mut s = scenario_run::embedded(include_str!("../../../scenarios/fig8.toml"), opts.seed);
+    s.n = Some(opts.population());
     s
 }
 
 /// Run one λ line.
-pub fn run_line(opts: &ExpOpts, lambda: f64, mode: FailureMode) -> Series {
-    dynagg_scenario::run_series(&line_spec(opts, lambda, mode)).expect("fig8 spec is valid")
+pub fn run_line(opts: &ExpOpts, lambda: f64) -> Series {
+    scenario_run::lambda_line(scenario(opts), lambda)
 }
 
-/// Run the full figure.
+/// Run the full figure: the file's λ sweep, one column per line.
 pub fn run(opts: &ExpOpts) -> Table {
-    let lambdas = RevertConfig::PAPER_LAMBDAS;
-    let mut columns = vec!["round".to_string()];
-    columns.extend(lambdas.iter().map(|l| format!("stddev(l={l})")));
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let mut table = Table::new(
-        "fig8",
-        format!(
-            "Fig. 8 — dynamic averaging, uncorrelated failures ({} hosts, half fail at round 20)",
-            opts.population()
-        ),
-        &col_refs,
-    );
-    // λ lines are independent trials — fan them out across cores.
-    let series: Vec<Series> =
-        par::par_map(&lambdas, |_, &l| run_line(opts, l, FailureMode::Random));
-    for r in 0..ROUNDS as usize {
-        let mut row = vec![r as f64];
-        row.extend(series.iter().map(|s| s.rounds[r].stddev));
-        table.push_row(row);
-    }
-    // Paper-shape checks as notes.
-    let post = |s: &Series| s.steady_state_stddev(45);
-    table.note(format!(
-        "steady-state stddev (rounds 45+): {}",
-        lambdas
-            .iter()
-            .zip(&series)
-            .map(|(l, s)| format!("l={l}: {:.3}", post(s)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
+    let mut table = scenario_run::run_series_table(&scenario(opts));
     table.note(
         "paper shape: random failures leave every line stable; larger l has a higher floor"
             .to_string(),
@@ -106,7 +57,7 @@ mod tests {
         // (the floor itself grows with λ; that is the expected trade-off).
         let opts = quick();
         for lambda in [0.0, 0.01, 0.5] {
-            let s = run_line(&opts, lambda, FailureMode::Random);
+            let s = run_line(&opts, lambda);
             let pre: f64 = s.rounds[14..20].iter().map(|r| r.stddev).sum::<f64>() / 6.0;
             let post = s.steady_state_stddev(50);
             assert!(
@@ -115,14 +66,14 @@ mod tests {
             );
         }
         // Small λ floors stay small in absolute terms too.
-        let s = run_line(&opts, 0.01, FailureMode::Random);
+        let s = run_line(&opts, 0.01);
         assert!(s.steady_state_stddev(50) < 8.0);
     }
 
     #[test]
     fn table_has_one_row_per_round() {
         let t = run(&quick());
-        assert_eq!(t.rows.len(), ROUNDS as usize);
+        assert_eq!(t.rows.len() as u64, scenario(&quick()).rounds.unwrap());
         assert_eq!(t.columns.len(), 6);
     }
 }

@@ -6,49 +6,27 @@
 //! propagation cutoff `f(k) = 7 + k/4` (the estimate "reverts to its
 //! original state within 10 rounds of a massive node failure"). The
 //! y-axis is the standard deviation from the correct sum.
+//!
+//! The workload is `scenarios/fig9.toml` (the "limiting on" line),
+//! embedded here; the naive line is the same file with the cutoff removed.
 
 use crate::opts::ExpOpts;
 use crate::output::Table;
-use dynagg_scenario::{EnvSpec, ProtocolSpec, ScenarioSpec, ValueSpec};
-use dynagg_sim::{par, FailureMode, FailureSpec, Series, Truth};
+use crate::scenario_run;
+use dynagg_scenario::ProtocolSpec;
+use dynagg_sim::{par, Series};
 use dynagg_sketch::cutoff::Cutoff;
 
-/// Rounds simulated (paper x-axis: 0..40).
-pub const ROUNDS: u64 = 40;
-
-/// The scenario behind one cutoff line: Count-Sketch-Reset counting with
-/// half the population failing at round 20. `scenarios/fig9.toml` is the
-/// paper-cutoff ("limiting on") instance.
-pub fn line_spec(opts: &ExpOpts, cutoff: Cutoff) -> ScenarioSpec {
-    let mut s = ScenarioSpec::new(
-        "fig9",
-        opts.seed,
-        EnvSpec::Uniform { broadcast_fanout: None },
-        ProtocolSpec::CountSketchReset {
-            cutoff,
-            push_pull: true,
-            multiplier: 1,
-            hash_seed_xor: 0x5E7C,
-        },
-    );
-    s.description = "Fig. 9 — dynamic counting under failure".into();
-    s.n = Some(opts.population());
-    s.rounds = Some(ROUNDS);
-    s.values = ValueSpec::Constant(1.0);
-    s.truth = Truth::Count;
-    s.failure = FailureSpec::paper_half_at_20(FailureMode::Random);
-    s
-}
-
-/// The `scenarios/fig9.toml` instance: the paper-cutoff ("limiting on")
-/// line.
-pub fn scenario(opts: &ExpOpts) -> ScenarioSpec {
-    line_spec(opts, Cutoff::paper_uniform())
-}
-
-/// Run one cutoff line.
+/// Run one cutoff line: the figure's scenario at the CLI's seed and
+/// population, with `cutoff` in place of the file's paper cutoff.
 pub fn run_line(opts: &ExpOpts, cutoff: Cutoff) -> Series {
-    dynagg_scenario::run_series(&line_spec(opts, cutoff)).expect("fig9 spec is valid")
+    let mut s = scenario_run::embedded(include_str!("../../../scenarios/fig9.toml"), opts.seed);
+    s.n = Some(opts.population());
+    let ProtocolSpec::CountSketchReset { cutoff: file_cutoff, .. } = &mut s.protocol else {
+        unreachable!("fig9.toml runs count-sketch-reset");
+    };
+    *file_cutoff = cutoff;
+    dynagg_scenario::run_series(&s).expect("fig9 scenario is valid")
 }
 
 /// Run the full figure.
@@ -71,14 +49,14 @@ pub fn run(opts: &ExpOpts) -> Table {
             "truth",
         ],
     );
-    for r in 0..ROUNDS as usize {
+    for (off, on) in naive.rounds.iter().zip(&limited.rounds) {
         table.push_row(vec![
-            r as f64,
-            naive.rounds[r].stddev,
-            limited.rounds[r].stddev,
-            naive.rounds[r].mean_estimate,
-            limited.rounds[r].mean_estimate,
-            limited.rounds[r].truth,
+            on.round as f64,
+            off.stddev,
+            on.stddev,
+            off.mean_estimate,
+            on.mean_estimate,
+            on.truth,
         ]);
     }
     // Healing-time reading: first round ≥ 20 where the limited line's mean

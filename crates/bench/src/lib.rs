@@ -19,11 +19,15 @@
 //! | [`scenario_run`] | `experiments run <file.toml>` — declarative scenarios via `dynagg-scenario` |
 //! | [`serve`] | `experiments serve` — the live aggregation service under generated client load |
 //!
-//! Environment and protocol construction route through the
-//! `dynagg-scenario` registry: each figure module builds [`ScenarioSpec`]s
-//! (its `line_spec`/`scenario` functions) and runs them, so the checked-in
-//! `scenarios/*.toml` files reproduce the figures bit-identically
-//! (`tests/scenario_goldens.rs` pins this).
+//! Each figure's workload is stated once, in its checked-in
+//! `scenarios/*.toml` file: the figure module embeds that file
+//! (`include_str!`), applies the CLI's seed and population, edits the
+//! parsed [`ScenarioSpec`] into the lines it draws, and runs them through
+//! the `dynagg-scenario` registry — so `experiments fig8` and
+//! `experiments run scenarios/fig8.toml` write the same CSV
+//! (`tests/scenario_goldens.rs` pins what the files produce). Only the
+//! Fig. 11 sum panel, the convergence table's static line and the
+//! ablations, which have no scenario file, build specs in code.
 //!
 //! [`ScenarioSpec`]: dynagg_scenario::ScenarioSpec
 

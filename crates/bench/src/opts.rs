@@ -42,11 +42,6 @@ impl ExpOpts {
     /// Quick-mode trace horizon, in simulated hours.
     pub const QUICK_TRACE_HOURS: u64 = 12;
 
-    /// Trace horizon cap in simulated hours (`None` = full trace).
-    pub fn trace_hours_cap(&self) -> Option<u64> {
-        self.quick.then_some(Self::QUICK_TRACE_HOURS)
-    }
-
     /// Fig. 6 network sizes.
     pub fn fig6_sizes(&self) -> Vec<usize> {
         if self.quick {
@@ -68,7 +63,5 @@ mod tests {
         assert_eq!(full.population(), 100_000);
         assert_eq!(quick.population(), 1_000);
         assert_eq!(quick.fig6_sizes(), vec![1_000, 10_000]);
-        assert_eq!(full.trace_hours_cap(), None);
-        assert_eq!(quick.trace_hours_cap(), Some(12));
     }
 }

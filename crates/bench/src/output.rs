@@ -73,10 +73,23 @@ impl Table {
         out
     }
 
-    /// CSV rendering (RFC-4180-ish; numeric cells, quoted header).
+    /// CSV rendering (RFC 4180: numeric cells; a header cell holding `,`,
+    /// `"` or a line break is quoted with inner quotes doubled, every
+    /// other name stays bare).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "{}", self.columns.join(","));
+        let header: Vec<String> = self
+            .columns
+            .iter()
+            .map(|c| {
+                if c.contains([',', '"', '\n', '\r']) {
+                    format!("\"{}\"", c.replace('"', "\"\""))
+                } else {
+                    c.clone()
+                }
+            })
+            .collect();
+        let _ = writeln!(out, "{}", header.join(","));
         for row in &self.rows {
             let line: Vec<String> = row.iter().map(|v| format_num(*v)).collect();
             let _ = writeln!(out, "{}", line.join(","));
@@ -135,6 +148,13 @@ mod tests {
         t.push_row(vec![1.0, 2.0]);
         let csv = t.to_csv();
         assert_eq!(csv, "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn csv_quotes_header_cells_that_need_it() {
+        let mut t = Table::new("t5", "T", &["style(0=push,1=pushpull)", "say \"hi\"", "plain"]);
+        t.push_row(vec![0.0, 1.0, 2.0]);
+        assert_eq!(t.to_csv(), "\"style(0=push,1=pushpull)\",\"say \"\"hi\"\"\",plain\n0,1,2\n");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The `experiments run <file.toml>` path: load a declarative scenario,
 //! apply CLI overrides, run it through `dynagg-scenario`'s registry, and
-//! render the outcome as [`Table`]s — the same registry the hard-coded
-//! figure modules call, so a checked-in scenario reproduces its figure
-//! bit-identically.
+//! render the outcome as [`Table`]s. The figure modules embed their
+//! checked-in file ([`embedded`]) and render through the same tables, so
+//! `experiments fig8` and `experiments run scenarios/fig8.toml` are one
+//! workload stated once.
 
 use crate::fig6::{self, CounterDistribution};
 use crate::opts::ExpOpts;
@@ -10,6 +11,7 @@ use crate::output::Table;
 use dynagg_scenario::{
     AsyncSpec, Engine, EnvSpec, Report, ScenarioOutcome, ScenarioSpec, ShardsSpec, SweepAxis,
 };
+use dynagg_sim::Series;
 use std::path::Path;
 
 /// CLI overrides applied on top of the file's spec.
@@ -44,6 +46,35 @@ pub fn load(path: &Path) -> Result<ScenarioSpec, String> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     ScenarioSpec::from_toml_str(&src).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Parse a figure file a bench module embeds with `include_str!`, at the
+/// CLI's seed. The module then applies its population rule and edits the
+/// spec into the line it wants; the file stays the only statement of the
+/// workload.
+///
+/// # Panics
+/// Panics if the file does not parse: `tests/scenario_goldens.rs` parses
+/// every checked-in scenario, so that is a broken build, not an input.
+pub fn embedded(src: &str, seed: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::from_toml_str(src).expect("checked-in figure scenario parses");
+    spec.seed = seed;
+    spec
+}
+
+/// Run one λ line of a λ-swept scenario: drop the sweep, set the
+/// reversion constant, return the series.
+pub fn lambda_line(mut spec: ScenarioSpec, lambda: f64) -> Series {
+    spec.sweep = None;
+    *spec.protocol.lambda_mut().expect("a lambda-swept protocol has a lambda") = lambda;
+    dynagg_scenario::run_series(&spec).expect("figure scenario is valid")
+}
+
+/// Run a figure module's series scenario — the whole sweep the file
+/// declares, instances fanned out across cores — as the one table
+/// `experiments run` renders for it.
+pub fn run_series_table(spec: &ScenarioSpec) -> Table {
+    series_table(spec, &dynagg_scenario::run(spec).expect("figure scenario is valid"))
 }
 
 /// Apply CLI overrides; re-validation happens at run time.
@@ -132,8 +163,7 @@ pub fn tables(spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> Vec<Table> {
             .instances
             .iter()
             .map(|inst| {
-                let samples = inst.trials[0].counter_samples.as_ref().expect("counter-cdf report");
-                let dist = CounterDistribution::from_samples(inst.n, samples);
+                let dist = CounterDistribution::from_instance(inst);
                 fig6::cdf_table(
                     format!("{}_n{}", table_id(&spec.name), inst.n),
                     format!("{} — bit counter CDF, {} hosts", spec.name, inst.n),

@@ -14,48 +14,41 @@
 //! but with a larger intercept and slope than uniform gossip, reflecting
 //! the slower spatial propagation. A deployment on a grid would configure
 //! `Cutoff::Linear` with the fitted parameters.
+//!
+//! The grid workload is `scenarios/spatial_cutoff.toml`, embedded here;
+//! the uniform baseline is Fig. 6's scenario at the same size.
 
 use crate::fig6::{self, CounterDistribution};
 use crate::opts::ExpOpts;
 use crate::output::Table;
-use dynagg_scenario::{EnvSpec, ScenarioSpec};
+use crate::scenario_run;
+use dynagg_scenario::ScenarioSpec;
 
-/// Spatial gossip needs longer to converge than uniform.
-pub const SPATIAL_CONVERGE_ROUNDS: u64 = 80;
-
-/// The spatial half as a declarative scenario (`scenarios/spatial_cutoff.toml`).
-pub fn scenario(opts: &ExpOpts) -> ScenarioSpec {
-    let n = if opts.quick { 2_500 } else { 10_000 };
-    let mut s =
-        fig6::collect_spec(opts, n, EnvSpec::Spatial { max_walk: None }, SPATIAL_CONVERGE_ROUNDS);
-    s.name = "spatial-cutoff".into();
-    s.description = "Extension — the cutoff fit in the grid environment (§IV-A)".into();
-    s
+/// The grid scenario at the CLI's seed.
+fn grid(opts: &ExpOpts) -> ScenarioSpec {
+    scenario_run::embedded(include_str!("../../../scenarios/spatial_cutoff.toml"), opts.seed)
 }
 
 /// Collect the spatial and uniform distributions at the same size (the
 /// two environments run as parallel trials).
 pub fn collect_pair(opts: &ExpOpts, n: usize) -> (CounterDistribution, CounterDistribution) {
-    let variants = [true, false];
-    let mut dists = dynagg_sim::par::par_map(&variants, |_, &spatial| {
+    let mut dists = dynagg_sim::par::par_map(&[true, false], |_, &spatial| {
         if spatial {
-            fig6::collect_env(opts, n, EnvSpec::Spatial { max_walk: None }, SPATIAL_CONVERGE_ROUNDS)
+            let mut grid = grid(opts);
+            grid.n = Some(n);
+            fig6::collect_from(&grid)
         } else {
-            fig6::collect_env(
-                opts,
-                n,
-                EnvSpec::Uniform { broadcast_fanout: None },
-                fig6::CONVERGE_ROUNDS,
-            )
+            fig6::collect(opts, n)
         }
     })
     .into_iter();
     (dists.next().expect("spatial"), dists.next().expect("uniform"))
 }
 
-/// Run the experiment.
+/// Run the experiment at the file's population (a quarter of it under
+/// `--quick`).
 pub fn run(opts: &ExpOpts) -> Table {
-    let n = if opts.quick { 2_500 } else { 10_000 };
+    let n = if opts.quick { 2_500 } else { grid(opts).n.expect("spatial_cutoff.toml states n") };
     let (spatial, uniform) = collect_pair(opts, n);
     let bits = spatial.p99.len().min(uniform.p99.len());
     let mut t = Table::new(

@@ -12,7 +12,8 @@ use dynagg_sketch::pcsa::Pcsa;
 /// Post-failure convergence reading of a series: `(rounds to converge,
 /// steady stddev)`. Converged = stddev within 10 % of the steady tail.
 pub fn post_failure_convergence(series: &Series, failure_round: u64) -> (f64, f64) {
-    let steady = series.steady_state_stddev(fig10::ROUNDS - 10);
+    let rounds = series.rounds.len() as u64;
+    let steady = series.steady_state_stddev(rounds - 10);
     let tol = (steady * 1.10).max(steady + 0.05);
     let conv = series
         .rounds
@@ -20,7 +21,7 @@ pub fn post_failure_convergence(series: &Series, failure_round: u64) -> (f64, f6
         .filter(|s| s.round >= failure_round)
         .find(|s| s.stddev <= tol)
         .map(|s| s.round - failure_round)
-        .unwrap_or(fig10::ROUNDS - failure_round);
+        .unwrap_or(rounds - failure_round);
     (conv as f64, steady)
 }
 

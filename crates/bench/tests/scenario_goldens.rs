@@ -1,24 +1,17 @@
-//! Scenario goldens: the checked-in `scenarios/*.toml` files ARE the
-//! hard-coded figures.
+//! Scenario goldens: the checked-in `scenarios/*.toml` files are the only
+//! statement of each workload — the figure modules embed them — so what
+//! guards them is what they *produce*.
 //!
-//! Three layers of pinning:
-//!
-//! 1. **Spec equality** — each figure TOML parses to *exactly* the
-//!    [`ScenarioSpec`] its bench module constructs (so the file cannot
-//!    drift from the figure silently).
-//! 2. **Runtime bit-identity** — running a (scaled-down) TOML through the
-//!    scenario engine produces series/distributions bit-identical to the
-//!    module path.
-//! 3. **Golden digests** — fixed constants over full series content catch
-//!    any registry/parser/engine drift, in the style of
-//!    `tests/determinism.rs`.
-//!
-//! [`ScenarioSpec`]: dynagg_scenario::ScenarioSpec
+//! **Golden digests** — fixed constants over full series content (or raw
+//! counter histograms for the counter-cdf figures) catch any
+//! file/registry/parser/engine drift, in the style of
+//! `tests/determinism.rs`. Every pin loads its file from disk, scales it
+//! down for test time, and runs it through `dynagg_scenario`. The rest of
+//! the file tells each non-figure scenario's story at reduced size.
 
-use dynagg_bench::{epoch_disruption, fig10, fig6, fig8, fig9, spatial_cutoff, ExpOpts};
-use dynagg_core::config::RevertConfig;
-use dynagg_scenario::{ScenarioSpec, SweepAxis};
-use dynagg_sim::{FailureMode, Series};
+use dynagg_bench::ExpOpts;
+use dynagg_scenario::ScenarioSpec;
+use dynagg_sim::Series;
 use std::path::{Path, PathBuf};
 
 fn scenarios_dir() -> PathBuf {
@@ -104,72 +97,7 @@ fn every_checked_in_scenario_parses_and_validates() {
         ScenarioSpec::from_toml_str(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         seen += 1;
     }
-    assert!(seen >= 12, "expected the full scenario library, found {seen} files");
-}
-
-#[test]
-fn figure_tomls_parse_to_the_module_specs() {
-    let opts = ExpOpts::default();
-    assert_eq!(load("fig6.toml"), fig6::scenario(&opts), "fig6.toml drifted");
-    assert_eq!(load("fig8.toml"), fig8::scenario(&opts), "fig8.toml drifted");
-    assert_eq!(load("fig9.toml"), fig9::scenario(&opts), "fig9.toml drifted");
-    assert_eq!(load("fig10a.toml"), fig10::scenario_a(&opts), "fig10a.toml drifted");
-    assert_eq!(load("fig10b.toml"), fig10::scenario_b(&opts), "fig10b.toml drifted");
-    assert_eq!(
-        load("spatial_cutoff.toml"),
-        spatial_cutoff::scenario(&opts),
-        "spatial_cutoff.toml drifted"
-    );
-    assert_eq!(
-        load("epoch_disruption.toml"),
-        epoch_disruption::epoch_cell_spec(1200, opts.seed, 0.02, 1.0),
-        "epoch_disruption.toml drifted"
-    );
-}
-
-#[test]
-fn fig8_toml_reproduces_the_module_series_bit_identically() {
-    let mut spec = load("fig8.toml");
-    spec.n = Some(800); // scaled for test time; identical code path
-    let outcome = dynagg_scenario::run(&spec).unwrap();
-    let opts = ExpOpts { n: 800, ..ExpOpts::default() };
-    let lambdas = RevertConfig::PAPER_LAMBDAS;
-    assert_eq!(outcome.instances.len(), lambdas.len());
-    for (inst, &lambda) in outcome.instances.iter().zip(&lambdas) {
-        let module = fig8::run_line(&opts, lambda, FailureMode::Random);
-        assert_eq!(
-            inst.series(),
-            &module,
-            "lambda={lambda}: TOML-driven series diverged from the fig8 module path"
-        );
-    }
-}
-
-#[test]
-fn fig6_toml_reproduces_the_module_distribution_bit_identically() {
-    let mut spec = load("fig6.toml");
-    let sweep = spec.sweep.as_mut().expect("fig6 sweeps n");
-    assert_eq!(sweep.axis, SweepAxis::N);
-    sweep.values = vec![600.0]; // scaled for test time
-    let outcome = dynagg_scenario::run(&spec).unwrap();
-    let samples = outcome.instances[0].trials[0].counter_samples.as_ref().unwrap();
-    let from_toml = fig6::CounterDistribution::from_samples(600, samples);
-    let from_module = fig6::collect(&ExpOpts::default(), 600);
-    assert_eq!(from_toml, from_module, "TOML-driven fig6 distribution diverged");
-}
-
-#[test]
-fn epoch_disruption_toml_reproduces_the_module_cell_bit_identically() {
-    let mut spec = load("epoch_disruption.toml");
-    spec.n = Some(300); // the module's test-size cell
-    let toml_series = dynagg_scenario::run_series(&spec).unwrap();
-    let module_spec = epoch_disruption::epoch_cell_spec(300, ExpOpts::default().seed, 0.02, 1.0);
-    let module_series = dynagg_scenario::run_series(&module_spec).unwrap();
-    assert_eq!(toml_series, module_series, "TOML-driven epoch cell diverged");
-    assert!(
-        toml_series.disruptions_between(0) > 0,
-        "the cell must actually exhibit §II-C disruptions"
-    );
+    assert!(seen >= 19, "expected the full scenario library, found {seen} files");
 }
 
 /// Pinned digests: any engine/registry/parser change that alters scenario
@@ -198,11 +126,12 @@ fn golden_digest_epoch_cell() {
         GOLDEN_EPOCH_CELL_N300,
         "epoch-disruption scenario output changed for a fixed seed"
     );
+    assert!(series.disruptions_between(0) > 0, "the cell must actually exhibit §II-C disruptions");
 }
 
-/// Pinned digests for the remaining figure files, computed through the
-/// hand-written spec builders the figure modules carried before they
-/// embedded these files (the builders and the files agreed bit for bit).
+/// Pinned digests for the remaining figure files. First computed through
+/// the hand-written spec builders the figure modules carried before they
+/// embedded these files (builders and files agreed bit for bit).
 const GOLDEN_FIG9_PAPER_CUTOFF_N800: u64 = 0xF6D0_4B71_6C3E_D15F;
 const GOLDEN_FIG10A_L01_N800: u64 = 0x04F4_8F26_565D_8224;
 const GOLDEN_FIG10B_L01_N800: u64 = 0x623C_6D49_CA34_A949;
@@ -945,4 +874,23 @@ fn fig6_async_toml_reads_counters_through_the_sequential_engine() {
     let low: u64 = samples[0].iter().sum();
     let high: u64 = samples[samples.len() - 1].iter().sum();
     assert!(low > high, "counter mass must concentrate at low bit indexes");
+}
+
+// ── the CLI around the scenarios ────────────────────────────────────────
+
+/// `--out` that cannot be written is the command's failure: a scripted
+/// figure run must not exit 0 having produced no files.
+#[test]
+fn unwritable_out_dir_fails_the_command() {
+    let blocker = std::env::temp_dir().join(format!("dynagg-out-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, "a regular file, not a directory").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["table-sketch-error", "--quick", "--out"])
+        .arg(blocker.join("csv"))
+        .output()
+        .expect("experiments binary runs");
+    std::fs::remove_file(&blocker).unwrap();
+    assert!(!out.status.success(), "exit status must report the failed csv write");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("csv write failed for table_sketch_error"), "stderr: {stderr}");
 }

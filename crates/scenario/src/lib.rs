@@ -3,12 +3,11 @@
 //! Declarative experiment assembly: a [`ScenarioSpec`] names an
 //! environment, a protocol (any of the 12 in `dynagg-core`) with its
 //! configuration, seeds/rounds/trials, a failure plan, and the outputs to
-//! record — either built programmatically (the figure modules in
-//! `dynagg-bench` do this) or parsed from a TOML file (the
-//! `experiments run <file.toml>` subcommand, over the offline `toml`
-//! shim). Both paths meet in [`registry`], so a checked-in
-//! `scenarios/*.toml` reproduces the corresponding hard-coded figure
-//! bit-identically.
+//! record — parsed from a TOML file (the `experiments run <file.toml>`
+//! subcommand, over the offline `toml` shim; the figure modules in
+//! `dynagg-bench` embed their checked-in `scenarios/*.toml` the same
+//! way) or built programmatically (ablations, tests). Both paths meet in
+//! [`registry`].
 //!
 //! Parsing and validation return typed [`ScenarioError`]s — an unknown
 //! protocol name, a missing seed, or a key from the wrong environment

@@ -3,10 +3,10 @@
 //! This is the single place where a declarative [`ScenarioSpec`] meets the
 //! concrete types in `dynagg-core` / `dynagg-sim`: [`build_env`] maps an
 //! [`EnvSpec`] onto an environment, and [`run`] dispatches over
-//! (protocol × engine) to assemble and drive a simulation. The hard-coded
-//! figure modules in `dynagg-bench` construct specs and call these same
-//! functions, so `experiments run <file.toml>` reproduces them
-//! bit-identically.
+//! (protocol × engine) to assemble and drive a simulation. The figure
+//! modules in `dynagg-bench` embed their `scenarios/*.toml` file and call
+//! these same functions, so a figure command and `experiments run
+//! <file.toml>` are one run.
 
 use crate::error::ScenarioError;
 use crate::spec::{
@@ -158,7 +158,7 @@ pub fn build_env(env: &EnvSpec, n: usize, seed: u64) -> Box<dyn Environment> {
 }
 
 /// Run a full scenario: validate, expand the sweep, run every instance
-/// (instances fan out as parallel trials, like the hard-coded figures).
+/// (instances fan out as parallel trials).
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioOutcome, ScenarioError> {
     spec.validate()?;
     let instances = spec.instances();

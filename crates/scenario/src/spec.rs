@@ -1,7 +1,6 @@
 //! The scenario specification: a validated, declarative description of one
 //! experiment — environment, protocol, population, failure plan, and
-//! outputs — that both the TOML front end and the hard-coded figure
-//! modules construct.
+//! outputs — that the TOML front end parses and code can construct.
 
 use crate::error::ScenarioError;
 use dynagg_core::adversary::Attack;
