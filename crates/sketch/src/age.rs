@@ -57,8 +57,8 @@
 //! `tests/lazy_equivalence.rs`.
 //!
 //! Each matrix also carries a **mutation version** ([`AgeMatrix::version`])
-//! keying the codec's per-snapshot encode memo: a host fanning one
-//! `Arc<AgeMatrix>` snapshot to k partners encodes it once.
+//! keying the codec's per-snapshot encode memo: a reply that follows a
+//! poll with no merge between re-reads the frame instead of re-encoding.
 
 use crate::cutoff::Cutoff;
 use crate::estimate;
@@ -133,8 +133,8 @@ pub(crate) struct EncodeSlot {
     /// Encoded length in bytes (0 = not yet computed; real payloads are
     /// never empty — the header alone is 5 bytes).
     pub(crate) len: usize,
-    /// Full encoded payload, if one was built (length-only probes fill
-    /// just `len`).
+    /// Full encoded payload, kept from the second request for `version`
+    /// on (a length-only probe or a first encode fills just `len`).
     pub(crate) bytes: Option<Arc<Vec<u8>>>,
 }
 

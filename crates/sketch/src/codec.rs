@@ -57,14 +57,20 @@
 //!
 //! Encoding is **memoized per mutation version**: both payload types carry
 //! a version ([`AgeMatrix::version`], [`Pcsa::version`]) and a per-object
-//! slot, so a host fanning one `Arc` snapshot to k partners pays the plane
-//! pass once and the k−1 remaining sends are a `memcpy`. A length-only
-//! probe ([`encoded_len_ages`]) fills the same slot without building the
+//! slot. The traffic the memo serves was measured, on the async engine's
+//! sketch workload: every protocol pushes one snapshot to one peer, so
+//! there is no fan-out to amortise, and 14.8 % of encodes re-read a
+//! version (the reply that follows a poll with no merge between). So the
+//! first encode of a version goes straight into the caller's buffer and
+//! leaves only its length behind, copying nothing for a frame that is
+//! sent once; the payload is kept when the same version is asked for
+//! again, and every encode after that is a `memcpy`. A length-only probe
+//! ([`encoded_len_ages`]) fills the same slot without building the
 //! payload.
 
 use crate::age::{finite_age_of, wire_stamp, AgeMatrix, EncodeSlot, MAX_FINITE_AGE};
 use crate::pcsa::Pcsa;
-use std::sync::{Arc, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Encoding errors (decode side).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,8 +106,30 @@ fn mask_len(l: u8) -> usize {
     (usize::from(l) + 1).div_ceil(8)
 }
 
-fn lock_memo(m: &AgeMatrix) -> MutexGuard<'_, EncodeSlot> {
-    m.encode_cache().lock().expect("no encode panics while holding the memo lock")
+fn lock_memo(cache: &Mutex<EncodeSlot>) -> MutexGuard<'_, EncodeSlot> {
+    cache.lock().expect("no encode panics while holding the memo lock")
+}
+
+/// Append to `out` the payload `write` produces for the object state at
+/// `version`, through that object's memo: written straight into `out` —
+/// and only its length noted — the first time a version is encoded, kept
+/// as well the second time, copied out of the memo from then on.
+fn encode_memoized(
+    cache: &Mutex<EncodeSlot>,
+    version: u64,
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>),
+) {
+    let mut slot = lock_memo(cache);
+    let seen = slot.version == version;
+    if let (true, Some(bytes)) = (seen, &slot.bytes) {
+        out.extend_from_slice(bytes);
+        return;
+    }
+    let start = out.len();
+    write(out);
+    let built = &out[start..];
+    *slot = EncodeSlot { version, len: built.len(), bytes: seen.then(|| Arc::new(built.to_vec())) };
 }
 
 /// Encode an age matrix as register planes:
@@ -128,26 +156,65 @@ pub fn encode_ages(m: &AgeMatrix) -> Vec<u8> {
 /// [`encode_ages`] appending into a caller-provided buffer (not cleared),
 /// so per-message encoding on a node runtime reuses one allocation.
 ///
-/// Consults the matrix's version-stamped memo first: repeated encodes of
-/// an unmutated snapshot (gossip fan-out, push-pull replies off one
-/// `Arc`) copy the cached payload instead of re-running the encoder.
+/// Memoized per [`AgeMatrix::version`] (the module doc has the rule): a
+/// frame that is encoded once is written into `out` and copied nowhere.
 pub fn encode_ages_into(m: &AgeMatrix, out: &mut Vec<u8>) {
-    let version = m.version();
-    let mut slot = lock_memo(m);
-    if slot.version == version {
-        if let Some(bytes) = &slot.bytes {
-            out.extend_from_slice(bytes);
-            return;
-        }
-    }
-    let start = out.len();
-    write_planes(m, out);
-    let built = out[start..].to_vec();
-    *slot = EncodeSlot { version, len: built.len(), bytes: Some(Arc::new(built)) };
+    encode_memoized(m.encode_cache(), m.version(), out, |out| write_planes(m, out));
 }
 
-/// The miss path of [`encode_ages_into`]: one contiguous pass over each
-/// live column of the register-major stamps.
+/// Bins per bitmap word: the plane kernels walk a column in runs of this
+/// many cells, one `u64` of bin bitmap each.
+const RUN: usize = 64;
+
+/// The bin-bitmap word of a run of at most [`RUN`] stamps: bit `b` set ⇔
+/// `run[b]` is finite (nonzero). Eight stamps at a time through a SWAR
+/// nonzero test — the carry out of the low seven bits, or the top bit
+/// itself, lights bit 7 of each nonzero byte — and a multiply that
+/// gathers those eight bits, LSB-first, into the top byte.
+#[inline]
+fn finite_word(run: &[u8]) -> u64 {
+    const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let (groups, tail) = run.as_chunks::<8>();
+    let mut word = 0;
+    for (i, &group) in groups.iter().enumerate() {
+        let g = u64::from_le_bytes(group);
+        let nz = (((g & LO7) + LO7) | g) & !LO7;
+        word |= ((nz >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    // Fewer than eight bins to the column (the count is a power of two).
+    for (i, &s) in tail.iter().enumerate() {
+        word |= u64::from(s != 0) << (8 * groups.len() + i);
+    }
+    word
+}
+
+/// Encode one run of a column: its bitmap word into `bits`, then the
+/// ages the word names onto the front of `ages`; returns how many. A full
+/// run is translated whole (one vectorised loop; registers 0–1 of a
+/// converged matrix), any other stores one age per set bit.
+#[inline(always)]
+fn write_run(now: u8, run: &[u8], bits: &mut [u8], ages: &mut [u8]) -> usize {
+    let word = finite_word(run);
+    (bits.iter_mut().zip(word.to_le_bytes())).for_each(|(b, w)| *b = w);
+    let finite = word.count_ones() as usize;
+    let ages = &mut ages[..finite];
+    if finite == run.len() {
+        (ages.iter_mut().zip(run)).for_each(|(a, &s)| *a = finite_age_of(now, s));
+    } else {
+        // `% RUN` changes no index (a set bit sits below it); it lets a
+        // whole run, whose length the compiler knows, go unchecked.
+        let mut left = word;
+        for a in ages {
+            *a = finite_age_of(now, run[left.trailing_zeros() as usize % RUN]);
+            left &= left - 1;
+        }
+    }
+    finite
+}
+
+/// The miss path of [`encode_ages_into`]: each live column of the
+/// register-major stamps, [`RUN`] bins at a time, so the work follows the
+/// finite cells (under a third of a converged matrix) and not the cells.
 fn write_planes(m: &AgeMatrix, out: &mut Vec<u8>) {
     let bins = m.num_bins() as usize;
     let bitmap_len = bins.div_ceil(8);
@@ -161,24 +228,48 @@ fn write_planes(m: &AgeMatrix, out: &mut Vec<u8>) {
             continue;
         }
         out[mask_at + k / 8] |= 1 << (k % 8);
-        // Room for the bitmap and the worst case of `bins` ages. Every
-        // stamp's age byte is stored at the write cursor, and the cursor
-        // moves only past a finite one (branch-free compaction); the tail
-        // left over is cut off below.
+        // Room for the bitmap and the worst case of `bins` ages, reserved
+        // per column so a recycled buffer grows to the frames it carries
+        // and not to the geometry; the tail left over is cut off below.
         let plane_at = out.len();
         out.resize(plane_at + bitmap_len + bins, 0);
         let (bitmap, ages) = out[plane_at..].split_at_mut(bitmap_len);
-        for (byte, group) in bitmap.iter_mut().zip(col.chunks(8)) {
-            *byte = (group.iter().enumerate())
-                .fold(0, |bits, (bit, &s)| bits | u8::from(s != 0) << bit);
+        // Whole runs at a length the compiler sees; a column narrower
+        // than a word is all remainder, any other has none.
+        let (runs, narrow) = col.as_chunks::<RUN>();
+        let (words, stub) = bitmap.as_chunks_mut::<8>();
+        let mut finite = 0;
+        for (run, bits) in runs.iter().zip(words) {
+            finite += write_run(now, run, bits, &mut ages[finite..]);
         }
-        let mut finite = 0usize;
-        for &s in col {
-            ages[finite] = finite_age_of(now, s);
-            finite += usize::from(s != 0);
-        }
+        finite += write_run(now, narrow, stub, &mut ages[finite..]);
         out.truncate(plane_at + bitmap_len + finite);
     }
+}
+
+/// The first `bits.len() ≤ 8` bitmap bytes as a little-endian word.
+#[inline]
+fn bitmap_word(bits: &[u8]) -> u64 {
+    bits.iter().rev().fold(0, |word, &b| word << 8 | u64::from(b))
+}
+
+/// [`write_run`] in reverse: fill one run of a fresh column from the
+/// front of `ages` as its bitmap `word` directs — whole if every bit is
+/// set, else scattered to the set bits — and return the ages left over.
+/// The caller has counted the column's bits against `ages`.
+#[inline(always)]
+fn read_run<'a>(run: &mut [u8], word: u64, ages: &'a [u8]) -> &'a [u8] {
+    let (ages, later) = ages.split_at(word.count_ones() as usize);
+    if ages.len() == run.len() {
+        (run.iter_mut().zip(ages)).for_each(|(s, &a)| *s = wire_stamp(a));
+    } else {
+        let mut left = word;
+        for &a in ages {
+            run[left.trailing_zeros() as usize % RUN] = wire_stamp(a);
+            left &= left - 1;
+        }
+    }
+    later
 }
 
 /// Decode an age matrix previously produced by [`encode_ages`]; anything
@@ -195,9 +286,7 @@ pub fn decode_ages(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
     }
     let registers = usize::from(l) + 1;
     let body = bytes.get(5 + mask_len(l)..).ok_or(CodecError::Truncated)?;
-    let mut mask = [0u8; 8];
-    mask[..mask_len(l)].copy_from_slice(&bytes[5..5 + mask_len(l)]);
-    let mask = u64::from_le_bytes(mask);
+    let mask = bitmap_word(&bytes[5..5 + mask_len(l)]);
     if registers < 64 && mask >> registers != 0 {
         return Err(CodecError::Malformed("presence mask names a register beyond the geometry"));
     }
@@ -227,27 +316,28 @@ pub fn decode_ages(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
         if m < 8 && bitmap[0] >> m != 0 {
             return Err(CodecError::Malformed("bin bitmap names a bin beyond the geometry"));
         }
-        let finite = bitmap.iter().map(|b| b.count_ones() as usize).sum::<usize>();
+        // Whole words at a length the compiler sees; a column narrower
+        // than one is all `stub`, any other has none.
+        let (words, stub) = bitmap.as_chunks::<8>();
+        let words = words.iter().map(|&w| u64::from_le_bytes(w));
+        let stub = bitmap_word(stub);
+        let finite = words.clone().map(u64::count_ones).sum::<u32>() + stub.count_ones();
         if finite == 0 {
             return Err(CodecError::Malformed("present column holds no finite cell"));
         }
-        if tail.len() < finite {
+        let Some((ages, tail)) = tail.split_at_checked(finite as usize) else {
             return Err(CodecError::Truncated);
-        }
-        let (ages, tail) = tail.split_at(finite);
+        };
         // A whole-slice max, not a short-circuiting search: it vectorizes.
         if ages.iter().fold(0, |oldest, &a| oldest.max(a)) > MAX_FINITE_AGE {
             return Err(CodecError::Malformed("age byte is past the saturation clamp"));
         }
-        let mut ages = ages.iter();
-        for (group, &byte) in col.chunks_mut(8).zip(bitmap) {
-            let mut bits = byte;
-            while bits != 0 {
-                let &a = ages.next().expect("one age per set bit, counted above");
-                group[bits.trailing_zeros() as usize] = wire_stamp(a);
-                bits &= bits - 1;
-            }
+        let (runs, narrow) = col.as_chunks_mut::<RUN>();
+        let mut ages = ages;
+        for (run, word) in runs.iter_mut().zip(words) {
+            ages = read_run(run, word, ages);
         }
+        read_run(narrow, stub, ages);
         rest = tail;
     }
     if !rest.is_empty() {
@@ -259,18 +349,19 @@ pub fn decode_ages(bytes: &[u8]) -> Result<AgeMatrix, CodecError> {
 /// Encoded size without materializing the payload (bandwidth accounting,
 /// `wire = "measured"` lockstep metering): header, mask, and per live
 /// column its bitmap plus one byte per nonzero stamp — one counting pass
-/// over the stamps, memoized in the same version-stamped slot as the
-/// payload so re-probing an unmutated snapshot is O(1).
+/// over the stamps, by the encoder's bitmap words, memoized in the same
+/// version-stamped slot as the payload so re-probing an unmutated
+/// snapshot is O(1).
 pub fn encoded_len_ages(m: &AgeMatrix) -> usize {
     let version = m.version();
-    let mut slot = lock_memo(m);
+    let mut slot = lock_memo(m.encode_cache());
     if slot.version == version && slot.len != 0 {
         return slot.len;
     }
     let bins = m.num_bins() as usize;
     let (_, stamps) = m.clock_and_stamps();
     let planes: usize = (stamps.chunks_exact(bins))
-        .map(|col| col.iter().filter(|&&s| s != 0).count())
+        .map(|col| col.chunks(RUN).map(|run| finite_word(run).count_ones() as usize).sum::<usize>())
         .filter(|&finite| finite != 0)
         .map(|finite| bins.div_ceil(8) + finite)
         .sum();
@@ -291,26 +382,14 @@ pub fn encode_pcsa(p: &Pcsa) -> Vec<u8> {
 /// [`encode_pcsa`] appending into a caller-provided buffer (not cleared).
 /// Memoized per [`Pcsa::version`], like [`encode_ages_into`].
 pub fn encode_pcsa_into(p: &Pcsa, out: &mut Vec<u8>) {
-    let version = p.version();
-    {
-        let slot = p.encode_cache().lock().unwrap();
-        if slot.version == version {
-            if let Some(bytes) = &slot.bytes {
-                out.extend_from_slice(bytes);
-                return;
-            }
+    encode_memoized(p.encode_cache(), p.version(), out, |out| {
+        let bytes_per_bin = (usize::from(p.width()) + 1).div_ceil(8);
+        out.extend_from_slice(&p.num_bins().to_le_bytes());
+        out.push(p.width());
+        for bin in p.bins() {
+            out.extend_from_slice(&bin.bits().to_le_bytes()[..bytes_per_bin]);
         }
-    }
-    let bytes_per_bin = (usize::from(p.width()) + 1).div_ceil(8);
-    let mut built = Vec::with_capacity(5 + p.bins().len() * bytes_per_bin);
-    built.extend_from_slice(&p.num_bins().to_le_bytes());
-    built.push(p.width());
-    for bin in p.bins() {
-        built.extend_from_slice(&bin.bits().to_le_bytes()[..bytes_per_bin]);
-    }
-    out.extend_from_slice(&built);
-    *p.encode_cache().lock().unwrap() =
-        EncodeSlot { version, len: built.len(), bytes: Some(Arc::new(built)) };
+    });
 }
 
 /// Decode a PCSA sketch previously produced by [`encode_pcsa`].
@@ -478,7 +557,9 @@ mod tests {
     fn encode_memo_is_stable_and_invalidated_by_mutation() {
         let mut m = sample_matrix(500, 4);
         let first = encode_ages(&m);
-        // Second encode is served from the memo — bytes identical.
+        // The second encode keeps the payload, the third is served from
+        // the memo — bytes identical.
+        assert_eq!(encode_ages(&m), first);
         assert_eq!(encode_ages(&m), first);
         // A length-only probe agrees with the cached payload.
         assert_eq!(encoded_len_ages(&m), first.len());

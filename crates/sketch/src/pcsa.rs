@@ -23,8 +23,8 @@ use std::sync::Mutex;
 /// A binned FM sketch (PCSA).
 ///
 /// Like [`crate::age::AgeMatrix`], the sketch carries a mutation version
-/// keying the codec's per-snapshot encode memo, so an `Arc<Pcsa>` fanned
-/// to many partners is serialized once.
+/// keying the codec's per-snapshot encode memo, so a sketch asked for
+/// again unmutated is not serialized again.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
 pub struct Pcsa {
     bins: Vec<FmSketch>,

@@ -15,6 +15,12 @@
 //! every (self, peer) clock combination, the admission floors agree with
 //! [`Cutoff::admits`] at the saturation clamp, and a matrix costs one
 //! byte per cell.
+//!
+//! And the codec's word-at-a-time plane kernels where they branch — full
+//! and partial 64-bin runs, columns narrower than a word and wider than
+//! one — against the eager reference's independent encoder, plus what an
+//! encode may ask of the allocator: nothing, for a frame that is sent
+//! once.
 
 use dynagg_sketch::age::{AgeMatrix, INF_AGE, MAX_FINITE_AGE};
 use dynagg_sketch::codec::{self, CodecError, MAX_EMPTY_CELLS};
@@ -25,6 +31,7 @@ use dynagg_sketch::pcsa::Pcsa;
 use dynagg_sketch::reference::RefAgeMatrix;
 use dynagg_sketch::rho::{bin_and_rho, rho};
 use proptest::prelude::*;
+use proptest::strategy::Just;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -121,6 +128,61 @@ fn age_from_ids(ids: &[u64], ticks: u8) -> AgeMatrix {
         m.tick();
     }
     m
+}
+
+/// Which cells `(bin, k)` of a matrix are finite.
+type Fill<'a> = &'a dyn Fn(u32, u8) -> bool;
+
+/// A `bins × (l + 1)` matrix whose finite cells are those `finite` names,
+/// at hash-spread ages, then ticked `aged` times with cell `(bins − 1, l)`
+/// pinned throughout (so a ticked matrix holds the top stamp of the
+/// byte) — left one tick past the base clock, or back on it (`at_base`:
+/// a merge of nothing re-bases without changing an age).
+fn filled(bins: u32, l: u8, finite: Fill, aged: u16, at_base: bool) -> AgeMatrix {
+    let h = SplitMix64::new(0xA6E5);
+    let cells: Vec<u8> = (0..bins)
+        .flat_map(|bin| (0..=l).map(move |k| (bin, k)))
+        .map(|(bin, k)| match finite(bin, k) {
+            true => (h.hash_pair(u64::from(bin), u64::from(k)) % 250) as u8,
+            false => INF_AGE,
+        })
+        .collect();
+    let mut m = AgeMatrix::new(bins, l);
+    m.load_ages(&cells);
+    if finite(bins - 1, l) {
+        m.claim_cell(bins - 1, l);
+    }
+    for _ in 0..aged {
+        m.tick();
+    }
+    if at_base {
+        m.merge_min(&AgeMatrix::new(bins, l));
+    }
+    m
+}
+
+/// The eager reference holding `m`'s cells, built through `dump_ages`.
+fn eager_copy(m: &AgeMatrix) -> RefAgeMatrix {
+    let mut cells = Vec::new();
+    m.dump_ages(&mut cells);
+    let mut eager = RefAgeMatrix::new(m.num_bins(), m.width());
+    eager.load_ages(&cells);
+    eager
+}
+
+/// The codec against the eager reference on one matrix: the frame is the
+/// independent encoder's byte for byte, decodes back to the same cells
+/// (and re-encodes to itself — `decode_checked`), and the length-only
+/// probe of a cold memo counts the same bytes.
+fn check_codec_against_reference(m: &AgeMatrix, what: &str) {
+    let eager = eager_copy(m);
+    let frame = codec::encode_ages(m);
+    assert_eq!(frame, eager.encode(), "{what}: not the reference encoder's frame");
+    let decoded = decode_checked(&frame).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut decoded_cells = Vec::new();
+    decoded.dump_ages(&mut decoded_cells);
+    assert_eq!(decoded_cells, eager.cells(), "{what}: decode changed a cell");
+    assert_eq!(codec::encoded_len_ages(&m.clone()), frame.len(), "{what}: length probe");
 }
 
 /// One gossip host three ways: merged in place, merged out of place
@@ -472,16 +534,51 @@ proptest! {
         }
     }
 
+    /// The plane kernels against the independent encoder at every bin
+    /// count from a bitmap narrower than a byte to a four-word column,
+    /// over fills from empty to every cell finite and the fills that sit
+    /// on the kernels' branches: a full run beside an empty one, a full
+    /// 8-group beside an empty one, the last bin alone, and the two bins
+    /// either side of the word seam.
+    #[test]
+    fn plane_kernels_agree_with_the_reference_encoder(
+        l in 1u8..=24,
+        seed: u64,
+        per_mille in prop_oneof![Just(0u64), Just(1000), 0u64..=1000, 0u64..50, 950u64..1000],
+        aged in prop_oneof![0u16..8, 250u16..258],
+        at_base: bool,
+    ) {
+        let h = SplitMix64::new(seed);
+        for bins in (0..9).map(|log2| 1u32 << log2) {
+            let fills: [(&str, Fill); 5] = [
+                ("random fill", &|bin, k| {
+                    h.hash_pair(u64::from(bin), u64::from(k)) % 1000 < per_mille
+                }),
+                ("full column beside an empty one", &|_, k| k % 2 == 0),
+                ("full 8-group beside an empty one", &|bin, _| bin / 8 % 2 == 0),
+                ("last bin alone", &|bin, _| bin == bins - 1),
+                ("either side of the word seam", &|bin, _| bin == 63 % bins || bin == 64 % bins),
+            ];
+            for (fill, finite) in fills {
+                let m = filled(bins, l, finite, aged, at_base);
+                let what = format!(
+                    "{bins} × {l}, {fill} ({per_mille}‰), aged {aged}, at base: {at_base}"
+                );
+                check_codec_against_reference(&m, &what);
+            }
+        }
+    }
+
     /// Every truncation and every single-bit flip of a valid frame — of
-    /// any small geometry, so bitmaps narrower than a byte and masks with
-    /// spare bits are covered — is either rejected or is itself the
+    /// any geometry from a bitmap narrower than a byte (and a mask with
+    /// spare bits) to a two-word column — is either rejected or is itself the
     /// canonical encoding of the matrix it decodes to (a flipped age bit
     /// is just another matrix — unless it makes a byte past the clamp, 254
     /// or the ∞ sentinel, which the long agings reach from 253, 252, 127
     /// and 126; the third arm parks the oldest cell on that edge).
     #[test]
     fn age_decoder_survives_truncations_and_bit_flips(
-        bins_log2 in 0u32..5,
+        bins_log2 in 0u32..8,
         l in 1u8..=24,
         cells in proptest::collection::vec((any::<u32>(), any::<u8>()), 0..40),
         aged in prop_oneof![0u16..8, 100u16..300, 250u16..258],
@@ -645,4 +742,37 @@ fn a_matrix_costs_one_byte_per_cell() {
         let (_, largest) = largest_request_during(|| m.merged_with(&decoded.unwrap()));
         assert!(largest <= cells + SLACK, "merged_with requested {largest} B");
     }
+}
+
+/// What an encode asks of the allocator. A frame that is sent once — the
+/// first encode of a version, every protocol's one snapshot to one peer —
+/// is written into the caller's buffer and copied nowhere; the payload is
+/// kept when the same version is asked for again (the reply that follows
+/// a poll with no merge between), and from then on an encode is a copy
+/// out of the memo.
+#[test]
+fn a_frame_encoded_once_is_copied_nowhere() {
+    let h = SplitMix64::new(7);
+    let mut m = AgeMatrix::new(64, 16);
+    let mut peer = m.clone();
+    for id in 0..6_000 {
+        m.claim_id(&h, id);
+        peer.claim_id(&h, id + 6_000);
+    }
+    m.tick();
+    // Room for the header, the mask and every column at its worst case.
+    let mut buf = Vec::with_capacity(8 + 17 * (8 + 64));
+    codec::encode_ages_into(&m, &mut buf);
+    m.merge_min(&peer);
+    let mut encode = |m: &AgeMatrix| {
+        buf.clear();
+        let ((), largest) = largest_request_during(|| codec::encode_ages_into(m, &mut buf));
+        assert_eq!(buf, eager_copy(m).encode());
+        largest
+    };
+    assert_eq!(encode(&m), 0, "the first encode of a version requested heap memory");
+    let frame_len = codec::encoded_len_ages(&m);
+    let kept = encode(&m);
+    assert!(0 < kept && kept <= frame_len, "the second keeps the payload: {kept} B requested");
+    assert_eq!(encode(&m), 0, "the third encode of a version is a copy out of the memo");
 }
