@@ -188,12 +188,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--engine" => {
                 let v = argv.next().ok_or("--engine needs a value")?;
-                overrides.engine = Some(match v.as_str() {
-                    "push" => dynagg_scenario::Engine::Push,
-                    "pairwise" => dynagg_scenario::Engine::Pairwise,
-                    "async" => dynagg_scenario::Engine::Async,
-                    other => return Err(format!("bad --engine {other} (push|pairwise|async)")),
-                });
+                let names = dynagg_scenario::Engine::ALL.map(dynagg_scenario::Engine::name);
+                overrides.engine = Some(
+                    dynagg_scenario::Engine::from_name(&v)
+                        .ok_or_else(|| format!("bad --engine {v} ({})", names.join("|")))?,
+                );
             }
             "--shards" => {
                 let v = argv.next().ok_or("--shards needs a value")?;

@@ -9,6 +9,9 @@
 //! way) or built programmatically (ablations, tests). Both paths meet in
 //! [`registry`].
 //!
+//! What combines with what is stated once, in the capability table
+//! ([`caps`]); validation, parsing and the registry all read it.
+//!
 //! Parsing and validation return typed [`ScenarioError`]s — an unknown
 //! protocol name, a missing seed, or a key from the wrong environment
 //! kind is a diagnosis, never a panic.
@@ -40,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod caps;
 mod error;
 mod parse;
 pub mod registry;

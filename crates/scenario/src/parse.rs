@@ -6,6 +6,7 @@
 //! `kind = "uniform"` is a typed error rather than silently dead
 //! configuration.
 
+use crate::caps::PROTOCOLS;
 use crate::error::ScenarioError;
 use crate::spec::{
     AdversarySpec, AsyncSpec, CliqueDrift, DriftSpec, Engine, EnvSpec, LatencySpec, Metric,
@@ -60,69 +61,21 @@ impl ScenarioSpec {
         let n = top.opt_u64("n")?.map(|v| v as usize);
         let rounds = top.opt_u64("rounds")?;
         let trials = top.opt_u64("trials")?.unwrap_or(1);
-        let engine = match top.opt_str("engine")? {
-            None | Some("push") => Engine::Push,
-            Some("pairwise") => Engine::Pairwise,
-            Some("async") => Engine::Async,
-            Some(other) => {
-                return Err(ScenarioError::UnknownName { what: "engine", name: other.into() })
-            }
-        };
-        let wire = match top.opt_str("wire")? {
-            None | Some("priced") => WireAccounting::Priced,
-            Some("measured") => WireAccounting::Measured,
-            Some(other) => {
-                return Err(ScenarioError::UnknownName { what: "wire", name: other.into() })
-            }
-        };
-        let asynchrony = match top.opt_table("async")? {
-            None => None,
-            Some(t) => Some(parse_async(t)?),
-        };
-        let truth = match top.opt_str("truth")? {
-            None => Truth::Mean,
-            Some(s) => s
-                .parse()
-                .map_err(|_| ScenarioError::UnknownName { what: "truth", name: s.into() })?,
-        };
+        let engine = top.opt_named("engine", Engine::from_name)?.unwrap_or_default();
+        let wire = top.opt_named("wire", WireAccounting::from_name)?.unwrap_or_default();
+        let asynchrony = top.opt_table("async")?.map(parse_async).transpose()?;
+        let truth = top.opt_named("truth", |s| s.parse().ok())?.unwrap_or(Truth::Mean);
         let loss = top.opt_f64("loss")?.unwrap_or(0.0);
 
         let env = parse_env(top.req_table("env")?)?;
-        let values = match top.opt_table("values")? {
-            None => ValueSpec::Paper,
-            Some(t) => parse_values(t)?,
-        };
+        let values = top.opt_table("values")?.map(parse_values).transpose()?.unwrap_or_default();
         let protocol = parse_protocol(top.req_table("protocol")?)?;
-        let failure = match top.opt_table("failure")? {
-            None => FailureSpec::None,
-            Some(t) => parse_failure(t)?,
-        };
-        let partitions = match top.opt_array("partition")? {
-            None => Vec::new(),
-            Some(items) => items
-                .iter()
-                .map(|item| {
-                    let t = item.as_table().ok_or(ScenarioError::Type {
-                        key: "partition".into(),
-                        expected: "array of tables ([[partition]])",
-                        found: item.type_name(),
-                    })?;
-                    parse_partition(t)
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let adversary = match top.opt_table("adversary")? {
-            None => None,
-            Some(t) => Some(parse_adversary(t)?),
-        };
-        let output = match top.opt_table("output")? {
-            None => OutputSpec::default(),
-            Some(t) => parse_output(t)?,
-        };
-        let sweep = match top.opt_table("sweep")? {
-            None => None,
-            Some(t) => Some(parse_sweep(t)?),
-        };
+        let failure =
+            top.opt_table("failure")?.map(parse_failure).transpose()?.unwrap_or(FailureSpec::None);
+        let partitions = top.tables("partition", parse_partition)?;
+        let adversary = top.opt_table("adversary")?.map(parse_adversary).transpose()?;
+        let output = top.opt_table("output")?.map(parse_output).transpose()?.unwrap_or_default();
+        let sweep = top.opt_table("sweep")?.map(parse_sweep).transpose()?;
 
         Ok(ScenarioSpec {
             name,
@@ -193,6 +146,15 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// An optional string key holding one of an enum's scenario-file names.
+    fn opt_named<T>(
+        &self,
+        key: &'static str,
+        from_name: fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, ScenarioError> {
+        self.opt_str(key)?.map(|name| named(key, name, from_name)).transpose()
+    }
+
     fn to_u64(&self, key: &str, v: &Value) -> Result<u64, ScenarioError> {
         let i = v.as_integer().ok_or_else(|| self.type_err(key, "integer", v))?;
         u64::try_from(i).map_err(|_| ScenarioError::Invalid {
@@ -211,6 +173,21 @@ impl<'a> Ctx<'a> {
             None => Ok(None),
             Some(v) => self.to_u64(key, v).map(Some),
         }
+    }
+
+    /// A count the spec holds as `u32`: out of range is an error, not a wrap.
+    fn opt_u32(&self, key: &'static str) -> Result<Option<u32>, ScenarioError> {
+        let narrow = |v| {
+            u32::try_from(v).map_err(|_| ScenarioError::Invalid {
+                key: self.key_path(key),
+                reason: format!("{v} does not fit in 32 bits"),
+            })
+        };
+        self.opt_u64(key)?.map(narrow).transpose()
+    }
+
+    fn req_u32(&self, key: &'static str) -> Result<u32, ScenarioError> {
+        self.opt_u32(key)?.ok_or(ScenarioError::Missing { table: self.name, key })
     }
 
     fn req_f64(&self, key: &'static str) -> Result<f64, ScenarioError> {
@@ -250,6 +227,28 @@ impl<'a> Ctx<'a> {
             Some(v) => v.as_array().map(Some).ok_or_else(|| self.type_err(key, "array", v)),
         }
     }
+
+    /// An optional array of tables (`[[key]]`), each parsed by `parse`;
+    /// absent reads as empty.
+    fn tables<T>(
+        &self,
+        key: &'static str,
+        parse: fn(&Table) -> Result<T, ScenarioError>,
+    ) -> Result<Vec<T>, ScenarioError> {
+        let parse_item = |item: &'a Value| {
+            parse(item.as_table().ok_or_else(|| self.type_err(key, "array of tables", item))?)
+        };
+        self.opt_array(key)?.unwrap_or_default().iter().map(parse_item).collect()
+    }
+}
+
+/// Resolve one of an enum's scenario-file names.
+fn named<T>(
+    what: &'static str,
+    name: &str,
+    from_name: fn(&str) -> Option<T>,
+) -> Result<T, ScenarioError> {
+    from_name(name).ok_or_else(|| ScenarioError::UnknownName { what, name: name.into() })
 }
 
 /// The `[async]` table (see [`AsyncSpec`] for defaults).
@@ -354,29 +353,15 @@ fn parse_env(table: &Table) -> Result<EnvSpec, ScenarioError> {
         }
         "spatial" => {
             env.check_keys(&["kind", "max_walk"])?;
-            Ok(EnvSpec::Spatial { max_walk: env.opt_u64("max_walk")?.map(|v| v as u32) })
+            Ok(EnvSpec::Spatial { max_walk: env.opt_u32("max_walk")? })
         }
         "clustered" => {
             env.check_keys(&["kind", "clusters", "migration", "bridge", "events"])?;
-            let events = match env.opt_array("events")? {
-                None => Vec::new(),
-                Some(items) => items
-                    .iter()
-                    .map(|item| {
-                        let t = item.as_table().ok_or(ScenarioError::Type {
-                            key: "env.events".into(),
-                            expected: "array of tables",
-                            found: item.type_name(),
-                        })?;
-                        parse_event(t)
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
             Ok(EnvSpec::Clustered {
-                clusters: env.req_u64("clusters")? as u32,
+                clusters: env.req_u32("clusters")?,
                 migration: env.opt_f64("migration")?.unwrap_or(0.0),
                 bridge: env.opt_f64("bridge")?.unwrap_or(0.0),
-                events,
+                events: env.tables("events", parse_event)?,
             })
         }
         "trace" => {
@@ -402,17 +387,11 @@ fn parse_event(table: &Table) -> Result<MobilityEvent, ScenarioError> {
         }
         "merge" => {
             ev.check_keys(&["round", "kind", "from", "into"])?;
-            MobilityKind::Merge {
-                from: ev.req_u64("from")? as u32,
-                into: ev.req_u64("into")? as u32,
-            }
+            MobilityKind::Merge { from: ev.req_u32("from")?, into: ev.req_u32("into")? }
         }
         "split" => {
             ev.check_keys(&["round", "kind", "from", "into"])?;
-            MobilityKind::Split {
-                from: ev.req_u64("from")? as u32,
-                into: ev.req_u64("into")? as u32,
-            }
+            MobilityKind::Split { from: ev.req_u32("from")?, into: ev.req_u32("into")? }
         }
         other => {
             return Err(ScenarioError::UnknownName {
@@ -439,78 +418,65 @@ fn parse_values(table: &Table) -> Result<ValueSpec, ScenarioError> {
     }
 }
 
+/// The `[protocol]` table. The capability table names the protocol, lists
+/// the keys it accepts and, through its example, supplies every default.
 fn parse_protocol(table: &Table) -> Result<ProtocolSpec, ScenarioError> {
+    use ProtocolSpec as P;
     let p = Ctx { table, name: "protocol" };
-    match p.req_str("name")? {
-        "push-sum" => {
-            p.check_keys(&["name"])?;
-            Ok(ProtocolSpec::PushSum)
-        }
-        "push-sum-revert" => {
-            p.check_keys(&["name", "lambda"])?;
-            Ok(ProtocolSpec::PushSumRevert { lambda: p.req_f64("lambda")? })
-        }
-        "full-transfer" => {
-            p.check_keys(&["name", "lambda", "parcels", "window"])?;
-            Ok(ProtocolSpec::FullTransfer {
-                lambda: p.req_f64("lambda")?,
-                parcels: p.opt_u64("parcels")?.unwrap_or(4) as u32,
-                window: p.opt_u64("window")?.unwrap_or(3) as usize,
-            })
-        }
-        "adaptive-revert" => {
-            p.check_keys(&["name", "lambda"])?;
-            Ok(ProtocolSpec::AdaptiveRevert { lambda: p.req_f64("lambda")? })
-        }
-        "epoch-push-sum" => {
-            p.check_keys(&["name", "epoch_len", "settle_len", "drift_prob", "clique_drift"])?;
+    let name = p.req_str("name")?;
+    let row = PROTOCOLS
+        .iter()
+        .find(|row| row.name == name)
+        .ok_or_else(|| ScenarioError::UnknownName { what: "protocol", name: name.into() })?;
+    p.check_keys(&[&["name"], row.keys].concat())?;
+    Ok(match row.example {
+        P::PushSum => P::PushSum,
+        P::PushSumRevert { .. } => P::PushSumRevert { lambda: p.req_f64("lambda")? },
+        P::FullTransfer { parcels, window, .. } => P::FullTransfer {
+            lambda: p.req_f64("lambda")?,
+            parcels: p.opt_u32("parcels")?.unwrap_or(parcels),
+            window: p.opt_u64("window")?.map_or(window, |v| v as usize),
+        },
+        P::AdaptiveRevert { .. } => P::AdaptiveRevert { lambda: p.req_f64("lambda")? },
+        P::EpochPushSum { drift_prob, .. } => {
             let clique_drift = match p.opt_table("clique_drift")? {
                 None => None,
                 Some(t) => {
                     let cd = Ctx { table: t, name: "protocol.clique_drift" };
                     cd.check_keys(&["clusters", "magnitude"])?;
                     Some(CliqueDrift {
-                        clusters: cd.req_u64("clusters")? as u32,
+                        clusters: cd.req_u32("clusters")?,
                         magnitude: cd.req_f64("magnitude")?,
                     })
                 }
             };
-            Ok(ProtocolSpec::EpochPushSum {
+            P::EpochPushSum {
                 epoch_len: p.req_u64("epoch_len")?,
                 settle_len: p.opt_u64("settle_len")?,
-                drift_prob: p.opt_f64("drift_prob")?.unwrap_or(0.0),
+                drift_prob: p.opt_f64("drift_prob")?.unwrap_or(drift_prob),
                 clique_drift,
-            })
+            }
         }
-        "count-sketch" => {
-            p.check_keys(&["name", "multiplier", "hash_seed_xor"])?;
-            Ok(ProtocolSpec::CountSketch {
-                multiplier: p.opt_u64("multiplier")?.unwrap_or(1),
-                hash_seed_xor: p.opt_u64("hash_seed_xor")?.unwrap_or(0),
-            })
+        P::CountSketch { multiplier, hash_seed_xor } => P::CountSketch {
+            multiplier: p.opt_u64("multiplier")?.unwrap_or(multiplier),
+            hash_seed_xor: p.opt_u64("hash_seed_xor")?.unwrap_or(hash_seed_xor),
+        },
+        P::CountSketchReset { cutoff, push_pull, multiplier, hash_seed_xor } => {
+            P::CountSketchReset {
+                cutoff: parse_cutoff(&p)?.unwrap_or(cutoff),
+                push_pull: p.opt_bool("push_pull")?.unwrap_or(push_pull),
+                multiplier: p.opt_u64("multiplier")?.unwrap_or(multiplier),
+                hash_seed_xor: p.opt_u64("hash_seed_xor")?.unwrap_or(hash_seed_xor),
+            }
         }
-        "count-sketch-reset" => {
-            p.check_keys(&["name", "cutoff", "push_pull", "multiplier", "hash_seed_xor"])?;
-            Ok(ProtocolSpec::CountSketchReset {
-                cutoff: parse_cutoff(&p)?,
-                push_pull: p.opt_bool("push_pull")?.unwrap_or(true),
-                multiplier: p.opt_u64("multiplier")?.unwrap_or(1),
-                hash_seed_xor: p.opt_u64("hash_seed_xor")?.unwrap_or(0),
-            })
+        P::InvertAverage { hash_seed_xor, .. } => P::InvertAverage {
+            lambda: p.req_f64("lambda")?,
+            hash_seed_xor: p.opt_u64("hash_seed_xor")?.unwrap_or(hash_seed_xor),
+        },
+        P::TagTree { child_timeout } => {
+            P::TagTree { child_timeout: p.opt_u64("child_timeout")?.unwrap_or(child_timeout) }
         }
-        "invert-average" => {
-            p.check_keys(&["name", "lambda", "hash_seed_xor"])?;
-            Ok(ProtocolSpec::InvertAverage {
-                lambda: p.req_f64("lambda")?,
-                hash_seed_xor: p.opt_u64("hash_seed_xor")?.unwrap_or(0),
-            })
-        }
-        "tag-tree" => {
-            p.check_keys(&["name", "child_timeout"])?;
-            Ok(ProtocolSpec::TagTree { child_timeout: p.opt_u64("child_timeout")?.unwrap_or(3) })
-        }
-        "extremum" => {
-            p.check_keys(&["name", "mode", "ttl"])?;
+        P::Extremum { .. } => {
             let mode = match p.req_str("mode")? {
                 "max" => ExtremumMode::Max,
                 "min" => ExtremumMode::Min,
@@ -521,34 +487,27 @@ fn parse_protocol(table: &Table) -> Result<ProtocolSpec, ScenarioError> {
                     })
                 }
             };
-            Ok(ProtocolSpec::Extremum { mode, ttl: p.opt_u64("ttl")?.map(|v| v as u32) })
+            P::Extremum { mode, ttl: p.opt_u32("ttl")? }
         }
-        "moments" => {
-            p.check_keys(&["name", "lambda"])?;
-            Ok(ProtocolSpec::Moments { lambda: p.req_f64("lambda")? })
-        }
-        "histogram" => {
-            p.check_keys(&["name", "lo", "hi", "buckets", "lambda"])?;
-            Ok(ProtocolSpec::Histogram {
-                lo: p.req_f64("lo")?,
-                hi: p.req_f64("hi")?,
-                buckets: p.req_u64("buckets")? as u32,
-                lambda: p.req_f64("lambda")?,
-            })
-        }
-        other => Err(ScenarioError::UnknownName { what: "protocol", name: other.into() }),
-    }
+        P::Moments { .. } => P::Moments { lambda: p.req_f64("lambda")? },
+        P::Histogram { .. } => P::Histogram {
+            lo: p.req_f64("lo")?,
+            hi: p.req_f64("hi")?,
+            buckets: p.req_u32("buckets")?,
+            lambda: p.req_f64("lambda")?,
+        },
+    })
 }
 
 /// `cutoff` accepts `"paper"` / `"infinite"` / `"slow"`, or a table:
 /// `{ scale = 2.0 }` (paper cutoff scaled) or `{ base = 7.0, slope = 0.25 }`.
-fn parse_cutoff(p: &Ctx<'_>) -> Result<Cutoff, ScenarioError> {
-    let Some(v) = p.table.get("cutoff") else { return Ok(Cutoff::paper_uniform()) };
+fn parse_cutoff(p: &Ctx<'_>) -> Result<Option<Cutoff>, ScenarioError> {
+    let Some(v) = p.table.get("cutoff") else { return Ok(None) };
     if let Some(s) = v.as_str() {
         return match s {
-            "paper" => Ok(Cutoff::paper_uniform()),
-            "infinite" => Ok(Cutoff::Infinite),
-            "slow" => Ok(Cutoff::slow()),
+            "paper" => Ok(Some(Cutoff::paper_uniform())),
+            "infinite" => Ok(Some(Cutoff::Infinite)),
+            "slow" => Ok(Some(Cutoff::slow())),
             other => Err(ScenarioError::UnknownName { what: "cutoff", name: other.into() }),
         };
     }
@@ -562,10 +521,10 @@ fn parse_cutoff(p: &Ctx<'_>) -> Result<Cutoff, ScenarioError> {
     let c = Ctx { table: t, name: "protocol.cutoff" };
     if t.contains_key("scale") {
         c.check_keys(&["scale"])?;
-        Ok(Cutoff::paper_uniform().scaled(c.req_f64("scale")?))
+        Ok(Some(Cutoff::paper_uniform().scaled(c.req_f64("scale")?)))
     } else {
         c.check_keys(&["base", "slope"])?;
-        Ok(Cutoff::Linear { base: c.req_f64("base")?, slope: c.req_f64("slope")? })
+        Ok(Some(Cutoff::Linear { base: c.req_f64("base")?, slope: c.req_f64("slope")? }))
     }
 }
 
@@ -574,12 +533,9 @@ fn parse_failure(table: &Table) -> Result<FailureSpec, ScenarioError> {
     match f.req_str("kind")? {
         "at-round" => {
             f.check_keys(&["kind", "round", "mode", "fraction", "graceful"])?;
-            let mode: FailureMode = match f.opt_str("mode")? {
+            let mode = match f.opt_str("mode")? {
                 None => FailureMode::Random,
-                Some(s) => s.parse().map_err(|_| ScenarioError::UnknownName {
-                    what: "failure mode",
-                    name: s.into(),
-                })?,
+                Some(s) => named("failure mode", s, |s| s.parse().ok())?,
             };
             Ok(FailureSpec::AtRound {
                 round: f.req_u64("round")?,
@@ -670,7 +626,7 @@ fn parse_adversary(table: &Table) -> Result<AdversarySpec, ScenarioError> {
         }
         "sketch-corruption" => {
             a.check_keys(&["attack", "fraction", "from_round", "cells"])?;
-            Attack::SketchCorruption { cells: a.req_u64("cells")? as u32 }
+            Attack::SketchCorruption { cells: a.req_u32("cells")? }
         }
         other => return Err(ScenarioError::UnknownName { what: "attack", name: other.into() }),
     };
@@ -694,36 +650,19 @@ fn parse_output(table: &Table) -> Result<OutputSpec, ScenarioError> {
                     expected: "array of strings",
                     found: item.type_name(),
                 })?;
-                Metric::from_name(name)
-                    .ok_or(ScenarioError::UnknownName { what: "metric", name: name.into() })
+                named("metric", name, Metric::from_name)
             })
             .collect::<Result<_, _>>()?,
     };
-    let report = match o.opt_str("report")? {
-        None | Some("series") => Report::Series,
-        Some("counter-cdf") => Report::CounterCdf,
-        Some(other) => {
-            return Err(ScenarioError::UnknownName { what: "report", name: other.into() })
-        }
-    };
-    let probe = match o.opt_str("probe")? {
-        None => None,
-        Some("mass-weight") => Some(Probe::MassWeight),
-        Some(other) => {
-            return Err(ScenarioError::UnknownName { what: "probe", name: other.into() })
-        }
-    };
+    let report = o.opt_named("report", Report::from_name)?.unwrap_or_default();
+    let probe = o.opt_named("probe", Probe::from_name)?;
     Ok(OutputSpec { metrics, report, probe })
 }
 
 fn parse_sweep(table: &Table) -> Result<Sweep, ScenarioError> {
     let s = Ctx { table, name: "sweep" };
     s.check_keys(&["axis", "values"])?;
-    let axis = match s.req_str("axis")? {
-        "lambda" => SweepAxis::Lambda,
-        "n" => SweepAxis::N,
-        other => return Err(ScenarioError::UnknownName { what: "sweep axis", name: other.into() }),
-    };
+    let axis = named("sweep axis", s.req_str("axis")?, SweepAxis::from_name)?;
     let values = s
         .opt_array("values")?
         .ok_or(ScenarioError::Missing { table: "sweep", key: "values" })?

@@ -8,6 +8,7 @@
 //! these same functions, so a figure command and `experiments run
 //! <file.toml>` are one run.
 
+use crate::caps::{Frames, Payload};
 use crate::error::ScenarioError;
 use crate::spec::{
     topology_info, AdversarySpec, Engine, EnvSpec, Probe, ProtocolSpec, Report, ScenarioSpec,
@@ -194,7 +195,7 @@ fn run_instance(label: Option<String>, spec: &ScenarioSpec) -> InstanceOutcome {
 
 /// Effective population and horizon (trace environments resolve both from
 /// the dataset).
-fn resolve_shape(spec: &ScenarioSpec) -> (usize, u64) {
+pub(crate) fn resolve_shape(spec: &ScenarioSpec) -> (usize, u64) {
     match &spec.env {
         EnvSpec::Trace { dataset } => {
             let info = trace_info(*dataset);
@@ -227,7 +228,9 @@ type Read<'r, P> = &'r mut dyn FnMut(&P);
 /// its capabilities admit — pairwise-capable protocols branch on the
 /// engine, protocols with a [`Corruptible`] message go through the
 /// adversary seam, the rest straight to the message-passing engines. This
-/// match *is* the protocol registry.
+/// match *is* the protocol registry; which assembly a protocol may take is
+/// the capability table's ([`crate::caps`]) to say, and each assembly
+/// asserts the arm that called it against the protocol's row.
 fn run_trial(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64) -> TrialOutput {
     use ProtocolSpec as P;
     let t = Trial { spec, seed, n, rounds };
@@ -421,34 +424,55 @@ impl Trial<'_> {
         P::Message: WireMessage + Corruptible + Send,
         F: FnMut(NodeId, f64) -> P + 'static,
     {
+        let row = self.spec.protocol.caps();
+        assert!(row.payload != Payload::Other, "`{}` has no payload to forge", row.name);
         match self.spec.adversary {
             Some(adv) => {
-                self.message(adversarial(adv, self.n, factory), &mut |node| read(node.inner()))
+                self.engine(adversarial(adv, self.n, factory), &mut |node| read(node.inner()))
             }
-            None => self.message(factory, read),
+            None => self.engine(factory, read),
         }
     }
 
-    /// Message passing: the push engine or the asynchronous discrete-event
-    /// engine, as the spec says.
+    /// A protocol whose message nothing outside it reads or forges:
+    /// straight to the message-passing engines.
     fn message<P, F>(&self, factory: F, read: Read<P>) -> Series
     where
         P: PushProtocol + Send + 'static,
         P::Message: WireMessage + Send,
         F: FnMut(NodeId, f64) -> P + 'static,
     {
+        let row = self.spec.protocol.caps();
+        assert!(row.payload == Payload::Other, "`{}` skipped the adversary seam", row.name);
+        self.engine(factory, read)
+    }
+
+    /// Message passing: the push engine or the asynchronous discrete-event
+    /// engine, as the spec says.
+    fn engine<P, F>(&self, factory: F, read: Read<P>) -> Series
+    where
+        P: PushProtocol + Send + 'static,
+        P::Message: WireMessage + Send,
+        F: FnMut(NodeId, f64) -> P + 'static,
+    {
         match self.spec.engine {
+            Engine::Push => self.push(factory, read),
             Engine::Async => self.asynchronous(factory, read),
-            _ => self.push(factory, read),
+            Engine::Pairwise => panic!(
+                "the table grants `{}` a pairwise form the registry never assembles",
+                self.spec.protocol.name()
+            ),
         }
     }
 
     /// Does the registry price this trial's `wire_bytes` column after the
-    /// run ([`price_wire`])? The lockstep engines never encode, so it does
-    /// unless the spec asked the push engine to measure each message
-    /// (`wire = "measured"`); the async engine always measures real frames.
+    /// run ([`price_wire`])? Always for an engine without frames, never
+    /// for one that encodes them, and for a metering engine unless the
+    /// spec asked it to measure each message (`wire = "measured"`).
     fn priced(&self) -> bool {
-        self.spec.engine != Engine::Async && self.spec.wire == WireAccounting::Priced
+        let frames = self.spec.engine.caps().frames;
+        frames == Frames::None
+            || (frames == Frames::Metered && self.spec.wire == WireAccounting::Priced)
     }
 
     /// The lockstep assembly, shared by both lockstep engines up to the
@@ -502,6 +526,8 @@ impl Trial<'_> {
         P: PairwiseProtocol,
         F: FnMut(NodeId, f64) -> P,
     {
+        let row = self.spec.protocol.caps();
+        assert!(row.pairwise, "`{}` has no pairwise form", row.name);
         let mut sim = self.lockstep(factory).build_pairwise();
         for _ in 0..self.rounds {
             sim.step();

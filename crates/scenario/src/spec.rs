@@ -2,9 +2,10 @@
 //! experiment — environment, protocol, population, failure plan, and
 //! outputs — that the TOML front end parses and code can construct.
 
+use crate::caps::{Frames, Payload, ProtocolCaps, PROTOCOLS};
 use crate::error::ScenarioError;
 use dynagg_core::adversary::Attack;
-use dynagg_core::config::{FullTransferConfig, RevertConfig};
+use dynagg_core::config::RevertConfig;
 use dynagg_core::epoch::DriftModel;
 use dynagg_core::extremum::ExtremumMode;
 use dynagg_sim::env::{MobilityEvent, MobilityKind};
@@ -21,8 +22,8 @@ pub enum Engine {
     #[default]
     Push,
     /// Atomic push/pull exchanges
-    /// ([`dynagg_sim::runner::PairwiseSimulation`]); only the averaging
-    /// protocols implement it.
+    /// ([`dynagg_sim::runner::PairwiseSimulation`]), for the protocols
+    /// whose row of [`crate::caps::PROTOCOLS`] has a pairwise form.
     Pairwise,
     /// Asynchronous discrete-event execution
     /// ([`dynagg_node::AsyncNet`]): no global rounds — every node owns a
@@ -35,6 +36,31 @@ pub enum Engine {
     Async,
 }
 
+/// Give a file-facing enum its scenario-file names — `ALL`, `name` and
+/// `from_name` — with each name written once.
+macro_rules! file_names {
+    ($ty:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$variant),+];
+
+            /// The name scenario files use.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name),+
+                }
+            }
+
+            /// Resolve a name from a scenario file.
+            pub fn from_name(name: &str) -> Option<Self> {
+                Self::ALL.into_iter().find(|v| v.name() == name)
+            }
+        }
+    };
+}
+
+file_names!(Engine { Push => "push", Pairwise => "pairwise", Async => "async" });
+
 /// How the `wire_bytes` column is accounted (the top-level `wire` key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireAccounting {
@@ -45,10 +71,11 @@ pub enum WireAccounting {
     Priced,
     /// Measure each message's actual encoded size (codec bytes + frame
     /// header) at emission time, via the version-stamped encode memo.
-    /// Lockstep engines only: the async engine already measures real
-    /// frames, and the pairwise engine exchanges state by reference.
+    /// For an engine whose frames are [`crate::caps::Frames::Metered`].
     Measured,
 }
+
+file_names!(WireAccounting { Priced => "priced", Measured => "measured" });
 
 /// Per-link latency distribution for the async engine: the engine's own
 /// [`dynagg_node::LatencyModel`] under the name scenario files use.
@@ -368,32 +395,23 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
+    /// This protocol's row of the capability table.
+    pub fn caps(&self) -> &'static ProtocolCaps {
+        let variant = std::mem::discriminant(self);
+        PROTOCOLS
+            .iter()
+            .find(|row| std::mem::discriminant(&row.example) == variant)
+            .expect("every protocol has a row")
+    }
+
     /// The registry name (what `[protocol] name = "…"` says).
     pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolSpec::PushSum => "push-sum",
-            ProtocolSpec::PushSumRevert { .. } => "push-sum-revert",
-            ProtocolSpec::FullTransfer { .. } => "full-transfer",
-            ProtocolSpec::AdaptiveRevert { .. } => "adaptive-revert",
-            ProtocolSpec::EpochPushSum { .. } => "epoch-push-sum",
-            ProtocolSpec::CountSketch { .. } => "count-sketch",
-            ProtocolSpec::CountSketchReset { .. } => "count-sketch-reset",
-            ProtocolSpec::InvertAverage { .. } => "invert-average",
-            ProtocolSpec::TagTree { .. } => "tag-tree",
-            ProtocolSpec::Extremum { .. } => "extremum",
-            ProtocolSpec::Moments { .. } => "moments",
-            ProtocolSpec::Histogram { .. } => "histogram",
-        }
+        self.caps().name
     }
 
     /// Does this protocol implement the atomic pairwise engine?
     pub fn supports_pairwise(&self) -> bool {
-        matches!(
-            self,
-            ProtocolSpec::PushSum
-                | ProtocolSpec::PushSumRevert { .. }
-                | ProtocolSpec::Moments { .. }
-        )
+        self.caps().pairwise
     }
 
     /// The reversion constant, for protocols that have one.
@@ -452,52 +470,26 @@ pub enum Metric {
     Islands,
 }
 
+// In CSV column order.
+file_names!(Metric {
+    Alive => "alive",
+    Truth => "truth",
+    MeanEstimate => "mean_estimate",
+    Stddev => "stddev",
+    MeanAbsErr => "mean_abs_err",
+    MaxAbsErr => "max_abs_err",
+    Defined => "defined",
+    Messages => "messages",
+    Bytes => "bytes",
+    WireBytes => "wire_bytes",
+    MeanGroupSize => "mean_group_size",
+    Settling => "settling",
+    Disruptions => "disruptions",
+    MassAudit => "mass_audit",
+    Islands => "islands",
+});
+
 impl Metric {
-    /// All metrics, in CSV column order.
-    pub const ALL: [Metric; 15] = [
-        Metric::Alive,
-        Metric::Truth,
-        Metric::MeanEstimate,
-        Metric::Stddev,
-        Metric::MeanAbsErr,
-        Metric::MaxAbsErr,
-        Metric::Defined,
-        Metric::Messages,
-        Metric::Bytes,
-        Metric::WireBytes,
-        Metric::MeanGroupSize,
-        Metric::Settling,
-        Metric::Disruptions,
-        Metric::MassAudit,
-        Metric::Islands,
-    ];
-
-    /// The snake_case name scenario files use.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::Alive => "alive",
-            Metric::Truth => "truth",
-            Metric::MeanEstimate => "mean_estimate",
-            Metric::Stddev => "stddev",
-            Metric::MeanAbsErr => "mean_abs_err",
-            Metric::MaxAbsErr => "max_abs_err",
-            Metric::Defined => "defined",
-            Metric::Messages => "messages",
-            Metric::Bytes => "bytes",
-            Metric::WireBytes => "wire_bytes",
-            Metric::MeanGroupSize => "mean_group_size",
-            Metric::Settling => "settling",
-            Metric::Disruptions => "disruptions",
-            Metric::MassAudit => "mass_audit",
-            Metric::Islands => "islands",
-        }
-    }
-
-    /// Resolve a name from a scenario file.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Metric::ALL.into_iter().find(|m| m.name() == name)
-    }
-
     /// Read this metric out of one round's statistics.
     pub fn read(self, s: &RoundStats) -> f64 {
         match self {
@@ -527,9 +519,11 @@ pub enum Report {
     #[default]
     Series,
     /// Fig. 6's readout: the converged per-bit age-counter histograms
-    /// (Count-Sketch-Reset under the push or the async engine).
+    /// (a protocol whose message is an age matrix).
     CounterCdf,
 }
+
+file_names!(Report { Series => "series", CounterCdf => "counter-cdf" });
 
 /// A post-run node-state reading the series cannot express — the probe
 /// hook that lets protocol-internal ablations run through the registry
@@ -542,14 +536,7 @@ pub enum Probe {
     MassWeight,
 }
 
-impl Probe {
-    /// The scenario-file name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Probe::MassWeight => "mass-weight",
-        }
-    }
-}
+file_names!(Probe { MassWeight => "mass-weight" });
 
 /// Output selection: which metrics, and which report shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -577,15 +564,7 @@ pub enum SweepAxis {
     N,
 }
 
-impl SweepAxis {
-    /// The scenario-file name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepAxis::Lambda => "lambda",
-            SweepAxis::N => "n",
-        }
-    }
-}
+file_names!(SweepAxis { Lambda => "lambda", N => "n" });
 
 /// A one-axis parameter sweep: the scenario is instantiated once per
 /// value, instances run as parallel trials (Figs. 6, 8, 10 are sweeps).
@@ -653,6 +632,59 @@ pub struct ScenarioSpec {
     pub sweep: Option<Sweep>,
 }
 
+/// Largest per-host size a protocol key may ask for (histogram `buckets`,
+/// full-transfer `parcels` and `window`). Each is allocated on every host,
+/// and `buckets` and `parcels` are paid again on every message: the
+/// paper's values stay under 100 and 65 536 already means megabyte states,
+/// while the keys' own types reach 2³² and beyond, where [`crate::run`]
+/// dies in the allocator instead of returning an error.
+const MAX_PER_HOST: u64 = 1 << 16;
+
+/// Largest `n × multiplier` a counting sketch may be sized for. Every
+/// identifier is hashed once at boot (`multiplier` of them per host), so
+/// 2³² is already minutes of start-up; and the product must not wrap the
+/// `u64` the sketch geometry is computed from.
+const MAX_IDENTIFIERS: u64 = 1 << 32;
+
+fn invalid(key: &str, reason: impl Into<String>) -> ScenarioError {
+    ScenarioError::Invalid { key: key.into(), reason: reason.into() }
+}
+
+fn unsupported(reason: impl Into<String>) -> ScenarioError {
+    ScenarioError::Unsupported { reason: reason.into() }
+}
+
+fn positive(key: &str, v: u64) -> Result<(), ScenarioError> {
+    if v == 0 {
+        return Err(invalid(key, "must be at least 1"));
+    }
+    Ok(())
+}
+
+fn per_host(key: &str, v: u64) -> Result<(), ScenarioError> {
+    positive(key, v)?;
+    if v > MAX_PER_HOST {
+        return Err(invalid(key, format!("{v} is more than the {MAX_PER_HOST} a host may hold")));
+    }
+    Ok(())
+}
+
+/// `p` in `[0, 1]` (which NaN is not).
+fn probability(key: &str, p: f64) -> Result<(), ScenarioError> {
+    if !(0.0..=1.0).contains(&p) {
+        return Err(invalid(key, format!("probability {p} outside [0, 1]")));
+    }
+    Ok(())
+}
+
+/// `f` in `(0, 1]`.
+fn fraction(key: &str, f: f64) -> Result<(), ScenarioError> {
+    if !(f > 0.0 && f <= 1.0) {
+        return Err(invalid(key, format!("fraction {f} outside (0, 1]")));
+    }
+    Ok(())
+}
+
 impl ScenarioSpec {
     /// A spec with the given essentials and default everything else
     /// (push engine, paper values, mean truth, no failure, no loss, one
@@ -685,28 +717,20 @@ impl ScenarioSpec {
     /// automatically; the CLI calls this up front so `--check` runs
     /// nothing.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let invalid =
-            |key: &str, reason: String| ScenarioError::Invalid { key: key.into(), reason };
-
         if self.name.is_empty() {
-            return Err(invalid("name", "must be non-empty".into()));
+            return Err(invalid("name", "must be non-empty"));
         }
-        if self.trials == 0 {
-            return Err(invalid("trials", "must be at least 1".into()));
-        }
-        if !(0.0..=1.0).contains(&self.loss) || self.loss.is_nan() {
-            return Err(invalid("loss", format!("probability {} outside [0, 1]", self.loss)));
-        }
+        positive("trials", self.trials)?;
+        probability("loss", self.loss)?;
 
         let is_trace = matches!(self.env, EnvSpec::Trace { .. });
         match (is_trace, self.n) {
             (false, None) => return Err(ScenarioError::Missing { table: "", key: "n" }),
-            (false, Some(0)) => return Err(invalid("n", "population must be positive".into())),
+            (false, Some(0)) => return Err(invalid("n", "population must be positive")),
             (true, Some(_)) => {
-                return Err(ScenarioError::Unsupported {
-                    reason: "trace environments derive `n` from the dataset; drop the `n` key"
-                        .into(),
-                })
+                return Err(unsupported(
+                    "trace environments derive `n` from the dataset; drop the `n` key",
+                ))
             }
             _ => {}
         }
@@ -720,118 +744,128 @@ impl ScenarioSpec {
         self.validate_async()?;
         self.validate_partitions()?;
         self.validate_adversary()?;
+        self.validate_requirements()?;
 
         if self.truth.needs_groups() && !is_trace {
-            return Err(ScenarioError::Unsupported {
-                reason: format!(
-                    "truth `{:?}` needs per-group structure; only trace environments provide it",
-                    self.truth
-                ),
-            });
+            return Err(unsupported(format!(
+                "truth `{:?}` needs per-group structure; only trace environments provide it",
+                self.truth
+            )));
         }
-        if self.wire == WireAccounting::Measured && self.engine != Engine::Push {
-            return Err(ScenarioError::Unsupported {
-                reason: match self.engine {
-                    Engine::Async => "wire = \"measured\" applies to lockstep rounds; the async \
-                                      engine already reports measured frame bytes — drop the key"
-                        .into(),
-                    _ => "wire = \"measured\" is not implemented for the pairwise engine: \
-                          exchanges pass state by reference and never encode; use engine = \
-                          \"push\""
-                        .into(),
-                },
-            });
-        }
-        if self.engine == Engine::Pairwise && !self.protocol.supports_pairwise() {
-            return Err(ScenarioError::Unsupported {
-                reason: format!(
-                    "protocol `{}` has no pairwise exchange; use engine = \"push\"",
-                    self.protocol.name()
-                ),
-            });
-        }
-        if self.output.report == Report::CounterCdf {
-            if !matches!(self.protocol, ProtocolSpec::CountSketchReset { .. }) {
-                return Err(ScenarioError::Unsupported {
-                    reason: "report = \"counter-cdf\" reads age-counter matrices; it requires \
-                             protocol `count-sketch-reset`"
-                        .into(),
-                });
-            }
-            if self.engine == Engine::Pairwise {
-                return Err(ScenarioError::Unsupported {
-                    reason: "report = \"counter-cdf\" requires the push engine or the \
-                             async engine"
-                        .into(),
-                });
-            }
-            if self.trials != 1 {
-                return Err(ScenarioError::Unsupported {
-                    reason: "report = \"counter-cdf\" supports a single trial".into(),
-                });
-            }
+        if self.output.report == Report::CounterCdf && self.trials != 1 {
+            return Err(unsupported(format!(
+                "report = \"{}\" supports a single trial",
+                Report::CounterCdf.name()
+            )));
         }
         if self.output.metrics.is_empty() {
-            return Err(invalid("output.metrics", "select at least one metric".into()));
-        }
-        if let Some(probe) = self.output.probe {
-            match probe {
-                Probe::MassWeight => {
-                    if !matches!(
-                        self.protocol,
-                        ProtocolSpec::PushSum
-                            | ProtocolSpec::PushSumRevert { .. }
-                            | ProtocolSpec::AdaptiveRevert { .. }
-                            | ProtocolSpec::FullTransfer { .. }
-                    ) {
-                        return Err(ScenarioError::Unsupported {
-                            reason: format!(
-                                "probe `mass-weight` reads Push-Sum mass; protocol `{}` \
-                                 carries none",
-                                self.protocol.name()
-                            ),
-                        });
-                    }
-                }
-            }
+            return Err(invalid("output.metrics", "select at least one metric"));
         }
 
         if let Some(sweep) = &self.sweep {
             if sweep.values.is_empty() {
-                return Err(invalid("sweep.values", "must be non-empty".into()));
+                return Err(invalid("sweep.values", "must be non-empty"));
             }
-            match sweep.axis {
-                SweepAxis::Lambda => {
-                    let mut probe = self.protocol;
-                    if probe.lambda_mut().is_none() {
-                        return Err(ScenarioError::Unsupported {
-                            reason: format!(
-                                "sweep axis `lambda` needs a protocol with a reversion \
-                                 constant; `{}` has none",
-                                self.protocol.name()
-                            ),
-                        });
-                    }
-                    for &v in &sweep.values {
-                        RevertConfig::new(v)
-                            .map_err(|e| invalid("sweep.values", format!("lambda {v}: {e:?}")))?;
+            if sweep.axis == SweepAxis::N {
+                if is_trace {
+                    return Err(unsupported(
+                        "sweep axis `n` cannot apply to a trace environment (population comes \
+                         from the dataset)",
+                    ));
+                }
+                for &v in &sweep.values {
+                    if v < 1.0 || v.fract() != 0.0 {
+                        return Err(invalid(
+                            "sweep.values",
+                            format!("population {v} is not a positive integer"),
+                        ));
                     }
                 }
-                SweepAxis::N => {
-                    if is_trace {
-                        return Err(ScenarioError::Unsupported {
-                            reason: "sweep axis `n` cannot apply to a trace environment \
-                                     (population comes from the dataset)"
-                                .into(),
-                        });
+            }
+            // A sweep is valid when each of its instances is: a swept value
+            // can leave a range, or break what a population bounds.
+            for (_, instance) in self.instances() {
+                instance.validate()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The cross-field rules that are questions to the capability table
+    /// ([`crate::caps`]): what a spec can ask for, and the row fact that
+    /// grants it.
+    fn validate_requirements(&self) -> Result<(), ScenarioError> {
+        use Payload::{AgeMatrix, EpochMass, Mass, SketchBits};
+        let (row, engine) = (self.protocol.caps(), self.engine.caps());
+        let carries = |any: &[Payload]| any.contains(&row.payload);
+        let (attack, forgeable, forges) = match self.adversary.map(|adv| adv.attack) {
+            None => ("", true, ""),
+            Some(Attack::MassInflation { .. }) => {
+                ("mass-inflation", carries(&[Mass, EpochMass]), "a message carrying Push-Sum mass")
+            }
+            Some(Attack::StaleEpochReplay) => {
+                ("stale-epoch-replay", carries(&[EpochMass]), "a message carrying an epoch stamp")
+            }
+            Some(Attack::SketchCorruption { .. }) => (
+                "sketch-corruption",
+                carries(&[SketchBits, AgeMatrix]),
+                "a message carrying sketch bits or an age matrix",
+            ),
+        };
+        let (report, probe) = (self.output.report, self.output.probe);
+        let lambda_swept = self.sweep.as_ref().is_some_and(|s| s.axis == SweepAxis::Lambda);
+        // (the spec asks, the table grants, the key that asks, its value, what it needs)
+        #[rustfmt::skip]
+        let requirements = [
+            (self.engine == Engine::Pairwise,       row.pairwise,                     "engine",      self.engine.name(),         "a protocol with an atomic push/pull exchange"),
+            (lambda_swept,                          row.has_lambda(),                 "sweep axis",  SweepAxis::Lambda.name(),   "a protocol with a reversion constant"),
+            (report == Report::CounterCdf,          carries(&[AgeMatrix]),            "report",      report.name(),              "a message carrying an age matrix"),
+            (probe == Some(Probe::MassWeight),      carries(&[Mass]),                 "probe",       Probe::MassWeight.name(),   "a message carrying bare Push-Sum mass"),
+            (self.adversary.is_some(),              forgeable,                        "attack",      attack,                     forges),
+            (self.wire == WireAccounting::Measured, engine.frames == Frames::Metered, "wire",        self.wire.name(),           "an engine that prices messages unless asked to meter them"),
+            (self.adversary.is_some(),              engine.messages,                  "[adversary]", attack,                     "a message-passing engine"),
+            (self.asynchrony.is_some(),             engine.reads_async,               "[async]",     "present",                  "the asynchronous engine (switch to it or drop the table)"),
+        ];
+        for (asked, granted, key, value, needs) in requirements {
+            if asked && !granted {
+                return Err(unsupported(format!(
+                    "`{key}` ({value}) needs {needs}; protocol `{}` on engine = \"{}\" does not \
+                     qualify (docs/scenario-guide.md shows the capability table)",
+                    row.name,
+                    self.engine.name()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    fn validate_env(&self) -> Result<(), ScenarioError> {
+        let EnvSpec::Clustered { clusters, migration, bridge, events } = &self.env else {
+            return Ok(());
+        };
+        if *clusters == 0 {
+            return Err(invalid("env.clusters", "need at least one clique"));
+        }
+        probability("env.migration", *migration)?;
+        probability("env.bridge", *bridge)?;
+        for e in events {
+            match e.kind {
+                MobilityKind::Burst { fraction } => probability("env.events", fraction)?,
+                MobilityKind::Merge { from, into } | MobilityKind::Split { from, into } => {
+                    if from >= *clusters || into >= *clusters {
+                        return Err(invalid(
+                            "env.events",
+                            format!(
+                                "event names clique {} but there are only {clusters}",
+                                from.max(into)
+                            ),
+                        ));
                     }
-                    for &v in &sweep.values {
-                        if v < 1.0 || v.fract() != 0.0 {
-                            return Err(invalid(
-                                "sweep.values",
-                                format!("population {v} is not a positive integer"),
-                            ));
-                        }
+                    if from == into {
+                        return Err(invalid(
+                            "env.events",
+                            "merge/split needs two distinct cliques",
+                        ));
                     }
                 }
             }
@@ -839,179 +873,103 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    fn validate_env(&self) -> Result<(), ScenarioError> {
-        let invalid =
-            |key: &str, reason: String| ScenarioError::Invalid { key: key.into(), reason };
-        match &self.env {
-            EnvSpec::Uniform { .. } | EnvSpec::Spatial { .. } | EnvSpec::Trace { .. } => Ok(()),
-            EnvSpec::Clustered { clusters, migration, bridge, events } => {
-                if *clusters == 0 {
-                    return Err(invalid("env.clusters", "need at least one clique".into()));
-                }
-                for (key, p) in [("env.migration", *migration), ("env.bridge", *bridge)] {
-                    if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                        return Err(invalid(key, format!("probability {p} outside [0, 1]")));
-                    }
-                }
-                for e in events {
-                    match e.kind {
-                        MobilityKind::Burst { fraction } => {
-                            if !(0.0..=1.0).contains(&fraction) || fraction.is_nan() {
-                                return Err(invalid(
-                                    "env.events",
-                                    format!("burst fraction {fraction} outside [0, 1]"),
-                                ));
-                            }
-                        }
-                        MobilityKind::Merge { from, into } | MobilityKind::Split { from, into } => {
-                            if from >= *clusters || into >= *clusters {
-                                return Err(invalid(
-                                    "env.events",
-                                    format!(
-                                        "event names clique {} but there are only {clusters}",
-                                        from.max(into)
-                                    ),
-                                ));
-                            }
-                            if from == into {
-                                return Err(invalid(
-                                    "env.events",
-                                    "merge/split needs two distinct cliques".into(),
-                                ));
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
     fn validate_protocol(&self) -> Result<(), ScenarioError> {
-        let invalid =
-            |key: &str, reason: String| ScenarioError::Invalid { key: key.into(), reason };
-        let check_lambda = |lambda: f64| {
-            RevertConfig::new(lambda)
-                .map(|_| ())
-                .map_err(|_| invalid("protocol.lambda", format!("lambda {lambda} outside [0, 1]")))
+        let mut protocol = self.protocol;
+        if let Some(&mut lambda) = protocol.lambda_mut() {
+            RevertConfig::new(lambda).map_err(|_| {
+                invalid("protocol.lambda", format!("lambda {lambda} outside [0, 1]"))
+            })?;
+        }
+        // A counting sketch is sized for, and hashes at boot, one
+        // identifier per host × `multiplier`.
+        let identifiers = |multiplier: u64| {
+            let n = self.n.unwrap_or_else(|| crate::registry::resolve_shape(self).0);
+            match (n as u64).checked_mul(multiplier) {
+                Some(ids) if ids <= MAX_IDENTIFIERS => Ok(()),
+                _ => Err(invalid(
+                    "protocol.multiplier",
+                    format!("{n} hosts × {multiplier} is more than {MAX_IDENTIFIERS} identifiers"),
+                )),
+            }
         };
         match self.protocol {
-            ProtocolSpec::PushSum | ProtocolSpec::CountSketch { .. } => Ok(()),
-            ProtocolSpec::PushSumRevert { lambda }
-            | ProtocolSpec::AdaptiveRevert { lambda }
-            | ProtocolSpec::Moments { lambda } => check_lambda(lambda),
-            ProtocolSpec::FullTransfer { lambda, parcels, window } => {
-                FullTransferConfig::new(lambda, parcels, window).map(|_| ()).map_err(|e| {
-                    invalid("protocol", format!("full-transfer configuration rejected: {e:?}"))
-                })
+            ProtocolSpec::FullTransfer { parcels, window, .. } => {
+                per_host("protocol.parcels", u64::from(parcels))?;
+                per_host("protocol.window", window as u64)
             }
             ProtocolSpec::EpochPushSum { epoch_len, drift_prob, clique_drift, .. } => {
-                if epoch_len == 0 {
-                    return Err(invalid("protocol.epoch_len", "must be at least 1".into()));
-                }
-                if !(0.0..=1.0).contains(&drift_prob) || drift_prob.is_nan() {
+                positive("protocol.epoch_len", epoch_len)?;
+                probability("protocol.drift_prob", drift_prob)?;
+                let Some(cd) = clique_drift else { return Ok(()) };
+                if cd.clusters < 2 {
                     return Err(invalid(
-                        "protocol.drift_prob",
-                        format!("probability {drift_prob} outside [0, 1]"),
+                        "protocol.clique_drift",
+                        "needs at least 2 cliques to diverge",
                     ));
                 }
-                if let Some(cd) = clique_drift {
-                    if cd.clusters < 2 {
-                        return Err(invalid(
-                            "protocol.clique_drift",
-                            "needs at least 2 cliques to diverge".into(),
-                        ));
-                    }
-                    if !cd.magnitude.is_finite() || cd.magnitude < 0.0 {
-                        return Err(invalid(
-                            "protocol.clique_drift",
-                            format!("magnitude {} must be finite and >= 0", cd.magnitude),
-                        ));
-                    }
-                    // Drift cliques are defined as the clustered env's
-                    // round-robin cliques; a mismatch would silently change
-                    // what the drift pattern means.
-                    match &self.env {
-                        EnvSpec::Clustered { clusters, .. } => {
-                            if *clusters != cd.clusters {
-                                return Err(invalid(
-                                    "protocol.clique_drift.clusters",
-                                    format!(
-                                        "must match env.clusters ({clusters}), got {}",
-                                        cd.clusters
-                                    ),
-                                ));
-                            }
-                        }
-                        _ => {
-                            return Err(ScenarioError::Unsupported {
-                                reason: "clique_drift assigns clocks by the clustered \
-                                         environment's cliques; use kind = \"clustered\""
-                                    .into(),
-                            })
-                        }
-                    }
+                if !cd.magnitude.is_finite() || cd.magnitude < 0.0 {
+                    return Err(invalid(
+                        "protocol.clique_drift",
+                        format!("magnitude {} must be finite and >= 0", cd.magnitude),
+                    ));
                 }
-                Ok(())
+                // Drift cliques are defined as the clustered env's
+                // round-robin cliques; a mismatch would silently change
+                // what the drift pattern means.
+                match &self.env {
+                    EnvSpec::Clustered { clusters, .. } if *clusters == cd.clusters => Ok(()),
+                    EnvSpec::Clustered { clusters, .. } => Err(invalid(
+                        "protocol.clique_drift.clusters",
+                        format!("must match env.clusters ({clusters}), got {}", cd.clusters),
+                    )),
+                    _ => Err(unsupported(
+                        "clique_drift assigns clocks by the clustered environment's cliques; \
+                         use kind = \"clustered\"",
+                    )),
+                }
             }
+            ProtocolSpec::CountSketch { multiplier, .. } => identifiers(multiplier),
             ProtocolSpec::CountSketchReset { multiplier, .. } => {
-                if multiplier == 0 {
-                    return Err(invalid("protocol.multiplier", "must be at least 1".into()));
-                }
-                Ok(())
+                positive("protocol.multiplier", multiplier)?;
+                identifiers(multiplier)
             }
-            ProtocolSpec::InvertAverage { lambda, .. } => check_lambda(lambda),
             ProtocolSpec::TagTree { child_timeout } => {
-                if child_timeout == 0 {
-                    return Err(invalid("protocol.child_timeout", "must be at least 1".into()));
-                }
-                Ok(())
+                positive("protocol.child_timeout", child_timeout)
             }
             ProtocolSpec::Extremum { ttl, .. } => {
-                if ttl == Some(0) {
-                    return Err(invalid("protocol.ttl", "must be at least 1".into()));
-                }
-                Ok(())
+                positive("protocol.ttl", ttl.map_or(1, u64::from))
             }
-            ProtocolSpec::Histogram { lo, hi, buckets, lambda } => {
+            ProtocolSpec::Histogram { lo, hi, buckets, .. } => {
                 if hi <= lo || hi.is_nan() || lo.is_nan() {
                     return Err(invalid(
                         "protocol",
                         format!("histogram range [{lo}, {hi}) is empty"),
                     ));
                 }
-                if buckets == 0 {
-                    return Err(invalid("protocol.buckets", "need at least one bucket".into()));
-                }
-                check_lambda(lambda)
+                per_host("protocol.buckets", u64::from(buckets))
             }
+            _ => Ok(()),
         }
     }
 
     fn validate_async(&self) -> Result<(), ScenarioError> {
-        let invalid =
-            |key: &str, reason: String| ScenarioError::Invalid { key: key.into(), reason };
-        if self.engine != Engine::Async {
-            if self.asynchrony.is_some() {
-                return Err(ScenarioError::Unsupported {
-                    reason: format!(
-                        "[async] keys configure the asynchronous engine; engine = \"{}\" \
-                         ignores them — set engine = \"async\" or drop the table",
-                        match self.engine {
-                            Engine::Push => "push",
-                            Engine::Pairwise => "pairwise",
-                            Engine::Async => unreachable!(),
-                        }
-                    ),
-                });
-            }
+        // An `[async]` table a lockstep engine would ignore is rejected by
+        // `validate_requirements`, whatever its values.
+        if !self.engine.caps().reads_async {
             return Ok(());
         }
         let a = self.asynchrony.unwrap_or_default();
-        if a.interval_ms == 0 {
-            return Err(invalid("async.interval_ms", "must be at least 1".into()));
+        positive("async.interval_ms", a.interval_ms)?;
+        // Both async drains keep time in `u64` milliseconds and compute the
+        // horizon as `rounds × interval_ms` unchecked.
+        let rounds = self.rounds.unwrap_or_else(|| crate::registry::resolve_shape(self).1);
+        if rounds.checked_mul(a.interval_ms).is_none() {
+            return Err(invalid(
+                "async.interval_ms",
+                format!("{rounds} rounds of it overflow the engine's 64-bit millisecond clock"),
+            ));
         }
-        if !(0.0..1.0).contains(&a.jitter) || a.jitter.is_nan() {
+        if !(0.0..1.0).contains(&a.jitter) {
             return Err(invalid("async.jitter", format!("fraction {} outside [0, 1)", a.jitter)));
         }
         match a.latency {
@@ -1036,40 +994,23 @@ impl ScenarioSpec {
         match a.drift {
             DriftSpec::Synced => {}
             DriftSpec::Skew { spread } => {
-                if !(0.0..1.0).contains(&spread) || spread.is_nan() {
+                if !(0.0..1.0).contains(&spread) {
                     return Err(invalid(
                         "async.drift.spread",
                         format!("spread {spread} outside [0, 1) (rates must stay positive)"),
                     ));
                 }
             }
-            DriftSpec::Bernoulli { skip_prob } => {
-                if !(0.0..=1.0).contains(&skip_prob) || skip_prob.is_nan() {
-                    return Err(invalid(
-                        "async.drift.skip_prob",
-                        format!("probability {skip_prob} outside [0, 1]"),
-                    ));
-                }
-            }
-            DriftSpec::RandomWalk { step_prob } => {
-                if !(0.0..=1.0).contains(&step_prob) || step_prob.is_nan() {
-                    return Err(invalid(
-                        "async.drift.step_prob",
-                        format!("probability {step_prob} outside [0, 1]"),
-                    ));
-                }
-            }
+            DriftSpec::Bernoulli { skip_prob } => probability("async.drift.skip_prob", skip_prob)?,
+            DriftSpec::RandomWalk { step_prob } => probability("async.drift.step_prob", step_prob)?,
         }
-        if a.sample_every_ms == Some(0) {
-            return Err(invalid("async.sample_every_ms", "must be at least 1".into()));
-        }
+        positive("async.sample_every_ms", a.sample_every_ms.unwrap_or(1))?;
         match a.shards {
             None | Some(ShardsSpec::Auto) => {}
             Some(ShardsSpec::Count(0)) => {
                 return Err(invalid(
                     "async.shards",
-                    "need at least one shard (1 = sequential, \"auto\" = size from the machine)"
-                        .into(),
+                    "need at least one shard (1 = sequential, \"auto\" = size from the machine)",
                 ));
             }
             Some(ShardsSpec::Count(s)) => {
@@ -1138,136 +1079,62 @@ impl ScenarioSpec {
             return Ok(());
         }
         if matches!(self.env, EnvSpec::Trace { .. }) {
-            return Err(ScenarioError::Unsupported {
-                reason: "partition islands resolve against a fixed synthetic population; trace \
-                         environments derive theirs from the dataset — use kind = \"uniform\", \
-                         \"spatial\", or \"clustered\""
-                    .into(),
-            });
+            return Err(unsupported(
+                "partition islands resolve against a fixed synthetic population; trace \
+                 environments derive theirs from the dataset — use kind = \"uniform\", \
+                 \"spatial\", or \"clustered\"",
+            ));
         }
         if let Some(sweep) = &self.sweep {
             if sweep.axis == SweepAxis::N {
-                return Err(ScenarioError::Unsupported {
-                    reason: "a population sweep changes what the island definitions cover; fix \
-                             `n` or drop the [[partition]] tables"
-                        .into(),
-                });
+                return Err(unsupported(
+                    "a population sweep changes what the island definitions cover; fix `n` or \
+                     drop the [[partition]] tables",
+                ));
             }
         }
         if let FailureSpec::Churn { join_per_round, .. } = self.failure {
             if join_per_round > 0.0 {
-                return Err(ScenarioError::Unsupported {
-                    reason: "churn-joined hosts have no island assignment; use leave-only churn \
-                             or at-round failures alongside [[partition]] tables"
-                        .into(),
-                });
+                return Err(unsupported(
+                    "churn-joined hosts have no island assignment; use leave-only churn or \
+                     at-round failures alongside [[partition]] tables",
+                ));
             }
         }
         let n = self.n.expect("validated above: non-trace specs have n");
         let topo = topology_info(&self.env, n);
         let mut resolved = Vec::with_capacity(self.partitions.len());
         for (i, event) in self.partitions.iter().enumerate() {
-            resolved.push(partition::resolve(event, n, &topo).map_err(|reason| {
-                ScenarioError::Invalid { key: format!("partition[{i}]"), reason }
-            })?);
+            resolved.push(
+                partition::resolve(event, n, &topo)
+                    .map_err(|reason| invalid(&format!("partition[{i}]"), reason))?,
+            );
         }
-        PartitionTable::new(resolved)
-            .map(|_| ())
-            .map_err(|reason| ScenarioError::Invalid { key: "partition".into(), reason })
+        PartitionTable::new(resolved).map(|_| ()).map_err(|reason| invalid("partition", reason))
     }
 
+    /// The `[adversary]` table's own ranges; whether the attack has a
+    /// payload to forge and the engine a message step to wrap is
+    /// `validate_requirements`' business.
     fn validate_adversary(&self) -> Result<(), ScenarioError> {
-        let invalid =
-            |key: &str, reason: String| ScenarioError::Invalid { key: key.into(), reason };
         let Some(adv) = self.adversary else { return Ok(()) };
-        if self.engine == Engine::Pairwise {
-            return Err(ScenarioError::Unsupported {
-                reason: "the adversary wraps the message-passing protocol step, which atomic \
-                         pairwise exchanges bypass; use engine = \"push\" or \"async\""
-                    .into(),
-            });
-        }
-        if !(adv.fraction > 0.0 && adv.fraction <= 1.0) {
-            return Err(invalid(
-                "adversary.fraction",
-                format!("fraction {} outside (0, 1]", adv.fraction),
-            ));
-        }
-        let mismatch = |attack: &str, needs: &str| ScenarioError::Unsupported {
-            reason: format!(
-                "attack `{attack}` {needs}; protocol `{}` does not qualify",
-                self.protocol.name()
-            ),
-        };
+        fraction("adversary.fraction", adv.fraction)?;
         match adv.attack {
-            Attack::MassInflation { factor } => {
-                if !factor.is_finite() || factor < 0.0 {
-                    return Err(invalid(
-                        "adversary.factor",
-                        format!("factor {factor} must be finite and >= 0"),
-                    ));
-                }
-                if !matches!(
-                    self.protocol,
-                    ProtocolSpec::PushSum
-                        | ProtocolSpec::PushSumRevert { .. }
-                        | ProtocolSpec::AdaptiveRevert { .. }
-                        | ProtocolSpec::FullTransfer { .. }
-                        | ProtocolSpec::EpochPushSum { .. }
-                ) {
-                    return Err(mismatch("mass-inflation", "corrupts Push-Sum mass messages"));
-                }
+            Attack::MassInflation { factor } if !factor.is_finite() || factor < 0.0 => {
+                Err(invalid("adversary.factor", format!("factor {factor} must be finite and >= 0")))
             }
-            Attack::StaleEpochReplay => {
-                if !matches!(self.protocol, ProtocolSpec::EpochPushSum { .. }) {
-                    return Err(mismatch(
-                        "stale-epoch-replay",
-                        "forges epoch numbers and needs protocol `epoch-push-sum`",
-                    ));
-                }
-            }
-            Attack::SketchCorruption { cells } => {
-                if cells == 0 {
-                    return Err(invalid("adversary.cells", "must be at least 1".into()));
-                }
-                if !matches!(
-                    self.protocol,
-                    ProtocolSpec::CountSketch { .. } | ProtocolSpec::CountSketchReset { .. }
-                ) {
-                    return Err(mismatch(
-                        "sketch-corruption",
-                        "forges sketch bits and needs a count-sketch protocol",
-                    ));
-                }
-            }
+            Attack::SketchCorruption { cells } => positive("adversary.cells", u64::from(cells)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn validate_failure(&self) -> Result<(), ScenarioError> {
-        let invalid =
-            |key: &str, reason: String| ScenarioError::Invalid { key: key.into(), reason };
         match self.failure {
             FailureSpec::None => Ok(()),
-            FailureSpec::AtRound { fraction, .. } => {
-                if !(fraction > 0.0 && fraction <= 1.0) {
-                    return Err(invalid(
-                        "failure.fraction",
-                        format!("fraction {fraction} outside (0, 1]"),
-                    ));
-                }
-                Ok(())
-            }
+            FailureSpec::AtRound { fraction: f, .. } => fraction("failure.fraction", f),
             FailureSpec::Churn { leave_per_round, join_per_round, .. } => {
-                for (key, p) in [
-                    ("failure.leave_per_round", leave_per_round),
-                    ("failure.join_per_round", join_per_round),
-                ] {
-                    if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                        return Err(invalid(key, format!("rate {p} outside [0, 1]")));
-                    }
-                }
-                Ok(())
+                probability("failure.leave_per_round", leave_per_round)?;
+                probability("failure.join_per_round", join_per_round)
             }
         }
     }

@@ -1,6 +1,11 @@
 //! Spec-validation rejection tests: every class of scenario-file misuse
 //! must produce a *typed* [`ScenarioError`], never a panic, and the right
 //! variant — these are the errors scenario authors will actually see.
+//!
+//! What combines with what (protocol × engine × report × probe × attack ×
+//! wire) is walked exhaustively by `tests/lattice.rs`; the tests here pin
+//! what the lattice cannot see: the TOML surface, value ranges, the text
+//! of a message, and what an accepted spec computes.
 
 use dynagg_scenario::{ScenarioError, ScenarioSpec};
 
@@ -115,17 +120,6 @@ fn bad_toml_surfaces_parse_error_with_line() {
 }
 
 #[test]
-fn pairwise_engine_with_sketch_protocol_is_unsupported() {
-    let src = replace(VALID, "rounds = 10", "rounds = 10\nengine = \"pairwise\"");
-    let src = replace(
-        &src,
-        "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01",
-        "[protocol]\nname = \"count-sketch-reset\"",
-    );
-    assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
-}
-
-#[test]
 fn group_truth_without_trace_env_is_unsupported() {
     let src = replace(VALID, "n = 200", "n = 200\ntruth = \"group-mean\"");
     assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
@@ -201,12 +195,6 @@ fn trace_env_with_explicit_n_is_unsupported() {
 }
 
 #[test]
-fn counter_cdf_on_non_sketch_protocol_is_unsupported() {
-    let src = format!("{VALID}\n[output]\nreport = \"counter-cdf\"\n");
-    assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
-}
-
-#[test]
 fn errors_render_readable_messages() {
     let src = replace(VALID, "push-sum-revert", "nope");
     let msg = ScenarioSpec::from_toml_str(&src).unwrap_err().to_string();
@@ -214,6 +202,78 @@ fn errors_render_readable_messages() {
     let src = replace(VALID, "seed = 7\n", "");
     let msg = ScenarioSpec::from_toml_str(&src).unwrap_err().to_string();
     assert!(msg.contains("missing required key `seed`"), "{msg}");
+}
+
+// ── sizes a run could not survive ───────────────────────────────────────
+
+/// `[protocol]` swapped for `table`; must be `Invalid` at `key`.
+fn assert_protocol_invalid(base: &str, table: &str, key: &str) {
+    let src = replace(base, "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01", table);
+    match ScenarioSpec::from_toml_str(&src) {
+        Err(ScenarioError::Invalid { key: k, .. }) if k == key => {}
+        other => panic!("{table}: expected Invalid {{ {key} }}, got {other:?}"),
+    }
+}
+
+#[test]
+fn histogram_buckets_are_bounded() {
+    let histogram = |buckets: u64| {
+        format!(
+            "[protocol]\nname = \"histogram\"\nlo = 0.0\nhi = 100.0\nbuckets = {buckets}\nlambda = 0.01"
+        )
+    };
+    // 32 GB of per-host vectors at n = 1: used to abort in the allocator.
+    assert_protocol_invalid(VALID, &histogram(4_000_000_000), "protocol.buckets");
+    assert_protocol_invalid(VALID, &histogram(65_537), "protocol.buckets");
+    assert_protocol_invalid(VALID, &histogram(0), "protocol.buckets");
+    // A count past `u32` is refused, not wrapped to a small valid one.
+    assert_protocol_invalid(VALID, &histogram((1 << 32) + 1), "protocol.buckets");
+    let at_bound =
+        replace(VALID, "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01", &histogram(65_536));
+    ScenarioSpec::from_toml_str(&at_bound).unwrap();
+}
+
+#[test]
+fn full_transfer_parcels_and_window_are_bounded() {
+    let full_transfer = |key: &str, v: u64| {
+        format!("[protocol]\nname = \"full-transfer\"\nlambda = 0.01\n{key} = {v}")
+    };
+    // `u32::MAX` parcels reserved a 17 GB target list per host.
+    assert_protocol_invalid(VALID, &full_transfer("parcels", 4_294_967_295), "protocol.parcels");
+    assert_protocol_invalid(VALID, &full_transfer("parcels", 0), "protocol.parcels");
+    assert_protocol_invalid(VALID, &full_transfer("window", 1 << 40), "protocol.window");
+    assert_protocol_invalid(VALID, &full_transfer("window", 0), "protocol.window");
+}
+
+#[test]
+fn sketch_identifiers_are_bounded() {
+    // `n × multiplier` wrapped in release and overflowed in debug, and
+    // each host hashes `multiplier` identifiers at boot.
+    for name in ["count-sketch", "count-sketch-reset"] {
+        let sketch = |m: u64| format!("[protocol]\nname = \"{name}\"\nmultiplier = {m}");
+        assert_protocol_invalid(VALID, &sketch(i64::MAX as u64), "protocol.multiplier");
+        // 200 hosts × 2³² / 100 identifiers is past the 2³² bound…
+        assert_protocol_invalid(VALID, &sketch((1 << 32) / 100), "protocol.multiplier");
+        // …and 200 × 100 (Fig. 11's load) is far inside it.
+        let ok =
+            replace(VALID, "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01", &sketch(100));
+        ScenarioSpec::from_toml_str(&ok).unwrap();
+    }
+    // The bound holds at every swept population, not only at `n`.
+    let swept = format!("{VALID}\n[sweep]\naxis = \"n\"\nvalues = [200.0, 100000000.0]\n");
+    assert_protocol_invalid(
+        &swept,
+        "[protocol]\nname = \"count-sketch-reset\"\nmultiplier = 100",
+        "protocol.multiplier",
+    );
+    // Trace environments resolve their population from the dataset.
+    let trace = replace(VALID, "kind = \"uniform\"", "kind = \"trace\"\ndataset = 1");
+    let trace = replace(&trace, "n = 200\n", "");
+    assert_protocol_invalid(
+        &trace,
+        "[protocol]\nname = \"count-sketch-reset\"\nmultiplier = 4294967296",
+        "protocol.multiplier",
+    );
 }
 
 // ── async engine ────────────────────────────────────────────────────────
@@ -388,6 +448,20 @@ fn async_range_violations_are_typed() {
 }
 
 #[test]
+fn async_horizon_must_fit_the_millisecond_clock() {
+    // `rounds × interval_ms` is the drains' horizon in `u64` milliseconds:
+    // it wrapped in release (an empty series) and overflowed in debug.
+    let src = replace(VALID_ASYNC, "interval_ms = 100", "interval_ms = 9223372036854775807");
+    match ScenarioSpec::from_toml_str(&src) {
+        Err(ScenarioError::Invalid { key, reason }) => {
+            assert_eq!(key, "async.interval_ms");
+            assert!(reason.contains("10 rounds"), "{reason}");
+        }
+        other => panic!("expected Invalid {{ async.interval_ms }}, got {other:?}"),
+    }
+}
+
+#[test]
 fn counter_cdf_under_async_is_shard_count_invariant() {
     let base = replace(
         VALID_ASYNC,
@@ -436,19 +510,6 @@ fn unknown_wire_name_is_typed() {
         Err(ScenarioError::UnknownName { what: "wire", name }) => assert_eq!(name, "metered"),
         other => panic!("expected UnknownName {{ wire }}, got {other:?}"),
     }
-}
-
-#[test]
-fn measured_wire_under_async_is_unsupported() {
-    let src = replace(VALID_ASYNC, "engine = \"async\"", "engine = \"async\"\nwire = \"measured\"");
-    assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
-}
-
-#[test]
-fn measured_wire_under_pairwise_is_unsupported() {
-    let src =
-        replace(VALID, "rounds = 10", "rounds = 10\nengine = \"pairwise\"\nwire = \"measured\"");
-    assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
 }
 
 // ── probes ──────────────────────────────────────────────────────────────
