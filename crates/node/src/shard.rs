@@ -7,20 +7,47 @@
 //! ## Execution model
 //!
 //! Hosts are partitioned into shards by a topology-aware
-//! [`ShardMap`]; each shard owns its nodes' runtimes, a
-//! [`ShardQueue`], and per-node link RNGs. Simulated time advances as a
-//! sequence of **windows** bounded by the conservative *lookahead* — the
-//! latency model's lower bound ([`crate::LatencyModel::min_ms`]): no frame sent
-//! inside a window can arrive within it, so shards drain their windows
-//! concurrently on [`std::thread::scope`] workers without hearing from
-//! each other. At each window edge, workers flush cross-shard frames
-//! into per-pair mailboxes, meet at a [`Barrier`], and ingest their
-//! inboxes — every frame lands strictly beyond the edge, so causality
-//! holds by construction (and is still debug-asserted per queue).
+//! [`ShardMap`]; each shard owns a [`ShardQueue`] and one record per node
+//! (runtime, link RNG, send sequence, timer deadline). Simulated time
+//! advances as a sequence of **windows** bounded by the conservative
+//! *lookahead* — the latency model's lower bound
+//! ([`crate::LatencyModel::min_ms`]): no frame sent inside a window can
+//! arrive within it, so shards drain their windows without hearing from
+//! each other. At each window edge every shard flushes its cross-shard
+//! frames into per-pair mailboxes, the workers **meet once**, and every
+//! shard ingests its inboxes — every frame lands at or beyond the edge,
+//! so causality holds by construction (and is still counted and
+//! debug-asserted per frame).
+//!
+//! *One meet is enough.* The meet orders "all flushed" before "any
+//! ingested". Nothing needs the converse: a worker that is through its
+//! ingest may drain the next window and flush it while a slower one still
+//! ingests this edge, and the slower one may pick those frames up an edge
+//! early. A mailbox is a mutex-guarded vector, every frame carries its
+//! [`EventKey`], and the queue orders by key — a frame of the next window
+//! is due at or beyond the *next* edge and lands in the same place
+//! whichever edge ingests it. At the last edge of a drain every flush
+//! precedes the meet and every ingest follows it, so all mailboxes are
+//! empty when the coordinator runs.
+//!
+//! *Workers are cores, shards are data.* The meet spins before it yields
+//! (the private `Rendezvous`), which only pays when every party has a
+//! core, so a drain runs one worker per core
+//! ([`std::thread::available_parallelism`]), at most one per shard, on
+//! [`std::thread::scope`], each over a contiguous group of shards; the
+//! calling thread is worker 0, so one worker spawns nothing and meets
+//! nobody. The shard count decides data placement and nothing else; the
+//! bits are invariant under both counts.
+//!
+//! *The poison rule.* A worker that unwinds poisons the rendezvous from a
+//! drop guard; a worker that finds it poisoned stops draining, the scope
+//! joins, and the original panic resumes on the caller of
+//! [`ShardedNet::run`] — a panicking protocol fails the run, it cannot
+//! hang it.
 //!
 //! Sample and nominal-round-boundary work (failure plan, membership
 //! clock, view repair) is the shared coordinator's, called **between**
-//! windows on the coordinating thread: at a barrier point every queue
+//! drains on the coordinating thread: at the end of a drain every queue
 //! has drained past the previous window, so the coordinator sees a
 //! globally consistent state. At a shared instant the sample runs before
 //! the boundary, and both run before any timer or frame due at that
@@ -69,7 +96,8 @@ use dynagg_sim::{FailureSpec, PartitionTable};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Stream tag for per-node link RNGs (loss + latency draws). Disjoint
 /// from [`crate::loopback`]'s node-seed tag and the engine's small stream
@@ -98,22 +126,29 @@ struct Flight {
     env: Envelope,
 }
 
-/// One shard: the state a worker thread owns exclusively during a
+/// Everything the drain keeps per node, in one record: a timer or a send
+/// touches the lines next to the runtime it is already holding.
+struct Slot<P: PushProtocol>
+where
+    P::Message: WireMessage,
+{
+    rt: NodeRuntime<P>,
+    /// Link RNG (loss + latency draws, in this node's own send order).
+    link: SmallRng,
+    /// Sent-frame sequence.
+    send_seq: u64,
+    /// Outstanding timer deadline.
+    deadline_ms: u64,
+}
+
+/// One shard: the state exactly one worker thread touches during a
 /// window.
 struct Shard<P: PushProtocol>
 where
     P::Message: WireMessage,
 {
     queue: ShardQueue<SEv>,
-    runtimes: Vec<NodeRuntime<P>>,
-    /// Per-node link RNG, parallel to `runtimes`.
-    link_rngs: Vec<SmallRng>,
-    /// Per-node sent-frame sequence, parallel to `runtimes`.
-    send_seq: Vec<u64>,
-    /// Per-node outstanding timer deadline, parallel to `runtimes` — the
-    /// shard-local slice of the struct-of-arrays hot state (each shard
-    /// mutates only its own slots during a window).
-    deadline_ms: Vec<u64>,
+    nodes: Vec<Slot<P>>,
     /// Outbound cross-shard frames staged per destination shard.
     stage: Vec<Vec<Flight>>,
     msgs: u64,
@@ -131,6 +166,84 @@ where
     out_buf: Vec<Envelope>,
 }
 
+/// How long a waiter spins on the generation before it starts yielding:
+/// about 3 µs of `spin_loop` hints, the arrival skew of two workers on
+/// small windows. Deliberately not the tens of µs a 10⁴-host window can
+/// be skewed by: a `yield_now` that finds nothing else to run returns in
+/// under a µs, so yielding early costs a late wake-up at most that long,
+/// while spinning on costs the whole bound at every meet whenever the
+/// kernel has put two workers on one core — which this VM does for
+/// seconds at a time (measured: 4 000 spins turned a 30 ms run into
+/// 150 ms).
+const SPIN_LIMIT: u32 = 200;
+
+/// The error a waiter gets when a sibling worker panicked: stop draining,
+/// the panic is on its way to the caller of [`ShardedNet::run`].
+struct Poisoned;
+
+/// The window-edge rendezvous of the drain's workers: a generation-counted
+/// barrier that spins before it yields, where [`std::sync::Barrier`] pays
+/// a futex sleep and wake per wait. It carries no data — the mailbox
+/// mutexes do — and only orders "all flushed" before "any ingested": an
+/// arrival is a release on `arrived`, the last arriver's bump of
+/// `generation` is a release the waiters acquire.
+struct Rendezvous {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Set when a party unwinds; waiters stop waiting for it.
+    poisoned: AtomicBool,
+}
+
+impl Rendezvous {
+    fn new(parties: usize) -> Self {
+        Self {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Block until all `parties` have called `meet` for this generation,
+    /// or until one of them has panicked.
+    fn meet(&self) -> Result<(), Poisoned> {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Reset before the bump: a released party's next arrival
+            // happens-after its acquire of the new generation.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(generation.wrapping_add(1), Ordering::Release);
+            return Ok(());
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == generation {
+            if self.poisoned.load(Ordering::Acquire) {
+                return Err(Poisoned);
+            }
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A guard each party holds while it works: dropped during a panic, it
+/// poisons the rendezvous so no sibling waits for the dead party.
+struct Party<'a>(&'a Rendezvous);
+
+impl Drop for Party<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// Read-only context shared by every worker during a window segment.
 struct Window<'a> {
     cfg: AsyncConfig,
@@ -141,57 +254,71 @@ struct Window<'a> {
     hot: &'a NodeHot,
     partition: &'a PartitionTable,
     home: &'a [Home],
-    /// `shards × shards` mailboxes; worker `s` appends to `s·k + d`,
-    /// worker `d` drains `s·k + d` after the barrier.
+    /// `shards × shards` mailboxes; shard `s` appends to `s·k + d` before
+    /// the meet, shard `d` drains `s·k + d` after it.
     mail: &'a [Mutex<Vec<Flight>>],
-    barrier: &'a Barrier,
+    meet: &'a Rendezvous,
 }
 
-/// Drain `[from_ms, to_ms)` on one shard: lookahead-bounded windows,
-/// mailbox exchange at every edge.
-fn drain_windows<P>(shard: &mut Shard<P>, me: usize, from_ms: u64, to_ms: u64, ctx: &Window<'_>)
-where
+/// Drain `[from_ms, to_ms)` on one worker's group of shards (`first` is
+/// the group's first shard index): lookahead-bounded windows, one meet
+/// and one mailbox exchange at every edge.
+fn drain_windows<P>(
+    group: &mut [Shard<P>],
+    first: usize,
+    from_ms: u64,
+    to_ms: u64,
+    ctx: &Window<'_>,
+) where
     P: PushProtocol + Send,
     P::Message: WireMessage + Send,
 {
+    let _party = Party(ctx.meet);
     let mut w = from_ms;
     while w < to_ms {
         // `lookahead ≥ 1`, so `w_end ≥ w + 1` and `w_end - 1` is safe.
         let w_end = to_ms.min(w + ctx.lookahead);
-        while let Some((key, ev)) = shard.queue.pop_before(w_end - 1) {
-            shard.events += 1;
-            dispatch(shard, key, ev, me, ctx);
-        }
-        for d in 0..ctx.shards {
-            if d != me && !shard.stage[d].is_empty() {
-                ctx.mail[me * ctx.shards + d]
-                    .lock()
-                    .expect("mailbox lock")
-                    .append(&mut shard.stage[d]);
+        for (me, shard) in (first..).zip(group.iter_mut()) {
+            while let Some((key, ev)) = shard.queue.pop_before(w_end - 1) {
+                shard.events += 1;
+                dispatch(shard, key, ev, me, ctx);
             }
-        }
-        // First meet: every shard has flushed its window's outbound.
-        ctx.barrier.wait();
-        for s in 0..ctx.shards {
-            if s == me {
-                continue;
-            }
-            let mut inbox = ctx.mail[s * ctx.shards + me].lock().expect("mailbox lock");
-            for f in inbox.drain(..) {
-                if f.key.at_ms < w_end {
-                    shard.horizon_violations += 1;
+            for d in 0..ctx.shards {
+                if d != me && !shard.stage[d].is_empty() {
+                    ctx.mail[me * ctx.shards + d]
+                        .lock()
+                        .expect("mailbox lock")
+                        .append(&mut shard.stage[d]);
                 }
-                debug_assert!(
-                    f.key.at_ms >= w_end,
-                    "cross-shard frame at {} breaches the conservative horizon {w_end}",
-                    f.key.at_ms
-                );
-                shard.queue.schedule(f.key, SEv::Deliver(f.env));
             }
         }
-        // Second meet: nobody starts the next window (writing mailboxes)
-        // until everyone has drained this window's inbox.
-        ctx.barrier.wait();
+        // The one meet: every shard has flushed this window's outbound.
+        // A peer already past it may flush the *next* window's frames
+        // while this worker still ingests; those are due at or beyond the
+        // next edge and the queue orders by key, so picking them up one
+        // edge early changes nothing.
+        if ctx.meet.meet().is_err() {
+            return;
+        }
+        for (me, shard) in (first..).zip(group.iter_mut()) {
+            for s in 0..ctx.shards {
+                if s == me {
+                    continue;
+                }
+                let mut inbox = ctx.mail[s * ctx.shards + me].lock().expect("mailbox lock");
+                for f in inbox.drain(..) {
+                    if f.key.at_ms < w_end {
+                        shard.horizon_violations += 1;
+                    }
+                    debug_assert!(
+                        f.key.at_ms >= w_end,
+                        "cross-shard frame at {} breaches the conservative horizon {w_end}",
+                        f.key.at_ms
+                    );
+                    shard.queue.schedule(f.key, SEv::Deliver(f.env));
+                }
+            }
+        }
         w = w_end;
     }
 }
@@ -206,18 +333,14 @@ where
             if !ctx.hot.is_alive(id) {
                 return; // a dark node's timer dies with it
             }
-            let slot = ctx.home[id as usize].slot as usize;
-            debug_assert_eq!(
-                key.at_ms, shard.deadline_ms[slot],
-                "timer fires at its recorded deadline"
-            );
+            let node = &mut shard.nodes[ctx.home[id as usize].slot as usize];
+            debug_assert_eq!(key.at_ms, node.deadline_ms, "timer fires at its recorded deadline");
             let mut out = std::mem::take(&mut shard.out_buf);
             out.clear();
-            let rt = &mut shard.runtimes[slot];
-            rt.poll(key.at_ms, &mut out);
-            let next = rt.next_tick_ms();
+            node.rt.poll(key.at_ms, &mut out);
+            let next = node.rt.next_tick_ms();
+            node.deadline_ms = next;
             shard.queue.schedule(EventKey::timer(next, id), SEv::Timer(id));
-            shard.deadline_ms[slot] = next;
             for env in out.drain(..) {
                 send(shard, key.at_ms, env, me, ctx);
             }
@@ -231,15 +354,15 @@ where
             }
             let slot = ctx.home[env.to as usize].slot as usize;
             if !ctx.hot.is_alive(env.to) {
-                shard.runtimes[slot].recycle_buffer(env.payload);
+                shard.nodes[slot].rt.recycle_buffer(env.payload);
                 return;
             }
-            match shard.runtimes[slot].handle(env.from, &env.payload) {
+            match shard.nodes[slot].rt.handle(env.from, &env.payload) {
                 Ok(Some(reply)) => send(shard, key.at_ms, reply, me, ctx),
                 Ok(None) => {}
                 Err(_) => shard.decode_errors += 1,
             }
-            shard.runtimes[slot].recycle_buffer(env.payload);
+            shard.nodes[slot].rt.recycle_buffer(env.payload);
         }
     }
 }
@@ -255,22 +378,20 @@ where
     shard.msgs += 1;
     shard.bytes += env.raw_bytes as u64;
     shard.wire += env.payload.len() as u64;
-    let from_slot = ctx.home[env.from as usize].slot as usize;
+    let node = &mut shard.nodes[ctx.home[env.from as usize].slot as usize];
     if !ctx.partition.allows(env.from, env.to) {
         // The link across the cut is down; the frame dies in flight.
         shard.partition_drops += 1;
-        shard.runtimes[from_slot].recycle_buffer(env.payload);
+        node.rt.recycle_buffer(env.payload);
         return;
     }
-    let rng = &mut shard.link_rngs[from_slot];
-    if ctx.cfg.loss > 0.0 && rng.gen::<f64>() < ctx.cfg.loss {
-        shard.runtimes[from_slot].recycle_buffer(env.payload);
+    if ctx.cfg.loss > 0.0 && node.link.gen::<f64>() < ctx.cfg.loss {
+        node.rt.recycle_buffer(env.payload);
         return;
     }
-    let at = now_ms + ctx.cfg.latency.sample(rng);
-    let seq = shard.send_seq[from_slot];
-    shard.send_seq[from_slot] += 1;
-    let key = EventKey::deliver(at, env.to, env.from, seq);
+    let at = now_ms + ctx.cfg.latency.sample(&mut node.link);
+    let key = EventKey::deliver(at, env.to, env.from, node.send_seq);
+    node.send_seq += 1;
     let dest = ctx.home[env.to as usize].shard as usize;
     if dest == me {
         shard.queue.schedule(key, SEv::Deliver(env));
@@ -301,25 +422,27 @@ where
 {
     fn runtime(&self, id: NodeId) -> &NodeRuntime<P> {
         let h = self.home[id as usize];
-        &self.shards[h.shard as usize].runtimes[h.slot as usize]
+        &self.shards[h.shard as usize].nodes[h.slot as usize].rt
     }
 
     fn runtime_mut(&mut self, id: NodeId) -> &mut NodeRuntime<P> {
         let h = self.home[id as usize];
-        &mut self.shards[h.shard as usize].runtimes[h.slot as usize]
+        &mut self.shards[h.shard as usize].nodes[h.slot as usize].rt
     }
 
-    fn install(&mut self, id: NodeId, runtime: NodeRuntime<P>) {
+    fn install(&mut self, id: NodeId, rt: NodeRuntime<P>) {
         debug_assert_eq!(id as usize, self.home.len());
         let s = self.map.shard_of(id as usize);
         let shard = &mut self.shards[s];
-        self.home.push(Home { shard: s as u32, slot: shard.runtimes.len() as u32 });
-        let first_tick = runtime.next_tick_ms();
+        self.home.push(Home { shard: s as u32, slot: shard.nodes.len() as u32 });
+        let first_tick = rt.next_tick_ms();
         shard.queue.schedule(EventKey::timer(first_tick, id), SEv::Timer(id));
-        shard.link_rngs.push(rng::rng_for(self.seed, LINK_SEED_BASE ^ u64::from(id)));
-        shard.send_seq.push(0);
-        shard.deadline_ms.push(first_tick);
-        shard.runtimes.push(runtime);
+        shard.nodes.push(Slot {
+            rt,
+            link: rng::rng_for(self.seed, LINK_SEED_BASE ^ u64::from(id)),
+            send_seq: 0,
+            deadline_ms: first_tick,
+        });
     }
 
     fn take_traffic(&mut self) -> (u64, u64, u64) {
@@ -376,17 +499,19 @@ where
         );
         let k = map.shards();
         assert!(k >= 1, "at least one shard");
+        let mut owned = vec![0usize; k];
+        for id in 0..n {
+            owned[map.shard_of(id)] += 1;
+        }
         let mut drain = ShardDrain {
             seed: cfg.seed,
-            shards: (0..k)
-                .map(|_| Shard {
+            shards: owned
+                .into_iter()
+                .map(|owned| Shard {
                     // Pre-sized from this shard's share of the population
                     // (timer + in-flight frame per node).
                     queue: ShardQueue::with_capacity(2 * n / k + 16),
-                    runtimes: Vec::new(),
-                    link_rngs: Vec::new(),
-                    send_seq: Vec::new(),
-                    deadline_ms: Vec::new(),
+                    nodes: Vec::with_capacity(owned),
                     stage: (0..k).map(|_| Vec::new()).collect(),
                     msgs: 0,
                     bytes: 0,
@@ -463,9 +588,22 @@ where
     /// Run for `nominal_rounds × interval_ms` of simulated time. May
     /// only be called once per network.
     pub fn run(&mut self, nominal_rounds: u64) {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        self.run_on(nominal_rounds, cores);
+    }
+
+    /// [`Self::run`] on at most `workers` threads, the caller's included —
+    /// what `run` reads off the machine and a test passes explicitly.
+    fn run_on(&mut self, nominal_rounds: u64, workers: usize) {
         assert!(!self.ran, "run() may only be called once");
         self.ran = true;
         self.ctl.ensure_views(&mut self.drain);
+        // Contiguous groups of shards, one per worker; the last group may
+        // be short and a worker count that divides badly leaves fewer
+        // groups than workers, so the groups are what meets.
+        let k = self.drain.shards.len();
+        let group = k.div_ceil(workers.clamp(1, k));
+        let meet = Rendezvous::new(k.div_ceil(group));
         let interval_ms = self.ctl.cfg.interval_ms;
         let horizon = nominal_rounds * interval_ms;
         // Coordinator timeline: barrier points are the union of sample
@@ -484,7 +622,7 @@ where
         points.entry(horizon).or_insert((false, None));
         let mut prev = 0;
         for (&at, &(sample, boundary)) in &points {
-            self.parallel_drain(prev, at);
+            self.parallel_drain(prev, at, group, &meet);
             self.now_ms = at;
             if sample {
                 self.coord_events += 1;
@@ -498,27 +636,39 @@ where
         }
     }
 
-    /// Drain `[from_ms, to_ms)` on every shard concurrently.
-    fn parallel_drain(&mut self, from_ms: u64, to_ms: u64) {
+    /// Drain `[from_ms, to_ms)` on every shard, `group` shards to a
+    /// worker. The calling thread is worker 0, so one group spawns no
+    /// thread.
+    fn parallel_drain(&mut self, from_ms: u64, to_ms: u64, group: usize, meet: &Rendezvous) {
         if from_ms == to_ms {
             return;
         }
-        let k = self.drain.shards.len();
-        let barrier = Barrier::new(k);
         let ctx = Window {
             cfg: self.ctl.cfg,
             lookahead: self.lookahead_ms,
-            shards: k,
+            shards: self.drain.shards.len(),
             hot: &self.ctl.hot,
             partition: &self.ctl.partition,
             home: &self.drain.home,
             mail: &self.drain.mail,
-            barrier: &barrier,
+            meet,
         };
+        let ctx = &ctx;
+        let mut groups = self.drain.shards.chunks_mut(group).enumerate();
+        let (_, mine) = groups.next().expect("at least one shard");
         std::thread::scope(|s| {
-            for (me, shard) in self.drain.shards.iter_mut().enumerate() {
-                let ctx = &ctx;
-                s.spawn(move || drain_windows(shard, me, from_ms, to_ms, ctx));
+            let spawned: Vec<_> = groups
+                .map(|(g, shards)| {
+                    s.spawn(move || drain_windows(shards, g * group, from_ms, to_ms, ctx))
+                })
+                .collect();
+            drain_windows(mine, 0, from_ms, to_ms, ctx);
+            // A worker that panicked poisoned the meet and released the
+            // rest; hand its panic, not a summary of it, to the caller.
+            for worker in spawned {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
     }
@@ -529,15 +679,21 @@ mod tests {
     use super::*;
     use crate::LatencyModel;
     use dynagg_core::epoch::DriftModel;
+    use dynagg_core::protocol::{Estimator, RoundCtx};
     use dynagg_core::push_sum_revert::PushSumRevert;
 
-    fn net_with(
+    fn net_of<P>(
         seed: u64,
         n: usize,
         shards: usize,
         latency: LatencyModel,
         loss: f64,
-    ) -> ShardedNet<PushSumRevert> {
+        factory: NodeFactory<P>,
+    ) -> ShardedNet<P>
+    where
+        P: PushProtocol + Send,
+        P::Message: WireMessage + Send,
+    {
         let mut cfg = AsyncConfig::new(seed);
         cfg.latency = latency;
         cfg.loss = loss;
@@ -548,8 +704,18 @@ mod tests {
             ShardMap::uniform(n, shards),
             Box::new(|rng, _| rng.gen_range(0.0..100.0)),
             Box::new(|_| DriftModel::Synced),
-            Box::new(|_, v| PushSumRevert::new(v, 0.01)),
+            factory,
         )
+    }
+
+    fn net_with(
+        seed: u64,
+        n: usize,
+        shards: usize,
+        latency: LatencyModel,
+        loss: f64,
+    ) -> ShardedNet<PushSumRevert> {
+        net_of(seed, n, shards, latency, loss, Box::new(|_, v| PushSumRevert::new(v, 0.01)))
     }
 
     #[test]
@@ -577,6 +743,125 @@ mod tests {
         let one = run(1);
         for k in [2, 3, 4, 8] {
             assert_eq!(one, run(k), "shard count {k} changed the series");
+        }
+    }
+
+    #[test]
+    fn worker_count_cannot_change_the_series() {
+        // Shards are data, workers are threads: eight shards drained by
+        // one worker, by even and uneven groups, and by a thread each.
+        let run = |shards: usize, workers: usize| {
+            let mut net =
+                net_with(7, 300, shards, LatencyModel::Uniform { lo_ms: 5, hi_ms: 30 }, 0.05);
+            net.run_on(30, workers);
+            assert_eq!(net.horizon_violations(), 0, "{shards} shards on {workers} workers");
+            assert_eq!(net.decode_errors(), 0, "{shards} shards on {workers} workers");
+            net.into_series()
+        };
+        let one = run(1, 1);
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(one, run(8, workers), "{workers} workers changed the series");
+        }
+    }
+
+    #[test]
+    fn rendezvous_neither_loses_a_wake_up_nor_releases_early() {
+        // More parties than this box has cores, so waiters exhaust their
+        // spins and yield. Each generation has its own counter: a party
+        // released early reads it short, a lost wake-up never returns.
+        const PARTIES: usize = 3;
+        let meet = Rendezvous::new(PARTIES);
+        let arrivals: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
+        std::thread::scope(|s| {
+            for _ in 0..PARTIES {
+                s.spawn(|| {
+                    for arrived in &arrivals {
+                        arrived.fetch_add(1, Ordering::Relaxed);
+                        assert!(meet.meet().is_ok());
+                        assert_eq!(arrived.load(Ordering::Relaxed), PARTIES);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn poison_releases_every_waiter() {
+        let meet = Rendezvous::new(3);
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2).map(|_| s.spawn(|| meet.meet().is_err())).collect();
+            let dead = s.spawn(|| {
+                let _party = Party(&meet);
+                panic!("injected fault: a party dies before it arrives");
+            });
+            assert!(dead.join().is_err());
+            for waiter in waiters {
+                assert!(waiter.join().expect("waiters do not panic"), "released by poison");
+            }
+        });
+    }
+
+    /// Push-Sum-Revert whose `on_message` panics on an armed node.
+    struct Bomb {
+        inner: PushSumRevert,
+        armed: bool,
+    }
+
+    impl Estimator for Bomb {
+        fn estimate(&self) -> Option<f64> {
+            self.inner.estimate()
+        }
+    }
+
+    impl PushProtocol for Bomb {
+        type Message = <PushSumRevert as PushProtocol>::Message;
+
+        fn begin_round(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Vec<(NodeId, Self::Message)>) {
+            self.inner.begin_round(ctx, out);
+        }
+
+        fn on_message(
+            &mut self,
+            from: NodeId,
+            msg: &Self::Message,
+            ctx: &mut RoundCtx<'_>,
+        ) -> Option<Self::Message> {
+            assert!(!self.armed, "injected fault: the armed node heard from {from}");
+            self.inner.on_message(from, msg, ctx)
+        }
+
+        fn end_round(&mut self, ctx: &mut RoundCtx<'_>) {
+            self.inner.end_round(ctx);
+        }
+
+        fn message_bytes(msg: &Self::Message) -> usize {
+            PushSumRevert::message_bytes(msg)
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_reaches_the_caller_instead_of_hanging_the_run() {
+        // Node 0 lives on the calling thread's shard, node 199 on the
+        // spawned worker's: either way the sibling must be released and
+        // `run` must end in the original panic.
+        for armed in [0, 199] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let latency = LatencyModel::Uniform { lo_ms: 5, hi_ms: 30 };
+                let factory: NodeFactory<Bomb> = Box::new(move |id, v| Bomb {
+                    inner: PushSumRevert::new(v, 0.01),
+                    armed: id == armed,
+                });
+                let mut net = net_of(5, 200, 2, latency, 0.0, factory);
+                let run = std::panic::AssertUnwindSafe(|| net.run_on(30, 2));
+                let panic = std::panic::catch_unwind(run).expect_err("the armed node panics");
+                let _ = tx.send(panic.downcast_ref::<String>().cloned());
+            });
+            let message = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .expect("run() hangs on a panicked worker");
+            let message = message.expect("the original panic's payload, a formatted message");
+            assert!(message.contains("injected fault"), "caller saw: {message}");
         }
     }
 

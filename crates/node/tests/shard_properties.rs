@@ -182,12 +182,13 @@ fn split_table(n: usize, split: usize, at: u64, heal: Option<u64>) -> PartitionT
 proptest! {
     /// Shard-count invariance over arbitrary specs: topology, latency
     /// distribution, clock drift, loss, and churn are all free — the
-    /// series must be bit-identical at 1, 2, 4, and 8 shards, and the
+    /// series must be bit-identical at 1, 2, 3, 4, and 8 shards (3 is the
+    /// first count two workers split into uneven groups), and the
     /// conservative horizon must never be breached at any count.
     #[test]
     fn series_is_invariant_across_shard_counts(spec in spec_strategy()) {
         let (base, horizon1, _) = run_sharded(&spec, 1);
-        for shards in [2usize, 4, 8] {
+        for shards in [2usize, 3, 4, 8] {
             let (series, horizon, _) = run_sharded(&spec, shards);
             prop_assert_eq!(horizon, 0, "horizon breached at {} shards", shards);
             prop_assert_eq!(

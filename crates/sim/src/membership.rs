@@ -107,18 +107,23 @@ pub trait Membership {
     fn name(&self) -> &'static str;
 }
 
+/// Words of the on-stack "position taken" bitmap: covers every
+/// duplicate-free pool behind a 64-peer view (`16 × 64` positions).
+const TAKEN_STACK_WORDS: usize = 16;
+
 /// Fill `out` with up to `cap` distinct **live** picks from `pool`,
 /// excluding `node` — the shared sampling kernel behind the uniform and
 /// clustered [`Membership::view_into`] implementations. The alive filter
 /// matters when the pool is stale (a clustered member list between a
 /// failure boundary and the next `advance`); a pool of live ids pays one
 /// always-true check per draw. Small pools are copied whole; mid-size
-/// pools are rejection-sampled duplicate-free (`O(cap²)` compares, cheap
-/// at view sizes); pools beyond `16 × cap` are sampled with replacement,
-/// where the expected duplicate count (≈ `cap²/(2·pool)`) is a fraction
-/// of one entry. Either way one view costs `O(cap)` RNG draws, not
-/// `O(pool)` — rejection attempts are bounded, so a mostly-dead pool
-/// yields a short view rather than a stall.
+/// pools are rejection-sampled duplicate-free — pool entries are distinct
+/// ids, so "already picked" is one bit per pool *position*; pools beyond
+/// `16 × cap` are sampled with replacement, where the expected duplicate
+/// count (≈ `cap²/(2·pool)`) is a fraction of one entry. Either way one
+/// view costs `O(cap)` RNG draws, not `O(pool)` — rejection attempts are
+/// bounded, so a mostly-dead pool yields a short view rather than a
+/// stall.
 pub(crate) fn sample_view_from(
     pool: &[NodeId],
     node: NodeId,
@@ -134,12 +139,26 @@ pub(crate) fn sample_view_from(
         return;
     }
     let dedupe = pool.len() <= cap.saturating_mul(16);
+    let words = if dedupe { pool.len().div_ceil(64) } else { 0 };
+    let mut on_stack = [0u64; TAKEN_STACK_WORDS];
+    let mut on_heap = Vec::new();
+    let taken = if words <= TAKEN_STACK_WORDS {
+        &mut on_stack[..words]
+    } else {
+        on_heap.resize(words, 0u64);
+        &mut on_heap[..]
+    };
     let max_attempts = cap.saturating_mul(16) + 16;
     let mut attempts = 0;
     while out.len() < cap && attempts < max_attempts {
         attempts += 1;
-        let pick = pool[rng.gen_range(0..pool.len())];
-        if pick != node && alive.contains(pick) && (!dedupe || !out.contains(&pick)) {
+        let at = rng.gen_range(0..pool.len());
+        let pick = pool[at];
+        let (word, bit) = (at / 64, 1u64 << (at % 64));
+        if pick != node && alive.contains(pick) && !(dedupe && taken[word] & bit != 0) {
+            if dedupe {
+                taken[word] |= bit;
+            }
             out.push(pick);
         }
     }
@@ -149,6 +168,71 @@ pub(crate) fn sample_view_from(
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// The kernel as it was before positions were tracked by bit: dedupe
+    /// by scanning the view. The reference the bitmap kernel must match
+    /// draw for draw.
+    fn scanning_reference(
+        pool: &[NodeId],
+        node: NodeId,
+        alive: &AliveSet,
+        cap: usize,
+        rng: &mut SmallRng,
+        out: &mut Vec<NodeId>,
+    ) {
+        use rand::Rng;
+        out.clear();
+        if pool.len() <= cap + 1 {
+            out.extend(pool.iter().copied().filter(|&p| p != node && alive.contains(p)));
+            return;
+        }
+        let dedupe = pool.len() <= cap.saturating_mul(16);
+        let max_attempts = cap.saturating_mul(16) + 16;
+        let mut attempts = 0;
+        while out.len() < cap && attempts < max_attempts {
+            attempts += 1;
+            let pick = pool[rng.gen_range(0..pool.len())];
+            if pick != node && alive.contains(pick) && (!dedupe || !out.contains(&pick)) {
+                out.push(pick);
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_dedupe_matches_the_scanning_kernel_draw_for_draw() {
+        use rand::Rng;
+        // Cap 80 is beyond the issue's list: 16 × 80 positions is the one
+        // size here whose bitmap does not fit the stack words.
+        for cap in [1usize, 6, 64, 80] {
+            for len in [cap + 2, 100, 16 * cap] {
+                // Distinct ids in no particular order.
+                let pool: Vec<NodeId> =
+                    (0..len as NodeId).map(|i| (i * 7 + 3) % len as NodeId).collect();
+                for stale in [false, true] {
+                    let mut alive = AliveSet::full(len);
+                    if stale {
+                        (0..len as NodeId).step_by(2).for_each(|id| {
+                            alive.remove(id);
+                        });
+                    }
+                    for seed in 0..200u64 {
+                        let node = pool[seed as usize % len];
+                        let mut rngs =
+                            [SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed)];
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        sample_view_from(&pool, node, &alive, cap, &mut rngs[0], &mut got);
+                        scanning_reference(&pool, node, &alive, cap, &mut rngs[1], &mut want);
+                        assert_eq!(got, want, "cap {cap}, pool {len}, stale {stale}, seed {seed}");
+                        assert_eq!(
+                            rngs[0].gen::<u64>(),
+                            rngs[1].gen::<u64>(),
+                            "RNG state diverged: cap {cap}, pool {len}, stale {stale}, seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn small_pools_are_copied_whole() {
