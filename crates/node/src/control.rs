@@ -2,11 +2,11 @@
 //!
 //! Everything about an async run that is *not* draining events lives in
 //! `Coordinator`: the population recipe and spawn bookkeeping, the live
-//! set and per-node values, the membership layer with its [`ViewTable`]
-//! and dirty tracking, the coordinator RNG streams, truth, the partition
-//! schedule, the failure plan, and the sampler that fills the
-//! [`Series`]. [`AsyncNet`](crate::AsyncNet) and
-//! [`ShardedNet`](crate::ShardedNet) each own one and differ only in
+//! set and per-node values, the membership layer with its [`ViewTable`],
+//! the coordinator RNG streams, truth, the partition schedule, the
+//! failure plan, and the sampler that fills the [`Series`].
+//! [`AsyncNet`](crate::AsyncNet) and [`ShardedNet`](crate::ShardedNet)
+//! each own one and differ only in
 //! their **drain** — event queue(s), `dispatch`, `send`, link RNG
 //! stream(s), traffic counters, and for the sharded engine the
 //! window/mailbox/barrier machinery.
@@ -35,6 +35,16 @@
 //! That is `O(changed × view)` per churn round where a full refresh is
 //! `O(live × view)` — the difference between unusable and routine at
 //! 100 000 hosts.
+//!
+//! The table is the **only copy** of a view. The drains lend a node its
+//! slice per event ([`NodeRuntime::poll_among`] /
+//! [`NodeRuntime::handle_among`]); an engine-run runtime's own peer list
+//! stays empty, and a slot patched at a boundary is what the next event
+//! samples from with nothing pushed anywhere. Views change only on the
+//! coordinating thread, between drains. What the bits rest on is that a
+//! view never contains its owner (the runtimes' `set_peers` filter is not
+//! on this path): every `view_into` excludes it, repair and `introduce`
+//! guard it, and [`ViewTable::check_consistency`] asserts it.
 //!
 //! ## Draw order
 //!
@@ -132,7 +142,10 @@ macro_rules! engine_facade {
             self
         }
 
-        /// Access a node's runtime.
+        /// Access a node's runtime. The engine lends each node its view
+        /// per event, so an engine-run runtime's own
+        /// [`NodeRuntime::peers`] is empty; read a node's peers with
+        /// `view_of`.
         pub fn node(&self, id: NodeId) -> &NodeRuntime<P> {
             self.drain.runtime(id)
         }
@@ -148,8 +161,8 @@ macro_rules! engine_facade {
             self.ctl.view_of(id)
         }
 
-        /// Validate the views ↔ holders index invariant (test support;
-        /// `O(n × view²)`).
+        /// Validate the views ↔ holders index invariant and that no view
+        /// contains its owner (test support; `O(n × view²)`).
         pub fn check_view_consistency(&self) {
             self.ctl.check_view_consistency();
         }
@@ -174,9 +187,9 @@ pub(crate) use engine_facade;
 
 /// The control plane of one asynchronous network. Crate-visible fields
 /// are the ones the drains read on their hot paths (`cfg`, `hot`,
-/// `partition`) and plain settings/readouts with no invariant to keep
-/// (`truth`, `series`, the two view counters); everything that must stay
-/// mutually consistent is private.
+/// `partition`, `views`) and plain settings/readouts with no invariant
+/// to keep (`truth`, `series`, the two view counters); everything else
+/// that must stay mutually consistent is private.
 pub(crate) struct Coordinator<P: PushProtocol>
 where
     P::Message: WireMessage,
@@ -194,8 +207,10 @@ where
     values: Vec<Option<f64>>,
     /// The topology: who can each node currently reach.
     membership: Box<dyn Membership>,
-    /// Per-node views + inverted index for incremental repair.
-    views: ViewTable,
+    /// Per-node views + inverted index for incremental repair — the one
+    /// copy of every view, lent to the runtimes by the drains. Edited
+    /// through the coordinator's methods only.
+    pub(crate) views: ViewTable,
     /// Whether initial views have been materialized (deferred so
     /// [`Coordinator::set_membership`] can swap the topology first).
     views_ready: bool,
@@ -227,9 +242,6 @@ where
     holder_buf: Vec<NodeId>,
     /// Membership change report buffer.
     changed_buf: Vec<NodeId>,
-    /// Nodes whose runtime peer list needs re-syncing from the table.
-    dirty: Vec<NodeId>,
-    dirty_flag: Vec<bool>,
     /// Whole views drawn from scratch (init, topology changes, joins).
     pub(crate) full_view_assignments: u64,
     /// Individual slots patched by incremental repair.
@@ -279,8 +291,6 @@ where
             view_buf: Vec::new(),
             holder_buf: Vec::new(),
             changed_buf: Vec::new(),
-            dirty: Vec::new(),
-            dirty_flag: Vec::with_capacity(n),
             full_view_assignments: 0,
             view_slots_patched: 0,
             cfg,
@@ -327,7 +337,7 @@ where
         self.views.view(id)
     }
 
-    /// Validate the views ↔ holders index invariant.
+    /// Validate the views ↔ holders index invariant and owner-freedom.
     pub(crate) fn check_view_consistency(&self) {
         self.views.check_consistency();
     }
@@ -363,7 +373,6 @@ where
         self.values.push(Some(v));
         self.alive.insert(id);
         self.views.ensure(self.values.len());
-        self.dirty_flag.push(false);
         id
     }
 
@@ -377,22 +386,20 @@ where
     }
 
     /// Re-draw every live node's view from the membership layer
-    /// (`O(live × view)` draws) and push them into the runtimes. The
-    /// first call also starts the membership clock; it is how initial
-    /// views materialize.
-    pub(crate) fn refresh_views(&mut self, drain: &mut impl Drain<P>) {
+    /// (`O(live × view)` draws). The first call also starts the
+    /// membership clock; it is how initial views materialize.
+    pub(crate) fn refresh_views(&mut self) {
         if !self.views_ready {
             self.membership.advance(0, &self.alive, &mut self.changed_buf);
             self.views_ready = true;
         }
         self.assign_all_views();
-        self.sync_dirty(drain);
     }
 
     /// Materialize initial views on first run.
-    pub(crate) fn ensure_views(&mut self, drain: &mut impl Drain<P>) {
+    pub(crate) fn ensure_views(&mut self) {
         if !self.views_ready {
-            self.refresh_views(drain);
+            self.refresh_views();
         }
     }
 
@@ -421,26 +428,6 @@ where
         }
         self.views.assign(id, &self.view_buf);
         self.full_view_assignments += 1;
-        self.mark_dirty(id);
-    }
-
-    fn mark_dirty(&mut self, id: NodeId) {
-        let idx = id as usize;
-        if !self.dirty_flag[idx] {
-            self.dirty_flag[idx] = true;
-            self.dirty.push(id);
-        }
-    }
-
-    /// Push repaired views into the affected runtimes' peer lists.
-    fn sync_dirty(&mut self, drain: &mut impl Drain<P>) {
-        for &id in &self.dirty {
-            self.dirty_flag[id as usize] = false;
-            if self.alive.contains(id) {
-                drain.runtime_mut(id).set_peers(self.views.view(id));
-            }
-        }
-        self.dirty.clear();
     }
 
     /// Sample the live nodes through the shared [`sample_round`] pass
@@ -497,7 +484,6 @@ where
             // through the ordinary view path.
             self.assign_all_views();
         }
-        self.sync_dirty(drain);
     }
 
     /// Apply the failure plan for nominal round `k`, repairing views
@@ -543,7 +529,6 @@ where
                         break;
                     }
                 }
-                self.mark_dirty(h);
             }
         }
         self.holder_buf = holders;
@@ -585,7 +570,6 @@ where
                 let slot = self.view_rng.gen_range(0..self.views.view_len(h));
                 self.views.replace_slot(h, slot, id);
             }
-            self.mark_dirty(h);
             done += 1;
         }
     }

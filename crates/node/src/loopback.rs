@@ -13,7 +13,8 @@
 //! This file is the engine's **drain**: one event queue, `dispatch`,
 //! `send`, one global link RNG stream consumed in pop order, and the
 //! per-sample traffic counters. Everything else — population, membership
-//! views, failure plan, partition schedule, sampling — is the shared
+//! views (lent to each runtime per event, never copied into it), failure
+//! plan, partition schedule, sampling — is the shared
 //! [control plane](crate::control), which
 //! [`ShardedNet`](crate::ShardedNet) runs unmodified over its own drain.
 //!
@@ -346,7 +347,7 @@ where
     /// Costs `O(live × view)` draws — the rig-API sledgehammer. The
     /// failure plan never calls this; it patches only affected views.
     pub fn refresh_views(&mut self) {
-        self.ctl.refresh_views(&mut self.drain);
+        self.ctl.refresh_views();
     }
 
     /// Estimates of all powered nodes.
@@ -366,7 +367,7 @@ where
             "run() schedules its cadence from time 0 and cannot follow run_until(); \
              drive a sampled engine with run() alone (run_until is the rig API)"
         );
-        self.ctl.ensure_views(&mut self.drain);
+        self.ctl.ensure_views();
         let interval_ms = self.ctl.cfg.interval_ms;
         let horizon = nominal_rounds * interval_ms;
         self.horizon_ms = Some(horizon);
@@ -386,7 +387,7 @@ where
     /// deliveries (the rig API: no sampling, failure plan, or membership
     /// clock involved).
     pub fn run_until(&mut self, until_ms: u64) {
-        self.ctl.ensure_views(&mut self.drain);
+        self.ctl.ensure_views();
         self.drain_until(until_ms);
     }
 
@@ -411,7 +412,7 @@ where
                 let mut out = std::mem::take(&mut self.out_buf);
                 out.clear();
                 let rt = &mut self.drain.runtimes[id as usize];
-                rt.poll(at, &mut out);
+                rt.poll_among(at, self.ctl.views.view(id), &mut out);
                 let next = rt.next_tick_ms();
                 self.drain.queue.schedule(next, Ev::Timer(id));
                 self.ctl.hot.set_deadline(id, next);
@@ -427,7 +428,8 @@ where
                     return;
                 }
                 let to = env.to as usize;
-                match self.drain.runtimes[to].handle(env.from, &env.payload) {
+                let peers = self.ctl.views.view(env.to);
+                match self.drain.runtimes[to].handle_among(env.from, &env.payload, peers) {
                     Ok(Some(reply)) => self.send(at, reply),
                     Ok(None) => {}
                     Err(_) => self.decode_errors += 1,

@@ -6,6 +6,16 @@
 //! `end_round → begin_round` boundary); [`NodeRuntime::handle`] ingests
 //! received frames, producing reply frames for push-pull protocols.
 //!
+//! A protocol samples its gossip partners from a peer list, and there are
+//! two places that list can live. A standalone runtime **owns** it
+//! ([`NodeRuntime::set_peers`], read by `poll` / `handle`). A driver that
+//! already keeps every node's view — the engines' `ViewTable`, the live
+//! service's boot-time views — **lends** the slice per call instead
+//! ([`NodeRuntime::poll_among`] / [`NodeRuntime::handle_among`]), so a
+//! view exists once and an edit to it needs no copy to reach the node. The
+//! owning pair are one-line wrappers that lend the runtime's own list;
+//! there is one round body and one frame body.
+//!
 //! The local timer advances through a [`DriftModel`] (shared with the
 //! epoch lifecycle in `dynagg-core`): a skewed crystal fires rounds faster
 //! or slower than nominal, a Bernoulli model skips them, a random walk
@@ -141,7 +151,8 @@ impl RuntimeConfig {
     }
 }
 
-/// A protocol instance bound to a local clock and peer list.
+/// A protocol instance bound to a local clock and — unless its driver
+/// lends one per call — a peer list.
 pub struct NodeRuntime<P: PushProtocol>
 where
     P::Message: WireMessage,
@@ -205,14 +216,19 @@ where
         self.stale_frames
     }
 
-    /// Replace the reachable-peer list (radio neighborhood, DHT sample,
-    /// membership view — the transport layer's business).
+    /// Replace the runtime's own reachable-peer list (radio neighborhood,
+    /// DHT sample, membership view — the transport layer's business). The
+    /// `p != self` filter guards caller-supplied lists only: a list lent
+    /// through [`NodeRuntime::poll_among`] / [`NodeRuntime::handle_among`]
+    /// is used as it stands, and must be owner-free already.
     pub fn set_peers(&mut self, peers: &[NodeId]) {
         self.peers.clear();
         self.peers.extend(peers.iter().copied().filter(|&p| p != self.cfg.node_id));
     }
 
-    /// The current reachable-peer list.
+    /// The runtime's own reachable-peer list — what
+    /// [`NodeRuntime::set_peers`] installed; empty for a runtime whose
+    /// driver lends its peers.
     pub fn peers(&self) -> &[NodeId] {
         &self.peers
     }
@@ -252,28 +268,37 @@ where
         self.next_tick_ms
     }
 
-    /// Advance the local clock to `now_ms`, firing any due rounds.
-    /// Returns the frames to transmit.
+    /// Advance the local clock to `now_ms`, firing any due rounds over the
+    /// runtime's own peer list ([`NodeRuntime::set_peers`]). Returns the
+    /// frames to transmit.
     ///
     /// Each elapsed timer boundary advances the logical clock through the
     /// configured [`DriftModel`]: a synced clock fires exactly one round, a
     /// fast crystal occasionally fires two back-to-back, a Bernoulli model
     /// sometimes fires none.
     pub fn poll(&mut self, now_ms: u64, out: &mut Vec<Envelope>) {
+        let peers = std::mem::take(&mut self.peers);
+        self.poll_among(now_ms, &peers, out);
+        self.peers = peers;
+    }
+
+    /// [`NodeRuntime::poll`] over a peer list the caller holds: the rounds
+    /// sample from `peers` as lent and the runtime's own list is neither
+    /// read nor written. `peers` must not contain this node.
+    pub fn poll_among(&mut self, now_ms: u64, peers: &[NodeId], out: &mut Vec<Envelope>) {
         while now_ms >= self.next_tick_ms {
             let tick = self.next_tick_ms;
             let rounds = self.cfg.drift.ticks(&mut self.drift_carry, &mut self.rng);
             for _ in 0..rounds {
-                self.fire_round(tick, out);
+                self.fire_round(peers, out);
             }
             self.next_tick_ms = tick + self.cfg.round_interval_ms.max(1);
         }
     }
 
-    fn fire_round(&mut self, _at_ms: u64, out: &mut Vec<Envelope>) {
-        let peers = std::mem::take(&mut self.peers);
+    fn fire_round(&mut self, peers: &[NodeId], out: &mut Vec<Envelope>) {
         {
-            let mut sampler = SliceSampler::new(&peers);
+            let mut sampler = SliceSampler::new(peers);
             if self.in_round {
                 let mut ctx =
                     RoundCtx { round: self.round, rng: &mut self.rng, peers: &mut sampler };
@@ -285,7 +310,6 @@ where
             self.protocol.begin_round(&mut ctx, &mut self.scratch);
             self.in_round = true;
         }
-        self.peers = peers;
         let header = self.header(FrameKind::Initiation);
         let mut scratch = std::mem::take(&mut self.scratch);
         for (to, msg) in scratch.drain(..) {
@@ -302,9 +326,24 @@ where
         FrameHeader { kind, sender_round: u32::try_from(self.round).unwrap_or(u32::MAX) }
     }
 
-    /// Ingest a received frame; may produce a reply frame. Malformed input
-    /// is reported, never panics — radio bytes are untrusted.
+    /// Ingest a received frame over the runtime's own peer list; may
+    /// produce a reply frame. Malformed input is reported, never panics —
+    /// radio bytes are untrusted.
     pub fn handle(&mut self, from: NodeId, payload: &[u8]) -> Result<Option<Envelope>, WireError> {
+        let peers = std::mem::take(&mut self.peers);
+        let reply = self.handle_among(from, payload, &peers);
+        self.peers = peers;
+        reply
+    }
+
+    /// [`NodeRuntime::handle`] over a peer list the caller holds (see
+    /// [`NodeRuntime::poll_among`]).
+    pub fn handle_among(
+        &mut self,
+        from: NodeId,
+        payload: &[u8],
+        peers: &[NodeId],
+    ) -> Result<Option<Envelope>, WireError> {
         let header = FrameHeader::decode(payload)?;
         if let Some(lag) = self.cfg.max_round_lag {
             if u64::from(header.sender_round).saturating_add(lag) < self.round {
@@ -313,9 +352,8 @@ where
             }
         }
         let msg = P::Message::decode(&payload[FRAME_HEADER_BYTES..])?;
-        let peers = std::mem::take(&mut self.peers);
         let reply = {
-            let mut sampler = SliceSampler::new(&peers);
+            let mut sampler = SliceSampler::new(peers);
             let mut ctx = RoundCtx { round: self.round, rng: &mut self.rng, peers: &mut sampler };
             match header.kind {
                 FrameKind::Initiation => self.protocol.on_message(from, &msg, &mut ctx),
@@ -325,7 +363,6 @@ where
                 }
             }
         };
-        self.peers = peers;
         Ok(reply.map(|r| {
             let raw_bytes = P::message_bytes(&r);
             let mut payload = self.take_buffer();

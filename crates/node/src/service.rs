@@ -26,6 +26,8 @@
 //! function under all four drivers (`AsyncNet`, `ShardedNet`, live,
 //! virtual). Both then move their nodes with one private data-plane pump
 //! (`fire due timers → ship`, `recv → handle → ship reply → recycle`)
+//! that holds the booted views and lends each node its own per call — a
+//! view exists once, and a restarted node finds it where it was — and
 //! that has no clock of its own, so the loop the bit-exact sim↔live test
 //! exercises is the production worker loop, not a copy of it.
 //!
@@ -170,14 +172,15 @@ impl ServiceReport {
 /// Spawn the population `cfg` names and materialize its initial views by
 /// running the engines' own control plane — [`Coordinator::new`] then
 /// `ensure_views` — into a drain that merely collects. The runtimes come
-/// back in id order with their peer lists installed.
+/// back in id order, beside the coordinator's table of their views
+/// (`views[id]`, handed over rather than copied into the runtimes).
 fn boot<P>(
     n: usize,
     cfg: AsyncConfig,
     value_gen: ValueFn,
     drift_of: DriftFn,
     factory: NodeFactory<P>,
-) -> Vec<NodeRuntime<P>>
+) -> (Vec<NodeRuntime<P>>, Vec<Vec<NodeId>>)
 where
     P: PushProtocol,
     P::Message: WireMessage,
@@ -207,16 +210,17 @@ where
     }
 
     let mut booted = Collect(Vec::with_capacity(n));
-    Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut booted).ensure_views(&mut booted);
-    booted.0
+    let mut ctl = Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut booted);
+    ctl.ensure_views();
+    (booted.0, ctl.views.into_views())
 }
 
 /// The service's **data plane**, written once: a contiguous range of
-/// runtimes, their round timers (the same wheel-backed [`EventQueue`] the
-/// discrete-event engines drain), and one transport endpoint. It has no
-/// clock of its own — [`Worker`] hands it wall-clock milliseconds,
-/// [`VirtualService`] an injected instant — so the loop the sim↔live
-/// tests pin is the loop production runs.
+/// runtimes, the views it lends them, their round timers (the same
+/// wheel-backed [`EventQueue`] the discrete-event engines drain), and one
+/// transport endpoint. It has no clock of its own — [`Worker`] hands it
+/// wall-clock milliseconds, [`VirtualService`] an injected instant — so
+/// the loop the sim↔live tests pin is the loop production runs.
 struct Pump<P, T>
 where
     P: PushProtocol,
@@ -225,6 +229,9 @@ where
     transport: T,
     /// `slots[i]` runs node `lo + i`; `None` while stopped.
     slots: Vec<Option<NodeRuntime<P>>>,
+    /// `views[i]` is node `lo + i`'s membership view, lent to its runtime
+    /// per call; it outlives a stop, so a restart finds it in place.
+    views: Vec<Vec<NodeId>>,
     lo: NodeId,
     timers: EventQueue<NodeId>,
     /// Data-plane counters (the handle-side fields stay 0 here).
@@ -239,11 +246,19 @@ where
     P::Message: WireMessage,
     T: Transport,
 {
-    /// Take over the booted runtimes of nodes `lo..lo + runtimes.len()`.
-    fn new(transport: T, lo: NodeId, runtimes: Vec<NodeRuntime<P>>) -> Self {
+    /// Take over the booted runtimes of nodes `lo..lo + runtimes.len()`
+    /// and their views.
+    fn new(
+        transport: T,
+        lo: NodeId,
+        runtimes: Vec<NodeRuntime<P>>,
+        views: Vec<Vec<NodeId>>,
+    ) -> Self {
+        debug_assert_eq!(runtimes.len(), views.len());
         let mut pump = Self {
             transport,
             slots: runtimes.iter().map(|_| None).collect(),
+            views,
             lo,
             timers: EventQueue::with_capacity(runtimes.len()),
             report: ServiceReport::default(),
@@ -259,6 +274,13 @@ where
     /// `id`'s slot, if this pump owns the id at all.
     fn slot(&mut self, id: NodeId) -> Option<&mut Option<NodeRuntime<P>>> {
         self.slots.get_mut(id.checked_sub(self.lo)? as usize)
+    }
+
+    /// `id`'s runtime, if it is ours and running, beside the view to lend
+    /// it.
+    fn running_with_view(&mut self, id: NodeId) -> Option<(&mut NodeRuntime<P>, &[NodeId])> {
+        let idx = id.checked_sub(self.lo)? as usize;
+        Some((self.slots.get_mut(idx)?.as_mut()?, &self.views[idx]))
     }
 
     fn running_mut(&mut self, id: NodeId) -> Option<&mut NodeRuntime<P>> {
@@ -295,10 +317,12 @@ where
     fn fire_due(&mut self, now: u64) {
         let mut out = std::mem::take(&mut self.out_buf);
         while let Some((at, id)) = self.timers.pop_before(now) {
-            let Some(rt) = self.running_mut(id).filter(|rt| rt.next_tick_ms() == at) else {
+            let Some((rt, view)) =
+                self.running_with_view(id).filter(|(rt, _)| rt.next_tick_ms() == at)
+            else {
                 continue;
             };
-            rt.poll(now, &mut out);
+            rt.poll_among(now, view, &mut out);
             let next = rt.next_tick_ms();
             self.timers.schedule(next, id);
             self.report.polls += 1;
@@ -330,11 +354,11 @@ where
             None => self.transport.recv(&mut frames),
         };
         for frame in frames.drain(..) {
-            let Some(rt) = self.running_mut(frame.to) else {
+            let Some((rt, view)) = self.running_with_view(frame.to) else {
                 self.report.dark_frames += 1;
                 continue;
             };
-            let outcome = rt.handle(frame.from, &frame.payload);
+            let outcome = rt.handle_among(frame.from, &frame.payload, view);
             rt.recycle_buffer(frame.payload);
             match outcome {
                 Ok(reply) => {
@@ -362,8 +386,9 @@ enum Command {
     SetValues(Vec<(NodeId, f64)>),
     /// Kill a node: unbind its route, drop its runtime and timer.
     Stop(NodeId),
-    /// Restart a stopped node with a fresh protocol at the given value,
-    /// its original runtime config (re-phased to now), and its old view.
+    /// Restart a stopped node with a fresh protocol at the given value and
+    /// its original runtime config (re-phased to now); its view never left
+    /// the pump.
     Restart(NodeId, f64),
     /// Report every running local node's state.
     Snapshot(Sender<Vec<NodeSnap>>),
@@ -386,8 +411,6 @@ where
     pump: Pump<P, T>,
     /// Each local node's spawn-time config, kept for restarts.
     cfgs: Vec<RuntimeConfig>,
-    /// Each local node's membership view (restarts re-install it).
-    views: Vec<Vec<NodeId>>,
     start: Instant,
     cmds: Receiver<Command>,
     factory: SharedFactory<P>,
@@ -423,9 +446,7 @@ where
                 // Re-phase: the node boots now, first round one interval
                 // out, exactly like a rebooted host rejoining.
                 cfg.start_offset_ms = self.now_ms() + cfg.round_interval_ms;
-                let mut rt = NodeRuntime::new(cfg, (self.factory)(id, v));
-                rt.set_peers(&self.views[idx]);
-                self.pump.start(rt);
+                self.pump.start(NodeRuntime::new(cfg, (self.factory)(id, v)));
             }
             Command::Snapshot(reply) => {
                 let snaps = self
@@ -511,14 +532,14 @@ impl LiveService {
         assert_eq!(transports.len(), cfg.workers, "one transport endpoint per worker");
         assert!(cfg.nodes >= cfg.workers, "at least one node per worker");
         let spawn_factory = Arc::clone(&factory);
-        let mut runtimes = boot(
+        let (runtimes, views) = boot(
             cfg.nodes,
             cfg.engine_config(),
             value_gen,
             drift_of,
             Box::new(move |id, v| spawn_factory(id, v)),
-        )
-        .into_iter();
+        );
+        let (mut runtimes, mut views) = (runtimes.into_iter(), views.into_iter());
         let bounds = cfg.worker_bounds();
 
         // Every pump is built — and with it every route bound — before
@@ -529,12 +550,12 @@ impl LiveService {
         let mut workers = Vec::with_capacity(cfg.workers);
         for (transport, &(lo, hi)) in transports.into_iter().zip(&bounds) {
             let local: Vec<_> = runtimes.by_ref().take((hi - lo) as usize).collect();
+            let local_views = views.by_ref().take((hi - lo) as usize).collect();
             let (tx, rx) = mpsc::channel();
             cmd_tx.push(tx);
             workers.push(Worker {
                 cfgs: local.iter().map(|rt| *rt.config()).collect(),
-                views: local.iter().map(|rt| rt.peers().to_vec()).collect(),
-                pump: Pump::new(transport, lo, local),
+                pump: Pump::new(transport, lo, local, local_views),
                 start,
                 cmds: rx,
                 factory: Arc::clone(&factory),
@@ -698,8 +719,8 @@ where
         factory: NodeFactory<P>,
         transport: T,
     ) -> Self {
-        let runtimes = boot(n, *cfg, value_gen, drift_of, factory);
-        Self { pump: Pump::new(transport, 0, runtimes), now_ms: 0, decode_errors: 0 }
+        let (runtimes, views) = boot(n, *cfg, value_gen, drift_of, factory);
+        Self { pump: Pump::new(transport, 0, runtimes, views), now_ms: 0, decode_errors: 0 }
     }
 
     /// Current virtual time.
@@ -785,13 +806,13 @@ mod tests {
             || -> NodeFactory<PushSumRevert> { Box::new(|_, v| PushSumRevert::new(v, 0.1)) };
         let mut net = AsyncNet::new(n, cfg, values(), drift(), factory());
         net.refresh_views(); // first call: the engine's initial views, no event run
-        let booted = boot(n, cfg, values(), drift(), factory());
+        let (booted, views) = boot(n, cfg, values(), drift(), factory());
         assert_eq!(booted.len(), n);
-        for rt in &booted {
+        for (rt, view) in booted.iter().zip(&views) {
             let engine = net.node(rt.id());
             assert_eq!(rt.config(), engine.config(), "node {} config", rt.id());
-            assert_eq!(rt.peers(), engine.peers(), "node {} view", rt.id());
-            assert_eq!(rt.peers().len(), cfg.view_size);
+            assert_eq!(view, net.view_of(rt.id()), "node {} view", rt.id());
+            assert_eq!(view.len(), cfg.view_size);
         }
     }
 }

@@ -86,6 +86,7 @@ use crate::event::{EventKey, ShardQueue};
 use crate::hot::NodeHot;
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime};
+use crate::views::ViewTable;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
 use dynagg_sim::membership::Membership;
@@ -253,6 +254,10 @@ struct Window<'a> {
     /// and churn only land at barrier points).
     hot: &'a NodeHot,
     partition: &'a PartitionTable,
+    /// Every node's view, lent to its runtime per event (read-only during
+    /// a window, like `hot`: views only change on the coordinating
+    /// thread, between drains).
+    views: &'a ViewTable,
     home: &'a [Home],
     /// `shards × shards` mailboxes; shard `s` appends to `s·k + d` before
     /// the meet, shard `d` drains `s·k + d` after it.
@@ -337,7 +342,7 @@ where
             debug_assert_eq!(key.at_ms, node.deadline_ms, "timer fires at its recorded deadline");
             let mut out = std::mem::take(&mut shard.out_buf);
             out.clear();
-            node.rt.poll(key.at_ms, &mut out);
+            node.rt.poll_among(key.at_ms, ctx.views.view(id), &mut out);
             let next = node.rt.next_tick_ms();
             node.deadline_ms = next;
             shard.queue.schedule(EventKey::timer(next, id), SEv::Timer(id));
@@ -357,7 +362,8 @@ where
                 shard.nodes[slot].rt.recycle_buffer(env.payload);
                 return;
             }
-            match shard.nodes[slot].rt.handle(env.from, &env.payload) {
+            let peers = ctx.views.view(env.to);
+            match shard.nodes[slot].rt.handle_among(env.from, &env.payload, peers) {
                 Ok(Some(reply)) => send(shard, key.at_ms, reply, me, ctx),
                 Ok(None) => {}
                 Err(_) => shard.decode_errors += 1,
@@ -597,7 +603,7 @@ where
     fn run_on(&mut self, nominal_rounds: u64, workers: usize) {
         assert!(!self.ran, "run() may only be called once");
         self.ran = true;
-        self.ctl.ensure_views(&mut self.drain);
+        self.ctl.ensure_views();
         // Contiguous groups of shards, one per worker; the last group may
         // be short and a worker count that divides badly leaves fewer
         // groups than workers, so the groups are what meets.
@@ -649,6 +655,7 @@ where
             shards: self.drain.shards.len(),
             hot: &self.ctl.hot,
             partition: &self.ctl.partition,
+            views: &self.ctl.views,
             home: &self.drain.home,
             mail: &self.drain.mail,
             meet,

@@ -1,13 +1,17 @@
 //! Property tests for the frame layer — whatever bytes a radio hands us,
 //! decoding diagnoses; it never panics, aborts, or corrupts the runtime —
-//! and for the membership-view layer: incremental churn repair must
-//! preserve every invariant a from-scratch refresh establishes.
+//! for the runtime's two ways of holding its peers: a list lent per call
+//! must drive a node exactly as the same list installed in it does — and
+//! for the membership-view layer: incremental churn repair must preserve
+//! every invariant a from-scratch refresh establishes.
 
 use dynagg_core::adversary::{Adversarial, Attack};
+use dynagg_core::config::ResetConfig;
+use dynagg_core::count_sketch_reset::CountSketchReset;
 use dynagg_core::epoch::DriftModel;
 use dynagg_core::epoch::EpochPushSum;
-use dynagg_core::mass::Mass;
-use dynagg_core::protocol::NodeId;
+use dynagg_core::mass::{Mass, MASS_WIRE_BYTES};
+use dynagg_core::protocol::{Estimator, NodeId, PushProtocol, RoundCtx};
 use dynagg_core::push_sum_revert::PushSumRevert;
 use dynagg_core::wire::WireMessage;
 use dynagg_node::runtime::{
@@ -17,10 +21,14 @@ use dynagg_node::transport::{
     decode_datagram, encode_datagram, DatagramCheck, DGRAM_PREAMBLE_BYTES,
 };
 use dynagg_node::{AsyncConfig, AsyncNet};
-use dynagg_sim::env::ClusteredEnv;
+use dynagg_sim::alive::AliveSet;
+use dynagg_sim::env::{ClusteredEnv, UniformEnv};
+use dynagg_sim::membership::{Membership, ViewChange};
 use dynagg_sim::partition::{resolve, Island, PartitionEvent, PartitionTable, TopologyInfo};
 use dynagg_sim::FailureSpec;
 use proptest::prelude::*;
+use proptest::strategy::Just;
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// A two-island range partition `0..split | split..n`.
@@ -37,7 +45,229 @@ fn split_table(n: usize, split: usize, at: u64, heal: Option<u64>) -> PartitionT
     PartitionTable::new(vec![resolved]).unwrap()
 }
 
+/// A uniform topology whose repair draw does not exclude the asking node.
+/// The trait leaves filtering a repair candidate to the consuming engine,
+/// so with this installed the coordinator's own `y != h` / `h == id`
+/// guards are all that keeps a view owner-free — which the engines, lending
+/// views to the runtimes as they stand, now rest on.
+struct OffersTheOwner(UniformEnv);
+
+impl Membership for OffersTheOwner {
+    fn advance(&mut self, round: u64, alive: &AliveSet, changed: &mut Vec<NodeId>) -> ViewChange {
+        self.0.advance(round, alive, changed)
+    }
+
+    fn sample(&self, node: NodeId, alive: &AliveSet, rng: &mut SmallRng) -> Option<NodeId> {
+        self.0.sample(node, alive, rng)
+    }
+
+    fn repair_peer(&self, _node: NodeId, alive: &AliveSet, rng: &mut SmallRng) -> Option<NodeId> {
+        alive.sample(rng)
+    }
+
+    fn view_into(
+        &self,
+        node: NodeId,
+        alive: &AliveSet,
+        cap: usize,
+        rng: &mut SmallRng,
+        out: &mut Vec<NodeId>,
+    ) {
+        self.0.view_into(node, alive, cap, rng, out);
+    }
+
+    fn name(&self) -> &'static str {
+        "offers-the-owner"
+    }
+}
+
+/// One step of a generated script, applied to both twins of
+/// [`lending_drives_a_node_as_owning_does`].
+#[derive(Debug, Clone)]
+enum Step {
+    /// Advance the clock by this many milliseconds and poll.
+    Advance(u64),
+    /// The twins' peer fires a round; its (well-formed) frame arrives.
+    Frame,
+    /// Arbitrary bytes arrive.
+    Garbage(Vec<u8>),
+    /// The view is replaced (owner-free: the twins are node 0).
+    View(Vec<NodeId>),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0u64..350).prop_map(Step::Advance),
+        Just(Step::Frame),
+        proptest::collection::vec(any::<u8>(), 0..48).prop_map(Step::Garbage),
+        proptest::collection::vec(1u32..12, 0..10).prop_map(Step::View),
+    ]
+}
+
+fn drift_strategy() -> impl Strategy<Value = DriftModel> {
+    prop_oneof![
+        Just(DriftModel::Synced),
+        (0.5f64..1.8).prop_map(|rate| DriftModel::ConstantSkew { rate }),
+        (0.0f64..0.6).prop_map(|step_prob| DriftModel::RandomWalk { step_prob }),
+    ]
+}
+
+/// A protocol whose *every* callback consults the sampler and folds what
+/// it saw into its estimate, so a peer list that fails to reach
+/// `on_message`, `on_reply` or `end_round` shows in the state. (The
+/// in-tree protocols sample in `begin_round` only.)
+struct Witness {
+    acc: f64,
+}
+
+impl Witness {
+    fn see(&mut self, ctx: &mut RoundCtx<'_>) -> Option<NodeId> {
+        let peer = ctx.sample_peer();
+        let seen = peer.map_or(0.0, |p| f64::from(p) + 1.0);
+        self.acc = self.acc * 0.5 + seen + ctx.peers.degree() as f64;
+        peer
+    }
+}
+
+impl Estimator for Witness {
+    fn estimate(&self) -> Option<f64> {
+        Some(self.acc)
+    }
+}
+
+impl PushProtocol for Witness {
+    type Message = Mass;
+
+    fn begin_round(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Vec<(NodeId, Mass)>) {
+        if let Some(peer) = self.see(ctx) {
+            out.push((peer, Mass::new(self.acc, 1.0)));
+        }
+    }
+
+    fn on_message(&mut self, _from: NodeId, msg: &Mass, ctx: &mut RoundCtx<'_>) -> Option<Mass> {
+        self.see(ctx);
+        self.acc += msg.value;
+        Some(Mass::new(self.acc, 1.0))
+    }
+
+    fn on_reply(&mut self, _from: NodeId, msg: &Mass, ctx: &mut RoundCtx<'_>) {
+        self.see(ctx);
+        self.acc -= msg.value;
+    }
+
+    fn end_round(&mut self, ctx: &mut RoundCtx<'_>) {
+        self.see(ctx);
+    }
+
+    fn message_bytes(_msg: &Mass) -> usize {
+        MASS_WIRE_BYTES
+    }
+}
+
+/// Apply `script` to twin runtimes of one seed — `owning` through
+/// `set_peers` + `poll` / `handle`, `lending` through `poll_among` /
+/// `handle_among` over a `Vec` it never sees otherwise — and demand the
+/// same observable node after every step. A third runtime plays the peer:
+/// it answers what the twins send and supplies their well-formed frames
+/// (initiations when it fires, replies when it answers).
+fn lending_drives_a_node_as_owning_does<P>(
+    mk: impl Fn(NodeId) -> P,
+    drift: DriftModel,
+    script: &[Step],
+) where
+    P: PushProtocol,
+    P::Message: WireMessage,
+{
+    let cfg = |id: NodeId| RuntimeConfig {
+        node_id: id,
+        round_interval_ms: 100,
+        start_offset_ms: 0,
+        seed: 0xA11CE ^ u64::from(id),
+        drift,
+        // The twins outrun the peer's round whenever the script advances
+        // them, so the staleness guard sees both sides of its limit.
+        max_round_lag: Some(2),
+    };
+    let mut owning = NodeRuntime::new(cfg(0), mk(0));
+    let mut lending = NodeRuntime::new(cfg(0), mk(0));
+    let mut peer = NodeRuntime::new(cfg(1), mk(1));
+    peer.set_peers(&[0]);
+    let mut view: Vec<NodeId> = vec![1, 2, 3];
+    owning.set_peers(&view);
+    let (mut now, mut peer_now) = (0u64, 0u64);
+    let (mut sent, mut lent, mut from_peer) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, step) in script.iter().enumerate() {
+        let mut inbound: Vec<Vec<u8>> = Vec::new();
+        match step {
+            Step::Advance(dt) => {
+                now += dt;
+                sent.clear();
+                lent.clear();
+                owning.poll(now, &mut sent);
+                lending.poll_among(now, &view, &mut lent);
+                assert_eq!(sent, lent, "step {i}: envelopes of {step:?}");
+                for env in &sent {
+                    if let Ok(Some(reply)) = peer.handle(0, &env.payload) {
+                        inbound.push(reply.payload);
+                    }
+                }
+            }
+            Step::Frame => {
+                peer_now += 100;
+                peer.poll(peer_now, &mut from_peer);
+                inbound.extend(from_peer.drain(..).map(|env| env.payload));
+            }
+            Step::Garbage(bytes) => inbound.push(bytes.clone()),
+            Step::View(next) => {
+                view.clone_from(next);
+                owning.set_peers(&view);
+            }
+        }
+        for payload in inbound {
+            let reply = owning.handle(1, &payload);
+            assert_eq!(
+                reply,
+                lending.handle_among(1, &payload, &view),
+                "step {i}: reply to a frame of {step:?}"
+            );
+            if let Ok(Some(reply)) = reply {
+                let _ = peer.handle(0, &reply.payload);
+            }
+        }
+        assert_eq!(owning.round(), lending.round(), "step {i}: round");
+        assert_eq!(owning.next_tick_ms(), lending.next_tick_ms(), "step {i}: next tick");
+        assert_eq!(owning.stale_frames(), lending.stale_frames(), "step {i}: stale frames");
+        assert_eq!(
+            owning.estimate().map(f64::to_bits),
+            lending.estimate().map(f64::to_bits),
+            "step {i}: estimate bits"
+        );
+        assert!(lending.peers().is_empty(), "a lent list is never installed");
+    }
+}
+
 proptest! {
+    /// Lending ≡ owning, differentially, for the two protocols the async
+    /// benchmark workloads run and for one that samples in every callback.
+    #[test]
+    fn a_lent_peer_list_is_the_owned_one(
+        script in proptest::collection::vec(step_strategy(), 1..48),
+        drift in drift_strategy(),
+    ) {
+        lending_drives_a_node_as_owning_does(
+            |id| PushSumRevert::new(10.0 + f64::from(id), 0.05),
+            drift,
+            &script,
+        );
+        let sketch = ResetConfig::paper(64, 0x10);
+        lending_drives_a_node_as_owning_does(
+            |id| CountSketchReset::counting(sketch, u64::from(id)),
+            drift,
+            &script,
+        );
+        lending_drives_a_node_as_owning_does(|id| Witness { acc: f64::from(id) }, drift, &script);
+    }
+
     /// The async frame header decodes or errors on ANY byte input.
     #[test]
     fn frame_header_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
@@ -204,6 +434,36 @@ proptest! {
             repaired_total * 10 >= refreshed_total * 9,
             "repair degraded coverage: {repaired_total} repaired vs {refreshed_total} refreshed"
         );
+    }
+
+    /// Repair and introductions keep every view owner-free even when the
+    /// topology's repair draw hands a node back to itself — at these
+    /// populations one draw in `n` does.
+    #[test]
+    fn views_stay_owner_free_when_the_topology_offers_the_owner(
+        seed: u64,
+        n in 6usize..40,
+        leave in 0.02f64..0.15,
+        join in 0.02f64..0.15,
+        rounds in 6u64..20,
+    ) {
+        let mut cfg = AsyncConfig::new(seed);
+        cfg.view_size = 6;
+        let mut net: AsyncNet<PushSumRevert> = AsyncNet::new(
+            n,
+            cfg,
+            Box::new(|rng, _| rng.gen_range(0.0..100.0)),
+            Box::new(|_| DriftModel::Synced),
+            Box::new(|_, v| PushSumRevert::new(v, 0.01)),
+        )
+        .with_membership(Box::new(OffersTheOwner(UniformEnv::new())))
+        .with_failure(FailureSpec::Churn {
+            start: 0,
+            leave_per_round: leave,
+            join_per_round: join,
+        });
+        net.run(rounds);
+        net.check_view_consistency();
     }
 
     /// The same churn invariants hold when views come from a clustered

@@ -2,7 +2,9 @@
 //!
 //! * **shard-count invariance** — over arbitrary topology / latency /
 //!   drift / churn specs (global and group truths), a [`ShardedNet`]
-//!   produces a bit-identical [`Series`] at every shard count, and
+//!   produces a bit-identical [`Series`] at every shard count — and ends
+//!   with identical membership views, which the coordinator owns and the
+//!   workers only borrow, and
 //! * **conservative safety** — no cross-shard frame is ever ingested
 //!   below its window's horizon, and active partitions gate cross-shard
 //!   frames exactly like local ones.
@@ -125,8 +127,17 @@ fn map_for(spec: &Spec, shards: usize) -> ShardMap {
     }
 }
 
-/// Run `spec` at `shards`, returning the series plus the safety counters.
-fn run_sharded(spec: &Spec, shards: usize) -> (Series, u64, u64) {
+/// What one run leaves behind: the series, every live node's final view
+/// (ascending id), and the horizon-violation counter.
+struct Outcome {
+    series: Series,
+    views: Vec<(NodeId, Vec<NodeId>)>,
+    horizon: u64,
+}
+
+/// Run `spec` at `shards`. Every run also checks the views ↔ holders
+/// index and that no view contains its owner.
+fn run_sharded(spec: &Spec, shards: usize) -> Outcome {
     let mut cfg = AsyncConfig::new(spec.seed);
     cfg.latency = spec.latency;
     cfg.loss = spec.loss;
@@ -160,9 +171,9 @@ fn run_sharded(spec: &Spec, shards: usize) -> (Series, u64, u64) {
         net = net.with_truth(Truth::GroupMean);
     }
     net.run(spec.rounds);
-    let horizon = net.horizon_violations();
-    let cross = net.cross_island_deliveries();
-    (net.into_series(), horizon, cross)
+    net.check_view_consistency();
+    let views = net.live().into_iter().map(|id| (id, net.view_of(id).to_vec())).collect();
+    Outcome { horizon: net.horizon_violations(), views, series: net.into_series() }
 }
 
 /// A two-island range partition `0..split | split..n`.
@@ -183,20 +194,26 @@ proptest! {
     /// Shard-count invariance over arbitrary specs: topology, latency
     /// distribution, clock drift, loss, and churn are all free — the
     /// series must be bit-identical at 1, 2, 3, 4, and 8 shards (3 is the
-    /// first count two workers split into uneven groups), and the
-    /// conservative horizon must never be breached at any count.
+    /// first count two workers split into uneven groups), the
+    /// conservative horizon must never be breached at any count, and the
+    /// final views must agree: a worker that ever wrote a view it was
+    /// lent would show here before it shows in a series.
     #[test]
     fn series_is_invariant_across_shard_counts(spec in spec_strategy()) {
-        let (base, horizon1, _) = run_sharded(&spec, 1);
+        let base = run_sharded(&spec, 1);
         for shards in [2usize, 3, 4, 8] {
-            let (series, horizon, _) = run_sharded(&spec, shards);
-            prop_assert_eq!(horizon, 0, "horizon breached at {} shards", shards);
+            let run = run_sharded(&spec, shards);
+            prop_assert_eq!(run.horizon, 0, "horizon breached at {} shards", shards);
             prop_assert_eq!(
-                &series, &base,
+                &run.series, &base.series,
                 "series diverged between 1 and {} shards", shards
             );
+            prop_assert_eq!(
+                &run.views, &base.views,
+                "views diverged between 1 and {} shards", shards
+            );
         }
-        prop_assert_eq!(horizon1, 0);
+        prop_assert_eq!(base.horizon, 0);
     }
 
     /// Partition gating crosses shard boundaries intact. With a split
@@ -231,6 +248,7 @@ proptest! {
         )
         .with_partition(split_table(n, split, 0, None));
         net.run(rounds);
+        net.check_view_consistency();
         prop_assert_eq!(net.horizon_violations(), 0);
         prop_assert_eq!(
             net.cross_island_deliveries(), 0,
@@ -274,8 +292,11 @@ proptest! {
             )
             .with_partition(split_table(n, split, at, Some(at + dwell)));
             net.run(at + dwell + 6);
+            net.check_view_consistency();
             let horizon = net.horizon_violations();
-            (net.into_series(), horizon)
+            let views: Vec<Vec<NodeId>> =
+                net.live().into_iter().map(|id| net.view_of(id).to_vec()).collect();
+            ((net.into_series(), views), horizon)
         };
         let (one, h1) = run(1);
         let (two, h2) = run(2);

@@ -9,9 +9,11 @@
 //! * the lockstep engines (`crate::runner`) sample exchange partners
 //!   through [`Membership::sample`] each round and drive topology time
 //!   with [`Membership::begin_round`];
-//! * the asynchronous discrete-event engine (`dynagg-node`'s `AsyncNet`)
-//!   materializes [`Membership::view_into`] into each node runtime's peer
-//!   list, and uses [`Membership::advance`]'s change report to repair
+//! * the asynchronous discrete-event engines (`dynagg-node`'s `AsyncNet`
+//!   and `ShardedNet`) materialize [`Membership::view_into`] into one
+//!   table of views, lent to each node's runtime per event — which is why
+//!   a view must never contain its own node — and use
+//!   [`Membership::advance`]'s change report to repair
 //!   **only the views that a topology change actually touched** — the
 //!   incremental path that makes per-round churn affordable at 100 000
 //!   hosts (a full view refresh is `O(live × view)`; patching is
