@@ -4,7 +4,7 @@
 //! event it processes — "is it alive?" (timers die with their owner,
 //! deliveries to dark nodes are dropped) and "when does its timer fire?"
 //! — while everything else in a [`NodeRuntime`](crate::runtime::NodeRuntime)
-//! (protocol state, peer list, spare buffers) is touched only when the
+//! (protocol state, round clock, RNG) is touched only when the
 //! node actually runs. Keeping those two facts inside the runtime means
 //! every alive-check drags a whole runtime struct through the cache.
 //! [`NodeHot`] hoists them into engine-owned parallel arrays: one packed

@@ -64,7 +64,7 @@ pub mod views;
 pub use event::{EventKey, EventQueue, EventSched, HeapQueue, HeapShardQueue, ShardQueue};
 pub use hot::NodeHot;
 pub use loopback::{AsyncConfig, AsyncNet, LatencyModel};
-pub use runtime::{Envelope, FrameHeader, FrameKind, NodeRuntime, RuntimeConfig};
+pub use runtime::{Envelope, FrameHeader, FrameKind, NodeRuntime, RuntimeConfig, Stock};
 pub use service::{LiveService, NodeSnap, ServiceConfig, ServiceReport, VirtualService};
 pub use shard::ShardedNet;
 pub use transport::{

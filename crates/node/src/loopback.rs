@@ -38,7 +38,7 @@
 
 use crate::control::{engine_facade, Coordinator, Drain};
 use crate::event::{EventQueue, EventSched};
-use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig};
+use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig, Stock};
 use dynagg_core::epoch::DriftModel;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
@@ -212,6 +212,9 @@ where
 {
     runtimes: Vec<NodeRuntime<P>>,
     queue: EventQueue<Ev>,
+    /// Payload buffers and round scratch, lent to whichever runtime an
+    /// event calls; every frame's buffer comes back here.
+    stock: Stock<P::Message>,
     /// One global loss/latency stream, consumed in pop order.
     link_rng: SmallRng,
     msgs_since_sample: u64,
@@ -238,6 +241,7 @@ where
         debug_assert_eq!(id as usize, self.runtimes.len());
         self.queue.schedule(runtime.next_tick_ms(), Ev::Timer(id));
         self.runtimes.push(runtime);
+        self.stock.set_cap(self.runtimes.len());
     }
 
     fn take_traffic(&mut self) -> (u64, u64, u64) {
@@ -287,6 +291,7 @@ where
             // Pre-sized from the population: one outstanding timer per
             // node plus in-flight frames, instead of growing pop by pop.
             queue: EventQueue::with_capacity(2 * n),
+            stock: Stock::new(0),
             link_rng: rng::rng_for(cfg.seed, stream::ENGINE),
             msgs_since_sample: 0,
             bytes_since_sample: 0,
@@ -412,7 +417,7 @@ where
                 let mut out = std::mem::take(&mut self.out_buf);
                 out.clear();
                 let rt = &mut self.drain.runtimes[id as usize];
-                rt.poll_among(at, self.ctl.views.view(id), &mut out);
+                rt.poll_among(at, self.ctl.views.view(id), &mut self.drain.stock, &mut out);
                 let next = rt.next_tick_ms();
                 self.drain.queue.schedule(next, Ev::Timer(id));
                 self.ctl.hot.set_deadline(id, next);
@@ -423,18 +428,18 @@ where
             }
             Ev::Deliver(env) => {
                 if !self.ctl.hot.is_alive(env.to) {
-                    // Receiver is dark; hand the buffer back to the sender.
-                    self.drain.runtimes[env.from as usize].recycle_buffer(env.payload);
+                    self.drain.stock.give(env.payload); // the receiver is dark
                     return;
                 }
-                let to = env.to as usize;
+                let drain = &mut self.drain;
+                let rt = &mut drain.runtimes[env.to as usize];
                 let peers = self.ctl.views.view(env.to);
-                match self.drain.runtimes[to].handle_among(env.from, &env.payload, peers) {
+                match rt.handle_among(env.from, &env.payload, peers, &mut drain.stock) {
                     Ok(Some(reply)) => self.send(at, reply),
                     Ok(None) => {}
                     Err(_) => self.decode_errors += 1,
                 }
-                self.drain.runtimes[to].recycle_buffer(env.payload);
+                self.drain.stock.give(env.payload);
             }
             Ev::Sample => self.ctl.record_sample(&mut self.drain),
             Ev::Boundary(k) => self.ctl.nominal_round(k, at, &mut self.drain),
@@ -452,12 +457,12 @@ where
         if !self.ctl.partition.allows(env.from, env.to) {
             // The link across the cut is down; the frame dies in flight.
             self.partition_drops += 1;
-            drain.runtimes[env.from as usize].recycle_buffer(env.payload);
+            drain.stock.give(env.payload);
             return;
         }
         let cfg = &self.ctl.cfg;
         if cfg.loss > 0.0 && drain.link_rng.gen::<f64>() < cfg.loss {
-            drain.runtimes[env.from as usize].recycle_buffer(env.payload);
+            drain.stock.give(env.payload);
             return;
         }
         let at = now_ms + cfg.latency.sample(&mut drain.link_rng);
@@ -641,6 +646,34 @@ mod tests {
         assert!(last.messages > 0 && last.bytes > 0, "bandwidth columns populated");
         // Wire accounting: every Mass frame is payload + 5-byte header.
         assert_eq!(last.wire_bytes, last.bytes + 5 * last.messages, "wire = raw + header");
+        assert_eq!(net.decode_errors, 0);
+    }
+
+    #[test]
+    fn a_warmed_up_drain_allocates_no_frame_buffer() {
+        // A take allocates only when the stack is empty, i.e. when every
+        // buffer that exists is in flight; so as long as none leaks or is
+        // dropped — fresh = stacked + in flight, checked every round — the
+        // fresh count *is* the peak number of frames in flight, and it
+        // stops moving once that record stops being broken (≈ 30 frames
+        // are in flight at a time here, where the runtimes used to keep
+        // up to four buffers each).
+        let n = 300;
+        let mut net = engine_net(13, 0.02);
+        let mut fresh_at = Vec::new();
+        for round in 1..=100u64 {
+            net.run_until(round * net.ctl.cfg.interval_ms);
+            let stock = &net.drain.stock;
+            let in_flight = net.drain.queue.len() - n; // all but the timers
+            assert_eq!(
+                stock.buffers_fresh as usize,
+                stock.len() + in_flight,
+                "round {round}: a buffer leaked or was dropped"
+            );
+            fresh_at.push(stock.buffers_fresh);
+        }
+        assert_eq!(fresh_at[49], fresh_at[99], "the second half of the run allocates nothing");
+        assert!(fresh_at[99] < n as u64 / 4, "peak in flight, not a stock per node: {fresh_at:?}");
         assert_eq!(net.decode_errors, 0);
     }
 

@@ -6,15 +6,27 @@
 //! `end_round → begin_round` boundary); [`NodeRuntime::handle`] ingests
 //! received frames, producing reply frames for push-pull protocols.
 //!
-//! A protocol samples its gossip partners from a peer list, and there are
-//! two places that list can live. A standalone runtime **owns** it
-//! ([`NodeRuntime::set_peers`], read by `poll` / `handle`). A driver that
-//! already keeps every node's view — the engines' `ViewTable`, the live
-//! service's boot-time views — **lends** the slice per call instead
-//! ([`NodeRuntime::poll_among`] / [`NodeRuntime::handle_among`]), so a
-//! view exists once and an edit to it needs no copy to reach the node. The
-//! owning pair are one-line wrappers that lend the runtime's own list;
-//! there is one round body and one frame body.
+//! ## What a drain lends
+//!
+//! A round needs three lists that are not the node's state: the **view**
+//! its protocol samples partners from, **payload buffers** for the frames
+//! it emits, and a **scratch** list `begin_round` fills with `(to,
+//! message)` pairs. A driver that runs many nodes — the engines' drains,
+//! the live service's pump — keeps all three once and lends them per
+//! call ([`NodeRuntime::poll_among`] / [`NodeRuntime::handle_among`]):
+//! the view is a slice of its `ViewTable`, buffers and scratch are its
+//! [`Stock`]. A view then exists once and an edit to it needs no copy to
+//! reach the node; a buffer a delivery just released is the one the next
+//! send takes, still in cache, and a warmed-up drain allocates none;
+//! and a runtime it drives owns no heap beyond its protocol's. A delivered
+//! or dropped frame's buffer goes back to the stock it will next be lent
+//! from ([`Stock::give`]), never into a runtime.
+//!
+//! A standalone runtime is its own driver: it keeps a peer list
+//! ([`NodeRuntime::set_peers`]) and a small stock
+//! ([`NodeRuntime::recycle_buffer`]), and [`NodeRuntime::poll`] /
+//! [`NodeRuntime::handle`] are one-line wrappers that lend it those.
+//! There is one round body and one frame body.
 //!
 //! The local timer advances through a [`DriftModel`] (shared with the
 //! epoch lifecycle in `dynagg-core`): a skewed crystal fires rounds faster
@@ -110,10 +122,91 @@ pub struct Envelope {
     pub raw_bytes: usize,
 }
 
-/// Spare payload buffers a runtime keeps per node; past this, returned
-/// buffers are dropped (a node rarely has more frames in flight toward
-/// itself than this).
+/// Payload buffers a standalone runtime's own [`Stock`] holds; past this,
+/// returned buffers are dropped (a node rarely has more frames in flight
+/// toward itself than this).
 const SPARE_BUFFERS: usize = 4;
+
+/// Capacity of a freshly allocated payload buffer: the header plus every
+/// fixed-size message (`Mass` 16, `EpochMsg` 28, `ChampionMsg` 12) in one
+/// allocation, where growing from empty through appends of 1 + 4 + 8 + 8
+/// bytes is three. A sketch frame outgrows it and reserves per column as
+/// it is written.
+const FRESH_BUFFER_BYTES: usize = 32;
+
+/// What a driver keeps once and lends to whichever runtime it is calling:
+/// a LIFO stack of payload buffers and the round scratch (see the
+/// [module docs](self)). LIFO, so a send takes the buffer the previous
+/// delivery released.
+///
+/// The stack holds at most `cap` buffers — for a drain, its node count —
+/// and drops what is returned beyond that. A drain that is handed back
+/// every buffer it takes never comes near the bound (stack + frames in
+/// flight is its allocation high-water mark), but buffers cross shards
+/// with their frames: a shard that receives more than it sends would
+/// otherwise grow its stack for as long as its peer allocates.
+#[derive(Debug)]
+pub struct Stock<M> {
+    free: Vec<Vec<u8>>,
+    cap: usize,
+    scratch: Vec<(NodeId, M)>,
+    /// Buffers [`Stock::take`] had to allocate.
+    #[cfg(test)]
+    pub(crate) buffers_fresh: u64,
+}
+
+impl<M> Stock<M> {
+    /// An empty stock whose stack keeps at most `cap` buffers.
+    pub fn new(cap: usize) -> Self {
+        Self {
+            free: Vec::new(),
+            cap,
+            scratch: Vec::new(),
+            #[cfg(test)]
+            buffers_fresh: 0,
+        }
+    }
+
+    /// Move the stack's bound (a drain's node count moves with every
+    /// join).
+    pub(crate) fn set_cap(&mut self, cap: usize) {
+        self.cap = cap;
+    }
+
+    /// Buffers on the stack.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.free.len()
+    }
+
+    /// An empty payload buffer: the most recently returned one, cleared
+    /// here — whatever a transport or a test left in it cannot reach the
+    /// wire — or a fresh one when the stack is empty.
+    fn take(&mut self) -> Vec<u8> {
+        match self.free.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf
+            }
+            None => {
+                #[cfg(test)]
+                {
+                    self.buffers_fresh += 1;
+                }
+                Vec::with_capacity(FRESH_BUFFER_BYTES)
+            }
+        }
+    }
+
+    /// Return a frame's payload buffer — delivered, lost, dropped at a
+    /// partition or addressed to a dark node alike. Dropped when the stack
+    /// is at its bound.
+    pub fn give(&mut self, buf: Vec<u8>) {
+        if self.free.len() < self.cap {
+            self.free.push(buf);
+        }
+    }
+}
 
 /// Static configuration of one runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,15 +244,11 @@ impl RuntimeConfig {
     }
 }
 
-/// A protocol instance bound to a local clock and — unless its driver
-/// lends one per call — a peer list.
-pub struct NodeRuntime<P: PushProtocol>
-where
-    P::Message: WireMessage,
-{
+/// A protocol instance bound to a local clock — what every driver, the
+/// runtime's own wrappers included, calls with lists it holds.
+struct Node<P: PushProtocol> {
     cfg: RuntimeConfig,
     protocol: P,
-    peers: Vec<NodeId>,
     rng: SmallRng,
     round: u64,
     next_tick_ms: u64,
@@ -167,10 +256,20 @@ where
     drift_carry: f64,
     in_round: bool,
     stale_frames: u64,
-    scratch: Vec<(NodeId, P::Message)>,
-    /// Recycled payload buffers ([`NodeRuntime::recycle_buffer`]), so the
-    /// steady-state event path allocates no per-frame `Vec`s.
-    spare: Vec<Vec<u8>>,
+}
+
+/// A protocol instance bound to a local clock and — unless its driver
+/// lends them per call — a peer list and a [`Stock`].
+pub struct NodeRuntime<P: PushProtocol>
+where
+    P::Message: WireMessage,
+{
+    node: Node<P>,
+    /// What [`NodeRuntime::set_peers`] installed.
+    peers: Vec<NodeId>,
+    /// What [`NodeRuntime::recycle_buffer`] fills. Beside `node`, not in
+    /// it, so the owning wrappers lend both without moving either.
+    own: Stock<P::Message>,
 }
 
 impl<P: PushProtocol> NodeRuntime<P>
@@ -180,40 +279,41 @@ where
     /// Bind `protocol` to a runtime.
     pub fn new(cfg: RuntimeConfig, protocol: P) -> Self {
         Self {
-            next_tick_ms: cfg.start_offset_ms,
-            rng: SmallRng::seed_from_u64(cfg.seed),
-            cfg,
-            protocol,
+            node: Node {
+                next_tick_ms: cfg.start_offset_ms,
+                rng: SmallRng::seed_from_u64(cfg.seed),
+                cfg,
+                protocol,
+                round: 0,
+                drift_carry: 0.0,
+                in_round: false,
+                stale_frames: 0,
+            },
             peers: Vec::new(),
-            round: 0,
-            drift_carry: 0.0,
-            in_round: false,
-            stale_frames: 0,
-            scratch: Vec::new(),
-            spare: Vec::new(),
+            own: Stock::new(SPARE_BUFFERS),
         }
     }
 
     /// This node's id.
     pub fn id(&self) -> NodeId {
-        self.cfg.node_id
+        self.node.cfg.node_id
     }
 
     /// The static configuration this runtime was built with (a restart
     /// reuses it with a fresh phase offset).
     pub fn config(&self) -> &RuntimeConfig {
-        &self.cfg
+        &self.node.cfg
     }
 
     /// Completed local rounds.
     pub fn round(&self) -> u64 {
-        self.round
+        self.node.round
     }
 
     /// Frames dropped by the [`RuntimeConfig::max_round_lag`] staleness
     /// guard.
     pub fn stale_frames(&self) -> u64 {
-        self.stale_frames
+        self.node.stale_frames
     }
 
     /// Replace the runtime's own reachable-peer list (radio neighborhood,
@@ -223,7 +323,7 @@ where
     /// is used as it stands, and must be owner-free already.
     pub fn set_peers(&mut self, peers: &[NodeId]) {
         self.peers.clear();
-        self.peers.extend(peers.iter().copied().filter(|&p| p != self.cfg.node_id));
+        self.peers.extend(peers.iter().copied().filter(|&p| p != self.node.cfg.node_id));
     }
 
     /// The runtime's own reachable-peer list — what
@@ -233,70 +333,108 @@ where
         &self.peers
     }
 
-    /// Hand back a delivered frame's payload buffer for reuse — the
-    /// transport's half of the allocation-free event path. Buffers beyond
-    /// a small spare stock are dropped.
-    pub fn recycle_buffer(&mut self, mut buf: Vec<u8>) {
-        if self.spare.len() < SPARE_BUFFERS {
-            buf.clear();
-            self.spare.push(buf);
-        }
-    }
-
-    /// A cleared payload buffer, recycled when the spare stock has one.
-    fn take_buffer(&mut self) -> Vec<u8> {
-        self.spare.pop().unwrap_or_default()
+    /// Hand a frame's payload buffer back to the runtime's own stock, for
+    /// [`NodeRuntime::poll`] / [`NodeRuntime::handle`] to reuse. Buffers
+    /// beyond a small stock are dropped. (A driver that lends its
+    /// [`Stock`] returns buffers there, not here.)
+    pub fn recycle_buffer(&mut self, buf: Vec<u8>) {
+        self.own.give(buf);
     }
 
     /// Read the protocol state.
     pub fn protocol(&self) -> &P {
-        &self.protocol
+        &self.node.protocol
     }
 
     /// Mutable protocol access (e.g. `set_value` when the sensor changes).
     pub fn protocol_mut(&mut self) -> &mut P {
-        &mut self.protocol
+        &mut self.node.protocol
     }
 
     /// The node's current estimate.
     pub fn estimate(&self) -> Option<f64> {
-        self.protocol.estimate()
+        self.node.protocol.estimate()
     }
 
     /// When the next round fires (for scheduling the next `poll`).
     pub fn next_tick_ms(&self) -> u64 {
-        self.next_tick_ms
+        self.node.next_tick_ms
     }
 
     /// Advance the local clock to `now_ms`, firing any due rounds over the
-    /// runtime's own peer list ([`NodeRuntime::set_peers`]). Returns the
-    /// frames to transmit.
+    /// runtime's own peer list ([`NodeRuntime::set_peers`]) and stock.
+    /// Returns the frames to transmit.
     ///
     /// Each elapsed timer boundary advances the logical clock through the
     /// configured [`DriftModel`]: a synced clock fires exactly one round, a
     /// fast crystal occasionally fires two back-to-back, a Bernoulli model
     /// sometimes fires none.
     pub fn poll(&mut self, now_ms: u64, out: &mut Vec<Envelope>) {
-        let peers = std::mem::take(&mut self.peers);
-        self.poll_among(now_ms, &peers, out);
-        self.peers = peers;
+        self.node.poll(now_ms, &self.peers, &mut self.own, out);
     }
 
-    /// [`NodeRuntime::poll`] over a peer list the caller holds: the rounds
-    /// sample from `peers` as lent and the runtime's own list is neither
-    /// read nor written. `peers` must not contain this node.
-    pub fn poll_among(&mut self, now_ms: u64, peers: &[NodeId], out: &mut Vec<Envelope>) {
+    /// [`NodeRuntime::poll`] over lists the caller holds: the rounds sample
+    /// from `peers` as lent, their frames take their buffers from `stock`,
+    /// and the runtime's own lists are neither read nor written. `peers`
+    /// must not contain this node.
+    pub fn poll_among(
+        &mut self,
+        now_ms: u64,
+        peers: &[NodeId],
+        stock: &mut Stock<P::Message>,
+        out: &mut Vec<Envelope>,
+    ) {
+        self.node.poll(now_ms, peers, stock, out);
+    }
+
+    /// Ingest a received frame over the runtime's own peer list and stock;
+    /// may produce a reply frame. Malformed input is reported, never
+    /// panics — radio bytes are untrusted.
+    pub fn handle(&mut self, from: NodeId, payload: &[u8]) -> Result<Option<Envelope>, WireError> {
+        self.node.handle(from, payload, &self.peers, &mut self.own)
+    }
+
+    /// [`NodeRuntime::handle`] over lists the caller holds (see
+    /// [`NodeRuntime::poll_among`]).
+    pub fn handle_among(
+        &mut self,
+        from: NodeId,
+        payload: &[u8],
+        peers: &[NodeId],
+        stock: &mut Stock<P::Message>,
+    ) -> Result<Option<Envelope>, WireError> {
+        self.node.handle(from, payload, peers, stock)
+    }
+}
+
+impl<P: PushProtocol> Node<P>
+where
+    P::Message: WireMessage,
+{
+    fn poll(
+        &mut self,
+        now_ms: u64,
+        peers: &[NodeId],
+        stock: &mut Stock<P::Message>,
+        out: &mut Vec<Envelope>,
+    ) {
         while now_ms >= self.next_tick_ms {
             let tick = self.next_tick_ms;
             let rounds = self.cfg.drift.ticks(&mut self.drift_carry, &mut self.rng);
             for _ in 0..rounds {
-                self.fire_round(peers, out);
+                self.fire_round(peers, stock, out);
             }
             self.next_tick_ms = tick + self.cfg.round_interval_ms.max(1);
         }
     }
 
-    fn fire_round(&mut self, peers: &[NodeId], out: &mut Vec<Envelope>) {
+    fn fire_round(
+        &mut self,
+        peers: &[NodeId],
+        stock: &mut Stock<P::Message>,
+        out: &mut Vec<Envelope>,
+    ) {
+        let mut scratch = std::mem::take(&mut stock.scratch);
         {
             let mut sampler = SliceSampler::new(peers);
             if self.in_round {
@@ -306,43 +444,31 @@ where
                 self.round += 1;
             }
             let mut ctx = RoundCtx { round: self.round, rng: &mut self.rng, peers: &mut sampler };
-            self.scratch.clear();
-            self.protocol.begin_round(&mut ctx, &mut self.scratch);
+            scratch.clear();
+            self.protocol.begin_round(&mut ctx, &mut scratch);
             self.in_round = true;
         }
         let header = self.header(FrameKind::Initiation);
-        let mut scratch = std::mem::take(&mut self.scratch);
         for (to, msg) in scratch.drain(..) {
             let raw_bytes = P::message_bytes(&msg);
-            let mut payload = self.take_buffer();
+            let mut payload = stock.take();
             header.encode(&mut payload);
             msg.encode(&mut payload);
             out.push(Envelope { from: self.cfg.node_id, to, payload, raw_bytes });
         }
-        self.scratch = scratch;
+        stock.scratch = scratch;
     }
 
     fn header(&self, kind: FrameKind) -> FrameHeader {
         FrameHeader { kind, sender_round: u32::try_from(self.round).unwrap_or(u32::MAX) }
     }
 
-    /// Ingest a received frame over the runtime's own peer list; may
-    /// produce a reply frame. Malformed input is reported, never panics —
-    /// radio bytes are untrusted.
-    pub fn handle(&mut self, from: NodeId, payload: &[u8]) -> Result<Option<Envelope>, WireError> {
-        let peers = std::mem::take(&mut self.peers);
-        let reply = self.handle_among(from, payload, &peers);
-        self.peers = peers;
-        reply
-    }
-
-    /// [`NodeRuntime::handle`] over a peer list the caller holds (see
-    /// [`NodeRuntime::poll_among`]).
-    pub fn handle_among(
+    fn handle(
         &mut self,
         from: NodeId,
         payload: &[u8],
         peers: &[NodeId],
+        stock: &mut Stock<P::Message>,
     ) -> Result<Option<Envelope>, WireError> {
         let header = FrameHeader::decode(payload)?;
         if let Some(lag) = self.cfg.max_round_lag {
@@ -365,7 +491,7 @@ where
         };
         Ok(reply.map(|r| {
             let raw_bytes = P::message_bytes(&r);
-            let mut payload = self.take_buffer();
+            let mut payload = stock.take();
             self.header(FrameKind::Reply).encode(&mut payload);
             r.encode(&mut payload);
             Envelope { from: self.cfg.node_id, to: from, payload, raw_bytes }
@@ -518,6 +644,37 @@ mod tests {
             rt.poll(t, &mut out);
         }
         assert!(out.iter().all(|e| e.to != 5), "never gossips to itself");
+    }
+
+    #[test]
+    fn a_stock_is_a_bounded_lifo_that_clears_what_it_hands_out() {
+        let mut stock: Stock<Mass> = Stock::new(2);
+        let fresh = stock.take();
+        assert!(fresh.is_empty() && fresh.capacity() >= FRESH_BUFFER_BYTES);
+        assert_eq!(stock.buffers_fresh, 1);
+        stock.give(vec![1; 40]);
+        stock.give(vec![2; 50]);
+        stock.give(vec![3; 60]); // over the bound: dropped
+        assert_eq!(stock.len(), 2);
+        let (top, below) = (stock.take(), stock.take());
+        assert!(top.is_empty() && below.is_empty(), "stale bytes never leave the stock");
+        assert_eq!((top.capacity(), below.capacity()), (50, 40), "last in, first out");
+        assert_eq!(stock.buffers_fresh, 1, "a stacked buffer is not a fresh one");
+    }
+
+    #[test]
+    fn a_fresh_frame_is_one_allocation() {
+        // 21 bytes of header + mass land in the capacity the buffer was
+        // born with; growing into them from empty reallocates twice.
+        let mut rt = NodeRuntime::new(cfg(0), PushSumRevert::new(50.0, 0.1));
+        rt.set_peers(&[1]);
+        let mut out = Vec::new();
+        rt.poll(0, &mut out);
+        assert_eq!(out[0].payload.len(), FRAME_HEADER_BYTES + 16);
+        assert_eq!(
+            out[0].payload.capacity(),
+            Vec::<u8>::with_capacity(FRESH_BUFFER_BYTES).capacity()
+        );
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //! that merely collects — a seed names one population through one
 //! function under all four drivers (`AsyncNet`, `ShardedNet`, live,
 //! virtual). Both then move their nodes with one private data-plane pump
-//! (`fire due timers → ship`, `recv → handle → ship reply → recycle`)
-//! that holds the booted views and lends each node its own per call — a
-//! view exists once, and a restarted node finds it where it was — and
-//! that has no clock of its own, so the loop the bit-exact sim↔live test
-//! exercises is the production worker loop, not a copy of it.
+//! (`fire due timers → ship`, `recv → handle → ship reply → restock`)
+//! that holds the booted views and one [`Stock`] of payload buffers and
+//! lends them per call — a view exists once, a restarted node finds it
+//! where it was, and a received frame's buffer carries the next frame
+//! sent — and that has no clock of its own, so the loop the bit-exact
+//! sim↔live test exercises is the production worker loop, not a copy of
+//! it.
 //!
 //! The handle never panics on client input and never loses a worker
 //! silently: unknown node ids, commands a dead worker could not take and
@@ -38,7 +40,7 @@
 use crate::control::{Coordinator, Drain};
 use crate::event::{EventQueue, EventSched};
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
-use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig};
+use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig, Stock};
 use crate::transport::{RecvFrame, Transport, TransportStats};
 use dynagg_core::mass::Mass;
 use dynagg_core::protocol::{NodeId, PushProtocol};
@@ -215,6 +217,10 @@ where
     (booted.0, ctl.views.into_views())
 }
 
+/// A running node beside what its pump lends it: its view and the stock.
+type Loan<'a, P> =
+    (&'a mut NodeRuntime<P>, &'a [NodeId], &'a mut Stock<<P as PushProtocol>::Message>);
+
 /// The service's **data plane**, written once: a contiguous range of
 /// runtimes, the views it lends them, their round timers (the same
 /// wheel-backed [`EventQueue`] the discrete-event engines drain), and one
@@ -232,6 +238,11 @@ where
     /// `views[i]` is node `lo + i`'s membership view, lent to its runtime
     /// per call; it outlives a stop, so a restart finds it in place.
     views: Vec<Vec<NodeId>>,
+    /// Payload buffers and round scratch, lent beside the view; what the
+    /// transport hands back or delivers returns here. Bounded by the
+    /// pump's node count: a serializing transport returns the sent buffer
+    /// *and* delivers a received one, two per frame.
+    stock: Stock<P::Message>,
     lo: NodeId,
     timers: EventQueue<NodeId>,
     /// Data-plane counters (the handle-side fields stay 0 here).
@@ -258,6 +269,7 @@ where
         let mut pump = Self {
             transport,
             slots: runtimes.iter().map(|_| None).collect(),
+            stock: Stock::new(runtimes.len()),
             views,
             lo,
             timers: EventQueue::with_capacity(runtimes.len()),
@@ -276,11 +288,10 @@ where
         self.slots.get_mut(id.checked_sub(self.lo)? as usize)
     }
 
-    /// `id`'s runtime, if it is ours and running, beside the view to lend
-    /// it.
-    fn running_with_view(&mut self, id: NodeId) -> Option<(&mut NodeRuntime<P>, &[NodeId])> {
+    /// `id`'s runtime, if it is ours and running, beside what to lend it.
+    fn running_with_loan(&mut self, id: NodeId) -> Option<Loan<'_, P>> {
         let idx = id.checked_sub(self.lo)? as usize;
-        Some((self.slots.get_mut(idx)?.as_mut()?, &self.views[idx]))
+        Some((self.slots.get_mut(idx)?.as_mut()?, &self.views[idx], &mut self.stock))
     }
 
     fn running_mut(&mut self, id: NodeId) -> Option<&mut NodeRuntime<P>> {
@@ -317,12 +328,12 @@ where
     fn fire_due(&mut self, now: u64) {
         let mut out = std::mem::take(&mut self.out_buf);
         while let Some((at, id)) = self.timers.pop_before(now) {
-            let Some((rt, view)) =
-                self.running_with_view(id).filter(|(rt, _)| rt.next_tick_ms() == at)
+            let Some((rt, view, stock)) =
+                self.running_with_loan(id).filter(|(rt, ..)| rt.next_tick_ms() == at)
             else {
                 continue;
             };
-            rt.poll_among(now, view, &mut out);
+            rt.poll_among(now, view, stock, &mut out);
             let next = rt.next_tick_ms();
             self.timers.schedule(next, id);
             self.report.polls += 1;
@@ -334,12 +345,9 @@ where
     }
 
     fn ship(&mut self, env: Envelope) {
-        let from = env.from;
         self.report.frames_out += 1;
         if let Some(buf) = self.transport.send(env) {
-            if let Some(rt) = self.running_mut(from) {
-                rt.recycle_buffer(buf);
-            }
+            self.stock.give(buf);
         }
     }
 
@@ -354,12 +362,13 @@ where
             None => self.transport.recv(&mut frames),
         };
         for frame in frames.drain(..) {
-            let Some((rt, view)) = self.running_with_view(frame.to) else {
+            let Some((rt, view, stock)) = self.running_with_loan(frame.to) else {
                 self.report.dark_frames += 1;
+                self.stock.give(frame.payload);
                 continue;
             };
-            let outcome = rt.handle_among(frame.from, &frame.payload, view);
-            rt.recycle_buffer(frame.payload);
+            let outcome = rt.handle_among(frame.from, &frame.payload, view, stock);
+            stock.give(frame.payload);
             match outcome {
                 Ok(reply) => {
                     self.report.frames_in += 1;

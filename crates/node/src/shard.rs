@@ -85,7 +85,7 @@ use crate::control::{engine_facade, Coordinator, Drain};
 use crate::event::{EventKey, ShardQueue};
 use crate::hot::NodeHot;
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
-use crate::runtime::{Envelope, NodeRuntime};
+use crate::runtime::{Envelope, NodeRuntime, Stock};
 use crate::views::ViewTable;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
@@ -150,6 +150,11 @@ where
 {
     queue: ShardQueue<SEv>,
     nodes: Vec<Slot<P>>,
+    /// Payload buffers and round scratch, lent to whichever runtime an
+    /// event calls. A frame's buffer goes to the stock of the shard that
+    /// disposes of it, so buffers cross shards with their frames — which
+    /// is what the stack's bound (this shard's node count) is for.
+    stock: Stock<P::Message>,
     /// Outbound cross-shard frames staged per destination shard.
     stage: Vec<Vec<Flight>>,
     msgs: u64,
@@ -342,7 +347,7 @@ where
             debug_assert_eq!(key.at_ms, node.deadline_ms, "timer fires at its recorded deadline");
             let mut out = std::mem::take(&mut shard.out_buf);
             out.clear();
-            node.rt.poll_among(key.at_ms, ctx.views.view(id), &mut out);
+            node.rt.poll_among(key.at_ms, ctx.views.view(id), &mut shard.stock, &mut out);
             let next = node.rt.next_tick_ms();
             node.deadline_ms = next;
             shard.queue.schedule(EventKey::timer(next, id), SEv::Timer(id));
@@ -357,18 +362,18 @@ where
                 // send path already drops frames sent across it).
                 shard.cross_island_deliveries += 1;
             }
-            let slot = ctx.home[env.to as usize].slot as usize;
             if !ctx.hot.is_alive(env.to) {
-                shard.nodes[slot].rt.recycle_buffer(env.payload);
+                shard.stock.give(env.payload);
                 return;
             }
+            let rt = &mut shard.nodes[ctx.home[env.to as usize].slot as usize].rt;
             let peers = ctx.views.view(env.to);
-            match shard.nodes[slot].rt.handle_among(env.from, &env.payload, peers) {
+            match rt.handle_among(env.from, &env.payload, peers, &mut shard.stock) {
                 Ok(Some(reply)) => send(shard, key.at_ms, reply, me, ctx),
                 Ok(None) => {}
                 Err(_) => shard.decode_errors += 1,
             }
-            shard.nodes[slot].rt.recycle_buffer(env.payload);
+            shard.stock.give(env.payload);
         }
     }
 }
@@ -388,11 +393,11 @@ where
     if !ctx.partition.allows(env.from, env.to) {
         // The link across the cut is down; the frame dies in flight.
         shard.partition_drops += 1;
-        node.rt.recycle_buffer(env.payload);
+        shard.stock.give(env.payload);
         return;
     }
     if ctx.cfg.loss > 0.0 && node.link.gen::<f64>() < ctx.cfg.loss {
-        node.rt.recycle_buffer(env.payload);
+        shard.stock.give(env.payload);
         return;
     }
     let at = now_ms + ctx.cfg.latency.sample(&mut node.link);
@@ -449,6 +454,7 @@ where
             send_seq: 0,
             deadline_ms: first_tick,
         });
+        shard.stock.set_cap(shard.nodes.len());
     }
 
     fn take_traffic(&mut self) -> (u64, u64, u64) {
@@ -518,6 +524,7 @@ where
                     // (timer + in-flight frame per node).
                     queue: ShardQueue::with_capacity(2 * n / k + 16),
                     nodes: Vec::with_capacity(owned),
+                    stock: Stock::new(0),
                     stage: (0..k).map(|_| Vec::new()).collect(),
                     msgs: 0,
                     bytes: 0,
@@ -769,6 +776,105 @@ mod tests {
         for workers in [1, 2, 3, 8] {
             assert_eq!(one, run(8, workers), "{workers} workers changed the series");
         }
+    }
+
+    #[test]
+    fn a_warmed_up_shard_allocates_less_than_a_buffer_per_node() {
+        // One shard is the sequential case: its fresh count is its peak in
+        // flight. With more, buffers wander between shards with their
+        // frames — a random walk, so a shard that runs dry allocates while
+        // another drops at its bound — and what stays bounded is each
+        // stack (by its shard's node count) and, here, the total: under
+        // one buffer per node where the runtimes kept up to four. Neither
+        // count may reach the series, and the worker count reaches neither.
+        let run = |shards: usize, workers: usize| {
+            let mut net =
+                net_with(7, 300, shards, LatencyModel::Uniform { lo_ms: 5, hi_ms: 30 }, 0.05);
+            net.run_on(30, workers);
+            let fresh: Vec<u64> = net.drain.shards.iter().map(|s| s.stock.buffers_fresh).collect();
+            for (s, shard) in net.drain.shards.iter().enumerate() {
+                assert!(
+                    shard.stock.len() <= shard.nodes.len(),
+                    "shard {s} of {shards} on {workers} workers outgrew its bound"
+                );
+            }
+            (net.into_series(), fresh)
+        };
+        let (one, fresh_one) = run(1, 1);
+        assert!(fresh_one[0] < 300 / 4, "one shard allocates its peak in flight: {fresh_one:?}");
+        assert_eq!((one.clone(), fresh_one), run(1, 2));
+        let (four, fresh_four) = run(4, 1);
+        assert_eq!(one, four, "four shards changed the series");
+        assert!(fresh_four.iter().sum::<u64>() < 300, "under a buffer per node: {fresh_four:?}");
+        assert_eq!((four, fresh_four), run(4, 2));
+    }
+
+    /// Every node of the lower half sends one unit a round to its
+    /// counterpart in the upper half, which counts what it hears and sends
+    /// nothing: over two contiguous shards all traffic runs one way.
+    struct OneWay {
+        to: Option<NodeId>,
+        heard: f64,
+    }
+
+    impl Estimator for OneWay {
+        fn estimate(&self) -> Option<f64> {
+            Some(self.heard)
+        }
+    }
+
+    impl PushProtocol for OneWay {
+        type Message = <PushSumRevert as PushProtocol>::Message;
+
+        fn begin_round(&mut self, _: &mut RoundCtx<'_>, out: &mut Vec<(NodeId, Self::Message)>) {
+            out.extend(self.to.map(|to| (to, Self::Message::new(1.0, 1.0))));
+        }
+
+        fn on_message(
+            &mut self,
+            _: NodeId,
+            msg: &Self::Message,
+            _: &mut RoundCtx<'_>,
+        ) -> Option<Self::Message> {
+            self.heard += msg.value;
+            None
+        }
+
+        fn end_round(&mut self, _: &mut RoundCtx<'_>) {}
+
+        fn message_bytes(msg: &Self::Message) -> usize {
+            PushSumRevert::message_bytes(msg)
+        }
+    }
+
+    #[test]
+    fn one_way_traffic_cannot_grow_a_stack_past_its_shard() {
+        // Shard 1 is handed a buffer with every frame and never sends one:
+        // unbounded, its stack would grow by 100 a round for as long as
+        // shard 0 allocates.
+        const N: usize = 200;
+        let run = |shards: usize| {
+            let half = (N / 2) as NodeId;
+            let factory: NodeFactory<OneWay> =
+                Box::new(move |id, _| OneWay { to: (id < half).then_some(id + half), heard: 0.0 });
+            let mut net =
+                net_of(9, N, shards, LatencyModel::Uniform { lo_ms: 5, hi_ms: 30 }, 0.0, factory);
+            net.run_on(200, 2);
+            assert_eq!(net.horizon_violations(), 0);
+            assert_eq!(net.decode_errors(), 0);
+            net
+        };
+        let net = run(2);
+        assert_eq!(net.drain.shards[1].stock.len(), N / 2, "the receiving stack sits at its bound");
+        assert_eq!(net.drain.shards[0].stock.len(), 0, "the sending shard gets nothing back");
+        // Every frame arrives: sent = heard + still in flight at the horizon
+        // (what a queue holds beyond its nodes' timers).
+        let sent: u64 = net.series().rounds.iter().map(|r| r.messages).sum();
+        let heard: f64 = net.nodes().filter_map(|(_, p)| p.estimate()).sum();
+        let in_flight: usize = net.drain.shards.iter().map(|s| s.queue.len() - s.nodes.len()).sum();
+        assert!(sent >= 199 * (N as u64 / 2), "senders fire every round: {sent}");
+        assert_eq!(sent, heard as u64 + in_flight as u64, "a frame went missing");
+        assert_eq!(net.into_series(), run(1).into_series(), "two shards changed the series");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the frame layer — whatever bytes a radio hands us,
 //! decoding diagnoses; it never panics, aborts, or corrupts the runtime —
-//! for the runtime's two ways of holding its peers: a list lent per call
-//! must drive a node exactly as the same list installed in it does — and
+//! for the runtime's two ways of holding its lists: peers and payload
+//! buffers lent per call must drive a node exactly as the same peers
+//! installed in it and its own buffers do — and
 //! for the membership-view layer: incremental churn repair must preserve
 //! every invariant a from-scratch refresh establishes.
 
@@ -15,7 +16,7 @@ use dynagg_core::protocol::{Estimator, NodeId, PushProtocol, RoundCtx};
 use dynagg_core::push_sum_revert::PushSumRevert;
 use dynagg_core::wire::WireMessage;
 use dynagg_node::runtime::{
-    Envelope, FrameHeader, FrameKind, NodeRuntime, RuntimeConfig, FRAME_HEADER_BYTES,
+    Envelope, FrameHeader, FrameKind, NodeRuntime, RuntimeConfig, Stock, FRAME_HEADER_BYTES,
 };
 use dynagg_node::transport::{
     decode_datagram, encode_datagram, DatagramCheck, DGRAM_PREAMBLE_BYTES,
@@ -165,9 +166,12 @@ impl PushProtocol for Witness {
 }
 
 /// Apply `script` to twin runtimes of one seed — `owning` through
-/// `set_peers` + `poll` / `handle`, `lending` through `poll_among` /
-/// `handle_among` over a `Vec` it never sees otherwise — and demand the
-/// same observable node after every step. A third runtime plays the peer:
+/// `set_peers` + `poll` / `handle` and its own recycled buffers, `lending`
+/// through `poll_among` / `handle_among` over a `Vec` it never sees
+/// otherwise and a stock that starts out dirty and gets every buffer back
+/// with its frame still in it — and demand the same frames, byte for byte,
+/// and the same observable node after every step: where a frame's buffer
+/// came from cannot reach the wire. A third runtime plays the peer:
 /// it answers what the twins send and supplies their well-formed frames
 /// (initiations when it fires, replies when it answers).
 fn lending_drives_a_node_as_owning_does<P>(
@@ -194,6 +198,13 @@ fn lending_drives_a_node_as_owning_does<P>(
     peer.set_peers(&[0]);
     let mut view: Vec<NodeId> = vec![1, 2, 3];
     owning.set_peers(&view);
+    let mut stock = Stock::new(8);
+    // Stale contents, a capacity below one header, no capacity at all, and
+    // more stale bytes than any fixed-size frame has.
+    stock.give(vec![0xAB; 7]);
+    stock.give(Vec::with_capacity(3));
+    stock.give(Vec::new());
+    stock.give(vec![0xEE; 100]);
     let (mut now, mut peer_now) = (0u64, 0u64);
     let (mut sent, mut lent, mut from_peer) = (Vec::new(), Vec::new(), Vec::new());
     for (i, step) in script.iter().enumerate() {
@@ -204,12 +215,14 @@ fn lending_drives_a_node_as_owning_does<P>(
                 sent.clear();
                 lent.clear();
                 owning.poll(now, &mut sent);
-                lending.poll_among(now, &view, &mut lent);
+                lending.poll_among(now, &view, &mut stock, &mut lent);
                 assert_eq!(sent, lent, "step {i}: envelopes of {step:?}");
-                for env in &sent {
+                for (env, twin) in sent.drain(..).zip(lent.drain(..)) {
                     if let Ok(Some(reply)) = peer.handle(0, &env.payload) {
                         inbound.push(reply.payload);
                     }
+                    owning.recycle_buffer(env.payload);
+                    stock.give(twin.payload);
                 }
             }
             Step::Frame => {
@@ -225,13 +238,12 @@ fn lending_drives_a_node_as_owning_does<P>(
         }
         for payload in inbound {
             let reply = owning.handle(1, &payload);
-            assert_eq!(
-                reply,
-                lending.handle_among(1, &payload, &view),
-                "step {i}: reply to a frame of {step:?}"
-            );
-            if let Ok(Some(reply)) = reply {
+            let twin = lending.handle_among(1, &payload, &view, &mut stock);
+            assert_eq!(reply, twin, "step {i}: reply to a frame of {step:?}");
+            if let (Ok(Some(reply)), Ok(Some(twin))) = (reply, twin) {
                 let _ = peer.handle(0, &reply.payload);
+                owning.recycle_buffer(reply.payload);
+                stock.give(twin.payload);
             }
         }
         assert_eq!(owning.round(), lending.round(), "step {i}: round");
@@ -248,7 +260,8 @@ fn lending_drives_a_node_as_owning_does<P>(
 
 proptest! {
     /// Lending ≡ owning, differentially, for the two protocols the async
-    /// benchmark workloads run and for one that samples in every callback.
+    /// benchmark workloads run and for one that samples in every callback
+    /// (and replies, so `handle_among` takes buffers too).
     #[test]
     fn a_lent_peer_list_is_the_owned_one(
         script in proptest::collection::vec(step_strategy(), 1..48),
