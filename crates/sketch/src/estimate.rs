@@ -1,4 +1,9 @@
-//! Estimator constants and error bounds shared by all sketch variants.
+//! Estimator constants and error bounds shared by all sketch variants, and
+//! the per-thread tables behind the age matrix's per-round readout.
+
+use crate::age::{base_stamp_floor, MAX_ROW};
+use crate::cutoff::Cutoff;
+use std::cell::Cell;
 
 /// Flajolet–Martin's magic constant φ ≈ 0.77351.
 ///
@@ -52,6 +57,30 @@ pub fn estimate_from_run_sum(m: u32, l: u8, sum: u32) -> f64 {
             *slot = estimate_from_mean_r(m, f64::from(sum) / f64::from(m));
         }
         *slot
+    })
+}
+
+thread_local! {
+    /// The admission floors of one cutoff at the base clock, beside the
+    /// estimate table above and for the same reader: every host's
+    /// estimate every round asks for the same cutoff, so the per-register
+    /// float work is done once per thread, not once per call.
+    static FLOOR_TABLE: Cell<(Option<Cutoff>, [u8; MAX_ROW])> =
+        const { Cell::new((None, [0; MAX_ROW])) };
+}
+
+/// [`base_stamp_floor`] of every register under `cutoff`, memoized per
+/// cutoff in a thread-local table. A cutoff that is not equal to itself
+/// (a NaN parameter) is recomputed on every call, never served stale.
+pub(crate) fn stamp_floors(cutoff: &Cutoff) -> [u8; MAX_ROW] {
+    FLOOR_TABLE.with(|cell| {
+        let (of, floors) = cell.get();
+        if of == Some(*cutoff) {
+            return floors;
+        }
+        let floors = std::array::from_fn(|k| base_stamp_floor(cutoff, k as u8));
+        cell.set((Some(*cutoff), floors));
+        floors
     })
 }
 

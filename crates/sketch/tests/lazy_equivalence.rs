@@ -11,11 +11,16 @@
 //! wire load/dump round-trips — and assert cell-exact ages, bit-exact
 //! estimates, identical cutoff admits, and byte-identical codec output
 //! at every checkpoint.
+//!
+//! The programs above run at `M = 8`, one short chunk of the estimate's
+//! 64-lane run-length kernel, so the last two tests repeat the comparison
+//! over every geometry that kernel distinguishes — bin counts below, at
+//! and above a chunk, widths from one column to the 63 a lane can count.
 
 use dynagg_sketch::age::{AgeMatrix, INF_AGE, MAX_FINITE_AGE};
 use dynagg_sketch::codec;
 use dynagg_sketch::cutoff::Cutoff;
-use dynagg_sketch::hash::SplitMix64;
+use dynagg_sketch::hash::{Hash64, SplitMix64};
 use dynagg_sketch::reference::RefAgeMatrix;
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -31,14 +36,30 @@ struct Pair {
 
 impl Pair {
     fn new() -> Self {
-        Self { lazy: AgeMatrix::new(M, L), eager: RefAgeMatrix::new(M, L) }
+        Self::with(M, L)
+    }
+
+    fn with(m: u32, l: u8) -> Self {
+        Self { lazy: AgeMatrix::new(m, l), eager: RefAgeMatrix::new(m, l) }
+    }
+
+    /// Load the same bin-major age bytes into both representations.
+    fn load(&mut self, cells: &[u8]) {
+        self.lazy.load_ages(cells);
+        self.eager.load_ages(cells);
+    }
+
+    fn tick(&mut self) {
+        self.lazy.tick();
+        self.eager.tick();
     }
 
     /// Assert every public observation agrees, under several cutoffs
     /// including degenerate ones.
     fn check(&self) {
-        for bin in 0..M {
-            for k in 0..=L {
+        let (m, l) = (self.lazy.num_bins(), self.lazy.width());
+        for bin in 0..m {
+            for k in 0..=l {
                 assert_eq!(
                     self.lazy.age(bin, k),
                     self.eager.age(bin, k),
@@ -85,8 +106,8 @@ impl Pair {
         assert_eq!(codec::encoded_len_ages(&self.lazy), lazy_bytes.len());
         // And decoding the lazy payload must reproduce the eager cells.
         let decoded = codec::decode_ages(&lazy_bytes).expect("self-encoded payload decodes");
-        for bin in 0..M {
-            for k in 0..=L {
+        for bin in 0..m {
+            for k in 0..=l {
                 assert_eq!(decoded.age(bin, k), self.eager.age(bin, k));
             }
         }
@@ -96,10 +117,11 @@ impl Pair {
 /// Apply one generated op to both representations of a pair — or merge
 /// between the two pairs, in both clock directions.
 fn apply(a: &mut Pair, b: &mut Pair, op: &Op) {
+    let (m, l) = (a.lazy.num_bins(), a.lazy.width());
     match *op {
         Op::Claim { bin, k } => {
-            a.lazy.claim_cell(bin % M, k % (L + 1));
-            a.eager.claim_cell(bin % M, k % (L + 1));
+            a.lazy.claim_cell(bin % m, k % (l + 1));
+            a.eager.claim_cell(bin % m, k % (l + 1));
         }
         Op::ClaimId { id } => {
             let h = SplitMix64::new(17);
@@ -119,8 +141,7 @@ fn apply(a: &mut Pair, b: &mut Pair, op: &Op) {
             // Up to ~600 ticks: crosses the MAX_FINITE_AGE saturation
             // boundary mid-program, with owned cells still pinned.
             for _ in 0..times {
-                a.lazy.tick();
-                a.eager.tick();
+                a.tick();
             }
         }
         Op::MergeFromOther => {
@@ -138,7 +159,7 @@ fn apply(a: &mut Pair, b: &mut Pair, op: &Op) {
             a.lazy.merge_min(&decoded);
             let mut cells = Vec::new();
             b.lazy.dump_ages(&mut cells);
-            let mut eager_decoded = RefAgeMatrix::new(M, L);
+            let mut eager_decoded = RefAgeMatrix::new(m, l);
             eager_decoded.load_ages(&cells);
             a.eager.merge_min(&eager_decoded);
         }
@@ -294,4 +315,122 @@ fn rebase_crossing_matches_eager_reference() {
     p.check();
     assert_eq!(p.lazy.age(1, 1), 0, "merge must revive the saturated cell from q's fresh claim");
     assert_eq!(p.lazy.age(2, 2), INF_AGE);
+}
+
+/// Bin counts below, at and above the estimate kernel's 64-lane chunk.
+const BINS: [u32; 7] = [1, 2, 8, 32, 64, 128, 1024];
+/// Widths from a single counted column to [`dynagg_sketch::fm::MAX_WIDTH`],
+/// the most a run-length lane is asked to hold.
+const WIDTHS: [u8; 4] = [1, 12, 31, 63];
+
+/// Bin-major age bytes of a matrix whose bin `b` holds a run of young
+/// cells `depth(b)` registers long, then one dead register — never
+/// sourced in even bins, finite but 200 rounds old in odd ones, so where
+/// the run ends depends on the cutoff — and young cells again above it,
+/// which must not revive the run. A depth past `l` is a bin with no dead
+/// register at all.
+fn cells_with_runs(
+    m: u32,
+    l: u8,
+    depth: impl Fn(u32) -> u8,
+    young: impl Fn(u32, u8) -> u8,
+) -> Vec<u8> {
+    let mut cells = Vec::with_capacity(m as usize * (usize::from(l) + 1));
+    for bin in 0..m {
+        let dead = if bin % 2 == 0 { INF_AGE } else { 200 };
+        cells.extend((0..=l).map(|k| if k == depth(bin) { dead } else { young(bin, k) }));
+    }
+    cells
+}
+
+/// A pair loaded with runs of hashed depths and ages `0..6`.
+fn hashed_pair(m: u32, l: u8, seed: u64) -> Pair {
+    let h = SplitMix64::new(seed);
+    let mut p = Pair::with(m, l);
+    p.load(&cells_with_runs(
+        m,
+        l,
+        |bin| (h.hash_pair(u64::from(bin), 0) % (u64::from(l) + 2)) as u8,
+        |bin, k| (h.hash_pair(u64::from(bin), u64::from(k) + 1) % 6) as u8,
+    ));
+    p
+}
+
+proptest! {
+    /// Claim / tick / merge programs over two pairs that start from
+    /// converged-looking matrices, at every bin count of one generated
+    /// width: every lane position of a chunk, every chunk of a matrix and
+    /// both clock values reach the kernel with runs of every length.
+    #[test]
+    fn lane_kernel_matches_eager_at_every_geometry(
+        width in 0usize..WIDTHS.len(),
+        seeds in (any::<u64>(), any::<u64>()),
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (any::<u32>(), any::<u8>()).prop_map(|(bin, k)| Op::Claim { bin, k }),
+                any::<u64>().prop_map(|id| Op::ClaimId { id }),
+                Just(Op::Release),
+                (0u16..12).prop_map(|times| Op::Tick { times }),
+                (0u16..12).prop_map(|times| Op::Tick { times }),
+                Just(Op::MergeFromOther),
+                Just(Op::MergeIntoOther),
+                Just(Op::Swap),
+            ],
+            0..16,
+        ),
+    ) {
+        let l = WIDTHS[width];
+        for m in BINS {
+            let mut a = hashed_pair(m, l, seeds.0);
+            let mut b = hashed_pair(m, l, seeds.1);
+            for op in &ops {
+                match op {
+                    Op::Swap => std::mem::swap(&mut a, &mut b),
+                    op => apply(&mut a, &mut b, op),
+                }
+            }
+            a.check();
+            b.check();
+        }
+    }
+}
+
+/// The two shapes a generated program is unlikely to build, at every
+/// geometry and at both clock values. Every run surviving all `l` columns
+/// puts `l` — 63 at the widest — in every lane: a lane sum kept in a byte
+/// wraps here, and a sweep one column short reads `l − 1`. And chunks
+/// whose deepest run is a single lane, at a different depth and lane
+/// position in each chunk: a chunk left before its last run has ended, or
+/// a leave that carries into the next chunk, loses those columns.
+#[test]
+fn full_runs_and_chunks_of_unequal_depth_match_eager() {
+    for m in BINS {
+        for l in WIDTHS {
+            let lanes = m.min(64);
+            let unequal = |bin: u32| {
+                let (chunk, lane) = (bin / 64, bin % 64);
+                let deepest = (5 + 11 * chunk) % (u32::from(l) + 1);
+                if lane == (37 * chunk) % lanes || deepest == 0 {
+                    deepest as u8
+                } else {
+                    ((7 * lane + chunk) % deepest) as u8
+                }
+            };
+            let full = cells_with_runs(m, l, |_| l + 1, |_, _| 0);
+            let ragged = cells_with_runs(m, l, unequal, |bin, k| ((bin + u32::from(k)) % 5) as u8);
+            for cells in [&full, &ragged] {
+                let mut p = Pair::with(m, l);
+                p.load(cells);
+                p.check();
+                p.tick();
+                p.check();
+                p.tick();
+                p.tick();
+                p.check();
+            }
+            let mut p = Pair::with(m, l);
+            p.load(&full);
+            assert_eq!(p.lazy.mean_r(&Cutoff::paper_uniform()), f64::from(l), "{m} × {l}");
+        }
+    }
 }

@@ -13,8 +13,8 @@
 //! And they pin the one-byte stamp window of [`AgeMatrix`] from outside:
 //! in-place and out-of-place merges agree with the eager reference across
 //! every (self, peer) clock combination, the admission floors agree with
-//! [`Cutoff::admits`] at the saturation clamp, and a matrix costs one
-//! byte per cell.
+//! [`Cutoff::admits`] at the saturation clamp, a matrix costs one byte per
+//! cell, and reading its estimate costs no heap at any bin count.
 //!
 //! And the codec's word-at-a-time plane kernels where they branch — full
 //! and partial 64-bin runs, columns narrower than a word and wider than
@@ -741,6 +741,32 @@ fn a_matrix_costs_one_byte_per_cell() {
 
         let (_, largest) = largest_request_during(|| m.merged_with(&decoded.unwrap()));
         assert!(largest <= cells + SLACK, "merged_with requested {largest} B");
+    }
+}
+
+/// The engine reads every host's estimate every round, so the readout
+/// asks nothing of the allocator at any bin count — the run-length lanes
+/// are 128 bytes of stack however wide the matrix — once a first call has
+/// filled the per-thread floor and estimate tables for its cutoff and
+/// geometry.
+#[test]
+fn an_estimate_requests_no_heap_at_any_bin_count() {
+    let h = SplitMix64::new(7);
+    let cutoff = Cutoff::paper_uniform();
+    for bins in [64u32, 1024] {
+        let mut m = AgeMatrix::new(bins, 24);
+        for id in 0..100 * u64::from(bins) {
+            m.claim_id(&h, id);
+        }
+        for ticked in [false, true] {
+            let warm = (m.estimate(&cutoff), m.mean_r(&cutoff));
+            assert!(warm.0 > 0.0, "a live matrix: the sweep runs");
+            let (hot, largest) =
+                largest_request_during(|| (m.estimate(&cutoff), m.mean_r(&cutoff)));
+            assert_eq!(hot, warm);
+            assert_eq!(largest, 0, "{bins} bins, ticked {ticked}: {largest} B requested");
+            m.tick();
+        }
     }
 }
 
