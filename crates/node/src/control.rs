@@ -54,7 +54,6 @@
 //! are a pure function of the seed no matter which drain executes them.
 //! The order *within* each method below is part of the golden contract.
 
-use crate::hot::NodeHot;
 use crate::loopback::{node_recipe, AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::NodeRuntime;
 use crate::views::ViewTable;
@@ -186,7 +185,7 @@ macro_rules! engine_facade {
 pub(crate) use engine_facade;
 
 /// The control plane of one asynchronous network. Crate-visible fields
-/// are the ones the drains read on their hot paths (`cfg`, `hot`,
+/// are the ones the drains read on their hot paths (`cfg`, `alive`,
 /// `partition`, `views`) and plain settings/readouts with no invariant
 /// to keep (`truth`, `series`, the two view counters); everything else
 /// that must stay mutually consistent is private.
@@ -195,13 +194,11 @@ where
     P::Message: WireMessage,
 {
     pub(crate) cfg: AsyncConfig,
-    /// The live set (powered-on nodes; a silent failure removes its id) —
-    /// the *sampling* structure (uniform draws, live-id iteration).
-    alive: AliveSet,
-    /// Struct-of-arrays hot block (alive bits + timer deadlines): what
-    /// the per-event drains consult instead of pulling runtimes or the
-    /// sampling set through the cache.
-    pub(crate) hot: NodeHot,
+    /// The live set (powered-on nodes; a silent failure removes its id):
+    /// what membership samples from, and what the drains ask per event
+    /// whether a timer's owner or a frame's receiver is still powered.
+    /// Edited through the coordinator's methods only.
+    pub(crate) alive: AliveSet,
     /// Initial values of live nodes (`None` = dead), for truth and
     /// value-correlated failure selection.
     values: Vec<Option<f64>>,
@@ -270,7 +267,6 @@ where
         assert!(cfg.interval_ms >= 1, "round interval must be at least 1 ms");
         let mut ctl = Self {
             alive: AliveSet::empty(n),
-            hot: NodeHot::with_population(n),
             values: Vec::with_capacity(n),
             membership: Box::new(UniformEnv::new()),
             views: ViewTable::new(),
@@ -366,10 +362,7 @@ where
             &mut self.value_gen,
             &mut self.drift_of,
         );
-        let rt = NodeRuntime::new(rt_cfg, (self.factory)(id, v));
-        let hot_id = self.hot.push(rt.next_tick_ms());
-        debug_assert_eq!(hot_id, id);
-        drain.install(id, rt);
+        drain.install(id, NodeRuntime::new(rt_cfg, (self.factory)(id, v)));
         self.values.push(Some(v));
         self.alive.insert(id);
         self.views.ensure(self.values.len());
@@ -380,7 +373,6 @@ where
     /// a silent departure. Views that hold it are the caller's business.
     pub(crate) fn power_off(&mut self, id: NodeId) {
         if self.alive.remove(id) {
-            self.hot.kill(id);
             self.values[id as usize] = None;
         }
     }

@@ -33,13 +33,13 @@
 //!   distributions and frame loss — what `engine = "async"` scenarios
 //!   run on, over every environment; and [`shard::ShardedNet`], the
 //!   **parallel** drain: hosts partitioned into topology-aware shards
-//!   (one worker thread and one [`event::ShardQueue`] each),
-//!   cross-shard frames exchanged through mailboxes under a
-//!   conservative time-window barrier whose lookahead is the latency
-//!   model's lower bound. Its results are bit-identical at any shard
-//!   count — every random draw is attributed to a node and every queue
-//!   orders events by a canonical [`event::EventKey`], so the worker
-//!   interleaving cannot leak into the
+//!   (one [`event::ShardQueue`] each, drained by one worker per core
+//!   over contiguous groups of shards), cross-shard frames exchanged
+//!   through mailboxes under a conservative time-window barrier whose
+//!   lookahead is the latency model's lower bound. Its results are
+//!   bit-identical at any shard and worker count — every random draw is
+//!   attributed to a node and every queue orders events by a canonical
+//!   [`event::EventKey`], so the worker interleaving cannot leak into the
 //!   [`dynagg_sim::metrics::Series`].
 //!
 //! The engine doubles as evidence for a claim the paper makes only in
@@ -53,7 +53,6 @@
 
 pub mod control;
 pub mod event;
-pub mod hot;
 pub mod loopback;
 pub mod runtime;
 pub mod service;
@@ -62,7 +61,6 @@ pub mod transport;
 pub mod views;
 
 pub use event::{EventKey, EventQueue, EventSched, HeapQueue, HeapShardQueue, ShardQueue};
-pub use hot::NodeHot;
 pub use loopback::{AsyncConfig, AsyncNet, LatencyModel};
 pub use runtime::{Envelope, FrameHeader, FrameKind, NodeRuntime, RuntimeConfig, Stock};
 pub use service::{LiveService, NodeSnap, ServiceConfig, ServiceReport, VirtualService};

@@ -406,28 +406,22 @@ where
     fn dispatch(&mut self, at: u64, ev: Ev) {
         match ev {
             Ev::Timer(id) => {
-                if !self.ctl.hot.is_alive(id) {
+                if !self.ctl.alive.contains(id) {
                     return; // a dark node's timer dies with it
                 }
-                debug_assert_eq!(
-                    at,
-                    self.ctl.hot.deadline(id),
-                    "timer fires at its recorded deadline"
-                );
                 let mut out = std::mem::take(&mut self.out_buf);
                 out.clear();
                 let rt = &mut self.drain.runtimes[id as usize];
+                debug_assert_eq!(at, rt.next_tick_ms(), "timer fires at its recorded deadline");
                 rt.poll_among(at, self.ctl.views.view(id), &mut self.drain.stock, &mut out);
-                let next = rt.next_tick_ms();
-                self.drain.queue.schedule(next, Ev::Timer(id));
-                self.ctl.hot.set_deadline(id, next);
+                self.drain.queue.schedule(rt.next_tick_ms(), Ev::Timer(id));
                 for env in out.drain(..) {
                     self.send(at, env);
                 }
                 self.out_buf = out;
             }
             Ev::Deliver(env) => {
-                if !self.ctl.hot.is_alive(env.to) {
+                if !self.ctl.alive.contains(env.to) {
                     self.drain.stock.give(env.payload); // the receiver is dark
                     return;
                 }

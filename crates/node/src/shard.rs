@@ -8,7 +8,8 @@
 //!
 //! Hosts are partitioned into shards by a topology-aware
 //! [`ShardMap`]; each shard owns a [`ShardQueue`] and one record per node
-//! (runtime, link RNG, send sequence, timer deadline). Simulated time
+//! (runtime, link RNG, send sequence). Whether a node is alive is the
+//! coordinator's live set, lent read-only like the views. Simulated time
 //! advances as a sequence of **windows** bounded by the conservative
 //! *lookahead* — the latency model's lower bound
 //! ([`crate::LatencyModel::min_ms`]): no frame sent inside a window can
@@ -83,12 +84,12 @@
 
 use crate::control::{engine_facade, Coordinator, Drain};
 use crate::event::{EventKey, ShardQueue};
-use crate::hot::NodeHot;
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime, Stock};
 use crate::views::ViewTable;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
+use dynagg_sim::alive::AliveSet;
 use dynagg_sim::membership::Membership;
 use dynagg_sim::metrics::{Series, Truth};
 use dynagg_sim::rng;
@@ -127,8 +128,9 @@ struct Flight {
     env: Envelope,
 }
 
-/// Everything the drain keeps per node, in one record: a timer or a send
-/// touches the lines next to the runtime it is already holding.
+/// Everything the drain keeps per node, in one record: a send touches the
+/// lines next to the runtime it is already holding. The timer's deadline
+/// is the runtime's own `next_tick_ms`, and liveness is the coordinator's.
 struct Slot<P: PushProtocol>
 where
     P::Message: WireMessage,
@@ -138,8 +140,6 @@ where
     link: SmallRng,
     /// Sent-frame sequence.
     send_seq: u64,
-    /// Outstanding timer deadline.
-    deadline_ms: u64,
 }
 
 /// One shard: the state exactly one worker thread touches during a
@@ -253,14 +253,13 @@ impl Drop for Party<'_> {
 /// Read-only context shared by every worker during a window segment.
 struct Window<'a> {
     cfg: AsyncConfig,
-    lookahead: u64,
     shards: usize,
-    /// Struct-of-arrays alive bits (read-only during a window; failures
-    /// and churn only land at barrier points).
-    hot: &'a NodeHot,
+    /// The coordinator's live set (read-only during a window; failures
+    /// and churn only land between drains).
+    alive: &'a AliveSet,
     partition: &'a PartitionTable,
     /// Every node's view, lent to its runtime per event (read-only during
-    /// a window, like `hot`: views only change on the coordinating
+    /// a window, like `alive`: views only change on the coordinating
     /// thread, between drains).
     views: &'a ViewTable,
     home: &'a [Home],
@@ -284,10 +283,11 @@ fn drain_windows<P>(
     P::Message: WireMessage + Send,
 {
     let _party = Party(ctx.meet);
+    let lookahead = ctx.cfg.latency.min_ms();
     let mut w = from_ms;
     while w < to_ms {
         // `lookahead ≥ 1`, so `w_end ≥ w + 1` and `w_end - 1` is safe.
-        let w_end = to_ms.min(w + ctx.lookahead);
+        let w_end = to_ms.min(w + lookahead);
         for (me, shard) in (first..).zip(group.iter_mut()) {
             while let Some((key, ev)) = shard.queue.pop_before(w_end - 1) {
                 shard.events += 1;
@@ -340,17 +340,15 @@ where
 {
     match ev {
         SEv::Timer(id) => {
-            if !ctx.hot.is_alive(id) {
+            if !ctx.alive.contains(id) {
                 return; // a dark node's timer dies with it
             }
-            let node = &mut shard.nodes[ctx.home[id as usize].slot as usize];
-            debug_assert_eq!(key.at_ms, node.deadline_ms, "timer fires at its recorded deadline");
+            let rt = &mut shard.nodes[ctx.home[id as usize].slot as usize].rt;
+            debug_assert_eq!(key.at_ms, rt.next_tick_ms(), "timer fires at its recorded deadline");
             let mut out = std::mem::take(&mut shard.out_buf);
             out.clear();
-            node.rt.poll_among(key.at_ms, ctx.views.view(id), &mut shard.stock, &mut out);
-            let next = node.rt.next_tick_ms();
-            node.deadline_ms = next;
-            shard.queue.schedule(EventKey::timer(next, id), SEv::Timer(id));
+            rt.poll_among(key.at_ms, ctx.views.view(id), &mut shard.stock, &mut out);
+            shard.queue.schedule(EventKey::timer(rt.next_tick_ms(), id), SEv::Timer(id));
             for env in out.drain(..) {
                 send(shard, key.at_ms, env, me, ctx);
             }
@@ -362,7 +360,7 @@ where
                 // send path already drops frames sent across it).
                 shard.cross_island_deliveries += 1;
             }
-            if !ctx.hot.is_alive(env.to) {
+            if !ctx.alive.contains(env.to) {
                 shard.stock.give(env.payload);
                 return;
             }
@@ -446,13 +444,11 @@ where
         let s = self.map.shard_of(id as usize);
         let shard = &mut self.shards[s];
         self.home.push(Home { shard: s as u32, slot: shard.nodes.len() as u32 });
-        let first_tick = rt.next_tick_ms();
-        shard.queue.schedule(EventKey::timer(first_tick, id), SEv::Timer(id));
+        shard.queue.schedule(EventKey::timer(rt.next_tick_ms(), id), SEv::Timer(id));
         shard.nodes.push(Slot {
             rt,
             link: rng::rng_for(self.seed, LINK_SEED_BASE ^ u64::from(id)),
             send_seq: 0,
-            deadline_ms: first_tick,
         });
         shard.stock.set_cap(shard.nodes.len());
     }
@@ -476,8 +472,6 @@ where
 {
     ctl: Coordinator<P>,
     drain: ShardDrain<P>,
-    /// Conservative lookahead: [`crate::LatencyModel::min_ms`] (≥ 1 asserted).
-    lookahead_ms: u64,
     ran: bool,
     now_ms: u64,
     coord_events: u64,
@@ -502,9 +496,8 @@ where
         drift_of: DriftFn,
         factory: NodeFactory<P>,
     ) -> Self {
-        let lookahead_ms = cfg.latency.min_ms();
         assert!(
-            lookahead_ms >= 1,
+            cfg.latency.min_ms() >= 1,
             "the sharded engine needs lookahead ≥ 1 ms ({:?} has none); \
              run zero-lookahead configs on the sequential engine",
             cfg.latency
@@ -544,7 +537,6 @@ where
         Self {
             ctl: Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut drain),
             drain,
-            lookahead_ms,
             ran: false,
             now_ms: 0,
             coord_events: 0,
@@ -558,9 +550,10 @@ where
         self.drain.shards.len()
     }
 
-    /// The conservative lookahead (window length) in milliseconds.
+    /// The conservative lookahead (window length) in milliseconds: the
+    /// latency model's [`crate::LatencyModel::min_ms`], ≥ 1 by construction.
     pub fn lookahead_ms(&self) -> u64 {
-        self.lookahead_ms
+        self.ctl.cfg.latency.min_ms()
     }
 
     /// Current simulated wall-clock (the last barrier point).
@@ -658,9 +651,8 @@ where
         }
         let ctx = Window {
             cfg: self.ctl.cfg,
-            lookahead: self.lookahead_ms,
             shards: self.drain.shards.len(),
-            hot: &self.ctl.hot,
+            alive: &self.ctl.alive,
             partition: &self.ctl.partition,
             views: &self.ctl.views,
             home: &self.drain.home,

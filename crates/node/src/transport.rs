@@ -33,7 +33,7 @@
 use crate::runtime::Envelope;
 use dynagg_core::protocol::NodeId;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,17 +112,11 @@ impl TransportStats {
 #[derive(Debug)]
 struct RouteTable {
     routes: Vec<AtomicUsize>,
-    /// Frames dropped mesh-wide for lack of a route, kept here so a drop
-    /// is visible no matter which endpoint observed it.
-    unroutable: AtomicU64,
 }
 
 impl RouteTable {
     fn new(universe: usize) -> Self {
-        Self {
-            routes: (0..universe).map(|_| AtomicUsize::new(UNBOUND)).collect(),
-            unroutable: AtomicU64::new(0),
-        }
+        Self { routes: (0..universe).map(|_| AtomicUsize::new(UNBOUND)).collect() }
     }
 
     fn lookup(&self, node: NodeId) -> Option<usize> {
@@ -263,7 +257,6 @@ impl Transport for ChannelTransport {
     fn send(&mut self, env: Envelope) -> Option<Vec<u8>> {
         let Some(ep) = self.table.lookup(env.to) else {
             self.stats.unroutable += 1;
-            self.table.unroutable.fetch_add(1, Ordering::Relaxed);
             return Some(env.payload);
         };
         let frame = RecvFrame { from: env.from, to: env.to, payload: env.payload };
@@ -493,7 +486,6 @@ impl Transport for UdpTransport {
     fn send(&mut self, env: Envelope) -> Option<Vec<u8>> {
         let Some(ep) = self.table.lookup(env.to) else {
             self.stats.unroutable += 1;
-            self.table.unroutable.fetch_add(1, Ordering::Relaxed);
             return Some(env.payload);
         };
         if env.payload.len() + DGRAM_PREAMBLE_BYTES > MAX_DATAGRAM_BYTES {

@@ -7,12 +7,15 @@
 //!   workers only borrow, and
 //! * **conservative safety** — no cross-shard frame is ever ingested
 //!   below its window's horizon, and active partitions gate cross-shard
-//!   frames exactly like local ones.
+//!   frames exactly like local ones (a frame sent across an active cut
+//!   is dropped at send, on both engines).
 
+use dynagg_core::config::ResetConfig;
+use dynagg_core::count_sketch_reset::CountSketchReset;
 use dynagg_core::epoch::DriftModel;
 use dynagg_core::protocol::NodeId;
 use dynagg_core::push_sum_revert::PushSumRevert;
-use dynagg_node::{AsyncConfig, LatencyModel, ShardedNet};
+use dynagg_node::{AsyncConfig, AsyncNet, LatencyModel, ShardedNet};
 use dynagg_sim::env::{ClusteredEnv, SpatialEnv, TraceEnv, UniformEnv};
 use dynagg_sim::membership::Membership;
 use dynagg_sim::metrics::{Series, Truth};
@@ -268,7 +271,8 @@ proptest! {
         }
     }
 
-    /// A mid-run split + heal is still shard-count invariant (partition
+    /// A mid-run split + heal is still shard-count invariant — series,
+    /// views and every counter the engine sums over its shards (partition
     /// transitions rebuild views on the coordinator, between windows).
     #[test]
     fn partition_and_heal_are_shard_count_invariant(
@@ -294,9 +298,15 @@ proptest! {
             net.run(at + dwell + 6);
             net.check_view_consistency();
             let horizon = net.horizon_violations();
+            let counters = (
+                net.events_processed(),
+                net.partition_drops(),
+                net.cross_island_deliveries(),
+                net.decode_errors(),
+            );
             let views: Vec<Vec<NodeId>> =
                 net.live().into_iter().map(|id| net.view_of(id).to_vec()).collect();
-            ((net.into_series(), views), horizon)
+            ((net.into_series(), views, counters), horizon)
         };
         let (one, h1) = run(1);
         let (two, h2) = run(2);
@@ -304,5 +314,51 @@ proptest! {
         prop_assert_eq!(h1 + h2 + h5, 0, "horizon breached");
         prop_assert_eq!(&two, &one);
         prop_assert_eq!(&five, &one);
+    }
+}
+
+/// The send-side cut, reached. Push-Sum-Revert never replies, and views
+/// turn island-local at the split, so only a push-pull reply to a frame
+/// that crossed before the split is sent across an active cut: both
+/// engines must drop it at send, and the sharded count must not depend
+/// on the shard count.
+#[test]
+fn a_reply_across_a_fresh_cut_is_dropped_at_send() {
+    const N: usize = 60;
+    let cfg = |seed| {
+        let mut cfg = AsyncConfig::new(seed);
+        cfg.latency = LatencyModel::Uniform { lo_ms: 5, hi_ms: 40 };
+        cfg
+    };
+    let partition = || split_table(N, N / 2, 4, Some(10));
+    for seed in 0..6u64 {
+        let sketch = ResetConfig::paper(N as u64, seed);
+        let mut seq: AsyncNet<CountSketchReset> = AsyncNet::new(
+            N,
+            cfg(seed),
+            Box::new(|_, _| 1.0),
+            Box::new(|_| DriftModel::Synced),
+            Box::new(move |id, _| CountSketchReset::counting(sketch, u64::from(id))),
+        )
+        .with_partition(partition());
+        seq.run(14);
+        assert!(seq.partition_drops > 0, "seed {seed}: the sequential engine never dropped");
+        let sharded = |shards: usize| {
+            let mut net: ShardedNet<CountSketchReset> = ShardedNet::new(
+                N,
+                cfg(seed),
+                ShardMap::uniform(N, shards),
+                Box::new(|_, _| 1.0),
+                Box::new(|_| DriftModel::Synced),
+                Box::new(move |id, _| CountSketchReset::counting(sketch, u64::from(id))),
+            )
+            .with_partition(partition());
+            net.run(14);
+            net.partition_drops()
+        };
+        let one = sharded(1);
+        assert!(one > 0, "seed {seed}: the sharded engine never dropped");
+        assert_eq!(sharded(2), one, "seed {seed}: two shards");
+        assert_eq!(sharded(5), one, "seed {seed}: five shards");
     }
 }
