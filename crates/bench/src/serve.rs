@@ -16,6 +16,7 @@
 //! fraction of nodes a third of the way in and restarts them at the
 //! two-thirds mark — the chaos story on the live transport.
 
+use dynagg_core::config::RevertConfig;
 use dynagg_core::push_sum_revert::PushSumRevert;
 use dynagg_node::service::{LiveService, ServiceConfig, ServiceReport};
 use dynagg_node::transport::{ChannelMesh, Transport, UdpMesh};
@@ -197,6 +198,13 @@ pub fn run(opts: &ServeOpts) -> Result<ServeSummary, String> {
     }
     if opts.workers > opts.nodes {
         return Err("serve needs at least one node per worker".into());
+    }
+    RevertConfig::new(opts.lambda).map_err(|e| format!("--lambda: {e}"))?;
+    if opts.interval_ms == 0 {
+        return Err("--interval-ms must be at least 1".into());
+    }
+    if opts.period_ms == 0 {
+        return Err("--period-ms must be at least 1".into());
     }
     match opts.transport {
         TransportKind::Inproc => {
@@ -399,4 +407,33 @@ fn observe(
     errs.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite errors"));
     let p95 = errs[((errs.len() - 1) as f64 * 0.95) as usize];
     ServeObservation { at_ms, truth, est_mean, mean_err, p95_err: p95, reporting }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `run` refuses `opts` before it binds a mesh, with a message naming
+    /// `flag`.
+    fn refused(opts: ServeOpts, flag: &str) {
+        match run(&opts) {
+            Err(msg) => assert!(msg.contains(flag), "{flag}: {msg}"),
+            Ok(_) => panic!("{flag}: a bad value ran"),
+        }
+    }
+
+    #[test]
+    fn lambda_outside_the_unit_interval_is_refused() {
+        refused(ServeOpts { lambda: 1.5, ..ServeOpts::default() }, "--lambda");
+    }
+
+    #[test]
+    fn zero_interval_is_refused() {
+        refused(ServeOpts { interval_ms: 0, ..ServeOpts::default() }, "--interval-ms");
+    }
+
+    #[test]
+    fn zero_period_is_refused() {
+        refused(ServeOpts { period_ms: 0, ..ServeOpts::default() }, "--period-ms");
+    }
 }

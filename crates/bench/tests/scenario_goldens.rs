@@ -788,6 +788,95 @@ fn golden_digest_byzantine_inflation() {
     );
 }
 
+// ── the capability table's census ───────────────────────────────────────
+
+/// One digest per `caps::PROTOCOLS` row: its `example` on the census spec.
+const CENSUS: &[(&str, u64)] = &[
+    ("push-sum", 0x1D27_9629_FBCA_D7D1),
+    ("push-sum-revert", 0x2012_ED28_3459_D28E),
+    ("full-transfer", 0xB700_5F74_3B37_EA2C),
+    ("adaptive-revert", 0x0203_533F_CCC4_96B0),
+    ("epoch-push-sum", 0x26E0_90DF_B7F5_5275),
+    ("count-sketch", 0xE65B_5768_86D9_0085),
+    ("count-sketch-reset", 0xCD13_940A_25FD_0525),
+    ("invert-average", 0x6E58_0CBB_BEFF_0D11),
+    ("tag-tree", 0x7359_A6D3_A697_AA87),
+];
+
+/// Every protocol the table grants is run by something that pins it: its
+/// `example` on one small fixed spec (uniform env, push engine, n = 48, 12
+/// rounds, seed 7) must match its [`CENSUS`] digest. A granted row without
+/// a pin fails, and so does a pin whose row is gone.
+#[test]
+fn every_granted_protocol_is_pinned() {
+    use dynagg_scenario::caps::PROTOCOLS;
+    use dynagg_scenario::EnvSpec;
+    for (name, _) in CENSUS {
+        assert!(
+            PROTOCOLS.iter().any(|row| row.name == *name),
+            "the census pins `{name}`, which the capability table does not grant: pin it or \
+             delete it"
+        );
+    }
+    let mut changed = Vec::new();
+    for row in &PROTOCOLS {
+        let Some(&(_, pinned)) = CENSUS.iter().find(|(name, _)| *name == row.name) else {
+            panic!("`{}` is granted but no census digest checks it: pin it or delete it", row.name);
+        };
+        let env = EnvSpec::Uniform { broadcast_fanout: None };
+        let mut spec = ScenarioSpec::new("census", 7, env, row.example);
+        (spec.n, spec.rounds) = (Some(48), Some(12));
+        let got = digest(&dynagg_scenario::run_series(&spec).unwrap());
+        if got != pinned {
+            changed.push(format!("{}: 0x{got:016X}", row.name));
+        }
+    }
+    assert!(changed.is_empty(), "census digests changed for a fixed seed: {changed:?}");
+}
+
+// ── the TAG baseline (§VI) ──────────────────────────────────────────────
+
+/// Pinned digest for the TAG-tree scenario, at the file's own size.
+const GOLDEN_TAG_TREE_ROOT_LOSS_N1000: u64 = 0x1197_E0A5_C20D_71F1;
+
+/// The paper's §VI argument against structured aggregation, shown: a TAG
+/// tree has a single point of failure. On the file's seed the departing
+/// top-value half holds host 0, the root, so no new aggregate is computed
+/// and every survivor's estimate stays frozen at the pre-failure average.
+/// On seed 3 the same departure leaves the root alive, and the tree heals
+/// once the departed subtrees' reports expire (`child_timeout`).
+#[test]
+fn tag_tree_root_loss_freezes_every_estimate() {
+    let mut spec = load("tag_tree_root_loss.toml");
+    let series = dynagg_scenario::run_series(&spec).unwrap();
+    assert_eq!(
+        digest(&series),
+        GOLDEN_TAG_TREE_ROOT_LOSS_N1000,
+        "tag-tree scenario output changed for a fixed seed; if intentional, update the golden \
+         digest with a documented reason"
+    );
+    let rows = &series.rounds;
+    assert!(rows[39].stddev < 1.0, "the tree converged before the failure: {}", rows[39].stddev);
+    assert_eq!(rows[40].alive, 500);
+    let frozen = rows[44].mean_estimate;
+    for r in &rows[44..] {
+        assert_eq!(r.mean_estimate, frozen, "round {}: an aggregate reached a survivor", r.round);
+        assert!(r.stddev > 20.0, "round {}: the error fell to {}", r.round, r.stddev);
+    }
+    assert!(
+        (frozen - rows[39].truth).abs() < 1.0,
+        "survivors keep serving the pre-failure average {} (truth now {})",
+        rows[39].truth,
+        rows[59].truth
+    );
+
+    spec.seed = 3;
+    let healed = dynagg_scenario::run_series(&spec).unwrap();
+    assert!(healed.rounds[40].stddev > 20.0, "the same departure strikes with the root alive");
+    let last = healed.last().unwrap();
+    assert!(last.stddev < 1.0, "with its root alive the tree heals: {}", last.stddev);
+}
+
 // ── wire accounting ─────────────────────────────────────────────────────
 
 /// A sketch-gossip cell for the `wire = "measured"` story: identical to

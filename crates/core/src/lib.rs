@@ -17,9 +17,6 @@
 //! | [`count_sketch_reset`] | **Count-Sketch-Reset** | Fig. 5, §IV-A |
 //! | [`invert_average`] | **Invert-Average** (sum = avg × count) | Fig. 7, §IV-B |
 //! | [`tree`] | TAG-style spanning-tree aggregation | related work §VI |
-//! | [`extremum`] | dynamic max/min via age-expiring champions | extension (§IV technique, §I motivation) |
-//! | [`moments`] | running mean + variance/stddev | extension (§II aggregate list) |
-//! | [`histogram`] | value histograms & quantiles via vector mass | extension |
 //! | [`adversary`] | Byzantine wrapper: mass inflation, stale-epoch replay, sketch corruption | robustness suite |
 //!
 //! ## Execution model
@@ -47,12 +44,9 @@ pub mod count_sketch;
 pub mod count_sketch_reset;
 pub mod epoch;
 pub mod error;
-pub mod extremum;
 pub mod full_transfer;
-pub mod histogram;
 pub mod invert_average;
 pub mod mass;
-pub mod moments;
 pub mod protocol;
 pub mod push_sum;
 pub mod push_sum_revert;

@@ -123,9 +123,9 @@ impl PushSumRevert {
     }
 
     /// Start a push round *without* peer selection: retain the self half
-    /// in the inbox and return the outgoing half. Composite protocols
-    /// ([`crate::moments`], [`crate::invert_average`]) use this to drive
-    /// several instances against one peer they sample themselves.
+    /// in the inbox and return the outgoing half. A composite protocol
+    /// ([`crate::invert_average`]) uses this to drive an instance against
+    /// a peer it samples itself.
     pub fn emit_half(&mut self) -> Mass {
         let half = self.reverted().half();
         self.inbox = half;
@@ -171,26 +171,20 @@ impl PushProtocol for PushSumRevert {
     type Message = Mass;
 
     fn begin_round(&mut self, ctx: &mut RoundCtx<'_>, out: &mut Vec<(NodeId, Mass)>) {
-        let half = self.reverted().half();
-        self.inbox = half;
-        if let Some(peer) = ctx.sample_peer() {
-            out.push((peer, half));
-        } else {
-            self.inbox += half;
+        let half = self.emit_half();
+        match ctx.sample_peer() {
+            Some(peer) => out.push((peer, half)),
+            None => self.absorb_unsent(half),
         }
     }
 
     fn on_message(&mut self, _from: NodeId, msg: &Mass, _ctx: &mut RoundCtx<'_>) -> Option<Mass> {
-        self.inbox += *msg;
+        self.absorb(*msg);
         None
     }
 
     fn end_round(&mut self, _ctx: &mut RoundCtx<'_>) {
-        self.mass = self.inbox;
-        self.inbox = Mass::ZERO;
-        if let Some(e) = self.mass.estimate() {
-            self.last_estimate = Some(e);
-        }
+        self.conclude_round();
     }
 
     fn message_bytes(_msg: &Mass) -> usize {

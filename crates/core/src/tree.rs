@@ -16,9 +16,11 @@
 //! Child reports expire after `child_timeout` rounds so departed subtrees
 //! eventually drop out — but until they do, the root serves stale data, and
 //! every re-parenting event double-counts or loses subtrees for a few
-//! rounds. The ablation benches quantify exactly this against the
-//! unstructured protocols; the paper's argument is that in highly dynamic
-//! networks the tree never stabilizes.
+//! rounds. The paper's argument is that in highly dynamic networks the
+//! tree never stabilizes, and its root is a single point of failure:
+//! `scenarios/tag_tree_root_loss.toml` departs half the hosts, the root
+//! among them, and every survivor's estimate freezes at the pre-failure
+//! average for good.
 //!
 //! ```
 //! use dynagg_core::protocol::Estimator;
@@ -35,7 +37,7 @@
 //! ```
 
 use crate::protocol::{Estimator, NodeId, PushProtocol, RoundCtx};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// TAG gossip payloads.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +80,10 @@ pub struct TagTree {
     is_root: bool,
     level: Option<u32>,
     parent: Option<NodeId>,
-    children: HashMap<NodeId, ChildReport>,
+    /// Ordered by child id, so [`TagTree::partial`] adds the reports in
+    /// the same order on every run (a hashed map's order, and with it the
+    /// float sum's last bits, changes from process to process).
+    children: BTreeMap<NodeId, ChildReport>,
     child_timeout: u64,
     estimate: Option<f64>,
     /// Sequence number of the newest aggregate seen.
@@ -98,7 +103,7 @@ impl TagTree {
             is_root,
             level: is_root.then_some(0),
             parent: None,
-            children: HashMap::new(),
+            children: BTreeMap::new(),
             child_timeout: child_timeout.max(1),
             estimate: is_root.then_some(value),
             agg_seq: 0,

@@ -14,11 +14,8 @@
 //! they already must agree on sketch geometry and hash seeds.
 
 use crate::epoch::{EpochMsg, EPOCH_MSG_WIRE_BYTES};
-use crate::extremum::ChampionMsg;
-use crate::histogram::HistMsg;
 use crate::invert_average::InvertMsg;
 use crate::mass::Mass;
-use crate::moments::MomentsMsg;
 use crate::tree::TreeMsg;
 use bytes::{Buf, BufMut};
 use dynagg_sketch::age::AgeMatrix;
@@ -123,54 +120,6 @@ impl WireMessage for EpochMsg {
         let phase = bytes.get_u32_le();
         let mass = Mass::decode(bytes)?;
         Ok(EpochMsg { epoch, phase, mass })
-    }
-}
-
-impl WireMessage for ChampionMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.put_f64_le(self.value);
-        out.put_u32_le(self.age);
-    }
-
-    fn decode(mut bytes: &[u8]) -> Result<Self, WireError> {
-        exact(bytes, 12)?;
-        let value = bytes.get_f64_le();
-        let age = bytes.get_u32_le();
-        Ok(ChampionMsg { value, age })
-    }
-}
-
-impl WireMessage for MomentsMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.first.encode(out);
-        self.second.encode(out);
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        exact(bytes, 32)?;
-        Ok(MomentsMsg { first: Mass::decode(&bytes[..16])?, second: Mass::decode(&bytes[16..])? })
-    }
-}
-
-impl WireMessage for HistMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.put_f64_le(self.weight);
-        out.put_u32_le(self.buckets.len() as u32);
-        for &b in self.buckets.iter() {
-            out.put_f64_le(b);
-        }
-    }
-
-    fn decode(mut bytes: &[u8]) -> Result<Self, WireError> {
-        need(bytes, 12)?;
-        let weight = bytes.get_f64_le();
-        let len = bytes.get_u32_le() as usize;
-        exact(bytes, len * 8)?;
-        let mut buckets = Vec::with_capacity(len);
-        for _ in 0..len {
-            buckets.push(bytes.get_f64_le());
-        }
-        Ok(HistMsg { weight, buckets: buckets.into() })
     }
 }
 
@@ -298,22 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn champion_roundtrip() {
-        roundtrip(ChampionMsg { value: f64::MIN_POSITIVE, age: 12 });
-    }
-
-    #[test]
-    fn moments_roundtrip() {
-        roundtrip(MomentsMsg { first: Mass::new(1.0, 2.0), second: Mass::new(3.0, 4.0) });
-    }
-
-    #[test]
-    fn hist_roundtrip() {
-        roundtrip(HistMsg { weight: 0.25, buckets: vec![0.0, 1.5, -2.0].into() });
-        roundtrip(HistMsg { weight: 0.0, buckets: Vec::new().into() });
-    }
-
-    #[test]
     fn tree_roundtrip_all_variants() {
         roundtrip(TreeMsg::Request { level: 3 });
         roundtrip(TreeMsg::Partial { sum: 99.5, count: 17 });
@@ -362,7 +295,7 @@ mod tests {
             TreeMsg::decode(&[9, 0, 0, 0, 0]),
             Err(WireError::Malformed("unknown TreeMsg tag"))
         );
-        assert!(matches!(HistMsg::decode(&[0; 4]), Err(WireError::Truncated)));
+        assert!(matches!(InvertMsg::decode(&[0; 4]), Err(WireError::Truncated)));
         assert!(matches!(
             InvertMsg::decode(&[2; 40]),
             Err(WireError::Malformed("invalid InvertMsg flag"))

@@ -3,11 +3,8 @@
 //! contracts the estimates rely on, checked over randomized exchange
 //! schedules rather than the hand-picked ones in unit tests.
 
-use dynagg_core::extremum::{ChampionMsg, DynamicExtremum, ExtremumMode};
 use dynagg_core::full_transfer::FullTransfer;
-use dynagg_core::histogram::{Buckets, DynamicHistogram};
 use dynagg_core::mass::Mass;
-use dynagg_core::moments::DynamicMoments;
 use dynagg_core::protocol::{Estimator, NodeId, PairwiseProtocol, PushProtocol, RoundCtx};
 use dynagg_core::push_sum::PushSum;
 use dynagg_core::push_sum_revert::PushSumRevert;
@@ -198,96 +195,6 @@ proptest! {
             );
         }
     }
-
-    /// Dynamic extremum: the champion is never worse than the host's own
-    /// value, and expiry never leaves the estimate undefined.
-    #[test]
-    fn extremum_champion_dominates_own_value(
-        own in -100.0f64..100.0,
-        msgs in proptest::collection::vec((-200.0f64..200.0, 0u32..20), 0..30),
-    ) {
-        let mut node = DynamicExtremum::max(own);
-        let mut rng = SmallRng::seed_from_u64(5);
-        for (chunk_idx, chunk) in msgs.chunks(3).enumerate() {
-            // one aging/expiry step per chunk
-            let mut sampler = SliceSampler::new(&[]);
-            let mut ctx = RoundCtx { round: chunk_idx as u64, rng: &mut rng, peers: &mut sampler };
-            let mut out = Vec::new();
-            node.begin_round(&mut ctx, &mut out);
-            for &(v, age) in chunk {
-                node.on_message(1, &ChampionMsg { value: v, age }, &mut ctx);
-            }
-            let est = node.estimate().unwrap();
-            prop_assert!(est >= own, "champion {est} below own value {own}");
-        }
-    }
-
-    /// Min-mode is the exact mirror of max-mode.
-    #[test]
-    fn extremum_min_mirrors_max(values in proptest::collection::vec(-100.0f64..100.0, 1..20)) {
-        let max_mode = ExtremumMode::Max;
-        let min_mode = ExtremumMode::Min;
-        for w in values.windows(2) {
-            prop_assert_eq!(max_mode.better(w[0], w[1]), min_mode.better(-w[0], -w[1]));
-        }
-    }
-
-    /// Histogram bucket indexing: every value lands in exactly one bucket,
-    /// edges included, and the index respects ordering.
-    #[test]
-    fn histogram_bucketing_total_and_monotone(
-        lo in -100.0f64..0.0,
-        span in 1.0f64..200.0,
-        count in 1u32..64,
-        a in -150.0f64..250.0,
-        b in -150.0f64..250.0,
-    ) {
-        let g = Buckets::new(lo, lo + span, count);
-        let (ia, ib) = (g.index_of(a), g.index_of(b));
-        prop_assert!(ia < count as usize && ib < count as usize);
-        if a <= b {
-            prop_assert!(ia <= ib, "indexing must be monotone: {a}->{ia}, {b}->{ib}");
-        }
-    }
-
-    /// Histogram quantiles are monotone in q for any converged-ish state.
-    #[test]
-    fn histogram_quantiles_monotone(
-        values in proptest::collection::vec(0.0f64..100.0, 2..10),
-        qs in proptest::collection::vec(0.0f64..=1.0, 2..6),
-    ) {
-        let g = Buckets::new(0.0, 100.0, 16);
-        let mut nodes: Vec<DynamicHistogram> =
-            values.iter().map(|&v| DynamicHistogram::new(g, v, 0.05)).collect();
-        let schedule: Vec<(u8, u8)> = (0..40u8).map(|i| (i, i.wrapping_add(1))).collect();
-        drive_pairwise(&mut nodes, &schedule, 4, 6);
-        let node = &nodes[0];
-        let mut sorted = qs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let quantiles: Vec<f64> =
-            sorted.iter().map(|&q| node.quantile(q).unwrap()).collect();
-        for w in quantiles.windows(2) {
-            prop_assert!(w[1] >= w[0] - 1e-9, "quantiles not monotone: {:?}", quantiles);
-        }
-    }
-
-    /// Moments: variance is non-negative and stddev² ≈ variance for any
-    /// exchange schedule.
-    #[test]
-    fn moments_variance_nonnegative(
-        values in proptest::collection::vec(-50.0f64..50.0, 2..10),
-        schedule in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..80),
-    ) {
-        let mut nodes: Vec<DynamicMoments> =
-            values.iter().map(|&v| DynamicMoments::new(v, 0.02)).collect();
-        drive_pairwise(&mut nodes, &schedule, 3, 7);
-        for n in &nodes {
-            let var = n.variance().unwrap();
-            prop_assert!(var >= 0.0);
-            let sd = n.stddev().unwrap();
-            prop_assert!((sd * sd - var).abs() < 1e-9);
-        }
-    }
 }
 
 fn n_est(n: &PushSumRevert) -> f64 {
@@ -301,9 +208,7 @@ fn n_est(n: &PushSumRevert) -> f64 {
 mod wire_fuzz {
     use super::*;
     use dynagg_core::epoch::EpochMsg;
-    use dynagg_core::histogram::HistMsg;
     use dynagg_core::invert_average::InvertMsg;
-    use dynagg_core::moments::MomentsMsg;
     use dynagg_core::tree::TreeMsg;
     use dynagg_core::wire::WireMessage;
     use dynagg_sketch::age::AgeMatrix;
@@ -326,9 +231,6 @@ mod wire_fuzz {
         fn all_codecs_reject_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             fuzz_decode::<Mass>(&bytes);
             fuzz_decode::<EpochMsg>(&bytes);
-            fuzz_decode::<ChampionMsg>(&bytes);
-            fuzz_decode::<MomentsMsg>(&bytes);
-            fuzz_decode::<HistMsg>(&bytes);
             fuzz_decode::<TreeMsg>(&bytes);
             fuzz_decode::<Arc<AgeMatrix>>(&bytes);
             fuzz_decode::<Arc<Pcsa>>(&bytes);

@@ -128,7 +128,7 @@ pub struct Envelope {
 const SPARE_BUFFERS: usize = 4;
 
 /// Capacity of a freshly allocated payload buffer: the header plus every
-/// fixed-size message (`Mass` 16, `EpochMsg` 28, `ChampionMsg` 12) in one
+/// fixed-size message (`Mass` 16, `EpochMsg` 28, `TreeMsg` ≤ 17) in one
 /// allocation, where growing from empty through appends of 1 + 4 + 8 + 8
 /// bytes is three. A sketch frame outgrows it and reserves per column as
 /// it is written.

@@ -13,7 +13,6 @@
 //! rendered from them (the unit test below keeps the file true).
 
 use crate::spec::{Engine, ProtocolSpec};
-use dynagg_core::extremum::ExtremumMode;
 use dynagg_sketch::cutoff::Cutoff;
 
 /// What a protocol's gossip message carries: the axis an attack, a probe
@@ -71,7 +70,7 @@ const fn row(
 /// The protocol half of the table, in the order of `dynagg-core`'s
 /// modules.
 #[rustfmt::skip]
-pub const PROTOCOLS: [ProtocolCaps; 12] = {
+pub const PROTOCOLS: [ProtocolCaps; 9] = {
     use Payload::{AgeMatrix, EpochMass, Mass, Other, SketchBits};
     use ProtocolSpec as P;
     [
@@ -94,12 +93,6 @@ pub const PROTOCOLS: [ProtocolCaps; 12] = {
         P::InvertAverage { lambda: 0.01, hash_seed_xor: 0 }),
     row("tag-tree",           &["child_timeout"],                                        false,   Other,
         P::TagTree { child_timeout: 3 }),
-    row("extremum",           &["mode", "ttl"],                                          false,   Other,
-        P::Extremum { mode: ExtremumMode::Max, ttl: None }),
-    row("moments",            &["lambda"],                                               true,    Other,
-        P::Moments { lambda: 0.01 }),
-    row("histogram",          &["lo", "hi", "buckets", "lambda"],                        false,   Other,
-        P::Histogram { lo: 0.0, hi: 100.0, buckets: 10, lambda: 0.01 }),
     ]
 };
 

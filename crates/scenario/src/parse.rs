@@ -14,7 +14,6 @@ use crate::spec::{
     WireAccounting,
 };
 use dynagg_core::adversary::Attack;
-use dynagg_core::extremum::ExtremumMode;
 use dynagg_sim::env::{MobilityEvent, MobilityKind};
 use dynagg_sim::partition::{Island, PartitionEvent};
 use dynagg_sim::{FailureMode, FailureSpec, Truth};
@@ -476,26 +475,6 @@ fn parse_protocol(table: &Table) -> Result<ProtocolSpec, ScenarioError> {
         P::TagTree { child_timeout } => {
             P::TagTree { child_timeout: p.opt_u64("child_timeout")?.unwrap_or(child_timeout) }
         }
-        P::Extremum { .. } => {
-            let mode = match p.req_str("mode")? {
-                "max" => ExtremumMode::Max,
-                "min" => ExtremumMode::Min,
-                other => {
-                    return Err(ScenarioError::UnknownName {
-                        what: "extremum mode",
-                        name: other.into(),
-                    })
-                }
-            };
-            P::Extremum { mode, ttl: p.opt_u32("ttl")? }
-        }
-        P::Moments { .. } => P::Moments { lambda: p.req_f64("lambda")? },
-        P::Histogram { .. } => P::Histogram {
-            lo: p.req_f64("lo")?,
-            hi: p.req_f64("hi")?,
-            buckets: p.req_u32("buckets")?,
-            lambda: p.req_f64("lambda")?,
-        },
     })
 }
 

@@ -21,12 +21,9 @@ use dynagg_core::config::SketchConfig;
 use dynagg_core::count_sketch::CountSketch;
 use dynagg_core::count_sketch_reset::CountSketchReset;
 use dynagg_core::epoch::{DriftModel, EpochPushSum, EPOCH_MSG_WIRE_BYTES};
-use dynagg_core::extremum::DynamicExtremum;
 use dynagg_core::full_transfer::FullTransfer;
-use dynagg_core::histogram::{Buckets, DynamicHistogram};
 use dynagg_core::invert_average::InvertAverage;
 use dynagg_core::mass::{Mass, MASS_WIRE_BYTES};
-use dynagg_core::moments::DynamicMoments;
 use dynagg_core::protocol::{NodeId, PairwiseProtocol, PushProtocol};
 use dynagg_core::push_sum::PushSum;
 use dynagg_core::push_sum_revert::PushSumRevert;
@@ -313,27 +310,6 @@ fn run_trial(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64) -> TrialOutp
         }
         P::TagTree { child_timeout } => {
             t.message(move |id, v| TagTree::new(v, id == 0, child_timeout), &mut |_| {})
-        }
-        P::Extremum { mode, ttl } => {
-            use dynagg_core::extremum::ExtremumMode;
-            let factory = move |_, v| match (ttl, mode) {
-                (Some(t), _) => DynamicExtremum::new(mode, v, t),
-                (None, ExtremumMode::Max) => DynamicExtremum::max(v),
-                (None, ExtremumMode::Min) => DynamicExtremum::min(v),
-            };
-            t.message(factory, &mut |_| {})
-        }
-        P::Moments { lambda } => {
-            let factory = move |_, v| DynamicMoments::new(v, lambda);
-            if pairwise {
-                t.pairwise(factory, &mut |_| {})
-            } else {
-                t.message(factory, &mut |_| {})
-            }
-        }
-        P::Histogram { lo, hi, buckets, lambda } => {
-            let geometry = Buckets::new(lo, hi, buckets);
-            t.message(move |_, v| DynamicHistogram::new(geometry, v, lambda), &mut |_| {})
         }
     };
     if t.priced() {
@@ -634,16 +610,9 @@ pub fn wire_cost(protocol: &ProtocolSpec, n: usize, seed: u64) -> WireCost {
         | P::AdaptiveRevert { .. }
         | P::FullTransfer { .. } => scalar(MASS_WIRE_BYTES),
         P::EpochPushSum { .. } => scalar(EPOCH_MSG_WIRE_BYTES),
-        P::Moments { .. } => scalar(2 * MASS_WIRE_BYTES),
-        P::Extremum { .. } => scalar(12),
         // TagTree's steady-state frame (the Partial variant): the engine
         // accounts 16 bytes of payload; the wire form adds a tag byte.
         P::TagTree { .. } => WireCost { raw_bytes: 16, encoded_bytes: 17 },
-        // Histogram: weight + buckets; the wire form adds a u32 length.
-        P::Histogram { buckets, .. } => WireCost {
-            raw_bytes: 8 * (1 + buckets as usize),
-            encoded_bytes: 12 + 8 * buckets as usize,
-        },
         P::CountSketch { multiplier, hash_seed_xor } => {
             let cfg = SketchConfig::paper(n as u64 * multiplier, seed ^ hash_seed_xor);
             let node = if multiplier == 1 {

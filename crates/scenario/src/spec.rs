@@ -7,7 +7,6 @@ use crate::error::ScenarioError;
 use dynagg_core::adversary::Attack;
 use dynagg_core::config::RevertConfig;
 use dynagg_core::epoch::DriftModel;
-use dynagg_core::extremum::ExtremumMode;
 use dynagg_sim::env::{MobilityEvent, MobilityKind};
 use dynagg_sim::metrics::RoundStats;
 use dynagg_sim::partition::{self, PartitionEvent, PartitionTable, TopologyInfo};
@@ -369,29 +368,6 @@ pub enum ProtocolSpec {
         /// Rounds a silent child's report survives.
         child_timeout: u64,
     },
-    /// Dynamic max/min via age-expiring champions.
-    Extremum {
-        /// Track the maximum or the minimum.
-        mode: ExtremumMode,
-        /// Champion time-to-live override (default: uniform-gossip TTL).
-        ttl: Option<u32>,
-    },
-    /// Running mean + variance/stddev (estimate = stddev).
-    Moments {
-        /// Reversion constant λ.
-        lambda: f64,
-    },
-    /// Value histograms via vector mass.
-    Histogram {
-        /// Inclusive domain lower bound.
-        lo: f64,
-        /// Exclusive domain upper bound.
-        hi: f64,
-        /// Equal-width bucket count.
-        buckets: u32,
-        /// Reversion constant λ.
-        lambda: f64,
-    },
 }
 
 impl ProtocolSpec {
@@ -420,9 +396,7 @@ impl ProtocolSpec {
             ProtocolSpec::PushSumRevert { lambda }
             | ProtocolSpec::FullTransfer { lambda, .. }
             | ProtocolSpec::AdaptiveRevert { lambda }
-            | ProtocolSpec::InvertAverage { lambda, .. }
-            | ProtocolSpec::Moments { lambda }
-            | ProtocolSpec::Histogram { lambda, .. } => Some(lambda),
+            | ProtocolSpec::InvertAverage { lambda, .. } => Some(lambda),
             _ => None,
         }
     }
@@ -632,12 +606,12 @@ pub struct ScenarioSpec {
     pub sweep: Option<Sweep>,
 }
 
-/// Largest per-host size a protocol key may ask for (histogram `buckets`,
-/// full-transfer `parcels` and `window`). Each is allocated on every host,
-/// and `buckets` and `parcels` are paid again on every message: the
-/// paper's values stay under 100 and 65 536 already means megabyte states,
-/// while the keys' own types reach 2³² and beyond, where [`crate::run`]
-/// dies in the allocator instead of returning an error.
+/// Largest per-host size a protocol key may ask for (full-transfer
+/// `parcels` and `window`). Each is allocated on every host, and
+/// `parcels` is paid again on every message: the paper's values stay
+/// under 100 and 65 536 already means megabyte states, while the keys'
+/// own types reach 2³² and beyond, where [`crate::run`] dies in the
+/// allocator instead of returning an error.
 const MAX_PER_HOST: u64 = 1 << 16;
 
 /// Largest `n × multiplier` a counting sketch may be sized for. Every
@@ -935,18 +909,6 @@ impl ScenarioSpec {
             }
             ProtocolSpec::TagTree { child_timeout } => {
                 positive("protocol.child_timeout", child_timeout)
-            }
-            ProtocolSpec::Extremum { ttl, .. } => {
-                positive("protocol.ttl", ttl.map_or(1, u64::from))
-            }
-            ProtocolSpec::Histogram { lo, hi, buckets, .. } => {
-                if hi <= lo || hi.is_nan() || lo.is_nan() {
-                    return Err(invalid(
-                        "protocol",
-                        format!("histogram range [{lo}, {hi}) is empty"),
-                    ));
-                }
-                per_host("protocol.buckets", u64::from(buckets))
             }
             _ => Ok(()),
         }

@@ -216,24 +216,6 @@ fn assert_protocol_invalid(base: &str, table: &str, key: &str) {
 }
 
 #[test]
-fn histogram_buckets_are_bounded() {
-    let histogram = |buckets: u64| {
-        format!(
-            "[protocol]\nname = \"histogram\"\nlo = 0.0\nhi = 100.0\nbuckets = {buckets}\nlambda = 0.01"
-        )
-    };
-    // 32 GB of per-host vectors at n = 1: used to abort in the allocator.
-    assert_protocol_invalid(VALID, &histogram(4_000_000_000), "protocol.buckets");
-    assert_protocol_invalid(VALID, &histogram(65_537), "protocol.buckets");
-    assert_protocol_invalid(VALID, &histogram(0), "protocol.buckets");
-    // A count past `u32` is refused, not wrapped to a small valid one.
-    assert_protocol_invalid(VALID, &histogram((1 << 32) + 1), "protocol.buckets");
-    let at_bound =
-        replace(VALID, "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01", &histogram(65_536));
-    ScenarioSpec::from_toml_str(&at_bound).unwrap();
-}
-
-#[test]
 fn full_transfer_parcels_and_window_are_bounded() {
     let full_transfer = |key: &str, v: u64| {
         format!("[protocol]\nname = \"full-transfer\"\nlambda = 0.01\n{key} = {v}")
@@ -243,6 +225,16 @@ fn full_transfer_parcels_and_window_are_bounded() {
     assert_protocol_invalid(VALID, &full_transfer("parcels", 0), "protocol.parcels");
     assert_protocol_invalid(VALID, &full_transfer("window", 1 << 40), "protocol.window");
     assert_protocol_invalid(VALID, &full_transfer("window", 0), "protocol.window");
+    // The per-host bound is inclusive: 65 536 is accepted, one more is not.
+    assert_protocol_invalid(VALID, &full_transfer("parcels", 65_537), "protocol.parcels");
+    let at_bound = replace(
+        VALID,
+        "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01",
+        &full_transfer("parcels", 65_536),
+    );
+    ScenarioSpec::from_toml_str(&at_bound).unwrap();
+    // A count past `u32` is refused, not wrapped to a small valid one.
+    assert_protocol_invalid(VALID, &full_transfer("parcels", (1 << 32) + 1), "protocol.parcels");
 }
 
 #[test]
