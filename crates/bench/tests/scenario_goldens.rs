@@ -983,3 +983,18 @@ fn unwritable_out_dir_fails_the_command() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("csv write failed for table_sketch_error"), "stderr: {stderr}");
 }
+
+/// `--rounds 0` fails `--check`: run, it would write a header-only CSV
+/// and a NaN steady-state note, and exit 0.
+#[test]
+fn zero_rounds_override_fails_the_check() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("run")
+        .arg(scenarios_dir().join("fig8.toml"))
+        .args(["--rounds", "0", "--check"])
+        .output()
+        .expect("experiments binary runs");
+    assert!(!out.status.success(), "--rounds 0 must fail --check");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("invalid `rounds`: must be positive"), "stderr: {stderr}");
+}

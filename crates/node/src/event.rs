@@ -260,6 +260,13 @@ impl<K: WheelKey, V> Wheel<K, V> {
         self.overflow.peek().map(|Reverse(OverEnt(k, _))| k.at_ms())
     }
 
+    /// The event `n + 1` pops from now, if it is already in the firing
+    /// slot (no later slot is looked at).
+    #[inline]
+    fn peek_firing(&self, n: usize) -> Option<&V> {
+        self.firing.get(n).map(|(_, v)| v)
+    }
+
     fn pop(&mut self) -> Option<(K, V)> {
         if self.firing.is_empty() {
             if self.len == 0 {
@@ -433,6 +440,14 @@ impl<K> EventQueue<K> {
         let mut q = Self::new();
         q.wheel.reserve(n);
         q
+    }
+
+    /// The event the `n + 1`-th next pop returns, if it is due at the
+    /// instant now firing — what a drain prefetches for. A schedule in
+    /// between lands behind it (a fresh `seq` orders last in its instant).
+    #[inline]
+    pub(crate) fn peek_firing(&self, n: usize) -> Option<&K> {
+        self.wheel.peek_firing(n)
     }
 }
 
@@ -629,6 +644,14 @@ impl<K> ShardQueue<K> {
         } else {
             None
         }
+    }
+
+    /// The event the `n + 1`-th next pop returns, if it is due at the
+    /// instant now firing and nothing with a smaller key is scheduled at
+    /// that instant first — what a drain prefetches for.
+    #[inline]
+    pub(crate) fn peek_firing(&self, n: usize) -> Option<&K> {
+        self.wheel.peek_firing(n)
     }
 }
 
@@ -856,5 +879,124 @@ mod tests {
         q.schedule(EventKey::timer(10, 0), ());
         q.pop();
         q.schedule(EventKey::timer(9, 0), ());
+    }
+
+    /// How far the `peek_firing` properties look: twice the drains'
+    /// distance.
+    const PEEKS: usize = 2 * crate::PREFETCH_AHEAD;
+
+    /// One action of a `peek_firing` program: schedule `tag` `dt` after
+    /// the clock (`bits` picks a shard key's shape), or pop.
+    enum Act {
+        Schedule { dt: u64, tag: usize, bits: u64 },
+        Pop,
+    }
+
+    /// Expand generated `(op, class, raw)` steps: op 0 schedules one
+    /// event, 1 a same-instant burst of up to 16, 2 pops. Delay class 0 is
+    /// zero — once its instant fires, an insert into the firing slot — and
+    /// the others stay in the page or cross it. Tags are unique.
+    fn program(steps: &[(u8, u8, u64)]) -> Vec<Act> {
+        let mut acts = Vec::new();
+        for (i, &(op, class, raw)) in steps.iter().enumerate() {
+            let dt = match class % 3 {
+                0 => 0,
+                1 => raw % 4,
+                _ => raw % 600,
+            };
+            let burst = match op % 3 {
+                0 => 1,
+                1 => 1 + raw % 16,
+                _ => {
+                    acts.push(Act::Pop);
+                    continue;
+                }
+            };
+            for j in 0..burst {
+                acts.push(Act::Schedule { dt, tag: i * 64 + j as usize, bits: (raw >> 8) + j });
+            }
+        }
+        acts
+    }
+
+    proptest::proptest! {
+        /// After every prefix of an interleaved program, a `Some` from
+        /// `peek_firing(n)` is what the `n + 1`-th next pop returns, due at
+        /// the instant the next pop is: the peek never reaches past the
+        /// firing slot. A zero-delay schedule after the peek lands behind
+        /// it, so it does not move the prediction.
+        #[test]
+        fn event_queue_peek_firing_is_the_pop_n_ahead(
+            steps in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>(),
+                 proptest::prelude::any::<u64>()),
+                0..60,
+            ),
+        ) {
+            let acts = program(&steps);
+            for end in 1..=acts.len() {
+                let mut q = EventQueue::new();
+                for act in &acts[..end] {
+                    match *act {
+                        Act::Schedule { dt, tag, .. } => q.schedule(q.now_ms() + dt, tag),
+                        Act::Pop => drop(q.pop()),
+                    }
+                }
+                let peeks: Vec<Option<usize>> =
+                    (0..PEEKS).map(|n| q.peek_firing(n).copied()).collect();
+                let next_at = q.peek_time();
+                q.schedule(q.now_ms(), usize::MAX);
+                for (n, peek) in peeks.into_iter().enumerate() {
+                    let popped = q.pop();
+                    if let Some(tag) = peek {
+                        let (at, got) = popped.expect("a peeked event pops");
+                        assert_eq!(got, tag, "peek_firing({n}) after {end} actions");
+                        assert_eq!(Some(at), next_at, "peek_firing({n}) left the instant");
+                    }
+                }
+            }
+        }
+
+        /// The same over [`ShardQueue`], whose same-instant inserts land
+        /// anywhere in the firing slot by key: timers, and deliveries among
+        /// a few receivers and senders.
+        #[test]
+        fn shard_queue_peek_firing_is_the_pop_n_ahead(
+            steps in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>(),
+                 proptest::prelude::any::<u64>()),
+                0..60,
+            ),
+        ) {
+            let acts = program(&steps);
+            for end in 1..=acts.len() {
+                let mut q = ShardQueue::new();
+                for act in &acts[..end] {
+                    match *act {
+                        Act::Schedule { dt, tag, bits } => {
+                            let at = q.now_ms() + dt;
+                            let key = if bits % 3 == 0 {
+                                EventKey::timer(at, tag as u32)
+                            } else {
+                                EventKey::deliver(at, (bits % 5) as u32, (bits % 7) as u32, tag as u64)
+                            };
+                            q.schedule(key, tag);
+                        }
+                        Act::Pop => drop(q.pop()),
+                    }
+                }
+                let peeks: Vec<Option<usize>> =
+                    (0..PEEKS).map(|n| q.peek_firing(n).copied()).collect();
+                let next_at = q.peek_time();
+                for (n, peek) in peeks.into_iter().enumerate() {
+                    let popped = q.pop();
+                    if let Some(tag) = peek {
+                        let (key, got) = popped.expect("a peeked event pops");
+                        assert_eq!(got, tag, "peek_firing({n}) after {end} actions");
+                        assert_eq!(Some(key.at_ms), next_at, "peek_firing({n}) left the instant");
+                    }
+                }
+            }
+        }
     }
 }

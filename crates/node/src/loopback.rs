@@ -39,6 +39,8 @@
 use crate::control::{engine_facade, Coordinator, Drain};
 use crate::event::{EventQueue, EventSched};
 use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig, Stock};
+use crate::views::ViewTable;
+use crate::{prefetch, PREFETCH_AHEAD};
 use dynagg_core::epoch::DriftModel;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
@@ -225,6 +227,30 @@ where
     wire_since_sample: u64,
 }
 
+impl<P: PushProtocol> SeqDrain<P>
+where
+    P::Message: WireMessage,
+{
+    /// Ask the cache for what the event [`PREFETCH_AHEAD`] pops from now
+    /// will touch, if it is in the firing slot: a timer's runtime and
+    /// view, a delivery's receiver and the first line of its frame.
+    fn prefetch_ahead(&self, views: &ViewTable) {
+        let record = size_of::<NodeRuntime<P>>();
+        match self.queue.peek_firing(PREFETCH_AHEAD - 1) {
+            Some(&Ev::Timer(id)) => {
+                prefetch(&self.runtimes[id as usize], record);
+                let view = views.view(id);
+                prefetch(view.as_ptr(), size_of_val(view));
+            }
+            Some(Ev::Deliver(env)) => {
+                prefetch(&self.runtimes[env.to as usize], record);
+                prefetch(env.payload.as_ptr(), 1);
+            }
+            _ => {}
+        }
+    }
+}
+
 impl<P: PushProtocol> Drain<P> for SeqDrain<P>
 where
     P::Message: WireMessage,
@@ -399,6 +425,7 @@ where
     fn drain_until(&mut self, horizon_ms: u64) {
         while let Some((at, ev)) = self.drain.queue.pop_before(horizon_ms) {
             self.events_processed += 1;
+            self.drain.prefetch_ahead(&self.ctl.views);
             self.dispatch(at, ev);
         }
     }

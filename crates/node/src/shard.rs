@@ -87,6 +87,7 @@ use crate::event::{EventKey, ShardQueue};
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime, Stock};
 use crate::views::ViewTable;
+use crate::{prefetch, PREFETCH_AHEAD};
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
 use dynagg_sim::alive::AliveSet;
@@ -170,6 +171,31 @@ where
     /// the conservative-horizon invariant, also debug-asserted).
     horizon_violations: u64,
     out_buf: Vec<Envelope>,
+}
+
+impl<P: PushProtocol> Shard<P>
+where
+    P::Message: WireMessage,
+{
+    /// Ask the cache for what the event [`PREFETCH_AHEAD`] pops from now
+    /// will touch, if it is in the firing slot: a timer's `Slot` and view,
+    /// a delivery's receiving `Slot` and the first line of its frame.
+    fn prefetch_ahead(&self, ctx: &Window<'_>) {
+        let record = size_of::<Slot<P>>();
+        let slot = |id: NodeId| &self.nodes[ctx.home[id as usize].slot as usize];
+        match self.queue.peek_firing(PREFETCH_AHEAD - 1) {
+            Some(&SEv::Timer(id)) => {
+                prefetch(slot(id), record);
+                let view = ctx.views.view(id);
+                prefetch(view.as_ptr(), size_of_val(view));
+            }
+            Some(SEv::Deliver(env)) => {
+                prefetch(slot(env.to), record);
+                prefetch(env.payload.as_ptr(), 1);
+            }
+            None => {}
+        }
+    }
 }
 
 /// How long a waiter spins on the generation before it starts yielding:
@@ -291,6 +317,7 @@ fn drain_windows<P>(
         for (me, shard) in (first..).zip(group.iter_mut()) {
             while let Some((key, ev)) = shard.queue.pop_before(w_end - 1) {
                 shard.events += 1;
+                shard.prefetch_ahead(ctx);
                 dispatch(shard, key, ev, me, ctx);
             }
             for d in 0..ctx.shards {

@@ -18,7 +18,7 @@
 //! is why [`ViewTable::check_consistency`] also demands that no view
 //! contains its owner.
 //!
-//! ## The touch pass
+//! ## The prefetch pass
 //!
 //! A departure scans 64 `holders[m]` lists picked by the victim's view,
 //! then 64 `views[h]` lists picked by its holders — random lists of a
@@ -28,15 +28,23 @@
 //! a 64-entry list cost a fifth of that: the scans wait on memory, and
 //! since each leaves its loop at an unpredictable position only 3–4 of
 //! the independent misses are ever in flight. So before each walk one
-//! tight read-only loop loads the first element of every list the walk is
-//! about to scan; nothing in it depends on anything but the loads, they
-//! overlap, and the scans find their lines resident. It changes no state
-//! and no order. (Loading two lines per list measured no better than one;
-//! a branch-free 16-lane compare for the scans themselves bought 2 % —
-//! they were never compare-bound.)
+//! tight loop requests the first line of every list the walk is about to
+//! scan, and [`ViewTable::assign`] requests the line each of its pushes
+//! will write; the requests overlap and the walk finds its lines
+//! resident. It changes no state and no order. (Requesting two lines per
+//! list measured no better than one; a branch-free 16-lane compare for
+//! the scans themselves bought 2 % — they were never compare-bound.)
+//!
+//! The pass used to *load* each first element and `black_box` the XOR.
+//! A load is the wrong tool for a hint: it cannot retire until its line
+//! arrives, so the pass holds up everything behind it until its misses
+//! return, where it only meant to start them. A prefetch (the crate's
+//! one `unsafe` item, see the [crate docs](crate)) retires at once and
+//! asks for the line only.
 //!
 //! [`Membership`]: dynagg_sim::membership::Membership
 
+use crate::prefetch;
 use dynagg_core::protocol::NodeId;
 
 /// Per-node bounded views plus the inverted holders index.
@@ -98,6 +106,10 @@ impl ViewTable {
 
     /// Replace `node`'s whole view, keeping the holders index consistent.
     pub fn assign(&mut self, node: NodeId, view: &[NodeId]) {
+        for &m in view {
+            let list = &self.holders[m as usize];
+            prefetch(list.as_ptr().wrapping_add(list.len()), 1);
+        }
         let mut old = std::mem::take(&mut self.views[node as usize]);
         for &m in &old {
             Self::unindex(&mut self.holders[m as usize], node);
@@ -115,7 +127,7 @@ impl ViewTable {
     /// are found through [`ViewTable::take_holders_into`].
     pub fn clear_node(&mut self, node: NodeId) {
         let old = std::mem::take(&mut self.views[node as usize]);
-        Self::touch(&self.holders, &old);
+        Self::prefetch_lists(&self.holders, &old);
         for &m in &old {
             Self::unindex(&mut self.holders[m as usize], node);
         }
@@ -131,7 +143,7 @@ impl ViewTable {
     pub fn take_holders_into(&mut self, x: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
         std::mem::swap(&mut self.holders[x as usize], out);
-        Self::touch(&self.views, out);
+        Self::prefetch_lists(&self.views, out);
     }
 
     /// Remove one occurrence of `member` from `holder`'s view *without*
@@ -157,15 +169,13 @@ impl ViewTable {
         self.holders[member as usize].push(holder);
     }
 
-    /// The touch pass (module docs): read the first element of `lists[i]`
-    /// for every `i` in `ids`, and nothing else, so the misses of the
-    /// walk that follows start together.
-    fn touch(lists: &[Vec<NodeId>], ids: &[NodeId]) {
-        let mut acc = 0;
+    /// The prefetch pass (module docs): request the first line of
+    /// `lists[i]` for every `i` in `ids`, so the misses of the walk that
+    /// follows start together.
+    fn prefetch_lists(lists: &[Vec<NodeId>], ids: &[NodeId]) {
         for &i in ids {
-            acc ^= lists[i as usize].first().copied().unwrap_or(0);
+            prefetch(lists[i as usize].as_ptr(), 1);
         }
-        std::hint::black_box(acc);
     }
 
     fn unindex(list: &mut Vec<NodeId>, x: NodeId) {

@@ -708,8 +708,10 @@ impl ScenarioSpec {
             }
             _ => {}
         }
-        if !is_trace && self.rounds.is_none() {
-            return Err(ScenarioError::Missing { table: "", key: "rounds" });
+        match (is_trace, self.rounds) {
+            (false, None) => return Err(ScenarioError::Missing { table: "", key: "rounds" }),
+            (_, Some(0)) => return Err(invalid("rounds", "must be positive")),
+            _ => {}
         }
 
         self.validate_env()?;

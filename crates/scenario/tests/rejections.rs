@@ -111,6 +111,18 @@ fn negative_seed_is_typed() {
 }
 
 #[test]
+fn zero_rounds_is_typed() {
+    // Zero rounds would run nothing and report a NaN steady state.
+    let src = replace(VALID, "rounds = 10", "rounds = 0");
+    match ScenarioSpec::from_toml_str(&src) {
+        Err(e @ ScenarioError::Invalid { .. }) => {
+            assert_eq!(e.to_string(), "invalid `rounds`: must be positive");
+        }
+        other => panic!("expected Invalid {{ rounds }}, got {other:?}"),
+    }
+}
+
+#[test]
 fn bad_toml_surfaces_parse_error_with_line() {
     let src = replace(VALID, "seed = 7", "seed = ");
     match ScenarioSpec::from_toml_str(&src) {

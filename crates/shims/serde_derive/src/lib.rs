@@ -5,6 +5,8 @@
 //! `#[serde(...)]` helper attributes) for `#[derive(serde::Serialize)]`
 //! sites to compile. They emit nothing.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// Accepts and discards a `Serialize` derive.
