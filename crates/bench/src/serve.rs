@@ -18,8 +18,9 @@
 
 use dynagg_core::config::RevertConfig;
 use dynagg_core::push_sum_revert::PushSumRevert;
-use dynagg_node::service::{LiveService, ServiceConfig, ServiceReport};
+use dynagg_node::service::{LiveService, ServiceConfig};
 use dynagg_node::transport::{ChannelMesh, Transport, UdpMesh};
+use dynagg_node::Counters;
 use dynagg_sim::rng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,7 +115,7 @@ pub struct ServeSummary {
     /// Every report taken, in time order.
     pub observations: Vec<ServeObservation>,
     /// Aggregate worker/transport accounting.
-    pub report: ServiceReport,
+    pub report: Counters,
     /// Client value updates injected.
     pub updates: u64,
 }

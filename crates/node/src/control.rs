@@ -8,7 +8,7 @@
 //! [`AsyncNet`](crate::AsyncNet) and [`ShardedNet`](crate::ShardedNet)
 //! each own one and differ only in
 //! their **drain** — event queue(s), `dispatch`, `send`, link RNG
-//! stream(s), traffic counters, and for the sharded engine the
+//! stream(s), the [`Counters`] they fill, and for the sharded engine the
 //! window/mailbox/barrier machinery.
 //!
 //! The coordinator reaches node state only through the four-method
@@ -54,6 +54,7 @@
 //! are a pure function of the seed no matter which drain executes them.
 //! The order *within* each method below is part of the golden contract.
 
+use crate::counters::Counters;
 use crate::loopback::{node_recipe, AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::NodeRuntime;
 use crate::views::ViewTable;
@@ -81,7 +82,7 @@ const REPAIR_TRIES: usize = 4;
 const INTRODUCTIONS: usize = 8;
 
 /// What the coordinator needs from an engine's drain: where a node's
-/// runtime lives, and the traffic it moved.
+/// runtime lives, and what it counted.
 pub(crate) trait Drain<P: PushProtocol>
 where
     P::Message: WireMessage,
@@ -94,9 +95,8 @@ where
     /// timer and push any per-node drain state. Ids arrive densely, in
     /// ascending order.
     fn install(&mut self, id: NodeId, runtime: NodeRuntime<P>);
-    /// `(messages, raw payload bytes, wire bytes)` sent since the last
-    /// call, resetting the counters.
-    fn take_traffic(&mut self) -> (u64, u64, u64);
+    /// What the drain has counted since boot.
+    fn counters(&self) -> Counters;
 }
 
 /// The public surface [`AsyncNet`](crate::AsyncNet) and
@@ -180,6 +180,44 @@ macro_rules! engine_facade {
         pub fn into_series(self) -> Series {
             self.ctl.series
         }
+
+        /// Everything the run has counted so far: the drain's records and
+        /// the coordinator's ([`Counters`] says who fills which field).
+        pub fn counters(&self) -> Counters {
+            let mut counters = self.drain.counters();
+            counters.absorb(&self.ctl.counters);
+            counters
+        }
+
+        /// [`Counters::events`]: the unit of `*_ns_per_event` metrics.
+        pub fn events_processed(&self) -> u64 {
+            self.counters().events
+        }
+
+        /// [`Counters::decode_errors`] (should stay 0).
+        pub fn decode_errors(&self) -> u64 {
+            self.counters().decode_errors
+        }
+
+        /// [`Counters::horizon_violations`] (always 0).
+        pub fn horizon_violations(&self) -> u64 {
+            self.counters().horizon_violations
+        }
+
+        /// [`Counters::cross_island_deliveries`].
+        pub fn cross_island_deliveries(&self) -> u64 {
+            self.counters().cross_island_deliveries
+        }
+
+        /// [`Counters::view_slots_patched`].
+        pub fn view_slots_patched(&self) -> u64 {
+            self.counters().view_slots_patched
+        }
+
+        /// [`Counters::full_view_assignments`].
+        pub fn full_view_assignments(&self) -> u64 {
+            self.counters().full_view_assignments
+        }
     };
 }
 pub(crate) use engine_facade;
@@ -187,7 +225,7 @@ pub(crate) use engine_facade;
 /// The control plane of one asynchronous network. Crate-visible fields
 /// are the ones the drains read on their hot paths (`cfg`, `alive`,
 /// `partition`, `views`) and plain settings/readouts with no invariant
-/// to keep (`truth`, `series`, the two view counters); everything else
+/// to keep (`truth`, `series`, `counters`); everything else
 /// that must stay mutually consistent is private.
 pub(crate) struct Coordinator<P: PushProtocol>
 where
@@ -228,7 +266,8 @@ where
     pub(crate) partition: PartitionTable,
     /// The samples recorded so far.
     pub(crate) series: Series,
-    sample_idx: u64,
+    /// The drain's totals at the previous sample.
+    sampled: Counters,
     /// This boundary's failure victims.
     victims: Vec<NodeId>,
     /// Per-host truth buffer, filled on the group-truth sampling path.
@@ -239,10 +278,8 @@ where
     holder_buf: Vec<NodeId>,
     /// Membership change report buffer.
     changed_buf: Vec<NodeId>,
-    /// Whole views drawn from scratch (init, topology changes, joins).
-    pub(crate) full_view_assignments: u64,
-    /// Individual slots patched by incremental repair.
-    pub(crate) view_slots_patched: u64,
+    /// View work: `full_view_assignments` and `view_slots_patched`.
+    pub(crate) counters: Counters,
 }
 
 impl<P: PushProtocol> Coordinator<P>
@@ -281,14 +318,13 @@ where
             failure: FailurePlan::new(FailureSpec::None, cfg.seed, n),
             partition: PartitionTable::empty(),
             series: Series::default(),
-            sample_idx: 0,
+            sampled: Counters::default(),
             victims: Vec::new(),
             truth_buf: Vec::new(),
             view_buf: Vec::new(),
             holder_buf: Vec::new(),
             changed_buf: Vec::new(),
-            full_view_assignments: 0,
-            view_slots_patched: 0,
+            counters: Counters::default(),
             cfg,
         };
         for _ in 0..n {
@@ -419,7 +455,7 @@ where
             self.view_buf.retain(|&p| partition.allows(id, p));
         }
         self.views.assign(id, &self.view_buf);
-        self.full_view_assignments += 1;
+        self.counters.full_view_assignments += 1;
     }
 
     /// Sample the live nodes through the shared [`sample_round`] pass
@@ -428,21 +464,25 @@ where
     /// ([`Truth::needs_groups`]) read the membership layer's group
     /// structure as it stands at this wall-clock instant, exactly as the
     /// lockstep sampler reads the environment's.
-    pub(crate) fn record_sample(&mut self, drain: &mut impl Drain<P>) {
-        let traffic = drain.take_traffic();
-        let drain = &*drain;
+    pub(crate) fn record_sample(&mut self, drain: &impl Drain<P>) {
+        // A sample's traffic is what the drain counted since the last one.
+        let (now, was) = (drain.counters(), self.sampled);
+        self.sampled = now;
         let mut stats = sample_round(
-            self.sample_idx,
+            self.series.rounds.len() as u64,
             self.truth,
             &self.values,
             self.membership.group_view(),
             &mut self.truth_buf,
-            traffic,
+            (
+                now.frames_out - was.frames_out,
+                now.payload_bytes - was.payload_bytes,
+                now.wire_bytes - was.wire_bytes,
+            ),
             |id| drain.runtime(id as NodeId).protocol(),
         );
         stats.islands = self.partition.islands();
         self.series.push(stats);
-        self.sample_idx += 1;
     }
 
     /// Nominal round boundary `k` at simulated time `now_ms`: apply the
@@ -506,7 +546,7 @@ where
                     continue; // the holder died in the same batch
                 }
                 self.views.drop_slot(h, id);
-                self.view_slots_patched += 1;
+                self.counters.view_slots_patched += 1;
                 for _ in 0..REPAIR_TRIES {
                     let Some(y) = self.membership.repair_peer(h, &self.alive, &mut self.view_rng)
                     else {

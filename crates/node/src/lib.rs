@@ -27,7 +27,7 @@
 //!   into the same [`dynagg_sim::metrics::Series`] the lockstep engines
 //!   emit.
 //! * two **drains** under it, which own only what differs — event
-//!   queue(s), dispatch, send, link RNG stream(s), traffic counters:
+//!   queue(s), dispatch, send, link RNG stream(s), their [`Counters`]:
 //!   [`loopback::AsyncNet`], one time-ordered queue (a hierarchical
 //!   timing wheel, [`event::EventQueue`]) with per-link latency
 //!   distributions and frame loss — what `engine = "async"` scenarios
@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod control;
+pub mod counters;
 pub mod event;
 pub mod loopback;
 pub mod runtime;
@@ -74,6 +75,7 @@ pub mod shard;
 pub mod transport;
 pub mod views;
 
+pub use counters::Counters;
 pub use event::{EventKey, EventQueue, EventSched, HeapQueue, HeapShardQueue, ShardQueue};
 pub use loopback::{AsyncConfig, AsyncNet, LatencyModel};
 pub use runtime::{Envelope, FrameHeader, FrameKind, NodeRuntime, RuntimeConfig, Stock};

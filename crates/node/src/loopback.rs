@@ -12,7 +12,7 @@
 //!
 //! This file is the engine's **drain**: one event queue, `dispatch`,
 //! `send`, one global link RNG stream consumed in pop order, and the
-//! per-sample traffic counters. Everything else — population, membership
+//! [`Counters`] it fills. Everything else — population, membership
 //! views (lent to each runtime per event, never copied into it), failure
 //! plan, partition schedule, sampling — is the shared
 //! [control plane](crate::control), which
@@ -37,6 +37,7 @@
 //! this family's pinned output.
 
 use crate::control::{engine_facade, Coordinator, Drain};
+use crate::counters::Counters;
 use crate::event::{EventQueue, EventSched};
 use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig, Stock};
 use crate::views::ViewTable;
@@ -219,12 +220,7 @@ where
     stock: Stock<P::Message>,
     /// One global loss/latency stream, consumed in pop order.
     link_rng: SmallRng,
-    msgs_since_sample: u64,
-    /// Raw payload bytes ([`PushProtocol::message_bytes`]) since the last
-    /// sample — the lockstep engines' `bytes` convention.
-    bytes_since_sample: u64,
-    /// Encoded frame bytes (header + codec) since the last sample.
-    wire_since_sample: u64,
+    counters: Counters,
 }
 
 impl<P: PushProtocol> SeqDrain<P>
@@ -270,12 +266,8 @@ where
         self.stock.set_cap(self.runtimes.len());
     }
 
-    fn take_traffic(&mut self) -> (u64, u64, u64) {
-        (
-            std::mem::take(&mut self.msgs_since_sample),
-            std::mem::take(&mut self.bytes_since_sample),
-            std::mem::take(&mut self.wire_since_sample),
-        )
+    fn counters(&self) -> Counters {
+        self.counters
     }
 }
 
@@ -287,12 +279,6 @@ where
     ctl: Coordinator<P>,
     drain: SeqDrain<P>,
     horizon_ms: Option<u64>,
-    events_processed: u64,
-    /// Count of frames that failed to decode (should stay 0).
-    pub decode_errors: u64,
-    /// Frames dropped at the partition boundary (chaos-layer observability;
-    /// any in-flight Push-Sum mass they carried is destroyed, like loss).
-    pub partition_drops: u64,
     out_buf: Vec<Envelope>,
 }
 
@@ -319,17 +305,12 @@ where
             queue: EventQueue::with_capacity(2 * n),
             stock: Stock::new(0),
             link_rng: rng::rng_for(cfg.seed, stream::ENGINE),
-            msgs_since_sample: 0,
-            bytes_since_sample: 0,
-            wire_since_sample: 0,
+            counters: Counters::default(),
         };
         Self {
             ctl: Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut drain),
             drain,
             horizon_ms: None,
-            events_processed: 0,
-            decode_errors: 0,
-            partition_drops: 0,
             out_buf: Vec::new(),
         }
     }
@@ -339,26 +320,6 @@ where
     /// Current simulated wall-clock.
     pub fn now_ms(&self) -> u64 {
         self.drain.queue.now_ms()
-    }
-
-    /// Events processed so far (timers, deliveries, samples, boundaries) —
-    /// the unit behind the benchmark's `node.loopback.*_ns_per_event`
-    /// metrics.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Whole views drawn from scratch so far (initial assignment,
-    /// topology-change rebuilds, joins). Under churn without topology
-    /// changes this stays `O(joins)` per round — the observable proof that
-    /// repair is incremental.
-    pub fn full_view_assignments(&self) -> u64 {
-        self.ctl.full_view_assignments
-    }
-
-    /// Individual view slots patched by incremental repair (departures).
-    pub fn view_slots_patched(&self) -> u64 {
-        self.ctl.view_slots_patched
     }
 
     /// Silently power a node off: it stops polling and receiving, exactly
@@ -424,7 +385,7 @@ where
 
     fn drain_until(&mut self, horizon_ms: u64) {
         while let Some((at, ev)) = self.drain.queue.pop_before(horizon_ms) {
-            self.events_processed += 1;
+            self.drain.counters.events += 1;
             self.drain.prefetch_ahead(&self.ctl.views);
             self.dispatch(at, ev);
         }
@@ -458,11 +419,11 @@ where
                 match rt.handle_among(env.from, &env.payload, peers, &mut drain.stock) {
                     Ok(Some(reply)) => self.send(at, reply),
                     Ok(None) => {}
-                    Err(_) => self.decode_errors += 1,
+                    Err(_) => self.drain.counters.decode_errors += 1,
                 }
                 self.drain.stock.give(env.payload);
             }
-            Ev::Sample => self.ctl.record_sample(&mut self.drain),
+            Ev::Sample => self.ctl.record_sample(&self.drain),
             Ev::Boundary(k) => self.ctl.nominal_round(k, at, &mut self.drain),
         }
     }
@@ -472,12 +433,12 @@ where
     /// whether or not they arrive, exactly as in the lockstep engine).
     fn send(&mut self, now_ms: u64, env: Envelope) {
         let drain = &mut self.drain;
-        drain.msgs_since_sample += 1;
-        drain.bytes_since_sample += env.raw_bytes as u64;
-        drain.wire_since_sample += env.payload.len() as u64;
+        drain.counters.frames_out += 1;
+        drain.counters.payload_bytes += env.raw_bytes as u64;
+        drain.counters.wire_bytes += env.payload.len() as u64;
         if !self.ctl.partition.allows(env.from, env.to) {
             // The link across the cut is down; the frame dies in flight.
-            self.partition_drops += 1;
+            drain.counters.partition_drops += 1;
             drain.stock.give(env.payload);
             return;
         }
@@ -556,7 +517,7 @@ mod tests {
         for e in net.estimates() {
             assert!((e - truth).abs() < 8.0, "estimate {e} vs truth {truth}");
         }
-        assert_eq!(net.decode_errors, 0);
+        assert_eq!(net.decode_errors(), 0);
     }
 
     #[test]
@@ -642,7 +603,7 @@ mod tests {
         assert!(last.messages > 0 && last.bytes > 0, "bandwidth columns populated");
         // Wire accounting: every Mass frame is payload + 5-byte header.
         assert_eq!(last.wire_bytes, last.bytes + 5 * last.messages, "wire = raw + header");
-        assert_eq!(net.decode_errors, 0);
+        assert_eq!(net.decode_errors(), 0);
     }
 
     #[test]
@@ -670,7 +631,7 @@ mod tests {
         }
         assert_eq!(fresh_at[49], fresh_at[99], "the second half of the run allocates nothing");
         assert!(fresh_at[99] < n as u64 / 4, "peak in flight, not a stock per node: {fresh_at:?}");
-        assert_eq!(net.decode_errors, 0);
+        assert_eq!(net.decode_errors(), 0);
     }
 
     #[test]
@@ -885,7 +846,7 @@ mod tests {
         // Grid gossip is slower than uniform but still converges.
         let last = net.series().last().unwrap();
         assert!(last.stddev < 12.0, "grid convergence: {}", last.stddev);
-        assert_eq!(net.decode_errors, 0);
+        assert_eq!(net.decode_errors(), 0);
     }
 
     fn halves_table(n: NodeId, at: u64, heal: Option<u64>) -> PartitionTable {
@@ -935,7 +896,7 @@ mod tests {
             let e = net.node(id).estimate().unwrap();
             assert!((e - 50.0).abs() < 2.0, "node {id} not re-merged: {e}");
         }
-        assert_eq!(net.decode_errors, 0);
+        assert_eq!(net.decode_errors(), 0);
     }
 
     #[test]

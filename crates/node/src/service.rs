@@ -35,19 +35,20 @@
 //!
 //! The handle never panics on client input and never loses a worker
 //! silently: unknown node ids, commands a dead worker could not take and
-//! workers that panicked are all counted in [`ServiceReport`].
+//! workers that panicked are all counted in the [`Counters`]
+//! [`LiveService::shutdown`] returns.
 
 use crate::control::{Coordinator, Drain};
+use crate::counters::Counters;
 use crate::event::{EventQueue, EventSched};
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig, Stock};
-use crate::transport::{RecvFrame, Transport, TransportStats};
+use crate::transport::{RecvFrame, Transport};
 use dynagg_core::mass::Mass;
 use dynagg_core::protocol::{NodeId, PushProtocol};
 use dynagg_core::wire::WireMessage;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -130,46 +131,10 @@ pub struct NodeSnap {
     pub stale_frames: u64,
 }
 
-/// Aggregate run accounting returned by [`LiveService::shutdown`]: the
-/// workers' data-plane counters summed, plus what the handle itself saw
-/// go wrong on the control plane.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceReport {
-    /// Round-timer firings across all workers.
-    pub polls: u64,
-    /// Frames handled (decoded and fed to a runtime).
-    pub frames_in: u64,
-    /// Frames emitted by runtimes and offered to the transport.
-    pub frames_out: u64,
-    /// Frames that failed to decode (should stay 0 on a clean wire).
-    pub decode_errors: u64,
-    /// Frames addressed to a node the receiving worker does not run
-    /// (stopped between route lookup and arrival, or never its own).
-    pub dark_frames: u64,
-    /// Summed transport endpoint counters.
-    pub transport: TransportStats,
-    /// Node ids named by `set_values`/`stop`/`restart` that lie outside
-    /// the service's universe; the request was dropped.
-    pub unknown_ids: u64,
-    /// Client commands (value batches, stops, restarts, snapshots) that
-    /// could not be delivered because the owning worker was gone.
-    pub commands_undelivered: u64,
-    /// Workers that panicked instead of reporting; their counters are
-    /// missing from the sums above.
-    pub workers_lost: u64,
-}
-
-impl ServiceReport {
-    /// Add one worker's data-plane counters.
-    fn absorb(&mut self, w: &ServiceReport) {
-        self.polls += w.polls;
-        self.frames_in += w.frames_in;
-        self.frames_out += w.frames_out;
-        self.decode_errors += w.decode_errors;
-        self.dark_frames += w.dark_frames;
-        self.transport.absorb(&w.transport);
-    }
-}
+/// What [`LiveService::shutdown`] returns: the workers' [`Counters`]
+/// summed, plus what the handle itself saw go wrong. The name is kept
+/// for callers that read a service's report by it.
+pub type ServiceReport = Counters;
 
 /// Spawn the population `cfg` names and materialize its initial views by
 /// running the engines' own control plane — [`Coordinator::new`] then
@@ -188,7 +153,7 @@ where
     P::Message: WireMessage,
 {
     /// No queue (the pump schedules a runtime's timer when it takes it
-    /// over) and no traffic.
+    /// over) and nothing to count.
     struct Collect<P: PushProtocol>(Vec<NodeRuntime<P>>)
     where
         P::Message: WireMessage;
@@ -206,8 +171,8 @@ where
         fn install(&mut self, _id: NodeId, runtime: NodeRuntime<P>) {
             self.0.push(runtime);
         }
-        fn take_traffic(&mut self) -> (u64, u64, u64) {
-            (0, 0, 0)
+        fn counters(&self) -> Counters {
+            Counters::default()
         }
     }
 
@@ -246,7 +211,7 @@ where
     lo: NodeId,
     timers: EventQueue<NodeId>,
     /// Data-plane counters (the handle-side fields stay 0 here).
-    report: ServiceReport,
+    counters: Counters,
     out_buf: Vec<Envelope>,
     in_buf: Vec<RecvFrame>,
 }
@@ -273,7 +238,7 @@ where
             views,
             lo,
             timers: EventQueue::with_capacity(runtimes.len()),
-            report: ServiceReport::default(),
+            counters: Counters::default(),
             out_buf: Vec::new(),
             in_buf: Vec::new(),
         };
@@ -336,7 +301,7 @@ where
             rt.poll_among(now, view, stock, &mut out);
             let next = rt.next_tick_ms();
             self.timers.schedule(next, id);
-            self.report.polls += 1;
+            self.counters.polls += 1;
             for env in out.drain(..) {
                 self.ship(env);
             }
@@ -345,7 +310,7 @@ where
     }
 
     fn ship(&mut self, env: Envelope) {
-        self.report.frames_out += 1;
+        self.counters.frames_out += 1;
         if let Some(buf) = self.transport.send(env) {
             self.stock.give(buf);
         }
@@ -363,7 +328,7 @@ where
         };
         for frame in frames.drain(..) {
             let Some((rt, view, stock)) = self.running_with_loan(frame.to) else {
-                self.report.dark_frames += 1;
+                self.counters.dark_frames += 1;
                 self.stock.give(frame.payload);
                 continue;
             };
@@ -371,12 +336,12 @@ where
             stock.give(frame.payload);
             match outcome {
                 Ok(reply) => {
-                    self.report.frames_in += 1;
+                    self.counters.frames_in += 1;
                     if let Some(reply) = reply {
                         self.ship(reply);
                     }
                 }
-                Err(_) => self.report.decode_errors += 1,
+                Err(_) => self.counters.decode_errors += 1,
             }
         }
         self.in_buf = frames;
@@ -475,7 +440,7 @@ where
         }
     }
 
-    fn run(mut self) -> ServiceReport {
+    fn run(mut self) -> Counters {
         loop {
             // Control plane first, so stop/restart/shutdown never wait
             // behind a busy data plane.
@@ -485,8 +450,8 @@ where
                         // Drain whatever is already in flight toward us,
                         // then report out.
                         self.pump.settle();
-                        self.pump.report.transport = self.pump.transport.stats();
-                        return self.pump.report;
+                        self.pump.counters.transport = self.pump.transport.stats();
+                        return self.pump.counters;
                     }
                     Ok(cmd) => self.apply(cmd),
                     Err(TryRecvError::Empty) => break,
@@ -509,12 +474,11 @@ where
 /// workers (they exit when the command channels disconnect).
 pub struct LiveService {
     cmd_tx: Vec<Sender<Command>>,
-    joins: Vec<JoinHandle<ServiceReport>>,
+    joins: Vec<JoinHandle<Counters>>,
     bounds: Vec<(NodeId, NodeId)>,
-    /// Handle-side [`ServiceReport`] counters; the client API takes
-    /// `&self`, and they publish nothing but themselves.
-    unknown_ids: AtomicU64,
-    commands_undelivered: AtomicU64,
+    /// The handle's own record (`unknown_ids`, `commands_undelivered`);
+    /// the client API takes `&self`.
+    counters: Mutex<Counters>,
 }
 
 impl LiveService {
@@ -581,13 +545,7 @@ impl LiveService {
                     .expect("spawn worker thread")
             })
             .collect();
-        Self {
-            cmd_tx,
-            joins,
-            bounds,
-            unknown_ids: AtomicU64::new(0),
-            commands_undelivered: AtomicU64::new(0),
-        }
+        Self { cmd_tx, joins, bounds, counters: Mutex::default() }
     }
 
     /// The worker running `id`; an id outside the universe is counted
@@ -595,7 +553,7 @@ impl LiveService {
     fn owner_of(&self, id: NodeId) -> Option<usize> {
         let owner = self.bounds.iter().position(|&(lo, hi)| (lo..hi).contains(&id));
         if owner.is_none() {
-            self.unknown_ids.fetch_add(1, Ordering::Relaxed);
+            self.counters.lock().expect("no holder of the counters lock panics").unknown_ids += 1;
         }
         owner
     }
@@ -603,14 +561,17 @@ impl LiveService {
     /// Hand `cmd` to worker `w`, counting it if that worker is gone.
     fn send(&self, w: usize, cmd: Command) {
         if self.cmd_tx[w].send(cmd).is_err() {
-            self.commands_undelivered.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .lock()
+                .expect("no holder of the counters lock panics")
+                .commands_undelivered += 1;
         }
     }
 
     /// Inject client value updates (the writes whose mean the network is
     /// estimating). Batched: one command per worker that owns any of the
     /// named nodes. Ids outside the universe are dropped and counted in
-    /// [`ServiceReport::unknown_ids`].
+    /// [`Counters::unknown_ids`].
     pub fn set_values(&self, batch: &[(NodeId, f64)]) {
         let mut per_worker: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); self.cmd_tx.len()];
         for &(id, v) in batch {
@@ -666,19 +627,15 @@ impl LiveService {
         self.snapshot().into_iter().filter_map(|s| s.estimate).collect()
     }
 
-    /// Stop all workers (draining in-flight frames) and return the
-    /// aggregate run accounting. A worker that panicked is counted in
-    /// [`ServiceReport::workers_lost`], never silently omitted.
-    pub fn shutdown(self) -> ServiceReport {
+    /// Stop all workers (draining in-flight frames) and return their
+    /// summed [`Counters`] with the handle's own. A worker that panicked
+    /// is counted in [`Counters::workers_lost`], never silently omitted.
+    pub fn shutdown(self) -> Counters {
         for cmd in &self.cmd_tx {
             // A worker that is already gone shows up below as lost.
             let _ = cmd.send(Command::Shutdown);
         }
-        let mut report = ServiceReport {
-            unknown_ids: self.unknown_ids.into_inner(),
-            commands_undelivered: self.commands_undelivered.into_inner(),
-            ..ServiceReport::default()
-        };
+        let mut report = self.counters.into_inner().expect("no holder of the counters lock panics");
         for join in self.joins {
             match join.join() {
                 Ok(w) => report.absorb(&w),
@@ -737,12 +694,10 @@ where
         self.now_ms
     }
 
-    /// Timer firings plus frame deliveries so far — comparable to
-    /// [`crate::AsyncNet::events_processed`] (minus its sample/boundary
-    /// events), and the unit behind the benchmark's
-    /// `node.service.virtual_ns_per_event`.
+    /// Timer firings plus frame deliveries so far: `AsyncNet`'s
+    /// `events_processed` minus its samples and boundaries.
     pub fn events_processed(&self) -> u64 {
-        self.pump.report.polls + self.frames_delivered()
+        self.pump.counters.polls + self.frames_delivered()
     }
 
     /// Access the transport (for its counters).
@@ -753,7 +708,7 @@ where
     /// Frames taken off the transport and dispatched so far (handled,
     /// undecodable, or addressed to a stopped node).
     pub fn frames_delivered(&self) -> u64 {
-        let r = &self.pump.report;
+        let r = &self.pump.counters;
         r.frames_in + r.decode_errors + r.dark_frames
     }
 
@@ -785,7 +740,7 @@ where
             self.pump.settle();
         }
         self.now_ms = self.now_ms.max(until_ms);
-        self.decode_errors = self.pump.report.decode_errors;
+        self.decode_errors = self.pump.counters.decode_errors;
     }
 }
 

@@ -83,6 +83,7 @@
 //! bit-identical across every shard count ≥ 1.
 
 use crate::control::{engine_facade, Coordinator, Drain};
+use crate::counters::Counters;
 use crate::event::{EventKey, ShardQueue};
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime, Stock};
@@ -158,18 +159,7 @@ where
     stock: Stock<P::Message>,
     /// Outbound cross-shard frames staged per destination shard.
     stage: Vec<Vec<Flight>>,
-    msgs: u64,
-    bytes: u64,
-    wire: u64,
-    events: u64,
-    decode_errors: u64,
-    partition_drops: u64,
-    /// Frames that arrived across an active partition cut (sent before
-    /// the split; the send path drops frames sent across it).
-    cross_island_deliveries: u64,
-    /// Cross-shard frames ingested below their window edge (must stay 0;
-    /// the conservative-horizon invariant, also debug-asserted).
-    horizon_violations: u64,
+    counters: Counters,
     out_buf: Vec<Envelope>,
 }
 
@@ -316,7 +306,7 @@ fn drain_windows<P>(
         let w_end = to_ms.min(w + lookahead);
         for (me, shard) in (first..).zip(group.iter_mut()) {
             while let Some((key, ev)) = shard.queue.pop_before(w_end - 1) {
-                shard.events += 1;
+                shard.counters.events += 1;
                 shard.prefetch_ahead(ctx);
                 dispatch(shard, key, ev, me, ctx);
             }
@@ -345,7 +335,7 @@ fn drain_windows<P>(
                 let mut inbox = ctx.mail[s * ctx.shards + me].lock().expect("mailbox lock");
                 for f in inbox.drain(..) {
                     if f.key.at_ms < w_end {
-                        shard.horizon_violations += 1;
+                        shard.counters.horizon_violations += 1;
                     }
                     debug_assert!(
                         f.key.at_ms >= w_end,
@@ -385,7 +375,7 @@ where
             if ctx.partition.active() && !ctx.partition.allows(env.from, env.to) {
                 // Sent before the split, arriving across the cut (the
                 // send path already drops frames sent across it).
-                shard.cross_island_deliveries += 1;
+                shard.counters.cross_island_deliveries += 1;
             }
             if !ctx.alive.contains(env.to) {
                 shard.stock.give(env.payload);
@@ -396,7 +386,7 @@ where
             match rt.handle_among(env.from, &env.payload, peers, &mut shard.stock) {
                 Ok(Some(reply)) => send(shard, key.at_ms, reply, me, ctx),
                 Ok(None) => {}
-                Err(_) => shard.decode_errors += 1,
+                Err(_) => shard.counters.decode_errors += 1,
             }
             shard.stock.give(env.payload);
         }
@@ -411,13 +401,13 @@ where
     P: PushProtocol + Send,
     P::Message: WireMessage + Send,
 {
-    shard.msgs += 1;
-    shard.bytes += env.raw_bytes as u64;
-    shard.wire += env.payload.len() as u64;
+    shard.counters.frames_out += 1;
+    shard.counters.payload_bytes += env.raw_bytes as u64;
+    shard.counters.wire_bytes += env.payload.len() as u64;
     let node = &mut shard.nodes[ctx.home[env.from as usize].slot as usize];
     if !ctx.partition.allows(env.from, env.to) {
         // The link across the cut is down; the frame dies in flight.
-        shard.partition_drops += 1;
+        shard.counters.partition_drops += 1;
         shard.stock.give(env.payload);
         return;
     }
@@ -450,6 +440,8 @@ where
     home: Vec<Home>,
     /// Reused `shards²` cross-shard mailboxes.
     mail: Vec<Mutex<Vec<Flight>>>,
+    /// Samples and boundaries run between drains; shards count the rest.
+    counters: Counters,
 }
 
 impl<P: PushProtocol> Drain<P> for ShardDrain<P>
@@ -480,14 +472,12 @@ where
         shard.stock.set_cap(shard.nodes.len());
     }
 
-    fn take_traffic(&mut self) -> (u64, u64, u64) {
-        let (mut msgs, mut bytes, mut wire) = (0u64, 0u64, 0u64);
-        for s in &mut self.shards {
-            msgs += std::mem::take(&mut s.msgs);
-            bytes += std::mem::take(&mut s.bytes);
-            wire += std::mem::take(&mut s.wire);
+    fn counters(&self) -> Counters {
+        let mut total = self.counters;
+        for shard in &self.shards {
+            total.absorb(&shard.counters);
         }
-        (msgs, bytes, wire)
+        total
     }
 }
 
@@ -501,7 +491,6 @@ where
     drain: ShardDrain<P>,
     ran: bool,
     now_ms: u64,
-    coord_events: u64,
 }
 
 impl<P> ShardedNet<P>
@@ -546,27 +535,20 @@ where
                     nodes: Vec::with_capacity(owned),
                     stock: Stock::new(0),
                     stage: (0..k).map(|_| Vec::new()).collect(),
-                    msgs: 0,
-                    bytes: 0,
-                    wire: 0,
-                    events: 0,
-                    decode_errors: 0,
-                    partition_drops: 0,
-                    cross_island_deliveries: 0,
-                    horizon_violations: 0,
+                    counters: Counters::default(),
                     out_buf: Vec::new(),
                 })
                 .collect(),
             home: Vec::with_capacity(n),
             mail: (0..k * k).map(|_| Mutex::new(Vec::new())).collect(),
             map,
+            counters: Counters::default(),
         };
         Self {
             ctl: Coordinator::new(n, cfg, value_gen, drift_of, factory, &mut drain),
             drain,
             ran: false,
             now_ms: 0,
-            coord_events: 0,
         }
     }
 
@@ -586,36 +568,6 @@ where
     /// Current simulated wall-clock (the last barrier point).
     pub fn now_ms(&self) -> u64 {
         self.now_ms
-    }
-
-    /// Events processed across all shards plus coordinator phases —
-    /// comparable to [`AsyncNet::events_processed`](crate::AsyncNet::events_processed).
-    pub fn events_processed(&self) -> u64 {
-        self.coord_events + self.drain.shards.iter().map(|s| s.events).sum::<u64>()
-    }
-
-    /// Frames that failed to decode (should stay 0).
-    pub fn decode_errors(&self) -> u64 {
-        self.drain.shards.iter().map(|s| s.decode_errors).sum()
-    }
-
-    /// Frames dropped at the partition boundary.
-    pub fn partition_drops(&self) -> u64 {
-        self.drain.shards.iter().map(|s| s.partition_drops).sum()
-    }
-
-    /// Frames that *arrived* across an active cut — only frames already
-    /// in flight when a split fires can do this; with a split active
-    /// from round 0 this must be 0 (test hook for partition gating).
-    pub fn cross_island_deliveries(&self) -> u64 {
-        self.drain.shards.iter().map(|s| s.cross_island_deliveries).sum()
-    }
-
-    /// Cross-shard frames ingested below their window edge — always 0,
-    /// or the conservative time-window barrier is broken (test hook;
-    /// also debug-asserted at ingest).
-    pub fn horizon_violations(&self) -> u64 {
-        self.drain.shards.iter().map(|s| s.horizon_violations).sum()
     }
 
     /// Run for `nominal_rounds × interval_ms` of simulated time. May
@@ -658,11 +610,11 @@ where
             self.parallel_drain(prev, at, group, &meet);
             self.now_ms = at;
             if sample {
-                self.coord_events += 1;
-                self.ctl.record_sample(&mut self.drain);
+                self.drain.counters.events += 1;
+                self.ctl.record_sample(&self.drain);
             }
             if let Some(k) = boundary {
-                self.coord_events += 1;
+                self.drain.counters.events += 1;
                 self.ctl.nominal_round(k, at, &mut self.drain);
             }
             prev = at;

@@ -272,8 +272,9 @@ proptest! {
     }
 
     /// A mid-run split + heal is still shard-count invariant — series,
-    /// views and every counter the engine sums over its shards (partition
-    /// transitions rebuild views on the coordinator, between windows).
+    /// views and every field of the run's `Counters`, summed over its
+    /// shards (partition transitions rebuild views on the coordinator,
+    /// between windows).
     #[test]
     fn partition_and_heal_are_shard_count_invariant(
         seed: u64,
@@ -297,21 +298,15 @@ proptest! {
             .with_partition(split_table(n, split, at, Some(at + dwell)));
             net.run(at + dwell + 6);
             net.check_view_consistency();
-            let horizon = net.horizon_violations();
-            let counters = (
-                net.events_processed(),
-                net.partition_drops(),
-                net.cross_island_deliveries(),
-                net.decode_errors(),
-            );
+            let counters = net.counters();
             let views: Vec<Vec<NodeId>> =
                 net.live().into_iter().map(|id| net.view_of(id).to_vec()).collect();
-            ((net.into_series(), views, counters), horizon)
+            (net.into_series(), views, counters)
         };
-        let (one, h1) = run(1);
-        let (two, h2) = run(2);
-        let (five, h5) = run(5);
-        prop_assert_eq!(h1 + h2 + h5, 0, "horizon breached");
+        let one = run(1);
+        let two = run(2);
+        let five = run(5);
+        prop_assert_eq!(one.2.horizon_violations, 0, "horizon breached");
         prop_assert_eq!(&two, &one);
         prop_assert_eq!(&five, &one);
     }
@@ -342,7 +337,8 @@ fn a_reply_across_a_fresh_cut_is_dropped_at_send() {
         )
         .with_partition(partition());
         seq.run(14);
-        assert!(seq.partition_drops > 0, "seed {seed}: the sequential engine never dropped");
+        let drops = seq.counters().partition_drops;
+        assert!(drops > 0, "seed {seed}: the sequential engine never dropped");
         let sharded = |shards: usize| {
             let mut net: ShardedNet<CountSketchReset> = ShardedNet::new(
                 N,
@@ -354,11 +350,71 @@ fn a_reply_across_a_fresh_cut_is_dropped_at_send() {
             )
             .with_partition(partition());
             net.run(14);
-            net.partition_drops()
+            net.counters().partition_drops
         };
         let one = sharded(1);
         assert!(one > 0, "seed {seed}: the sharded engine never dropped");
         assert_eq!(sharded(2), one, "seed {seed}: two shards");
         assert_eq!(sharded(5), one, "seed {seed}: five shards");
     }
+}
+
+/// The series and the readout are one record: a sample's traffic is the
+/// difference of the drain's cumulative counters, so over a run with
+/// churn, loss and a split-then-heal, Σ `messages` / `bytes` /
+/// `wire_bytes` is `frames_out` / `payload_bytes` / `wire_bytes`. Exactly
+/// on the sharded engine, whose last drain stops short of the horizon
+/// instant that its last sample is taken at; at most on the sequential
+/// one, where a timer due at that instant may fire after the sample. A
+/// window dropped or counted twice by the difference breaks either.
+#[test]
+fn the_series_sums_to_the_counters() {
+    const N: usize = 120;
+    const ROUNDS: u64 = 24;
+    let mut cfg = AsyncConfig::new(17);
+    cfg.loss = 0.02;
+    cfg.view_size = 12;
+    cfg.latency = LatencyModel::Uniform { lo_ms: 5, hi_ms: 30 };
+    let churn = FailureSpec::Churn { start: 0, leave_per_round: 0.02, join_per_round: 0.02 };
+    let partition = || split_table(N, N / 2, 6, Some(14));
+    let sums = |series: &Series| {
+        let rounds = series.rounds.iter();
+        rounds.fold((0, 0, 0), |(m, b, w), r| (m + r.messages, b + r.bytes, w + r.wire_bytes))
+    };
+    for shards in [1, 2] {
+        let mut net: ShardedNet<PushSumRevert> = ShardedNet::new(
+            N,
+            cfg,
+            ShardMap::uniform(N, shards),
+            Box::new(|rng, _| rng.gen_range(0.0..100.0)),
+            Box::new(|_| DriftModel::Synced),
+            Box::new(|_, v| PushSumRevert::new(v, 0.01)),
+        )
+        .with_partition(partition())
+        .with_failure(churn);
+        net.run(ROUNDS);
+        let c = net.counters();
+        assert!(c.frames_out > 0 && c.view_slots_patched > 0, "{shards} shards: {c:?}");
+        assert_eq!(
+            sums(net.series()),
+            (c.frames_out, c.payload_bytes, c.wire_bytes),
+            "{shards} shards: the series and the counters disagree"
+        );
+    }
+    let mut net: AsyncNet<PushSumRevert> = AsyncNet::new(
+        N,
+        cfg,
+        Box::new(|rng, _| rng.gen_range(0.0..100.0)),
+        Box::new(|_| DriftModel::Synced),
+        Box::new(|_, v| PushSumRevert::new(v, 0.01)),
+    )
+    .with_partition(partition())
+    .with_failure(churn);
+    net.run(ROUNDS);
+    let c = net.counters();
+    let (messages, bytes, wire) = sums(net.series());
+    assert!(messages > 0 && c.view_slots_patched > 0, "{c:?}");
+    assert!(messages <= c.frames_out, "{messages} sampled of {} sent", c.frames_out);
+    assert!(bytes <= c.payload_bytes, "{bytes} sampled of {} payload bytes", c.payload_bytes);
+    assert!(wire <= c.wire_bytes, "{wire} sampled of {} wire bytes", c.wire_bytes);
 }
