@@ -30,8 +30,7 @@ fn ablation_spec(
     rounds: u64,
     protocol: ProtocolSpec,
 ) -> ScenarioSpec {
-    let mut s =
-        ScenarioSpec::new(name, opts.seed, EnvSpec::Uniform { broadcast_fanout: None }, protocol);
+    let mut s = ScenarioSpec::new(name, opts.seed, EnvSpec::Uniform, protocol);
     s.n = Some(n);
     s.rounds = Some(rounds);
     s.truth = Truth::Mean;
@@ -311,12 +310,7 @@ pub fn epoch_sweep(opts: &ExpOpts) -> Table {
             "ablation-epoch",
             n,
             120,
-            ProtocolSpec::EpochPushSum {
-                epoch_len,
-                settle_len: None,
-                drift_prob: 0.0,
-                clique_drift: None,
-            },
+            ProtocolSpec::EpochPushSum { epoch_len, settle_len: None, clique_drift: None },
         );
         spec.failure = churn;
         run_spec(&spec)

@@ -247,7 +247,7 @@ mod tests {
         let mut s = ScenarioSpec::new(
             "demo",
             3,
-            EnvSpec::Uniform { broadcast_fanout: None },
+            EnvSpec::Uniform,
             ProtocolSpec::PushSumRevert { lambda: 0.05 },
         );
         s.n = Some(200);

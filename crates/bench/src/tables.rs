@@ -55,7 +55,7 @@ pub fn convergence(opts: &ExpOpts) -> Table {
     let mut static_spec = ScenarioSpec::new(
         "table-convergence-static",
         opts.seed,
-        EnvSpec::Uniform { broadcast_fanout: None },
+        EnvSpec::Uniform,
         ProtocolSpec::PushSum,
     );
     static_spec.n = Some(opts.population());

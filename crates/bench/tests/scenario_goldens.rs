@@ -12,10 +12,15 @@
 use dynagg_bench::ExpOpts;
 use dynagg_scenario::ScenarioSpec;
 use dynagg_sim::Series;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 fn scenarios_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+    repo_root().join("scenarios")
 }
 
 fn load(name: &str) -> ScenarioSpec {
@@ -270,7 +275,7 @@ fn async_zero_latency_zero_drift_matches_push_engine() {
     let mut push = dynagg_scenario::ScenarioSpec::new(
         "equivalence",
         ExpOpts::default().seed,
-        EnvSpec::Uniform { broadcast_fanout: None },
+        EnvSpec::Uniform,
         ProtocolSpec::PushSumRevert { lambda: 0.01 },
     );
     push.n = Some(600);
@@ -434,7 +439,7 @@ fn async_topologies_match_lockstep_at_zero_latency() {
     // Spatial: async views are the bare adjacency (no 1/d² long links),
     // so mixing is strictly slower and its λ-floor sits measurably — but
     // boundedly — above the walk-based lockstep sampler's.
-    let (push, asynch) = run_pair(EnvSpec::Spatial { max_walk: None }, 150);
+    let (push, asynch) = run_pair(EnvSpec::Spatial, 150);
     let (pe, ae) = (push.steady_state_stddev(110), asynch.steady_state_stddev(110));
     assert!(pe < 4.0 && ae < 4.0, "both converged: push {pe} vs async {ae}");
     assert!(ae > pe, "strictly local mixing pays a floor premium: push {pe} vs async {ae}");
@@ -609,7 +614,7 @@ fn sketch_corruption_damage_is_bounded() {
     let mut honest = dynagg_scenario::ScenarioSpec::new(
         "sketch-attack",
         ExpOpts::default().seed,
-        EnvSpec::Uniform { broadcast_fanout: None },
+        EnvSpec::Uniform,
         ProtocolSpec::CountSketchReset {
             cutoff: Cutoff::paper_uniform(),
             push_pull: true,
@@ -737,7 +742,7 @@ fn spatial_region_partition_isolates_grid_halves() {
         metrics = ["stddev", "mass_audit", "islands"]
     "#;
     let mut spec = ScenarioSpec::from_toml_str(src).unwrap();
-    assert!(matches!(spec.env, EnvSpec::Spatial { .. }));
+    assert!(matches!(spec.env, EnvSpec::Spatial));
     assert!(matches!(spec.protocol, ProtocolSpec::PushSumRevert { .. }));
     // Constant values: both islands share the truth, so estimates must
     // converge to it exactly despite the cut, and the audit stays at 0.
@@ -788,7 +793,7 @@ fn golden_digest_byzantine_inflation() {
     );
 }
 
-// ── the capability table's census ───────────────────────────────────────
+// ── the option census ───────────────────────────────────────────────────
 
 /// One digest per `caps::PROTOCOLS` row: its `example` on the census spec.
 const CENSUS: &[(&str, u64)] = &[
@@ -803,35 +808,394 @@ const CENSUS: &[(&str, u64)] = &[
     ("tag-tree", 0x7359_A6D3_A697_AA87),
 ];
 
-/// Every protocol the table grants is run by something that pins it: its
-/// `example` on one small fixed spec (uniform env, push engine, n = 48, 12
-/// rounds, seed 7) must match its [`CENSUS`] digest. A granted row without
-/// a pin fails, and so does a pin whose row is gone.
-#[test]
-fn every_granted_protocol_is_pinned() {
-    use dynagg_scenario::caps::PROTOCOLS;
-    use dynagg_scenario::EnvSpec;
-    for (name, _) in CENSUS {
-        assert!(
-            PROTOCOLS.iter().any(|row| row.name == *name),
-            "the census pins `{name}`, which the capability table does not grant: pin it or \
-             delete it"
-        );
-    }
-    let mut changed = Vec::new();
-    for row in &PROTOCOLS {
-        let Some(&(_, pinned)) = CENSUS.iter().find(|(name, _)| *name == row.name) else {
-            panic!("`{}` is granted but no census digest checks it: pin it or delete it", row.name);
+/// What stands behind an option value.
+#[derive(Debug)]
+enum Pin {
+    /// A checked-in `scenarios/` file whose parsed spec names the value.
+    File(&'static str),
+    /// A test that runs or parses the value: its source file, from the
+    /// repository root, and its name.
+    Test(&'static str, &'static str),
+    /// `benchmark/` sets or reads the value under this field name, so it
+    /// stays until the benchmark's next change.
+    Benchmark(&'static str),
+}
+
+const GOLDENS: &str = "crates/bench/tests/scenario_goldens.rs";
+const LATTICE: &str = "crates/scenario/tests/lattice.rs";
+const LATTICE_RUNS: &str =
+    "validation_accepts_exactly_what_the_table_grants_and_what_it_accepts_runs";
+const REJECTIONS: &str = "crates/scenario/tests/rejections.rs";
+
+/// Every option value a scenario can name, as `(key, value)` the way
+/// [`options`] spells it, and its pin. Protocol rows are pinned by
+/// [`CENSUS`] instead.
+#[rustfmt::skip]
+const OPTIONS: &[(&str, &str, Pin)] = {
+    use Pin::{Benchmark, File, Test};
+    &[
+    ("engine",                "push",               File("fig9.toml")),
+    ("engine",                "pairwise",           File("fig8.toml")),
+    ("engine",                "async",              File("async_fig8.toml")),
+    ("wire",                  "priced",             File("fig8.toml")),
+    ("wire",                  "measured",           Test(GOLDENS, "measured_wire_tracks_payload_growth")),
+    ("async.latency",         "constant",           File("async_spatial.toml")),
+    ("async.latency",         "uniform",            File("async_fig8.toml")),
+    ("async.latency",         "exponential",        File("async_skew_10k.toml")),
+    ("async.drift",           "synced",             File("async_fig8.toml")),
+    ("async.drift",           "skew",               File("async_skew_10k.toml")),
+    ("async.shards",          "a count",            Test(LATTICE, LATTICE_RUNS)),
+    ("async.shards",          "auto",               File("million_host.toml")),
+    ("async.sample_every_ms", "set",                Benchmark("sample_every_ms")),
+    ("env",                   "uniform",            File("fig8.toml")),
+    ("env",                   "spatial",            File("spatial_cutoff.toml")),
+    ("env",                   "clustered",          File("epoch_disruption.toml")),
+    ("env",                   "trace",              File("fig11_avg_d1.toml")),
+    ("env.migration",         "> 0",                File("epoch_disruption.toml")),
+    ("env.bridge",            "> 0",                File("merge_storm.toml")),
+    ("env.events",            "burst",              File("merge_storm.toml")),
+    ("env.events",            "merge",              File("merge_storm.toml")),
+    ("env.events",            "split",              File("merge_storm.toml")),
+    ("env.dataset",           "1",                  File("fig11_avg_d1.toml")),
+    ("env.dataset",           "2",                  Test("crates/trace/src/datasets.rs", "dataset2_matches_envelope")),
+    ("env.dataset",           "3",                  Test("crates/trace/src/datasets.rs", "dataset3_matches_envelope")),
+    ("values",                "paper",              File("fig8.toml")),
+    ("values",                "constant",           File("fig9.toml")),
+    ("truth",                 "mean",               File("fig8.toml")),
+    ("truth",                 "count",              File("fig9.toml")),
+    ("truth",                 "sum",                Test("crates/sim/src/metrics.rs", "count_and_sum_truths")),
+    ("truth",                 "group-mean",         File("fig11_avg_d1.toml")),
+    ("truth",                 "group-size",         Test("crates/bench/src/fig11.rs", "sum_reversion_off_is_monotonically_inflating")),
+    ("failure",               "at-round",           File("fig8.toml")),
+    ("failure",               "churn",              File("churn_spike.toml")),
+    ("failure.mode",          "random",             File("fig8.toml")),
+    ("failure.mode",          "top-value",          File("fig10a.toml")),
+    ("failure.graceful",      "true",               Benchmark("graceful")),
+    ("partition.islands",     "nodes",              Test("crates/node/tests/shard_properties.rs", "partition_and_heal_are_shard_count_invariant")),
+    ("partition.islands",     "cliques",            File("partition_heal.toml")),
+    ("partition.islands",     "region",             Test(GOLDENS, "spatial_region_partition_isolates_grid_halves")),
+    ("adversary.attack",      "mass-inflation",     File("byzantine_inflation.toml")),
+    ("adversary.attack",      "stale-epoch-replay", Test(LATTICE, LATTICE_RUNS)),
+    ("adversary.attack",      "sketch-corruption",  Test(GOLDENS, "sketch_corruption_damage_is_bounded")),
+    ("output.report",         "series",             File("fig8.toml")),
+    ("output.report",         "counter-cdf",        File("fig6.toml")),
+    ("output.probe",          "mass-weight",        Test(REJECTIONS, "mass_weight_probe_counts_the_live_hosts_on_every_engine")),
+    ("sweep.axis",            "lambda",             File("fig8.toml")),
+    ("sweep.axis",            "n",                  File("fig6.toml")),
+    ("protocol.cutoff",       "\"paper\"",          File("fig9.toml")),
+    ("protocol.cutoff",       "\"infinite\"",       Test(REJECTIONS, "surviving_cutoff_spellings_parse_to_their_cutoffs")),
+    ("protocol.cutoff",       "{ scale }",          File("async_spatial.toml")),
+    ("protocol.cutoff",       "{ base, slope }",    Test(REJECTIONS, "surviving_cutoff_spellings_parse_to_their_cutoffs")),
+    ("protocol.push_pull",    "false",              Benchmark("push_pull")),
+    ]
+};
+
+/// The option values `spec` names, as `(key, value)`. Every `match` here
+/// is exhaustive, so a new variant does not compile until it is named;
+/// [`every_option`] then needs an instance of it, and the census a pin.
+fn options(spec: &ScenarioSpec) -> Vec<(&'static str, &'static str)> {
+    use dynagg_core::adversary::Attack;
+    use dynagg_scenario::ValueSpec;
+    use dynagg_scenario::{DriftSpec, Engine, EnvSpec, LatencySpec, ProtocolSpec, ShardsSpec};
+    use dynagg_sim::env::MobilityKind;
+    use dynagg_sim::partition::Island;
+    use dynagg_sim::{FailureMode, FailureSpec, Truth};
+    use dynagg_sketch::cutoff::Cutoff;
+    use dynagg_trace::datasets::Dataset;
+
+    let mut out = vec![
+        ("engine", spec.engine.name()),
+        ("wire", spec.wire.name()),
+        ("protocol", spec.protocol.name()),
+        ("output.report", spec.output.report.name()),
+    ];
+    if spec.engine == Engine::Async {
+        let a = spec.asynchrony.unwrap_or_default();
+        let latency = match a.latency {
+            LatencySpec::Constant { .. } => "constant",
+            LatencySpec::Uniform { .. } => "uniform",
+            LatencySpec::Exponential { .. } => "exponential",
         };
-        let env = EnvSpec::Uniform { broadcast_fanout: None };
-        let mut spec = ScenarioSpec::new("census", 7, env, row.example);
-        (spec.n, spec.rounds) = (Some(48), Some(12));
-        let got = digest(&dynagg_scenario::run_series(&spec).unwrap());
-        if got != pinned {
-            changed.push(format!("{}: 0x{got:016X}", row.name));
+        let drift = match a.drift {
+            DriftSpec::Synced => "synced",
+            DriftSpec::Skew { .. } => "skew",
+        };
+        out.extend([("async.latency", latency), ("async.drift", drift)]);
+        match a.shards {
+            None => {}
+            Some(ShardsSpec::Count(_)) => out.push(("async.shards", "a count")),
+            Some(ShardsSpec::Auto) => out.push(("async.shards", "auto")),
+        }
+        if a.sample_every_ms.is_some() {
+            out.push(("async.sample_every_ms", "set"));
         }
     }
-    assert!(changed.is_empty(), "census digests changed for a fixed seed: {changed:?}");
+    match &spec.env {
+        EnvSpec::Uniform => out.push(("env", "uniform")),
+        EnvSpec::Spatial => out.push(("env", "spatial")),
+        EnvSpec::Clustered { clusters: _, migration, bridge, events } => {
+            out.push(("env", "clustered"));
+            if *migration > 0.0 {
+                out.push(("env.migration", "> 0"));
+            }
+            if *bridge > 0.0 {
+                out.push(("env.bridge", "> 0"));
+            }
+            for event in events {
+                let kind = match event.kind {
+                    MobilityKind::Burst { .. } => "burst",
+                    MobilityKind::Merge { .. } => "merge",
+                    MobilityKind::Split { .. } => "split",
+                };
+                out.push(("env.events", kind));
+            }
+        }
+        EnvSpec::Trace { dataset } => {
+            let index = match dataset {
+                Dataset::One => "1",
+                Dataset::Two => "2",
+                Dataset::Three => "3",
+            };
+            out.extend([("env", "trace"), ("env.dataset", index)]);
+        }
+    }
+    let values = match spec.values {
+        ValueSpec::Paper => "paper",
+        ValueSpec::Constant(_) => "constant",
+    };
+    let truth = match spec.truth {
+        Truth::Mean => "mean",
+        Truth::Count => "count",
+        Truth::Sum => "sum",
+        Truth::GroupMean => "group-mean",
+        Truth::GroupSize => "group-size",
+    };
+    out.extend([("values", values), ("truth", truth)]);
+    match spec.failure {
+        FailureSpec::None => {}
+        FailureSpec::AtRound { mode, graceful, .. } => {
+            let mode = match mode {
+                FailureMode::Random => "random",
+                FailureMode::TopValue => "top-value",
+            };
+            out.extend([("failure", "at-round"), ("failure.mode", mode)]);
+            if graceful {
+                out.push(("failure.graceful", "true"));
+            }
+        }
+        FailureSpec::Churn { .. } => out.push(("failure", "churn")),
+    }
+    for island in spec.partitions.iter().flat_map(|p| &p.islands) {
+        let kind = match island {
+            Island::Range { .. } => "nodes",
+            Island::Cliques(_) => "cliques",
+            Island::Region { .. } => "region",
+        };
+        out.push(("partition.islands", kind));
+    }
+    if let Some(adversary) = spec.adversary {
+        let attack = match adversary.attack {
+            Attack::MassInflation { .. } => "mass-inflation",
+            Attack::StaleEpochReplay => "stale-epoch-replay",
+            Attack::SketchCorruption { .. } => "sketch-corruption",
+        };
+        out.push(("adversary.attack", attack));
+    }
+    if let Some(probe) = spec.output.probe {
+        out.push(("output.probe", probe.name()));
+    }
+    if let Some(sweep) = &spec.sweep {
+        out.push(("sweep.axis", sweep.axis.name()));
+    }
+    if let ProtocolSpec::CountSketchReset { cutoff, push_pull, .. } = spec.protocol {
+        // The spelling a file gives the cutoff it parses to.
+        let spelling = match cutoff {
+            Cutoff::Infinite => "\"infinite\"",
+            _ if cutoff == Cutoff::paper_uniform() => "\"paper\"",
+            Cutoff::Linear { base, .. } if cutoff == Cutoff::paper_uniform().scaled(base / 7.0) => {
+                "{ scale }"
+            }
+            Cutoff::Linear { .. } => "{ base, slope }",
+        };
+        out.push(("protocol.cutoff", spelling));
+        if !push_pull {
+            out.push(("protocol.push_pull", "false"));
+        }
+    }
+    out
+}
+
+/// Every option value [`options`] can name: the census spec varied one
+/// axis at a time. The file-name enums (`ALL`) and the capability table
+/// list their own variants; every other variant `options` matches on is
+/// listed here.
+fn every_option() -> BTreeSet<(&'static str, &'static str)> {
+    use dynagg_core::adversary::Attack;
+    use dynagg_scenario::caps::PROTOCOLS;
+    use dynagg_scenario::{AdversarySpec, AsyncSpec, DriftSpec, Engine, EnvSpec, LatencySpec};
+    use dynagg_scenario::{OutputSpec, Probe, ProtocolSpec, Report, ShardsSpec, Sweep, SweepAxis};
+    use dynagg_scenario::{ValueSpec, WireAccounting};
+    use dynagg_sim::env::{MobilityEvent, MobilityKind};
+    use dynagg_sim::partition::{Island, PartitionEvent};
+    use dynagg_sim::{FailureMode, FailureSpec, Truth};
+    use dynagg_sketch::cutoff::Cutoff;
+    use dynagg_trace::datasets::Dataset;
+
+    let base = census_spec(ProtocolSpec::PushSum);
+    let asynch = |a| ScenarioSpec { engine: Engine::Async, asynchrony: Some(a), ..base.clone() };
+    let d = AsyncSpec::default();
+    let at_round =
+        |mode, graceful| FailureSpec::AtRound { round: 1, mode, fraction: 0.5, graceful };
+    let event = |kind| MobilityEvent { round: 1, kind };
+    let reset = |cutoff, push_pull| ScenarioSpec {
+        protocol: ProtocolSpec::CountSketchReset {
+            cutoff,
+            push_pull,
+            multiplier: 1,
+            hash_seed_xor: 0,
+        },
+        ..base.clone()
+    };
+    let attack = |attack| ScenarioSpec {
+        adversary: Some(AdversarySpec { attack, fraction: 0.5, from_round: 0 }),
+        ..base.clone()
+    };
+    let output = |report, probe| ScenarioSpec {
+        output: OutputSpec { metrics: vec![], report, probe },
+        ..base.clone()
+    };
+    let islands = vec![
+        Island::Range { lo: 0, hi: 1 },
+        Island::Cliques(vec![0]),
+        Island::Region { x0: 0, y0: 0, x1: 1, y1: 1 },
+    ];
+    let events = vec![
+        event(MobilityKind::Burst { fraction: 0.5 }),
+        event(MobilityKind::Merge { from: 1, into: 0 }),
+        event(MobilityKind::Split { from: 0, into: 1 }),
+    ];
+    let mut specs = vec![
+        asynch(AsyncSpec {
+            latency: LatencySpec::Uniform { lo_ms: 1, hi_ms: 2 },
+            drift: DriftSpec::Skew { spread: 0.1 },
+            ..d
+        }),
+        asynch(AsyncSpec { latency: LatencySpec::Exponential { mean_ms: 1.0 }, ..d }),
+        asynch(AsyncSpec { shards: Some(ShardsSpec::Count(2)), sample_every_ms: Some(50), ..d }),
+        asynch(AsyncSpec { shards: Some(ShardsSpec::Auto), ..d }),
+        ScenarioSpec { env: EnvSpec::Spatial, values: ValueSpec::Constant(1.0), ..base.clone() },
+        ScenarioSpec {
+            env: EnvSpec::Clustered { clusters: 2, migration: 0.1, bridge: 0.1, events },
+            ..base.clone()
+        },
+        ScenarioSpec { failure: at_round(FailureMode::Random, true), ..base.clone() },
+        ScenarioSpec { failure: at_round(FailureMode::TopValue, false), ..base.clone() },
+        ScenarioSpec {
+            failure: FailureSpec::Churn { start: 1, leave_per_round: 0.1, join_per_round: 0.0 },
+            ..base.clone()
+        },
+        ScenarioSpec {
+            partitions: vec![PartitionEvent { at_round: 1, heal_at: None, islands }],
+            ..base.clone()
+        },
+        reset(Cutoff::paper_uniform(), false),
+        reset(Cutoff::Infinite, true),
+        reset(Cutoff::slow(), true),
+        reset(Cutoff::Linear { base: 1.0, slope: 1.0 }, true),
+        attack(Attack::MassInflation { factor: 2.0 }),
+        attack(Attack::StaleEpochReplay),
+        attack(Attack::SketchCorruption { cells: 1 }),
+    ];
+    specs.extend(
+        Dataset::ALL
+            .map(|dataset| ScenarioSpec { env: EnvSpec::Trace { dataset }, ..base.clone() }),
+    );
+    let truths = [Truth::Mean, Truth::Count, Truth::Sum, Truth::GroupMean, Truth::GroupSize];
+    specs.extend(truths.map(|truth| ScenarioSpec { truth, ..base.clone() }));
+    specs.extend(Engine::ALL.map(|engine| ScenarioSpec { engine, ..base.clone() }));
+    specs.extend(WireAccounting::ALL.map(|wire| ScenarioSpec { wire, ..base.clone() }));
+    specs.extend(Report::ALL.map(|report| output(report, None)));
+    specs.extend(Probe::ALL.map(|probe| output(Report::Series, Some(probe))));
+    specs.extend(SweepAxis::ALL.map(|axis| ScenarioSpec {
+        sweep: Some(Sweep { axis, values: vec![1.0] }),
+        ..base.clone()
+    }));
+    specs.extend(PROTOCOLS.map(|row| census_spec(row.example)));
+    specs.iter().flat_map(options).collect()
+}
+
+/// The census spec: uniform env, push engine, n = 48, 12 rounds, seed 7.
+fn census_spec(protocol: dynagg_scenario::ProtocolSpec) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::new("census", 7, dynagg_scenario::EnvSpec::Uniform, protocol);
+    (spec.n, spec.rounds) = (Some(48), Some(12));
+    spec
+}
+
+/// Every option value a scenario can name is pinned: [`OPTIONS`] gives it
+/// a checked-in file that names it, a test, or the benchmark, and each
+/// protocol row runs on the census spec against its [`CENSUS`] digest. A
+/// value without a pin fails, and so does a pin whose value is gone or
+/// that no longer holds.
+#[test]
+fn every_granted_option_is_pinned() {
+    use dynagg_scenario::caps::PROTOCOLS;
+    let every = every_option();
+    let mut problems = Vec::new();
+    for entry in std::fs::read_dir(scenarios_dir()).expect("scenarios/ exists") {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.ends_with(".toml") {
+            for (key, value) in options(&load(&name)) {
+                if !every.contains(&(key, value)) {
+                    problems
+                        .push(format!("{name} names `{key} = {value}`; list it in every_option"));
+                }
+            }
+        }
+    }
+    let pins: Vec<(&str, &str)> = OPTIONS
+        .iter()
+        .map(|&(key, value, _)| (key, value))
+        .chain(CENSUS.iter().map(|&(name, _)| ("protocol", name)))
+        .collect();
+    for &(key, value) in &every {
+        if !pins.contains(&(key, value)) {
+            problems.push(format!("`{key} = {value}` has no pin: pin it or delete it"));
+        }
+    }
+    for &(key, value) in &pins {
+        if !every.contains(&(key, value)) {
+            problems.push(format!(
+                "the census pins `{key} = {value}`, which no scenario can name any more: pin it \
+                 or delete it"
+            ));
+        }
+    }
+    let source = |path: &str| std::fs::read_to_string(repo_root().join(path)).unwrap_or_default();
+    let benchmark: String = std::fs::read_dir(repo_root().join("benchmark/src"))
+        .expect("benchmark/src exists")
+        .map(|entry| std::fs::read_to_string(entry.unwrap().path()).unwrap())
+        .collect();
+    for (key, value, pin) in OPTIONS {
+        let holds = match pin {
+            Pin::File(file) => options(&load(file)).contains(&(*key, *value)),
+            Pin::Test(path, name) => source(path).contains(&format!("fn {name}(")),
+            Pin::Benchmark(field) => benchmark.contains(field),
+        };
+        if !holds {
+            problems.push(format!("`{key} = {value}`: its pin {pin:?} does not hold"));
+        }
+    }
+    for row in &PROTOCOLS {
+        let Some(&(_, pinned)) = CENSUS.iter().find(|(name, _)| *name == row.name) else {
+            continue; // reported above as a value without a pin
+        };
+        let got = digest(&dynagg_scenario::run_series(&census_spec(row.example)).unwrap());
+        if got != pinned {
+            problems.push(format!("census digest of `{}` changed: 0x{got:016X}", row.name));
+        }
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
 
 // ── the TAG baseline (§VI) ──────────────────────────────────────────────

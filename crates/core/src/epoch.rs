@@ -78,8 +78,7 @@ pub enum DriftModel {
         rate: f64,
     },
     /// Missed ticks: with probability `skip_prob` per round the clock does
-    /// not advance (a slept radio, a missed beacon). The legacy drift
-    /// model; reachable via [`EpochPushSum::with_drift`].
+    /// not advance (a slept radio, a missed beacon).
     Bernoulli {
         /// Per-round probability of missing a tick, in `[0, 1]`.
         skip_prob: f64,
@@ -354,17 +353,6 @@ impl EpochPushSum {
             inbox: Mass::ZERO,
             published: Some(value),
         })
-    }
-
-    /// Legacy drift knob: with probability `drift_prob` per round, this
-    /// host's local epoch clock does not tick
-    /// ([`DriftModel::Bernoulli`]).
-    ///
-    /// # Panics
-    /// Panics if `drift_prob` is outside `[0, 1]`.
-    pub fn with_drift(self, drift_prob: f64) -> Self {
-        assert!((0.0..=1.0).contains(&drift_prob), "drift probability must be in [0, 1]");
-        self.with_drift_model(DriftModel::Bernoulli { skip_prob: drift_prob })
     }
 
     /// Replace the clock's drift model.

@@ -83,8 +83,8 @@ pub const PROTOCOLS: [ProtocolCaps; 9] = {
         P::FullTransfer { lambda: 0.01, parcels: 4, window: 3 }),
     row("adaptive-revert",    &["lambda"],                                               false,   Mass,
         P::AdaptiveRevert { lambda: 0.01 }),
-    row("epoch-push-sum",     &["epoch_len", "settle_len", "drift_prob", "clique_drift"], false,  EpochMass,
-        P::EpochPushSum { epoch_len: 20, settle_len: None, drift_prob: 0.0, clique_drift: None }),
+    row("epoch-push-sum",     &["epoch_len", "settle_len", "clique_drift"],              false,   EpochMass,
+        P::EpochPushSum { epoch_len: 20, settle_len: None, clique_drift: None }),
     row("count-sketch",       &["multiplier", "hash_seed_xor"],                          false,   SketchBits,
         P::CountSketch { multiplier: 1, hash_seed_xor: 0 }),
     row("count-sketch-reset", &["cutoff", "push_pull", "multiplier", "hash_seed_xor"],   false,   AgeMatrix,

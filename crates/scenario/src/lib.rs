@@ -1,7 +1,7 @@
 //! # dynagg-scenario
 //!
 //! Declarative experiment assembly: a [`ScenarioSpec`] names an
-//! environment, a protocol (any of the 12 in `dynagg-core`) with its
+//! environment, a protocol (any of the 9 in `dynagg-core`) with its
 //! configuration, seeds/rounds/trials, a failure plan, and the outputs to
 //! record — parsed from a TOML file (the `experiments run <file.toml>`
 //! subcommand, over the offline `toml` shim; the figure modules in

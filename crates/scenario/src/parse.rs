@@ -294,14 +294,6 @@ fn parse_async(table: &Table) -> Result<AsyncSpec, ScenarioError> {
                     d.check_keys(&["kind", "spread"])?;
                     DriftSpec::Skew { spread: d.req_f64("spread")? }
                 }
-                "bernoulli" => {
-                    d.check_keys(&["kind", "skip_prob"])?;
-                    DriftSpec::Bernoulli { skip_prob: d.req_f64("skip_prob")? }
-                }
-                "random-walk" => {
-                    d.check_keys(&["kind", "step_prob"])?;
-                    DriftSpec::RandomWalk { step_prob: d.req_f64("step_prob")? }
-                }
                 other => {
                     return Err(ScenarioError::UnknownName {
                         what: "drift kind",
@@ -344,16 +336,8 @@ fn parse_async(table: &Table) -> Result<AsyncSpec, ScenarioError> {
 fn parse_env(table: &Table) -> Result<EnvSpec, ScenarioError> {
     let env = Ctx { table, name: "env" };
     match env.req_str("kind")? {
-        "uniform" => {
-            env.check_keys(&["kind", "broadcast_fanout"])?;
-            Ok(EnvSpec::Uniform {
-                broadcast_fanout: env.opt_u64("broadcast_fanout")?.map(|v| v as usize),
-            })
-        }
-        "spatial" => {
-            env.check_keys(&["kind", "max_walk"])?;
-            Ok(EnvSpec::Spatial { max_walk: env.opt_u32("max_walk")? })
-        }
+        "uniform" => env.check_keys(&["kind"]).map(|()| EnvSpec::Uniform),
+        "spatial" => env.check_keys(&["kind"]).map(|()| EnvSpec::Spatial),
         "clustered" => {
             env.check_keys(&["kind", "clusters", "migration", "bridge", "events"])?;
             Ok(EnvSpec::Clustered {
@@ -437,7 +421,7 @@ fn parse_protocol(table: &Table) -> Result<ProtocolSpec, ScenarioError> {
             window: p.opt_u64("window")?.map_or(window, |v| v as usize),
         },
         P::AdaptiveRevert { .. } => P::AdaptiveRevert { lambda: p.req_f64("lambda")? },
-        P::EpochPushSum { drift_prob, .. } => {
+        P::EpochPushSum { .. } => {
             let clique_drift = match p.opt_table("clique_drift")? {
                 None => None,
                 Some(t) => {
@@ -452,7 +436,6 @@ fn parse_protocol(table: &Table) -> Result<ProtocolSpec, ScenarioError> {
             P::EpochPushSum {
                 epoch_len: p.req_u64("epoch_len")?,
                 settle_len: p.opt_u64("settle_len")?,
-                drift_prob: p.opt_f64("drift_prob")?.unwrap_or(drift_prob),
                 clique_drift,
             }
         }
@@ -478,7 +461,7 @@ fn parse_protocol(table: &Table) -> Result<ProtocolSpec, ScenarioError> {
     })
 }
 
-/// `cutoff` accepts `"paper"` / `"infinite"` / `"slow"`, or a table:
+/// `cutoff` accepts `"paper"` / `"infinite"`, or a table:
 /// `{ scale = 2.0 }` (paper cutoff scaled) or `{ base = 7.0, slope = 0.25 }`.
 fn parse_cutoff(p: &Ctx<'_>) -> Result<Option<Cutoff>, ScenarioError> {
     let Some(v) = p.table.get("cutoff") else { return Ok(None) };
@@ -486,7 +469,6 @@ fn parse_cutoff(p: &Ctx<'_>) -> Result<Option<Cutoff>, ScenarioError> {
         return match s {
             "paper" => Ok(Some(Cutoff::paper_uniform())),
             "infinite" => Ok(Some(Cutoff::Infinite)),
-            "slow" => Ok(Some(Cutoff::slow())),
             other => Err(ScenarioError::UnknownName { what: "cutoff", name: other.into() }),
         };
     }

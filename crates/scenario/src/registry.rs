@@ -133,20 +133,8 @@ fn trace_data(dataset: Dataset) -> (TraceInfo, Timeline) {
 /// stream from it).
 pub fn build_env(env: &EnvSpec, n: usize, seed: u64) -> Box<dyn Environment> {
     match env {
-        EnvSpec::Uniform { broadcast_fanout } => {
-            let mut e = UniformEnv::new();
-            if let Some(f) = broadcast_fanout {
-                e = e.with_broadcast_fanout(*f);
-            }
-            Box::new(e)
-        }
-        EnvSpec::Spatial { max_walk } => {
-            let mut e = SpatialEnv::for_nodes(n);
-            if let Some(w) = max_walk {
-                e = e.with_max_walk(*w);
-            }
-            Box::new(e)
-        }
+        EnvSpec::Uniform => Box::new(UniformEnv::new()),
+        EnvSpec::Spatial => Box::new(SpatialEnv::for_nodes(n)),
         EnvSpec::Clustered { clusters, migration, bridge, events } => {
             let e = ClusteredEnv::new(n, *clusters, *migration, *bridge, seed);
             Box::new(if events.is_empty() { e } else { e.with_events(events.clone()) })
@@ -261,14 +249,11 @@ fn run_trial(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64) -> TrialOutp
             move |_, v| AdaptiveRevert::new(v, lambda),
             &mut weigh(&mut probe, AdaptiveRevert::mass),
         ),
-        P::EpochPushSum { epoch_len, settle_len, drift_prob, clique_drift } => {
+        P::EpochPushSum { epoch_len, settle_len, clique_drift } => {
             let factory = move |id: NodeId, v| {
                 let mut p = EpochPushSum::new(v, epoch_len);
                 if let Some(s) = settle_len {
                     p = p.with_settle_len(s);
-                }
-                if drift_prob > 0.0 {
-                    p = p.with_drift(drift_prob);
                 }
                 if let Some(cd) = clique_drift {
                     let clique = id % cd.clusters;
@@ -702,8 +687,7 @@ mod tests {
     #[test]
     fn the_reader_visits_the_last_rows_live_hosts_in_id_order() {
         let (n, rounds, seed) = (60usize, 8u64, 5u64);
-        let env = EnvSpec::Uniform { broadcast_fanout: None };
-        let mut spec = ScenarioSpec::new("parity", seed, env, ProtocolSpec::PushSum);
+        let mut spec = ScenarioSpec::new("parity", seed, EnvSpec::Uniform, ProtocolSpec::PushSum);
         (spec.n, spec.rounds) = (Some(n), Some(rounds));
         spec.output.probe = Some(Probe::MassWeight); // any readout: the reader runs
         spec.failure = FailureSpec::AtRound {

@@ -93,16 +93,6 @@ pub enum DriftSpec {
         /// Half-width of the rate spread, in `[0, 1)`.
         spread: f64,
     },
-    /// Every node misses a tick with this probability (slept radios).
-    Bernoulli {
-        /// Per-tick skip probability, in `[0, 1]`.
-        skip_prob: f64,
-    },
-    /// Unbiased random-walk jitter on every clock.
-    RandomWalk {
-        /// Per-tick jitter probability, in `[0, 1]`.
-        step_prob: f64,
-    },
 }
 
 impl DriftSpec {
@@ -118,8 +108,6 @@ impl DriftSpec {
                 let centered = if n <= 1 { 0.0 } else { 2.0 * pos / (n as f64 - 1.0) - 1.0 };
                 DriftModel::ConstantSkew { rate: 1.0 + spread * centered }
             }
-            DriftSpec::Bernoulli { skip_prob } => DriftModel::Bernoulli { skip_prob },
-            DriftSpec::RandomWalk { step_prob } => DriftModel::RandomWalk { step_prob },
         }
     }
 }
@@ -202,15 +190,9 @@ impl Default for AsyncSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub enum EnvSpec {
     /// Full connectivity (the paper's 100 000-host setting).
-    Uniform {
-        /// Broadcast-set size for tree-style protocols (default 8).
-        broadcast_fanout: Option<usize>,
-    },
+    Uniform,
     /// Grid adjacency with `1/d²` random-walk long links.
-    Spatial {
-        /// Random-walk hop cap override.
-        max_walk: Option<u32>,
-    },
+    Spatial,
     /// §II-C's mostly isolated cliques.
     Clustered {
         /// Number of cliques.
@@ -292,7 +274,7 @@ pub(crate) fn topology_info(env: &EnvSpec, n: usize) -> TopologyInfo {
             TopologyInfo { clusters: Some(*clusters), side: None }
         }
         // Matches `SpatialEnv::for_nodes`: a ⌈√n⌉-sided row-major grid.
-        EnvSpec::Spatial { .. } => {
+        EnvSpec::Spatial => {
             TopologyInfo { clusters: None, side: Some(((n as f64).sqrt().ceil() as u32).max(1)) }
         }
         _ => TopologyInfo::default(),
@@ -330,8 +312,6 @@ pub enum ProtocolSpec {
         epoch_len: u64,
         /// Settling-window override (default `max(1, epoch_len / 4)`).
         settle_len: Option<u64>,
-        /// Bernoulli missed-tick probability (0 = synced clock).
-        drift_prob: f64,
         /// Per-clique constant-skew drift (the epoch-disruption model).
         clique_drift: Option<CliqueDrift>,
     },
@@ -873,9 +853,8 @@ impl ScenarioSpec {
                 per_host("protocol.parcels", u64::from(parcels))?;
                 per_host("protocol.window", window as u64)
             }
-            ProtocolSpec::EpochPushSum { epoch_len, drift_prob, clique_drift, .. } => {
+            ProtocolSpec::EpochPushSum { epoch_len, clique_drift, .. } => {
                 positive("protocol.epoch_len", epoch_len)?;
-                probability("protocol.drift_prob", drift_prob)?;
                 let Some(cd) = clique_drift else { return Ok(()) };
                 if cd.clusters < 2 {
                     return Err(invalid(
@@ -955,18 +934,13 @@ impl ScenarioSpec {
                 }
             }
         }
-        match a.drift {
-            DriftSpec::Synced => {}
-            DriftSpec::Skew { spread } => {
-                if !(0.0..1.0).contains(&spread) {
-                    return Err(invalid(
-                        "async.drift.spread",
-                        format!("spread {spread} outside [0, 1) (rates must stay positive)"),
-                    ));
-                }
+        if let DriftSpec::Skew { spread } = a.drift {
+            if !(0.0..1.0).contains(&spread) {
+                return Err(invalid(
+                    "async.drift.spread",
+                    format!("spread {spread} outside [0, 1) (rates must stay positive)"),
+                ));
             }
-            DriftSpec::Bernoulli { skip_prob } => probability("async.drift.skip_prob", skip_prob)?,
-            DriftSpec::RandomWalk { step_prob } => probability("async.drift.step_prob", step_prob)?,
         }
         positive("async.sample_every_ms", a.sample_every_ms.unwrap_or(1))?;
         match a.shards {
@@ -1142,7 +1116,7 @@ mod tests {
         let mut s = ScenarioSpec::new(
             "t",
             1,
-            EnvSpec::Uniform { broadcast_fanout: None },
+            EnvSpec::Uniform,
             ProtocolSpec::PushSumRevert { lambda: 0.01 },
         );
         s.n = Some(100);

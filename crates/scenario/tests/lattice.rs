@@ -59,7 +59,7 @@ fn validation_accepts_exactly_what_the_table_grants_and_what_it_accepts_runs() {
     let engines =
         Engine::ALL.map(|e| (e, None)).into_iter().chain([(Engine::Async, Some(sharded))]);
     let envs = [
-        (EnvSpec::Uniform { broadcast_fanout: None }, Some(24)),
+        (EnvSpec::Uniform, Some(24)),
         (EnvSpec::Trace { dataset: Dataset::One }, None), // 9 devices
     ];
     let (mut accepted, mut rejected) = (0, 0);

@@ -1109,3 +1109,58 @@ fn auto_shards_with_zero_lookahead_fall_back_with_a_typed_note() {
     let rendered = note.unwrap().to_string();
     assert!(rendered.contains("zero lookahead"), "{rendered}");
 }
+
+// ── values the format no longer has ─────────────────────────────────────
+
+/// A value deleted from the format is a typed error, never a silent
+/// default: its key is unknown, or its name is.
+#[test]
+fn deleted_values_are_typed() {
+    let env = |lines| replace(VALID, "kind = \"uniform\"", lines);
+    let protocol = |lines| replace(VALID, "name = \"push-sum-revert\"\nlambda = 0.01", lines);
+    let drift = |lines| replace(VALID_ASYNC, "kind = \"skew\"\nspread = 0.2", lines);
+    let key = |table, key: &str| ScenarioError::UnknownKey { table, key: key.into() };
+    let name = |what, name: &str| ScenarioError::UnknownName { what, name: name.into() };
+    let epoch = "name = \"epoch-push-sum\"\nepoch_len = 20";
+    let failure = "[failure]\nkind = \"at-round\"\nround = 3\nfraction = 0.5";
+    let cases = [
+        (env("kind = \"uniform\"\nbroadcast_fanout = 8"), key("env", "broadcast_fanout")),
+        (env("kind = \"spatial\"\nmax_walk = 50"), key("env", "max_walk")),
+        (protocol(&format!("{epoch}\ndrift_prob = 0.1")), key("protocol", "drift_prob")),
+        (drift("kind = \"bernoulli\"\nskip_prob = 0.1"), name("drift kind", "bernoulli")),
+        (drift("kind = \"random-walk\"\nstep_prob = 0.1"), name("drift kind", "random-walk")),
+        (
+            format!("{VALID}{failure}\nmode = \"bottom-value\"\n"),
+            name("failure mode", "bottom-value"),
+        ),
+        (protocol("name = \"count-sketch-reset\"\ncutoff = \"slow\""), name("cutoff", "slow")),
+    ];
+    for (src, want) in cases {
+        assert_eq!(ScenarioSpec::from_toml_str(&src), Err(want), "{src}");
+    }
+}
+
+/// The two cutoff spellings no checked-in file uses parse to the values
+/// they name, and `{ scale = 2.0 }` is Fig. 11's slow cutoff (the one
+/// spelling it has).
+#[test]
+fn surviving_cutoff_spellings_parse_to_their_cutoffs() {
+    use dynagg_scenario::ProtocolSpec;
+    use dynagg_sketch::cutoff::Cutoff;
+    let sketch = replace(
+        VALID,
+        "name = \"push-sum-revert\"\nlambda = 0.01",
+        "name = \"count-sketch-reset\"",
+    );
+    for (spelling, want) in [
+        ("\"infinite\"", Cutoff::Infinite),
+        ("{ base = 7.0, slope = 0.25 }", Cutoff::paper_uniform()),
+        ("{ scale = 2.0 }", Cutoff::slow()),
+    ] {
+        let spec = ScenarioSpec::from_toml_str(&format!("{sketch}cutoff = {spelling}\n")).unwrap();
+        let ProtocolSpec::CountSketchReset { cutoff, .. } = spec.protocol else {
+            panic!("{spelling}: not a Count-Sketch-Reset spec");
+        };
+        assert_eq!(cutoff, want, "cutoff = {spelling}");
+    }
+}

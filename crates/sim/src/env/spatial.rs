@@ -19,7 +19,7 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct SpatialEnv {
     side: u32,
-    /// Maximum random-walk length (defaults to the grid diameter).
+    /// Maximum random-walk length: the grid diameter.
     max_walk: u32,
 }
 
@@ -34,12 +34,6 @@ impl SpatialEnv {
     /// Grid side length.
     pub fn side(&self) -> u32 {
         self.side
-    }
-
-    /// Override the maximum walk length.
-    pub fn with_max_walk(mut self, max_walk: u32) -> Self {
-        self.max_walk = max_walk.max(1);
-        self
     }
 
     fn coords(&self, node: NodeId) -> (u32, u32) {
@@ -204,7 +198,7 @@ mod tests {
 
     #[test]
     fn walk_lengths_favor_short_distances() {
-        let env = SpatialEnv::for_nodes(10_000).with_max_walk(50);
+        let env = SpatialEnv::for_nodes(625); // side 25: walks up to 50 hops
         let mut rng = SmallRng::seed_from_u64(5);
         let mut ones = 0;
         let n = 10_000;

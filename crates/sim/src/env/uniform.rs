@@ -8,24 +8,18 @@ use crate::membership::{sample_view_from, Membership, ViewChange};
 use dynagg_core::protocol::NodeId;
 use rand::rngs::SmallRng;
 
+/// Broadcast-set size handed to tree-style protocols (uniform gossip has
+/// no real neighborhoods; a bounded random subset stands in).
+const BROADCAST_FANOUT: usize = 8;
+
 /// Full-connectivity uniform peer selection.
 #[derive(Debug, Clone, Default)]
-pub struct UniformEnv {
-    /// Broadcast-set size handed to tree-style protocols (uniform gossip
-    /// has no real neighborhoods; a bounded random subset stands in).
-    broadcast_fanout: usize,
-}
+pub struct UniformEnv;
 
 impl UniformEnv {
-    /// A uniform environment with the default broadcast fanout (8).
+    /// The uniform environment.
     pub fn new() -> Self {
-        Self { broadcast_fanout: 8 }
-    }
-
-    /// Override the broadcast fanout used by [`Environment::neighbors`].
-    pub fn with_broadcast_fanout(mut self, fanout: usize) -> Self {
-        self.broadcast_fanout = fanout;
-        self
+        Self
     }
 }
 
@@ -70,7 +64,7 @@ impl Environment for UniformEnv {
 
     fn neighbors(&self, node: NodeId, alive: &AliveSet, rng: &mut SmallRng, out: &mut Vec<NodeId>) {
         // A random subset, deduplicated: tree protocols flood to these.
-        let want = self.broadcast_fanout.min(alive.len().saturating_sub(1));
+        let want = BROADCAST_FANOUT.min(alive.len().saturating_sub(1));
         let mut tries = 0;
         while out.len() < want && tries < want * 8 {
             if let Some(p) = alive.sample_other(node, rng) {
@@ -111,18 +105,22 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::default_constructed_unit_structs)] // `default()` is what is checked
     fn neighbors_are_distinct_and_bounded() {
         let alive = AliveSet::full(100);
-        let env = UniformEnv::new().with_broadcast_fanout(5);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut out = Vec::new();
-        env.neighbors(9, &alive, &mut rng, &mut out);
-        assert_eq!(out.len(), 5);
-        let mut dedup = out.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), out.len());
-        assert!(!out.contains(&9));
+        // `default()` is the same environment as `new()`: a tree protocol
+        // gets a full broadcast set from either.
+        for env in [UniformEnv::new(), UniformEnv::default()] {
+            let mut rng = SmallRng::seed_from_u64(2);
+            let mut out = Vec::new();
+            env.neighbors(9, &alive, &mut rng, &mut out);
+            assert_eq!(out.len(), 8);
+            let mut dedup = out.clone();
+            dedup.sort_unstable();
+            dedup.dedup();
+            assert_eq!(dedup.len(), out.len());
+            assert!(!out.contains(&9));
+        }
     }
 
     #[test]

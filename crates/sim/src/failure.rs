@@ -28,8 +28,6 @@ pub enum FailureMode {
     /// correlated with values stored at those hosts will alter the average
     /// without altering the average mass in the system").
     TopValue,
-    /// The lowest-valued hosts (the mirror correlated case).
-    BottomValue,
 }
 
 impl std::str::FromStr for FailureMode {
@@ -40,10 +38,7 @@ impl std::str::FromStr for FailureMode {
         match s {
             "random" => Ok(FailureMode::Random),
             "top-value" => Ok(FailureMode::TopValue),
-            "bottom-value" => Ok(FailureMode::BottomValue),
-            other => Err(format!(
-                "unknown failure mode `{other}` (expected random|top-value|bottom-value)"
-            )),
+            other => Err(format!("unknown failure mode `{other}` (expected random|top-value)")),
         }
     }
 }
@@ -138,9 +133,6 @@ impl FailurePlan {
                     FailureMode::Random => victims.shuffle(&mut self.rng),
                     FailureMode::TopValue => victims.sort_unstable_by(|&a, &b| {
                         value(b).partial_cmp(&value(a)).expect("values are finite")
-                    }),
-                    FailureMode::BottomValue => victims.sort_unstable_by(|&a, &b| {
-                        value(a).partial_cmp(&value(b)).expect("values are finite")
                     }),
                 }
                 victims.truncate(count);
@@ -246,9 +238,6 @@ mod tests {
             let mut top = FailurePlan::new(at_round(FailureMode::TopValue, 0.375), 9, 8);
             top.plan(3, order.iter().copied(), &vals, &mut victims);
             assert_eq!(victims, [7, 6, 5], "highest three, descending");
-            let mut bottom = FailurePlan::new(at_round(FailureMode::BottomValue, 0.375), 9, 8);
-            bottom.plan(3, order.iter().copied(), &vals, &mut victims);
-            assert_eq!(victims, [0, 1, 2], "lowest three, ascending");
         }
     }
 

@@ -149,12 +149,11 @@ proptest! {
         n in 10usize..60,
         fail_round in 1u64..10,
         fraction in 0.1f64..0.9,
-        mode_pick in 0u8..3,
+        mode_pick in 0u8..2,
     ) {
         let mode = match mode_pick {
             0 => FailureMode::Random,
-            1 => FailureMode::TopValue,
-            _ => FailureMode::BottomValue,
+            _ => FailureMode::TopValue,
         };
         let spec = FailureSpec::AtRound { round: fail_round, mode, fraction, graceful: false };
         let run = || {

@@ -300,6 +300,7 @@ fn trace_group_size_estimation_with_multiplier() {
 
 #[test]
 fn clique_migration_favors_reversion_over_epochs() {
+    use dynagg::protocols::epoch::DriftModel;
     use dynagg::sim::env::clustered::ClusteredEnv;
     // Six cliques of ~50 hosts, drifting clocks, 2% migration per round.
     // The reversion-based protocol needs no synchronization at all and
@@ -308,7 +309,9 @@ fn clique_migration_favors_reversion_over_epochs() {
     let epoch_series = runner::builder(114)
         .environment(ClusteredEnv::new(n, 6, 0.02, 0.02, 114))
         .nodes_with_paper_values(n)
-        .protocol(|_, v| EpochPushSum::new(v, 20).with_drift(0.15))
+        .protocol(|_, v| {
+            EpochPushSum::new(v, 20).with_drift_model(DriftModel::Bernoulli { skip_prob: 0.15 })
+        })
         .truth(Truth::Mean)
         .build()
         .run(160);
