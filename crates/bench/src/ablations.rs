@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices `DESIGN.md` §6 calls out.
+//! Ablation studies for the design choices the paper describes.
 //!
 //! Unlike the figure reproductions these are not paper artifacts; they
 //! quantify the individual optimizations the paper *describes* so the

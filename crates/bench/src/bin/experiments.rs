@@ -21,7 +21,7 @@
 //!   table-sketch-error §V-B PCSA 64-bin error
 //!   spatial-cutoff     extension: cutoff fit in the grid environment
 //!   epoch-disruption   extension: §II-C epoch disruption under clique mobility
-//!   ablations          all ablation sweeps (DESIGN.md §6)
+//!   ablations          all ablation sweeps
 //!   run FILE           run a declarative scenario (see scenarios/ and
 //!                      docs/scenario-guide.md)
 //!   serve              long-running live aggregation service under generated

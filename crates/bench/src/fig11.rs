@@ -1,6 +1,6 @@
 //! **Figure 11** — dynamic averaging and summation on the Cambridge/Haggle
 //! traces (replayed here on the synthetic Haggle-like datasets; see
-//! `DESIGN.md` §5 for the substitution).
+//! [`dynagg_trace::datasets`] for the substitution).
 //!
 //! Paper setup: devices gossip once every 30 s of simulated time,
 //! restricted to wireless range; a host's error is measured against the

@@ -1,7 +1,7 @@
 //! # dynagg-bench
 //!
 //! The experiment harness: one module per figure/table of the paper's
-//! evaluation (§V), plus the ablations `DESIGN.md` §6 calls out. The
+//! evaluation (§V), plus ablations of the design choices it describes. The
 //! `experiments` binary dispatches to these. (Throughput is measured by
 //! the repository's `benchmark/` package, not here.)
 //!

@@ -45,10 +45,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct CountSketch {
     sketch: Pcsa,
-    /// Reply with our own sketch on receipt (push-pull message exchange).
-    /// Messages are `Arc`-shared, so the reply and any fan-out reuse one
-    /// sketch allocation.
-    push_pull: bool,
 }
 
 impl CountSketch {
@@ -57,7 +53,7 @@ impl CountSketch {
         let hasher = SplitMix64::new(cfg.hash_seed);
         let mut sketch = Pcsa::new(cfg.bins, cfg.width);
         sketch.insert(&hasher, host_id);
-        Self { sketch, push_pull: true }
+        Self { sketch }
     }
 
     /// A host registering `value` identifiers (sketch summation). `value`
@@ -66,13 +62,7 @@ impl CountSketch {
         let hasher = SplitMix64::new(cfg.hash_seed);
         let mut sketch = Pcsa::new(cfg.bins, cfg.width);
         insert_value(&mut sketch, &hasher, host_id, value);
-        Self { sketch, push_pull: true }
-    }
-
-    /// Disable push-pull replies (pure push gossip, exactly Fig. 2).
-    pub fn push_only(mut self) -> Self {
-        self.push_pull = false;
-        self
+        Self { sketch }
     }
 
     /// The local sketch view.
@@ -107,12 +97,12 @@ impl PushProtocol for CountSketch {
         if !self.sketch.same_geometry(msg) {
             return None;
         }
-        // Reply *before* merging: the reply is this host's own view, which
+        // Push-pull: reply *before* merging, with this host's own view, which
         // the initiator does not have yet (sending the merged view would be
         // fine too — OR is idempotent — but costs an extra clone).
-        let reply = self.push_pull.then(|| Arc::new(self.sketch.clone()));
+        let reply = Arc::new(self.sketch.clone());
         self.sketch.merge(msg);
-        reply
+        Some(reply)
     }
 
     fn on_reply(&mut self, _from: NodeId, msg: &Arc<Pcsa>, _ctx: &mut RoundCtx<'_>) {

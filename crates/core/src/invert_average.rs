@@ -67,11 +67,6 @@ impl InvertAverage {
         }
     }
 
-    /// The averaging sub-protocol.
-    pub fn averager(&self) -> &PushSumRevert {
-        &self.avg
-    }
-
     /// The counting sub-protocol.
     pub fn counter(&self) -> &CountSketchReset {
         &self.count

@@ -81,6 +81,17 @@ const REPAIR_TRIES: usize = 4;
 /// `O(view²)`.
 const INTRODUCTIONS: usize = 8;
 
+/// One instant of the coordinator's timeline (see
+/// [`Coordinator::timeline`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tick {
+    /// Sample estimates into the series.
+    Sample,
+    /// Nominal round boundary `k`: apply the failure plan, advance the
+    /// membership clock, repair views.
+    Boundary(u64),
+}
+
 /// What the coordinator needs from an engine's drain: where a node's
 /// runtime lives, and what it counted.
 pub(crate) trait Drain<P: PushProtocol>
@@ -458,13 +469,44 @@ where
         self.counters.full_view_assignments += 1;
     }
 
+    /// The instants a run of `rounds` nominal rounds fires, in firing
+    /// order: a sample at every multiple of the sampling cadence up to
+    /// the horizon `rounds × interval_ms`, a boundary at every
+    /// `k × interval_ms` for `k < rounds`, and at a shared instant the
+    /// sample before the boundary.
+    pub(crate) fn timeline(&self, rounds: u64) -> Vec<(u64, Tick)> {
+        let cadence = self.cfg.sample_every_ms.max(1);
+        let mut timeline = Vec::new();
+        let mut sample_at = cadence;
+        // k = rounds is the horizon: its samples, and no boundary.
+        for k in 0..=rounds {
+            let at = k * self.cfg.interval_ms;
+            while sample_at <= at {
+                timeline.push((sample_at, Tick::Sample));
+                sample_at += cadence;
+            }
+            if k < rounds {
+                timeline.push((at, Tick::Boundary(k)));
+            }
+        }
+        timeline
+    }
+
+    /// Fire `tick` at simulated time `now_ms`.
+    pub(crate) fn fire(&mut self, tick: Tick, now_ms: u64, drain: &mut impl Drain<P>) {
+        match tick {
+            Tick::Sample => self.record_sample(drain),
+            Tick::Boundary(k) => self.nominal_round(k, now_ms, drain),
+        }
+    }
+
     /// Sample the live nodes through the shared [`sample_round`] pass
     /// (ascending id order, so floating-point accumulation is fixed
     /// regardless of where runtimes live). Group truths
     /// ([`Truth::needs_groups`]) read the membership layer's group
     /// structure as it stands at this wall-clock instant, exactly as the
     /// lockstep sampler reads the environment's.
-    pub(crate) fn record_sample(&mut self, drain: &impl Drain<P>) {
+    fn record_sample(&mut self, drain: &impl Drain<P>) {
         // A sample's traffic is what the drain counted since the last one.
         let (now, was) = (drain.counters(), self.sampled);
         self.sampled = now;
@@ -489,7 +531,7 @@ where
     /// failure plan (victims repaired incrementally, joins introduced),
     /// then advance the membership clock and rebuild exactly the views
     /// its change report names.
-    pub(crate) fn nominal_round(&mut self, k: u64, now_ms: u64, drain: &mut impl Drain<P>) {
+    fn nominal_round(&mut self, k: u64, now_ms: u64, drain: &mut impl Drain<P>) {
         // Advance the partition schedule first so failure repair and
         // membership rebuilds within this boundary already respect the
         // new connectivity.

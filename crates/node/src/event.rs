@@ -3,8 +3,7 @@
 //! All three async-family drains — the sequential [`AsyncNet`] loop, the
 //! per-shard queues of `ShardedNet`, and the live service's timer pump —
 //! schedule through one implementation: a two-level **timing wheel**
-//! (the private `Wheel`) with a sorted overflow heap. Enqueue and
-//! dequeue are O(1)
+//! ([`Wheel`]) with a sorted overflow heap. Enqueue and dequeue are O(1)
 //! amortized instead of the binary heap's O(log n), and slot storage is
 //! recycled so a warmed-up queue allocates nothing per `schedule` call.
 //!
@@ -12,14 +11,17 @@
 //! the binary heap it replaced: every golden digest in the repo pins the
 //! event schedule, so the wheel may only change *when work happens on the
 //! wall clock*, never *what* the simulation computes. Each slot therefore
-//! carries the event's full ordering key — `(time, insertion seq)` for
-//! [`EventQueue`], the shard-invariant [`EventKey`] for [`ShardQueue`] —
-//! and a slot is sorted by that key the moment it fires. Within one slot
-//! every entry shares a timestamp (slots are page-aligned, see below), so
-//! the sort resolves exactly the same ties the heap resolved, in exactly
-//! the same order. The retained heap implementations ([`HeapQueue`],
-//! [`HeapShardQueue`]) exist so property tests and the benchmark's
-//! `node.event.*` metrics can check that claim differentially.
+//! carries the event's full ordering key — a [`WheelKey`]: `(time,
+//! insertion seq)` for [`EventQueue`], the shard-invariant [`EventKey`]
+//! the sharded drain schedules under — and a slot is sorted by that key
+//! the moment it fires. Within one slot every entry shares a timestamp
+//! (slots are page-aligned, see below), so the sort resolves exactly the
+//! same ties the heap resolved, in exactly the same order. The retained
+//! heap ([`Heap`], generic over the same keys) exists so property tests
+//! and the benchmark's `node.event.*` metrics can check that claim
+//! differentially. Both implement [`KeyedQueue`]; [`Sequenced`] stamps
+//! the insertion seq over either, which makes [`EventQueue`] and
+//! [`HeapQueue`].
 //!
 //! Two debug invariants guard causality, unchanged from the heap era:
 //!
@@ -48,7 +50,7 @@ pub trait WheelKey: Copy + Ord {
     fn at_ms(&self) -> u64;
 }
 
-/// `(at_ms, insertion seq)` — the [`EventQueue`] key.
+/// `(at_ms, insertion seq)` — the key [`Sequenced`] stamps.
 impl WheelKey for (u64, u64) {
     #[inline]
     fn at_ms(&self) -> u64 {
@@ -60,6 +62,41 @@ impl WheelKey for EventKey {
     #[inline]
     fn at_ms(&self) -> u64 {
         self.at_ms
+    }
+}
+
+/// What a keyed event queue does — the one API of the [`Wheel`] and of
+/// its [`Heap`] reference, whichever [`WheelKey`] they order by.
+pub trait KeyedQueue: Default {
+    /// The order events pop in.
+    type Key: WheelKey;
+    /// What an event carries.
+    type Val;
+    /// An empty queue at time 0, pre-sized for about `n` pending events,
+    /// so a population-scale engine does not grow it event by event.
+    fn with_capacity(n: usize) -> Self;
+    /// Schedule `val` under `key`, due at `key.at_ms()`: never before the
+    /// last popped time (a debug assertion guards causality).
+    fn schedule(&mut self, key: Self::Key, val: Self::Val);
+    /// The time of the next due event.
+    fn peek_time(&self) -> Option<u64>;
+    /// Pop the next event in key order.
+    fn pop(&mut self) -> Option<(Self::Key, Self::Val)>;
+    /// Pending events.
+    fn len(&self) -> usize;
+    /// The time the last popped event fired at (0 before any pop).
+    fn now_ms(&self) -> u64;
+    /// Pop the next event if it is due at or before `horizon_ms`.
+    fn pop_before(&mut self, horizon_ms: u64) -> Option<(Self::Key, Self::Val)> {
+        if self.peek_time()? <= horizon_ms {
+            self.pop()
+        } else {
+            None
+        }
+    }
+    /// Whether nothing is scheduled.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -151,7 +188,7 @@ impl Occ {
 /// capacity across fire/cascade cycles, so a warmed-up wheel services
 /// `schedule` without touching the allocator.
 #[derive(Debug)]
-struct Wheel<K, V> {
+pub struct Wheel<K, V> {
     firing: VecDeque<(K, V)>,
     inner: Box<[Vec<(K, V)>]>,
     outer: Box<[Vec<(K, V)>]>,
@@ -169,8 +206,8 @@ struct Wheel<K, V> {
     len: usize,
 }
 
-impl<K: WheelKey, V> Wheel<K, V> {
-    fn new() -> Self {
+impl<K: WheelKey, V> Default for Wheel<K, V> {
+    fn default() -> Self {
         Self {
             firing: VecDeque::new(),
             inner: (0..SLOTS).map(|_| Vec::new()).collect(),
@@ -186,13 +223,20 @@ impl<K: WheelKey, V> Wheel<K, V> {
             len: 0,
         }
     }
+}
 
-    /// Pre-size for about `n` pending events (population-scale): the
-    /// overflow heap absorbs the far-future bulk (pre-scheduled samples
-    /// and boundaries), the firing deque the worst same-instant burst.
-    fn reserve(&mut self, n: usize) {
-        self.overflow.reserve(n);
-        self.firing.reserve((n / SLOTS).max(16));
+impl<K: WheelKey, V> KeyedQueue for Wheel<K, V> {
+    type Key = K;
+    type Val = V;
+
+    /// The overflow heap absorbs the far-future bulk (pre-scheduled
+    /// samples and boundaries), the firing deque the worst same-instant
+    /// burst.
+    fn with_capacity(n: usize) -> Self {
+        let mut wheel = Self::default();
+        wheel.overflow.reserve(n);
+        wheel.firing.reserve((n / SLOTS).max(16));
+        wheel
     }
 
     #[inline]
@@ -239,7 +283,7 @@ impl<K: WheelKey, V> Wheel<K, V> {
     }
 
     /// Earliest pending key's due time. The level scan mirrors
-    /// [`Self::advance`] but mutates nothing.
+    /// `advance` but mutates nothing.
     fn peek_time(&self) -> Option<u64> {
         if let Some((k, _)) = self.firing.front() {
             return Some(k.at_ms());
@@ -260,13 +304,6 @@ impl<K: WheelKey, V> Wheel<K, V> {
         self.overflow.peek().map(|Reverse(OverEnt(k, _))| k.at_ms())
     }
 
-    /// The event `n + 1` pops from now, if it is already in the firing
-    /// slot (no later slot is looked at).
-    #[inline]
-    fn peek_firing(&self, n: usize) -> Option<&V> {
-        self.firing.get(n).map(|(_, v)| v)
-    }
-
     fn pop(&mut self) -> Option<(K, V)> {
         if self.firing.is_empty() {
             if self.len == 0 {
@@ -284,6 +321,17 @@ impl<K: WheelKey, V> Wheel<K, V> {
         );
         self.cursor = self.cursor.max(k.at_ms());
         Some((k, v))
+    }
+}
+
+impl<K: WheelKey, V> Wheel<K, V> {
+    /// The event the `n + 1`-th next pop returns, if it is already in
+    /// the firing slot (no later slot is looked at) — what a drain
+    /// prefetches for. A schedule in between lands behind it unless its
+    /// key orders before it at the same instant.
+    #[inline]
+    pub(crate) fn peek_firing(&self, n: usize) -> Option<&V> {
+        self.firing.get(n).map(|(_, v)| v)
     }
 
     /// First inner slot the drain has not passed yet.
@@ -411,123 +459,118 @@ pub trait EventSched<K> {
     fn now_ms(&self) -> u64;
 }
 
-/// A deterministic timed event queue: pops in `(time, insertion order)`,
-/// so two events due at the same millisecond resolve by who was scheduled
-/// first — a total order that never depends on container internals.
-/// Wheel-backed (O(1) amortized); bit-identical in pop order to
-/// [`HeapQueue`].
-#[derive(Debug)]
-pub struct EventQueue<K> {
-    wheel: Wheel<(u64, u64), K>,
+/// The `(time, insertion seq)` front-end over a keyed queue: the one
+/// place a sequence number is stamped, so two events due at the same
+/// millisecond resolve by who was scheduled first — a total order that
+/// never depends on container internals.
+#[derive(Debug, Default)]
+pub struct Sequenced<Q> {
+    queue: Q,
     seq: u64,
 }
 
-impl<K> Default for EventQueue<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K> EventQueue<K> {
-    /// An empty queue at time 0.
-    pub fn new() -> Self {
-        Self { wheel: Wheel::new(), seq: 0 }
-    }
-
-    /// An empty queue pre-sized for about `n` pending events, so a
-    /// population-scale engine does not grow the queue event by event.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut q = Self::new();
-        q.wheel.reserve(n);
-        q
-    }
-
-    /// The event the `n + 1`-th next pop returns, if it is due at the
-    /// instant now firing — what a drain prefetches for. A schedule in
-    /// between lands behind it (a fresh `seq` orders last in its instant).
-    #[inline]
-    pub(crate) fn peek_firing(&self, n: usize) -> Option<&K> {
-        self.wheel.peek_firing(n)
-    }
-}
-
-impl<K> EventSched<K> for EventQueue<K> {
-    fn schedule(&mut self, at_ms: u64, kind: K) {
-        self.wheel.schedule((at_ms, self.seq), kind);
-        self.seq += 1;
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        self.wheel.peek_time()
-    }
-
-    fn pop(&mut self) -> Option<(u64, K)> {
-        self.wheel.pop().map(|((at_ms, _), kind)| (at_ms, kind))
-    }
-
-    fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.wheel.now_ms()
-    }
-}
+/// A deterministic timed event queue: pops in `(time, insertion order)`.
+/// Wheel-backed (O(1) amortized); bit-identical in pop order to
+/// [`HeapQueue`].
+pub type EventQueue<K> = Sequenced<Wheel<(u64, u64), K>>;
 
 /// The binary-heap queue the wheel replaced, kept as the differential
 /// reference: property tests assert [`EventQueue`] pops the identical
 /// `(time, seq)` sequence, and the benchmark's `node.event.heap_ns` /
 /// `node.event.wheel_vs_heap` metrics report heap-vs-wheel throughput.
-#[derive(Debug)]
-pub struct HeapQueue<K> {
-    heap: BinaryHeap<Reverse<OverEnt<(u64, u64), K>>>,
-    seq: u64,
-    last_popped_ms: u64,
-}
+pub type HeapQueue<K> = Sequenced<Heap<(u64, u64), K>>;
 
-impl<K> Default for HeapQueue<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K> HeapQueue<K> {
+impl<Q: KeyedQueue<Key = (u64, u64)>> Sequenced<Q> {
     /// An empty queue at time 0.
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), seq: 0, last_popped_ms: 0 }
+        Self::default()
     }
 
-    /// An empty queue pre-sized for `n` pending events.
+    /// An empty queue pre-sized for about `n` pending events.
     pub fn with_capacity(n: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(n), seq: 0, last_popped_ms: 0 }
+        Self { queue: Q::with_capacity(n), seq: 0 }
     }
 }
 
-impl<K> EventSched<K> for HeapQueue<K> {
-    fn schedule(&mut self, at_ms: u64, kind: K) {
-        debug_assert!(
-            at_ms >= self.last_popped_ms,
-            "scheduling into the past ({at_ms} < {}) breaks causality",
-            self.last_popped_ms
-        );
-        self.heap.push(Reverse(OverEnt((at_ms, self.seq), kind)));
+impl<K> EventQueue<K> {
+    /// [`Wheel::peek_firing`]: a schedule in between lands behind the
+    /// peeked event (a fresh `seq` orders last in its instant).
+    #[inline]
+    pub(crate) fn peek_firing(&self, n: usize) -> Option<&K> {
+        self.queue.peek_firing(n)
+    }
+}
+
+impl<Q: KeyedQueue<Key = (u64, u64)>> EventSched<Q::Val> for Sequenced<Q> {
+    fn schedule(&mut self, at_ms: u64, kind: Q::Val) {
+        self.queue.schedule((at_ms, self.seq), kind);
         self.seq += 1;
     }
 
     fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(OverEnt((at_ms, _), _))| *at_ms)
+        self.queue.peek_time()
     }
 
-    fn pop(&mut self) -> Option<(u64, K)> {
-        let Reverse(OverEnt((at_ms, _), kind)) = self.heap.pop()?;
+    fn pop(&mut self) -> Option<(u64, Q::Val)> {
+        self.queue.pop().map(|((at_ms, _), kind)| (at_ms, kind))
+    }
+
+    fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    fn now_ms(&self) -> u64 {
+        self.queue.now_ms()
+    }
+}
+
+/// The differential reference for [`Wheel`], generic over the same keys:
+/// a min-heap pops any [`WheelKey`] order exactly, and keeps the same
+/// causality guards.
+#[derive(Debug)]
+pub struct Heap<K, V> {
+    heap: BinaryHeap<Reverse<OverEnt<K, V>>>,
+    last_popped_ms: u64,
+}
+
+impl<K: WheelKey, V> Default for Heap<K, V> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<K: WheelKey, V> KeyedQueue for Heap<K, V> {
+    type Key = K;
+    type Val = V;
+
+    fn with_capacity(n: usize) -> Self {
+        Self { heap: BinaryHeap::with_capacity(n), last_popped_ms: 0 }
+    }
+
+    fn schedule(&mut self, key: K, val: V) {
         debug_assert!(
-            at_ms >= self.last_popped_ms,
-            "event-time monotonicity violated: popped {} after {}",
-            at_ms,
+            key.at_ms() >= self.last_popped_ms,
+            "scheduling into the past ({} < {}) breaks causality",
+            key.at_ms(),
             self.last_popped_ms
         );
-        self.last_popped_ms = at_ms;
-        Some((at_ms, kind))
+        self.heap.push(Reverse(OverEnt(key, val)));
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(OverEnt(k, _))| k.at_ms())
+    }
+
+    fn pop(&mut self) -> Option<(K, V)> {
+        let Reverse(OverEnt(key, val)) = self.heap.pop()?;
+        debug_assert!(
+            key.at_ms() >= self.last_popped_ms,
+            "event-time monotonicity violated: popped {} after {}",
+            key.at_ms(),
+            self.last_popped_ms
+        );
+        self.last_popped_ms = key.at_ms();
+        Some((key, val))
     }
 
     fn len(&self) -> usize {
@@ -578,145 +621,6 @@ impl EventKey {
     }
 }
 
-/// The per-shard queue of the sharded engine: the same timing wheel,
-/// ordered by an explicit [`EventKey`] so the tie-break is a pure
-/// function of the event set rather than of insertion order. Same
-/// causality guards as [`EventQueue`]. [`HeapShardQueue`] is its
-/// binary-heap differential reference.
-#[derive(Debug)]
-pub struct ShardQueue<K> {
-    wheel: Wheel<EventKey, K>,
-}
-
-impl<K> Default for ShardQueue<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K> ShardQueue<K> {
-    /// An empty queue at time 0.
-    pub fn new() -> Self {
-        Self { wheel: Wheel::new() }
-    }
-
-    /// An empty queue pre-sized for about `n` pending events.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut q = Self::new();
-        q.wheel.reserve(n);
-        q
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Whether nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.len() == 0
-    }
-
-    /// The time the last popped event fired at (0 before any pop).
-    pub fn now_ms(&self) -> u64 {
-        self.wheel.now_ms()
-    }
-
-    /// Schedule `kind` under `key`.
-    pub fn schedule(&mut self, key: EventKey, kind: K) {
-        self.wheel.schedule(key, kind);
-    }
-
-    /// The time of the next due event.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.wheel.peek_time()
-    }
-
-    /// Pop the next event in key order.
-    pub fn pop(&mut self) -> Option<(EventKey, K)> {
-        self.wheel.pop()
-    }
-
-    /// Pop the next event if it is due at or before `horizon_ms`.
-    pub fn pop_before(&mut self, horizon_ms: u64) -> Option<(EventKey, K)> {
-        if self.peek_time()? <= horizon_ms {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// The event the `n + 1`-th next pop returns, if it is due at the
-    /// instant now firing and nothing with a smaller key is scheduled at
-    /// that instant first — what a drain prefetches for.
-    #[inline]
-    pub(crate) fn peek_firing(&self, n: usize) -> Option<&K> {
-        self.wheel.peek_firing(n)
-    }
-}
-
-/// Binary-heap reference for [`ShardQueue`] (differential tests only).
-#[derive(Debug)]
-pub struct HeapShardQueue<K> {
-    heap: BinaryHeap<Reverse<OverEnt<EventKey, K>>>,
-    last_popped_ms: u64,
-}
-
-impl<K> Default for HeapShardQueue<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K> HeapShardQueue<K> {
-    /// An empty queue at time 0.
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), last_popped_ms: 0 }
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `kind` under `key`.
-    pub fn schedule(&mut self, key: EventKey, kind: K) {
-        debug_assert!(
-            key.at_ms >= self.last_popped_ms,
-            "scheduling into the past ({} < {}) breaks causality",
-            key.at_ms,
-            self.last_popped_ms
-        );
-        self.heap.push(Reverse(OverEnt(key, kind)));
-    }
-
-    /// The time of the next due event.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(OverEnt(k, _))| k.at_ms)
-    }
-
-    /// Pop the next event in key order.
-    pub fn pop(&mut self) -> Option<(EventKey, K)> {
-        let Reverse(OverEnt(key, kind)) = self.heap.pop()?;
-        self.last_popped_ms = key.at_ms;
-        Some((key, kind))
-    }
-
-    /// Pop the next event if it is due at or before `horizon_ms`.
-    pub fn pop_before(&mut self, horizon_ms: u64) -> Option<(EventKey, K)> {
-        if self.peek_time()? <= horizon_ms {
-            self.pop()
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,15 +636,24 @@ mod tests {
         assert_eq!(order, vec![(10, "a1"), (10, "a2"), (20, "b"), (30, "c")]);
     }
 
-    #[test]
-    fn pop_before_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(5, ());
-        q.schedule(15, ());
-        assert_eq!(q.pop_before(10), Some((5, ())));
+    /// One horizon sequence, run over each key order below.
+    fn check_horizon<K: WheelKey + std::fmt::Debug>(key: fn(u64, u32) -> K) {
+        let mut q = Wheel::default();
+        q.schedule(key(5, 0), "a");
+        q.schedule(key(15, 1), "b");
+        assert_eq!(q.pop_before(10), Some((key(5, 0), "a")));
         assert_eq!(q.pop_before(10), None);
         assert_eq!(q.len(), 1, "the late event stays scheduled");
-        assert_eq!(q.pop_before(15), Some((15, ())));
+        q.schedule(key(12, 2), "c");
+        assert_eq!(q.pop_before(15), Some((key(12, 2), "c")));
+        assert_eq!(q.pop_before(15), Some((key(15, 1), "b")));
+        assert!(q.is_empty());
+        assert_eq!(q.now_ms(), 15);
+    }
+
+    #[test]
+    fn pop_before_respects_horizon() {
+        check_horizon(|at, i| (at, u64::from(i)));
     }
 
     #[test]
@@ -755,14 +668,31 @@ mod tests {
         assert_eq!(q.pop(), Some((7, ())));
     }
 
+    /// Schedule behind the clock on a fresh `Q`: a causality panic in
+    /// debug builds.
+    #[cfg(debug_assertions)]
+    fn schedule_into_the_past<Q: KeyedQueue<Val = ()>>(key: fn(u64) -> Q::Key) {
+        let mut q = Q::default();
+        q.schedule(key(10), ());
+        q.pop();
+        q.schedule(key(9), ());
+    }
+
+    /// On the wheel and on its heap reference: the heap cases over both
+    /// key orders are caught here, the wheel's by `should_panic`.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "breaks causality")]
     fn scheduling_into_the_past_is_caught() {
-        let mut q = EventQueue::new();
-        q.schedule(10, ());
-        q.pop();
-        q.schedule(9, ());
+        let caught = |case: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case))
+                .expect_err("scheduling into the past panics");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("breaks causality"), "{msg}");
+        };
+        caught(&|| schedule_into_the_past::<Heap<_, ()>>(|at| (at, 0)));
+        caught(&|| schedule_into_the_past::<Heap<_, ()>>(|at| EventKey::timer(at, 0)));
+        schedule_into_the_past::<Wheel<_, ()>>(|at| (at, 0));
     }
 
     #[test]
@@ -838,7 +768,7 @@ mod tests {
             EventKey::deliver(5, 9, 0, 0),
         ];
         let pop_all = |order: &[usize]| {
-            let mut q = ShardQueue::new();
+            let mut q = Wheel::default();
             for &i in order {
                 q.schedule(keys[i], i);
             }
@@ -858,27 +788,14 @@ mod tests {
 
     #[test]
     fn shard_queue_respects_horizon() {
-        let mut q = ShardQueue::new();
-        q.schedule(EventKey::timer(5, 0), "a");
-        q.schedule(EventKey::timer(15, 1), "b");
-        assert_eq!(q.pop_before(10).map(|(k, v)| (k.at_ms, v)), Some((5, "a")));
-        assert_eq!(q.pop_before(10), None);
-        assert_eq!(q.len(), 1, "the late event stays scheduled");
-        q.schedule(EventKey::timer(12, 2), "c");
-        assert_eq!(q.pop_before(15).map(|(_, v)| v), Some("c"));
-        assert_eq!(q.pop_before(15).map(|(_, v)| v), Some("b"));
-        assert!(q.is_empty());
-        assert_eq!(q.now_ms(), 15);
+        check_horizon(EventKey::timer);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "breaks causality")]
     fn shard_queue_catches_scheduling_into_the_past() {
-        let mut q = ShardQueue::new();
-        q.schedule(EventKey::timer(10, 0), ());
-        q.pop();
-        q.schedule(EventKey::timer(9, 0), ());
+        schedule_into_the_past::<Wheel<_, ()>>(|at| EventKey::timer(at, 0));
     }
 
     /// How far the `peek_firing` properties look: twice the drains'
@@ -919,12 +836,47 @@ mod tests {
         acts
     }
 
+    /// After every prefix of the program `acts`, a `Some` from
+    /// `peek_firing(n)` is what the `n + 1`-th next pop returns, due at
+    /// the instant the next pop is: the peek never reaches past the
+    /// firing slot. `key` builds an event's key from its time, tag and
+    /// shape bits; `last`, where the order has one, is a key behind every
+    /// event pending at an instant, so scheduling it after the peek must
+    /// not move the prediction.
+    fn check_peek_firing<K: WheelKey>(
+        acts: &[Act],
+        key: impl Fn(u64, usize, u64) -> K,
+        last: impl Fn(u64) -> Option<K>,
+    ) {
+        for end in 1..=acts.len() {
+            let mut q = Wheel::default();
+            for act in &acts[..end] {
+                match *act {
+                    Act::Schedule { dt, tag, bits } => {
+                        q.schedule(key(q.now_ms() + dt, tag, bits), tag)
+                    }
+                    Act::Pop => drop(q.pop()),
+                }
+            }
+            let peeks: Vec<Option<usize>> = (0..PEEKS).map(|n| q.peek_firing(n).copied()).collect();
+            let next_at = q.peek_time();
+            if let Some(k) = last(q.now_ms()) {
+                q.schedule(k, usize::MAX);
+            }
+            for (n, peek) in peeks.into_iter().enumerate() {
+                let popped = q.pop();
+                if let Some(tag) = peek {
+                    let (k, got) = popped.expect("a peeked event pops");
+                    assert_eq!(got, tag, "peek_firing({n}) after {end} actions");
+                    assert_eq!(Some(k.at_ms()), next_at, "peek_firing({n}) left the instant");
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
-        /// After every prefix of an interleaved program, a `Some` from
-        /// `peek_firing(n)` is what the `n + 1`-th next pop returns, due at
-        /// the instant the next pop is: the peek never reaches past the
-        /// firing slot. A zero-delay schedule after the peek lands behind
-        /// it, so it does not move the prediction.
+        /// [`check_peek_firing`] over `(time, seq)` keys: tags grow in
+        /// scheduling order, so a tag is the seq [`Sequenced`] would stamp.
         #[test]
         fn event_queue_peek_firing_is_the_pop_n_ahead(
             steps in proptest::collection::vec(
@@ -934,30 +886,10 @@ mod tests {
             ),
         ) {
             let acts = program(&steps);
-            for end in 1..=acts.len() {
-                let mut q = EventQueue::new();
-                for act in &acts[..end] {
-                    match *act {
-                        Act::Schedule { dt, tag, .. } => q.schedule(q.now_ms() + dt, tag),
-                        Act::Pop => drop(q.pop()),
-                    }
-                }
-                let peeks: Vec<Option<usize>> =
-                    (0..PEEKS).map(|n| q.peek_firing(n).copied()).collect();
-                let next_at = q.peek_time();
-                q.schedule(q.now_ms(), usize::MAX);
-                for (n, peek) in peeks.into_iter().enumerate() {
-                    let popped = q.pop();
-                    if let Some(tag) = peek {
-                        let (at, got) = popped.expect("a peeked event pops");
-                        assert_eq!(got, tag, "peek_firing({n}) after {end} actions");
-                        assert_eq!(Some(at), next_at, "peek_firing({n}) left the instant");
-                    }
-                }
-            }
+            check_peek_firing(&acts, |at, tag, _| (at, tag as u64), |at| Some((at, u64::MAX)));
         }
 
-        /// The same over [`ShardQueue`], whose same-instant inserts land
+        /// The same over [`EventKey`], whose same-instant inserts land
         /// anywhere in the firing slot by key: timers, and deliveries among
         /// a few receivers and senders.
         #[test]
@@ -969,34 +901,17 @@ mod tests {
             ),
         ) {
             let acts = program(&steps);
-            for end in 1..=acts.len() {
-                let mut q = ShardQueue::new();
-                for act in &acts[..end] {
-                    match *act {
-                        Act::Schedule { dt, tag, bits } => {
-                            let at = q.now_ms() + dt;
-                            let key = if bits % 3 == 0 {
-                                EventKey::timer(at, tag as u32)
-                            } else {
-                                EventKey::deliver(at, (bits % 5) as u32, (bits % 7) as u32, tag as u64)
-                            };
-                            q.schedule(key, tag);
-                        }
-                        Act::Pop => drop(q.pop()),
+            check_peek_firing(
+                &acts,
+                |at, tag, bits| {
+                    if bits % 3 == 0 {
+                        EventKey::timer(at, tag as u32)
+                    } else {
+                        EventKey::deliver(at, (bits % 5) as u32, (bits % 7) as u32, tag as u64)
                     }
-                }
-                let peeks: Vec<Option<usize>> =
-                    (0..PEEKS).map(|n| q.peek_firing(n).copied()).collect();
-                let next_at = q.peek_time();
-                for (n, peek) in peeks.into_iter().enumerate() {
-                    let popped = q.pop();
-                    if let Some(tag) = peek {
-                        let (key, got) = popped.expect("a peeked event pops");
-                        assert_eq!(got, tag, "peek_firing({n}) after {end} actions");
-                        assert_eq!(Some(key.at_ms), next_at, "peek_firing({n}) left the instant");
-                    }
-                }
-            }
+                },
+                |_| None,
+            );
         }
     }
 }

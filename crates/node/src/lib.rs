@@ -28,13 +28,15 @@
 //!   emit.
 //! * two **drains** under it, which own only what differs — event
 //!   queue(s), dispatch, send, link RNG stream(s), their [`Counters`]:
-//!   [`loopback::AsyncNet`], one time-ordered queue (a hierarchical
-//!   timing wheel, [`event::EventQueue`]) with per-link latency
-//!   distributions and frame loss — what `engine = "async"` scenarios
-//!   run on, over every environment; and [`shard::ShardedNet`], the
-//!   **parallel** drain: hosts partitioned into topology-aware shards
-//!   (one [`event::ShardQueue`] each, drained by one worker per core
-//!   over contiguous groups of shards), cross-shard frames exchanged
+//!   [`loopback::AsyncNet`], one time-ordered queue
+//!   ([`event::EventQueue`], which stamps `(time, insertion seq)` over
+//!   the hierarchical timing wheel [`event::Wheel`]) with per-link
+//!   latency distributions and frame loss — what `engine = "async"`
+//!   scenarios run on, over every environment; and
+//!   [`shard::ShardedNet`], the **parallel** drain: hosts partitioned
+//!   into topology-aware shards (one [`event::Wheel`] each, keyed by
+//!   [`event::EventKey`] and drained by one worker per core over
+//!   contiguous groups of shards), cross-shard frames exchanged
 //!   through mailboxes under a conservative time-window barrier whose
 //!   lookahead is the latency model's lower bound. Its results are
 //!   bit-identical at any shard and worker count — every random draw is
@@ -76,7 +78,7 @@ pub mod transport;
 pub mod views;
 
 pub use counters::Counters;
-pub use event::{EventKey, EventQueue, EventSched, HeapQueue, HeapShardQueue, ShardQueue};
+pub use event::{EventKey, EventQueue, EventSched, HeapQueue};
 pub use loopback::{AsyncConfig, AsyncNet, LatencyModel};
 pub use runtime::{Envelope, FrameHeader, FrameKind, NodeRuntime, RuntimeConfig, Stock};
 pub use service::{LiveService, NodeSnap, ServiceConfig, ServiceReport, VirtualService};

@@ -36,7 +36,7 @@
 //! timers and deliveries is the queue's `(time, seq)` order — part of
 //! this family's pinned output.
 
-use crate::control::{engine_facade, Coordinator, Drain};
+use crate::control::{engine_facade, Coordinator, Drain, Tick};
 use crate::counters::Counters;
 use crate::event::{EventQueue, EventSched};
 use crate::runtime::{Envelope, NodeRuntime, RuntimeConfig, Stock};
@@ -160,11 +160,8 @@ enum Ev {
     Timer(NodeId),
     /// A frame arrives.
     Deliver(Envelope),
-    /// Sample estimates into the series.
-    Sample,
-    /// A nominal round boundary: apply the failure plan, advance the
-    /// membership clock, repair views.
-    Boundary(u64),
+    /// A sample or a nominal round boundary.
+    Coord(Tick),
 }
 
 /// Closure constructing a node's protocol from `(id, initial value)`.
@@ -360,17 +357,12 @@ where
              drive a sampled engine with run() alone (run_until is the rig API)"
         );
         self.ctl.ensure_views();
-        let interval_ms = self.ctl.cfg.interval_ms;
-        let horizon = nominal_rounds * interval_ms;
+        let horizon = nominal_rounds * self.ctl.cfg.interval_ms;
         self.horizon_ms = Some(horizon);
-        let cadence = self.ctl.cfg.sample_every_ms.max(1);
-        let mut t = cadence;
-        while t <= horizon {
-            self.drain.queue.schedule(t, Ev::Sample);
-            t += cadence;
-        }
-        for k in 0..nominal_rounds {
-            self.drain.queue.schedule(k * interval_ms, Ev::Boundary(k));
+        // In list order, so a shared instant's sample pops before its
+        // boundary and both after the boot timers.
+        for (at, tick) in self.ctl.timeline(nominal_rounds) {
+            self.drain.queue.schedule(at, Ev::Coord(tick));
         }
         self.drain_until(horizon);
     }
@@ -423,8 +415,7 @@ where
                 }
                 self.drain.stock.give(env.payload);
             }
-            Ev::Sample => self.ctl.record_sample(&self.drain),
-            Ev::Boundary(k) => self.ctl.nominal_round(k, at, &mut self.drain),
+            Ev::Coord(tick) => self.ctl.fire(tick, at, &mut self.drain),
         }
     }
 
@@ -561,6 +552,29 @@ mod tests {
             after < before * 0.8,
             "count should heal after power-off: {before:.0} -> {after:.0}"
         );
+    }
+
+    #[test]
+    fn the_timeline_lists_the_sample_before_the_boundary() {
+        let mut net =
+            AsyncNet::loopback(2, 100, 10, 0.0, 1, |id| PushSumRevert::new(f64::from(id), 0.01));
+        let mut timeline = |cadence| {
+            net.ctl.cfg.sample_every_ms = cadence;
+            let ticks = net.ctl.timeline(3).into_iter().map(|(at, tick)| match tick {
+                Tick::Sample => format!("s{at}"),
+                Tick::Boundary(k) => format!("b{k}@{at}"),
+            });
+            ticks.collect::<Vec<_>>().join(" ")
+        };
+        // A cadence that divides the interval shares its instants, one
+        // that does not meets it only at the horizon, and one above it
+        // samples between boundaries.
+        assert_eq!(timeline(50), "b0@0 s50 s100 b1@100 s150 s200 b2@200 s250 s300");
+        assert_eq!(
+            timeline(30),
+            "b0@0 s30 s60 s90 b1@100 s120 s150 s180 b2@200 s210 s240 s270 s300"
+        );
+        assert_eq!(timeline(250), "b0@0 b1@100 b2@200 s250");
     }
 
     #[test]

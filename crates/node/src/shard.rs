@@ -7,8 +7,9 @@
 //! ## Execution model
 //!
 //! Hosts are partitioned into shards by a topology-aware
-//! [`ShardMap`]; each shard owns a [`ShardQueue`] and one record per node
-//! (runtime, link RNG, send sequence). Whether a node is alive is the
+//! [`ShardMap`]; each shard owns a timing [`Wheel`] ordered by
+//! [`EventKey`] and one record per node (runtime, link RNG, send
+//! sequence). Whether a node is alive is the
 //! coordinator's live set, lent read-only like the views. Simulated time
 //! advances as a sequence of **windows** bounded by the conservative
 //! *lookahead* — the latency model's lower bound
@@ -84,7 +85,7 @@
 
 use crate::control::{engine_facade, Coordinator, Drain};
 use crate::counters::Counters;
-use crate::event::{EventKey, ShardQueue};
+use crate::event::{EventKey, KeyedQueue, Wheel};
 use crate::loopback::{AsyncConfig, DriftFn, NodeFactory, ValueFn};
 use crate::runtime::{Envelope, NodeRuntime, Stock};
 use crate::views::ViewTable;
@@ -99,7 +100,6 @@ use dynagg_sim::shard::ShardMap;
 use dynagg_sim::{FailureSpec, PartitionTable};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -150,7 +150,7 @@ struct Shard<P: PushProtocol>
 where
     P::Message: WireMessage,
 {
-    queue: ShardQueue<SEv>,
+    queue: Wheel<EventKey, SEv>,
     nodes: Vec<Slot<P>>,
     /// Payload buffers and round scratch, lent to whichever runtime an
     /// event calls. A frame's buffer goes to the stock of the shard that
@@ -531,7 +531,7 @@ where
                 .map(|owned| Shard {
                     // Pre-sized from this shard's share of the population
                     // (timer + in-flight frame per node).
-                    queue: ShardQueue::with_capacity(2 * n / k + 16),
+                    queue: Wheel::with_capacity(2 * n / k + 16),
                     nodes: Vec::with_capacity(owned),
                     stock: Stock::new(0),
                     stage: (0..k).map(|_| Vec::new()).collect(),
@@ -553,17 +553,6 @@ where
     }
 
     engine_facade!();
-
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.drain.shards.len()
-    }
-
-    /// The conservative lookahead (window length) in milliseconds: the
-    /// latency model's [`crate::LatencyModel::min_ms`], ≥ 1 by construction.
-    pub fn lookahead_ms(&self) -> u64 {
-        self.ctl.cfg.latency.min_ms()
-    }
 
     /// Current simulated wall-clock (the last barrier point).
     pub fn now_ms(&self) -> u64 {
@@ -589,36 +578,18 @@ where
         let k = self.drain.shards.len();
         let group = k.div_ceil(workers.clamp(1, k));
         let meet = Rendezvous::new(k.div_ceil(group));
-        let interval_ms = self.ctl.cfg.interval_ms;
-        let horizon = nominal_rounds * interval_ms;
-        // Coordinator timeline: barrier points are the union of sample
-        // times and nominal round boundaries; samples run before
-        // boundaries at shared points.
-        let mut points: BTreeMap<u64, (bool, Option<u64>)> = BTreeMap::new();
-        let cadence = self.ctl.cfg.sample_every_ms.max(1);
-        let mut t = cadence;
-        while t <= horizon {
-            points.entry(t).or_insert((false, None)).0 = true;
-            t += cadence;
-        }
-        for k in 0..nominal_rounds {
-            points.entry(k * interval_ms).or_insert((false, None)).1 = Some(k);
-        }
-        points.entry(horizon).or_insert((false, None));
+        let horizon = nominal_rounds * self.ctl.cfg.interval_ms;
+        // Barrier points are the coordinator's instants, then the horizon.
         let mut prev = 0;
-        for (&at, &(sample, boundary)) in &points {
+        for (at, tick) in self.ctl.timeline(nominal_rounds) {
             self.parallel_drain(prev, at, group, &meet);
             self.now_ms = at;
-            if sample {
-                self.drain.counters.events += 1;
-                self.ctl.record_sample(&self.drain);
-            }
-            if let Some(k) = boundary {
-                self.drain.counters.events += 1;
-                self.ctl.nominal_round(k, at, &mut self.drain);
-            }
+            self.drain.counters.events += 1;
+            self.ctl.fire(tick, at, &mut self.drain);
             prev = at;
         }
+        self.parallel_drain(prev, horizon, group, &meet);
+        self.now_ms = horizon;
     }
 
     /// Drain `[from_ms, to_ms)` on every shard, `group` shards to a

@@ -1,17 +1,20 @@
 //! Differential property tests for the timing-wheel event queues.
 //!
 //! Every golden digest in the repo pins an event *schedule*, so the wheel
-//! ([`EventQueue`], [`ShardQueue`]) is only correct if it pops the exact
-//! sequence the binary heap it replaced would pop — `(time, insertion
-//! seq)` for the engine queue, full [`EventKey`] order for the shard
-//! queue. These tests drive the wheel and the retained heap reference
-//! ([`HeapQueue`], [`HeapShardQueue`]) through arbitrary interleaved
-//! schedule/pop/pop-before programs — same-instant bursts, zero-delay
-//! self-events, page and overflow crossings, u64-boundary times — and
-//! assert the two never disagree on a pop, a peek, a length, or a clock.
+//! ([`Wheel`], under [`EventQueue`] and the sharded drain) is only
+//! correct if it pops the exact sequence the binary heap it replaced
+//! would pop — `(time, insertion seq)` for the engine queue, full
+//! [`EventKey`] order for the shard queues. These tests drive the wheel
+//! and the retained heap reference ([`Heap`], under [`HeapQueue`])
+//! through arbitrary interleaved schedule/pop/pop-before programs over
+//! both key orders — same-instant bursts, zero-delay self-events, page
+//! and overflow crossings, u64-boundary times — and assert the two never
+//! disagree on a pop, a peek, a length, or a clock.
 
-use dynagg_node::{EventKey, EventQueue, EventSched, HeapQueue, HeapShardQueue, ShardQueue};
+use dynagg_node::event::{Heap, KeyedQueue, Wheel, WheelKey};
+use dynagg_node::{EventKey, EventQueue, EventSched, HeapQueue};
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 /// Decode one generated op into a time delta with interesting shapes:
 /// zero (same-instant), tiny (in-slot / next-slot), page-scale (inner ↔
@@ -27,24 +30,53 @@ fn delta_of(class: u8, raw: u64) -> u64 {
     }
 }
 
-/// Run one program against both queues in lockstep, asserting identical
-/// observable behavior at every step.
-fn run_program(ops: &[(u8, u8, u64)]) {
-    let mut wheel = EventQueue::with_capacity(ops.len());
-    let mut heap = HeapQueue::with_capacity(ops.len());
-    for (i, &(kind, class, raw)) in ops.iter().enumerate() {
+/// One generated op: `(kind, class, raw, node, kclass, pops)`. `kind % 3`
+/// schedules, pops `pops % 4 + 1` times, or pops before a horizon;
+/// `class` and `raw` pick the delay or horizon; `node` and `kclass` pick
+/// an [`EventKey`]'s shape.
+type Op = (u8, u8, u64, u16, u8, u8);
+
+/// An op of the `(time, seq)` programs: one pop per pop op.
+fn seq_op((kind, class, raw): (u8, u8, u64)) -> Op {
+    (kind, class, raw, 0, 0, 0)
+}
+
+/// The `(time, seq)` key of op `i`: op indices grow in scheduling order,
+/// so one is the seq [`EventQueue`] would stamp.
+fn seq_key(at: u64, i: usize, _: u16, _: u8) -> (u64, u64) {
+    (at, i as u64)
+}
+
+/// The [`EventKey`] of op `i`. A unique per-op seq keeps keys distinct,
+/// as in the engine (per-sender frame sequence / one timer per node).
+fn event_key(at: u64, i: usize, node: u16, kclass: u8) -> EventKey {
+    if kclass == 0 {
+        EventKey::timer(at, u32::from(node) | ((i as u32) << 16))
+    } else {
+        EventKey::deliver(at, u32::from(node), u32::from(node / 3), i as u64)
+    }
+}
+
+/// Run one program against the wheel and the heap in lockstep, ordered
+/// by `key`, asserting identical observable behavior at every step.
+fn run_program<K: WheelKey + Debug>(ops: &[Op], key: fn(u64, usize, u16, u8) -> K) {
+    let mut wheel = Wheel::with_capacity(ops.len());
+    let mut heap = Heap::with_capacity(ops.len());
+    for (i, &(kind, class, raw, node, kclass, pops)) in ops.iter().enumerate() {
         let delta = delta_of(class, raw);
         match kind % 3 {
             0 => {
                 // Schedule relative to the drain position (causality:
                 // never into the past). Saturating keeps boundary math
                 // honest at u64::MAX.
-                let at = wheel.now_ms().saturating_add(delta);
-                wheel.schedule(at, i);
-                heap.schedule(at, i);
+                let k = key(wheel.now_ms().saturating_add(delta), i, node, kclass);
+                wheel.schedule(k, i);
+                heap.schedule(k, i);
             }
             1 => {
-                assert_eq!(wheel.pop(), heap.pop(), "pop diverged at op {i}");
+                for _ in 0..=(pops % 4) {
+                    assert_eq!(wheel.pop(), heap.pop(), "pop diverged at op {i}");
+                }
             }
             _ => {
                 let horizon = wheel.now_ms().saturating_add(delta);
@@ -77,7 +109,8 @@ proptest! {
     fn wheel_matches_heap_on_arbitrary_programs(
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..400),
     ) {
-        run_program(&ops);
+        let ops: Vec<Op> = ops.into_iter().map(seq_op).collect();
+        run_program(&ops, seq_key);
     }
 
     /// Same, biased to schedule-heavy programs so deep queues (thousands
@@ -88,12 +121,13 @@ proptest! {
     ) {
         // kind % 3: 0 and 3 schedule, 1 pops, 2 pop_befores → ~half the
         // ops enqueue, and the final drain walks the rest.
-        run_program(&ops);
+        let ops: Vec<Op> = ops.into_iter().map(seq_op).collect();
+        run_program(&ops, seq_key);
     }
 
-    /// The shard queue (explicit [`EventKey`] order) matches its heap
-    /// reference: keys arrive in arbitrary order within the causality
-    /// envelope, and both queues must emit the identical key sequence.
+    /// The same runner over explicit [`EventKey`] order: keys arrive in
+    /// arbitrary order within the causality envelope, and both queues
+    /// must emit the identical key sequence.
     #[test]
     fn shard_wheel_matches_heap(
         ops in proptest::collection::vec(
@@ -101,47 +135,7 @@ proptest! {
             0..400,
         ),
     ) {
-        let mut wheel = ShardQueue::with_capacity(ops.len());
-        let mut heap = HeapShardQueue::new();
-        for (i, &(kind, class, raw, node, kclass, pops)) in ops.iter().enumerate() {
-            match kind % 3 {
-                0 => {
-                    let at = wheel.now_ms().saturating_add(delta_of(class, raw));
-                    // Unique per-op seq keeps keys distinct, as in the
-                    // engine (per-sender frame sequence / one timer per
-                    // node).
-                    let key = if kclass == 0 {
-                        EventKey::timer(at, u32::from(node) | ((i as u32) << 16))
-                    } else {
-                        EventKey::deliver(at, u32::from(node), u32::from(node / 3), i as u64)
-                    };
-                    wheel.schedule(key, i);
-                    heap.schedule(key, i);
-                }
-                1 => {
-                    for _ in 0..=(pops % 4) {
-                        assert_eq!(wheel.pop(), heap.pop(), "pop diverged at op {i}");
-                    }
-                }
-                _ => {
-                    let horizon = wheel.now_ms().saturating_add(delta_of(class, raw));
-                    assert_eq!(
-                        wheel.pop_before(horizon),
-                        heap.pop_before(horizon),
-                        "pop_before diverged at op {i}"
-                    );
-                }
-            }
-            assert_eq!(wheel.len(), heap.len(), "len diverged at op {i}");
-            assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged at op {i}");
-        }
-        loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            assert_eq!(w, h, "drain diverged");
-            if w.is_none() {
-                break;
-            }
-        }
+        run_program(&ops, event_key);
     }
 }
 

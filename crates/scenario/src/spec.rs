@@ -365,11 +365,6 @@ impl ProtocolSpec {
         self.caps().name
     }
 
-    /// Does this protocol implement the atomic pairwise engine?
-    pub fn supports_pairwise(&self) -> bool {
-        self.caps().pairwise
-    }
-
     /// The reversion constant, for protocols that have one.
     pub fn lambda_mut(&mut self) -> Option<&mut f64> {
         match self {

@@ -437,11 +437,6 @@ impl AgeMatrix {
         self.own.len()
     }
 
-    /// Whether this host sources `(bin, k)`.
-    pub fn is_own(&self, bin: u32, k: u8) -> bool {
-        self.own.binary_search(&(self.flat(bin, k) as u32)).is_ok()
-    }
-
     /// Stop sourcing all owned cells (graceful departure): the cells keep
     /// their current age of 0 but resume aging on the next [`tick`].
     ///

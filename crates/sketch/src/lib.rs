@@ -27,7 +27,7 @@
 //! The paper's inline formula reads `n ≈ φ·2^R`; Flajolet & Martin's
 //! actual result is `E[R] ≈ log2(φn)`, i.e. `n̂ = 2^R / φ` (and
 //! `n̂ = (m/φ)·2^{avg R}` with `m` bins). We implement the FM85-correct
-//! estimator; see `DESIGN.md` §3.
+//! estimator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //!
 //! The paper's simulation reads only the time-varying adjacency matrix, so
 //! matching the device count, duration, diurnal rhythm, and group-size
-//! envelope preserves everything Fig. 11 measures (see `DESIGN.md` §5).
+//! envelope preserves everything Fig. 11 measures.
 //! Real CRAWDAD dumps can be parsed with [`crate::format::parse`] and used
 //! in place of these.
 

@@ -21,7 +21,7 @@
 //! * [`stats`] — summary statistics (average group size over time, contact
 //!   counts) used to sanity-check generated traces against the envelope.
 //!
-//! See `DESIGN.md` §5 for the substitution argument.
+//! The [`datasets`] module doc holds the substitution argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
