@@ -49,8 +49,9 @@ fn run_spec(spec: &ScenarioSpec) -> Series {
 /// halves initial convergence).
 pub fn push_vs_pushpull(opts: &ExpOpts) -> Table {
     let n = pop(opts);
-    let push = run_spec(&ablation_spec(opts, "ablation-push", n, 50, ProtocolSpec::PushSum));
-    let mut pairwise_spec = ablation_spec(opts, "ablation-pushpull", n, 50, ProtocolSpec::PushSum);
+    let static_push_sum = ProtocolSpec::PushSumRevert { lambda: 0.0 };
+    let push = run_spec(&ablation_spec(opts, "ablation-push", n, 50, static_push_sum));
+    let mut pairwise_spec = ablation_spec(opts, "ablation-pushpull", n, 50, static_push_sum);
     pairwise_spec.engine = Engine::Pairwise;
     let pairwise = run_spec(&pairwise_spec);
     let mut t = Table::new(

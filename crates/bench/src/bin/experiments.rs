@@ -158,6 +158,9 @@ fn parse_args() -> Result<Args, String> {
             "--n" => {
                 let v = argv.next().ok_or("--n needs a value")?;
                 opts.n = v.parse().map_err(|e| format!("bad --n: {e}"))?;
+                if opts.n == 0 {
+                    return Err("bad --n: a population needs at least one host".into());
+                }
                 overrides.n = Some(opts.n);
             }
             "--seed" => {

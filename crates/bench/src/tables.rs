@@ -51,12 +51,12 @@ pub fn convergence(opts: &ExpOpts) -> Table {
         "paper: l=0.5 -> <10 rounds, 2.13 (8.53%); l=0.1 -> ~35 rounds, 0.694 (2.77%)".to_string(),
     );
 
-    // Static Push-Sum initial convergence for scale reference.
+    // Static Push-Sum (λ = 0) initial convergence for scale reference.
     let mut static_spec = ScenarioSpec::new(
         "table-convergence-static",
         opts.seed,
         EnvSpec::Uniform,
-        ProtocolSpec::PushSum,
+        ProtocolSpec::PushSumRevert { lambda: 0.0 },
     );
     static_spec.n = Some(opts.population());
     static_spec.rounds = Some(30);

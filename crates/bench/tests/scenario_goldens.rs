@@ -9,62 +9,12 @@
 //! down for test time, and runs it through `dynagg_scenario`. The rest of
 //! the file tells each non-figure scenario's story at reduced size.
 
+mod common;
+
+use common::*;
 use dynagg_bench::ExpOpts;
 use dynagg_scenario::ScenarioSpec;
-use dynagg_sim::Series;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn scenarios_dir() -> PathBuf {
-    repo_root().join("scenarios")
-}
-
-fn load(name: &str) -> ScenarioSpec {
-    let path = scenarios_dir().join(name);
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    ScenarioSpec::from_toml_str(&src).unwrap_or_else(|e| panic!("{name}: {e}"))
-}
-
-/// One FNV-1a step over a little-endian `u64`.
-fn fnv(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01B3);
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a over the full series content, order-sensitive, bit-exact
-/// (extends `tests/determinism.rs`' digest with the lifecycle columns).
-fn digest(s: &Series) -> u64 {
-    let mut h = FNV_OFFSET;
-    for r in &s.rounds {
-        for x in [
-            r.round,
-            r.alive as u64,
-            r.truth.to_bits(),
-            r.mean_estimate.to_bits(),
-            r.stddev.to_bits(),
-            r.mean_abs_err.to_bits(),
-            r.max_abs_err.to_bits(),
-            r.defined as u64,
-            r.messages,
-            r.bytes,
-            r.mean_group_size.to_bits(),
-            r.settling as u64,
-            r.disruptions,
-        ] {
-            fnv(&mut h, x);
-        }
-    }
-    h
-}
 
 /// FNV-1a over a counter-cdf run's raw per-bit age histograms (row
 /// lengths included, so a reshaped histogram cannot collide).
@@ -324,17 +274,6 @@ fn async_trials_are_bit_identical_across_runs() {
     assert_ne!(trials[0].series, trials[1].series, "trials use distinct derived seeds");
 }
 
-/// Pinned digests for the async scenarios (scaled-down single lines).
-/// Any engine/registry/parser change that alters async output must update
-/// these constants with a documented reason.
-// Re-pinned for the membership layer: view draws moved to their own RNG
-// stream (`stream::VIEWS`, no longer interleaved with interval/phase
-// setup draws), views go through the shared `Membership::view_into`
-// path, and the `bytes` column now carries raw payload bytes (the
-// lockstep convention) with wire bytes in the new `wire_bytes` column.
-const GOLDEN_ASYNC_FIG8_L001_N400: u64 = 0x51C2_B33A_B6C7_B931;
-const GOLDEN_ASYNC_SKEW_N500: u64 = 0xF0A6_FDFB_5C52_72E0;
-
 #[test]
 fn golden_digest_async_fig8_line() {
     let mut spec = load("async_fig8.toml");
@@ -446,10 +385,6 @@ fn async_topologies_match_lockstep_at_zero_latency() {
     assert!((pe - ae).abs() < 1.5, "grid floors stay close: push {pe} vs async {ae}");
 }
 
-/// Pinned digests for the async topology scenarios (scaled-down runs).
-const GOLDEN_ASYNC_CLUSTERED_N1200: u64 = 0xBA4B_C751_CB72_9FA1;
-const GOLDEN_ASYNC_SPATIAL_N400: u64 = 0x42F7_DE40_0D13_2EBE;
-
 #[test]
 fn golden_digest_async_clustered() {
     let mut spec = load("async_clustered.toml");
@@ -519,17 +454,6 @@ fn golden_digest_async_trace_groups() {
 }
 
 // ── chaos scenarios (partition/heal + adversary) ────────────────────────
-
-/// The chaos digest: the base [`digest`] fields plus the two chaos
-/// columns (`mass_audit`, `islands`), which the older goldens predate.
-fn digest_chaos(s: &Series) -> u64 {
-    let mut h = digest(s);
-    for r in &s.rounds {
-        fnv(&mut h, r.mass_audit.to_bits());
-        fnv(&mut h, r.islands);
-    }
-    h
-}
 
 #[test]
 fn partition_heal_toml_tells_the_split_heal_story() {
@@ -797,7 +721,6 @@ fn golden_digest_byzantine_inflation() {
 
 /// One digest per `caps::PROTOCOLS` row: its `example` on the census spec.
 const CENSUS: &[(&str, u64)] = &[
-    ("push-sum", 0x1D27_9629_FBCA_D7D1),
     ("push-sum-revert", 0x2012_ED28_3459_D28E),
     ("full-transfer", 0xB700_5F74_3B37_EA2C),
     ("adaptive-revert", 0x0203_533F_CCC4_96B0),
@@ -1041,7 +964,7 @@ fn every_option() -> BTreeSet<(&'static str, &'static str)> {
     use dynagg_sketch::cutoff::Cutoff;
     use dynagg_trace::datasets::Dataset;
 
-    let base = census_spec(ProtocolSpec::PushSum);
+    let base = census_spec(ProtocolSpec::PushSumRevert { lambda: 0.0 });
     let asynch = |a| ScenarioSpec { engine: Engine::Async, asynchrony: Some(a), ..base.clone() };
     let d = AsyncSpec::default();
     let at_round =
@@ -1196,6 +1119,39 @@ fn every_granted_option_is_pinned() {
         }
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+// ── static Push-Sum is Push-Sum-Revert at λ = 0 ──────────────────────────
+
+/// The census spec's digests under static Push-Sum on each engine. These
+/// were produced by the retired standalone `push-sum` protocol (its own
+/// struct and registry arm), not by Push-Sum-Revert, so the code that now
+/// runs static Push-Sum does not vouch for itself.
+const STATIC_PUSH_SUM_PUSH: u64 = 0x1D27_9629_FBCA_D7D1;
+const STATIC_PUSH_SUM_PAIRWISE: u64 = 0x8F39_ADB1_F692_BEEC;
+const STATIC_PUSH_SUM_ASYNC: u64 = 0x58F1_E0C1_E335_0126;
+const STATIC_PUSH_SUM_ASYNC_SHARDS_2: u64 = 0xAA1D_2525_E489_37FB;
+
+/// Static Push-Sum (Fig. 1, Karp's push/pull form on `pairwise`) is
+/// `push-sum-revert` at `lambda = 0`, bit for bit, on every engine.
+#[test]
+fn static_push_sum_is_revert_at_lambda_zero() {
+    use dynagg_scenario::{AsyncSpec, Engine, ProtocolSpec, ShardsSpec};
+    let sharded = AsyncSpec { shards: Some(ShardsSpec::Count(2)), ..AsyncSpec::default() };
+    for (engine, asynchrony, pinned) in [
+        (Engine::Push, None, STATIC_PUSH_SUM_PUSH),
+        (Engine::Pairwise, None, STATIC_PUSH_SUM_PAIRWISE),
+        (Engine::Async, None, STATIC_PUSH_SUM_ASYNC),
+        (Engine::Async, Some(sharded), STATIC_PUSH_SUM_ASYNC_SHARDS_2),
+    ] {
+        let spec = ScenarioSpec {
+            engine,
+            asynchrony,
+            ..census_spec(ProtocolSpec::PushSumRevert { lambda: 0.0 })
+        };
+        let got = digest(&dynagg_scenario::run_series(&spec).unwrap());
+        assert_eq!(got, pinned, "{engine:?} {asynchrony:?}: 0x{got:016X}");
+    }
 }
 
 // ── the TAG baseline (§VI) ──────────────────────────────────────────────
@@ -1361,4 +1317,21 @@ fn zero_rounds_override_fails_the_check() {
     assert!(!out.status.success(), "--rounds 0 must fail --check");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("invalid `rounds`: must be positive"), "stderr: {stderr}");
+}
+
+/// `--n 0` is a bad flag: refused before a figure scenario is built (it
+/// panicked validating one) or `--quick`'s floor can lift it to 500 hosts.
+#[test]
+fn zero_population_is_a_bad_flag() {
+    for args in [&["fig8", "--n", "0"][..], &["run", "scenarios/fig8.toml", "--quick", "--n", "0"]]
+    {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .current_dir(repo_root())
+            .args(args)
+            .output()
+            .expect("experiments binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("bad --n"), "{args:?}: {stderr}");
+    }
 }

@@ -17,67 +17,14 @@
 //! stream in population order — see `dynagg_node::shard`), which is why
 //! layer 2 pins its own constants instead of reusing layer 1's.
 
+mod common;
+
+use common::*;
 use dynagg_scenario::{AsyncSpec, Engine, ScenarioSpec, ShardsSpec};
 use dynagg_sim::Series;
-use std::path::{Path, PathBuf};
 
 /// A pin table row: scenario name, pinned digest, digest flavor.
 type Pin = (&'static str, u64, fn(&Series) -> u64);
-
-fn scenarios_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
-
-fn load(name: &str) -> ScenarioSpec {
-    let path = scenarios_dir().join(name);
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    ScenarioSpec::from_toml_str(&src).unwrap_or_else(|e| panic!("{name}: {e}"))
-}
-
-/// FNV-1a over the full series content — the same digest
-/// `scenario_goldens.rs` pins, kept in sync by the constants below.
-fn digest(s: &Series) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
-    for r in &s.rounds {
-        eat(r.round);
-        eat(r.alive as u64);
-        eat(r.truth.to_bits());
-        eat(r.mean_estimate.to_bits());
-        eat(r.stddev.to_bits());
-        eat(r.mean_abs_err.to_bits());
-        eat(r.max_abs_err.to_bits());
-        eat(r.defined as u64);
-        eat(r.messages);
-        eat(r.bytes);
-        eat(r.mean_group_size.to_bits());
-        eat(r.settling as u64);
-        eat(r.disruptions);
-    }
-    h
-}
-
-/// The chaos digest (adds the `mass_audit` and `islands` columns).
-fn digest_chaos(s: &Series) -> u64 {
-    let mut h = digest(s);
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
-    for r in &s.rounds {
-        eat(r.mass_audit.to_bits());
-        eat(r.islands);
-    }
-    h
-}
 
 /// Set the shard count on a spec, materializing the default `[async]`
 /// table when the file omits it (the chaos scenarios re-run under
@@ -144,14 +91,9 @@ fn shards_one_is_byte_identical_to_the_sequential_engine() {
 }
 
 /// Layer 1b: the pinned async golden digests, re-asserted with
-/// `shards = 1` explicitly present. These constants are copied verbatim
-/// from `scenario_goldens.rs` — if a pin moves there, it must move here,
-/// and a failure in only one file means the two engines diverged.
-const GOLDEN_ASYNC_FIG8_L001_N400: u64 = 0x51C2_B33A_B6C7_B931;
-const GOLDEN_ASYNC_SKEW_N500: u64 = 0xF0A6_FDFB_5C52_72E0;
-const GOLDEN_ASYNC_CLUSTERED_N1200: u64 = 0xBA4B_C751_CB72_9FA1;
-const GOLDEN_ASYNC_SPATIAL_N400: u64 = 0x42F7_DE40_0D13_2EBE;
-
+/// `shards = 1` explicitly present. `scenario_goldens.rs` asserts the
+/// same constants (`common`) without the key, so a failure in only one
+/// file means the two engines diverged.
 #[test]
 fn shards_one_reproduces_every_pinned_async_golden() {
     let pins: &[Pin] = &[

@@ -240,7 +240,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::push_sum::PushSum;
     use crate::push_sum_revert::PushSumRevert;
     use crate::samplers::SliceSampler;
     use rand::rngs::SmallRng;
@@ -277,7 +276,7 @@ mod tests {
     #[test]
     fn mass_inflation_scales_value_not_weight() {
         let mut node = Adversarial::malicious(
-            PushSum::averaging(10.0),
+            PushSumRevert::new(10.0, 0.0),
             Attack::MassInflation { factor: 10.0 },
             0,
         );
@@ -295,7 +294,7 @@ mod tests {
     fn attack_waits_for_its_activation_round() {
         let mk = || {
             Adversarial::malicious(
-                PushSum::averaging(8.0),
+                PushSumRevert::new(8.0, 0.0),
                 Attack::MassInflation { factor: 3.0 },
                 5,
             )

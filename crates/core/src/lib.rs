@@ -8,8 +8,7 @@
 //!
 //! | module | protocol | paper |
 //! |---|---|---|
-//! | [`push_sum`] | Push-Sum (push, and Karp-style push-pull pairwise averaging) | Fig. 1, Kempe et al. |
-//! | [`push_sum_revert`] | **Push-Sum-Revert** | Fig. 3, §III |
+//! | [`push_sum_revert`] | **Push-Sum-Revert**; at λ = 0, Push-Sum (push, and Karp-style push-pull pairwise averaging) | Fig. 3, §III; Fig. 1, Kempe et al. |
 //! | [`full_transfer`] | **Push-Sum-Revert + Full-Transfer** (N parcels, T-window estimate) | Fig. 4, §III-A |
 //! | [`adaptive`] | adaptive λ/2-per-message reversion | §III-A |
 //! | [`epoch`] | epoch-reset dynamic baseline | §II-C |
@@ -48,7 +47,6 @@ pub mod full_transfer;
 pub mod invert_average;
 pub mod mass;
 pub mod protocol;
-pub mod push_sum;
 pub mod push_sum_revert;
 pub mod samplers;
 pub mod tree;

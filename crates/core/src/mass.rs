@@ -33,15 +33,6 @@ impl Mass {
         Self { weight: 1.0, value }
     }
 
-    /// The initial mass of a *summing* host in Kempe-style Push-Sum: every
-    /// host holds `(0, value)` except one root with `(1, value)`, so
-    /// `Σv/Σw = Σv`. (Requires a distinguished root; the paper's
-    /// Invert-Average protocol removes that requirement.)
-    #[inline]
-    pub const fn summing(value: f64, is_root: bool) -> Self {
-        Self { weight: if is_root { 1.0 } else { 0.0 }, value }
-    }
-
     /// `v / w`, the local estimate. `None` when the weight is too small to
     /// divide meaningfully (e.g. a Full-Transfer host that received nothing
     /// this round).
@@ -190,8 +181,8 @@ mod tests {
 
     #[test]
     fn summing_masses_estimate_the_sum() {
-        let hosts =
-            [Mass::summing(5.0, true), Mass::summing(10.0, false), Mass::summing(85.0, false)];
+        // Kempe's sum mode: weight 1 only at one root, so `Σv/Σw = Σv`.
+        let hosts = [Mass::new(1.0, 5.0), Mass::new(0.0, 10.0), Mass::new(0.0, 85.0)];
         let total: Mass = hosts.iter().copied().fold(Mass::ZERO, Mass::add);
         assert_eq!(total.estimate(), Some(100.0));
     }

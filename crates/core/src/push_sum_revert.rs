@@ -1,5 +1,16 @@
 //! **Push-Sum-Revert** (paper §III, Fig. 3): the paper's first dynamic
-//! protocol.
+//! protocol, and — at `λ = 0` — Kempe et al.'s static Push-Sum (Fig. 1).
+//!
+//! **λ = 0 is Push-Sum.** Every host keeps a mass `(w, v)`, initialized to
+//! `(1, value)` for averaging. Each iteration it sends half its mass to one
+//! random peer and half to itself, then replaces its mass with the sum of
+//! everything it received. `v/w` converges to the network average with
+//! error shrinking by a constant factor per round, because exchanges are
+//! zero-sum ("conservation of mass"). The Karp-style push/pull variant
+//! ([`PairwiseProtocol`]) atomically equalizes the two hosts' masses
+//! ("exports (or imports) half the difference", §III-A), roughly halving
+//! initial convergence time. Figs. 8 and 10a draw static Push-Sum as their
+//! `λ = 0.0000` line.
 //!
 //! Push-Sum's correctness rests on conservation of mass, so a silent host
 //! failure permanently corrupts the estimate — the departed host's mass is
@@ -49,12 +60,31 @@ use crate::protocol::{Estimator, NodeId, PairwiseProtocol, PushProtocol, RoundCt
 use rand::rngs::SmallRng;
 
 /// One host's Push-Sum-Revert state.
+///
+/// ```
+/// use dynagg_core::protocol::{Estimator, PairwiseProtocol};
+/// use dynagg_core::push_sum_revert::PushSumRevert;
+/// use rand::{rngs::SmallRng, SeedableRng};
+///
+/// // One §III-A push/pull exchange at λ = 0 (Push-Sum) equalizes the two
+/// // hosts' masses.
+/// let mut rng = SmallRng::seed_from_u64(1);
+/// let mut a = PushSumRevert::new(10.0, 0.0);
+/// let mut b = PushSumRevert::new(50.0, 0.0);
+/// PushSumRevert::exchange(&mut a, &mut b, &mut rng);
+/// PairwiseProtocol::end_round(&mut a, 0);
+/// PairwiseProtocol::end_round(&mut b, 0);
+/// assert_eq!(a.estimate(), Some(30.0));
+/// assert_eq!(b.estimate(), Some(30.0));
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushSumRevert {
     lambda: f64,
     initial: Mass,
     mass: Mass,
     inbox: Mass,
+    /// Last defined estimate — kept so a host that momentarily holds zero
+    /// weight still answers queries (§II-A's running-estimate reading).
     last_estimate: Option<f64>,
 }
 
@@ -215,8 +245,40 @@ impl PairwiseProtocol for PushSumRevert {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::samplers::{IsolatedSampler, SliceSampler};
     use rand::Rng;
     use rand::SeedableRng;
+
+    /// Drive a tiny all-to-all static Push-Sum (λ = 0) push network by
+    /// hand for `rounds`.
+    fn run_push(values: &[f64], rounds: u64, seed: u64) -> Vec<PushSumRevert> {
+        let mut nodes = nodes_with_values(values, 0.0);
+        let ids: Vec<NodeId> = (0..nodes.len() as NodeId).collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut out = Vec::new();
+        for round in 0..rounds {
+            let mut queue: Vec<(usize, Mass)> = Vec::new();
+            for (i, node) in nodes.iter_mut().enumerate() {
+                let peers: Vec<NodeId> = ids.iter().copied().filter(|&p| p as usize != i).collect();
+                let mut sampler = SliceSampler::new(&peers);
+                let mut ctx = RoundCtx { round, rng: &mut rng, peers: &mut sampler };
+                out.clear();
+                node.begin_round(&mut ctx, &mut out);
+                queue.extend(out.drain(..).map(|(to, m)| (to as usize, m)));
+            }
+            for (to, m) in queue {
+                let mut sampler = SliceSampler::new(&[]);
+                let mut ctx = RoundCtx { round, rng: &mut rng, peers: &mut sampler };
+                nodes[to].on_message(0, &m, &mut ctx);
+            }
+            for node in nodes.iter_mut() {
+                let mut sampler = SliceSampler::new(&[]);
+                let mut ctx = RoundCtx { round, rng: &mut rng, peers: &mut sampler };
+                PushProtocol::end_round(node, &mut ctx);
+            }
+        }
+        nodes
+    }
 
     /// Run pairwise push/pull rounds over all nodes; returns final states.
     fn run_pairwise(mut nodes: Vec<PushSumRevert>, rounds: u64, seed: u64) -> Vec<PushSumRevert> {
@@ -252,6 +314,49 @@ mod tests {
         for n in &nodes {
             assert!((n.estimate().unwrap() - 40.0).abs() < 0.5);
         }
+    }
+
+    #[test]
+    fn push_converges_to_average() {
+        // Fig. 1's message-passing Push-Sum is the λ = 0 push protocol.
+        let values = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0];
+        let avg = 45.0;
+        for n in &run_push(&values, 40, 7) {
+            let e = n.estimate().unwrap();
+            assert!((e - avg).abs() < 1.0, "estimate {e} far from {avg}");
+        }
+    }
+
+    #[test]
+    fn push_conserves_mass() {
+        let nodes = run_push(&[5.0, 15.0, 25.0], 10, 8);
+        let total: Mass = nodes.iter().map(|n| n.mass()).fold(Mass::ZERO, |a, b| a + b);
+        assert!((total.weight - 3.0).abs() < 1e-9);
+        assert!((total.value - 45.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn isolated_host_keeps_its_mass() {
+        let mut n = PushSumRevert::new(42.0, 0.0);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut out = Vec::new();
+        for round in 0..5 {
+            let mut ctx = RoundCtx { round, rng: &mut rng, peers: &mut IsolatedSampler };
+            out.clear();
+            n.begin_round(&mut ctx, &mut out);
+            assert!(out.is_empty());
+            PushProtocol::end_round(&mut n, &mut ctx);
+        }
+        assert_eq!(n.estimate(), Some(42.0));
+        assert!((n.mass().weight - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn estimate_survives_zero_weight_rounds() {
+        let mut n = PushSumRevert::new(10.0, 0.0);
+        // Manually strip its mass (as if it exported everything).
+        n.mass = Mass::ZERO;
+        assert_eq!(n.estimate(), Some(10.0), "falls back to last defined estimate");
     }
 
     #[test]

@@ -438,7 +438,9 @@ where
             drain.stock.give(env.payload);
             return;
         }
-        let at = now_ms + cfg.latency.sample(&mut drain.link_rng);
+        // A draw past the end of the clock saturates: due at `u64::MAX`,
+        // the frame never arrives rather than wrapping into the past.
+        let at = now_ms.saturating_add(cfg.latency.sample(&mut drain.link_rng));
         drain.queue.schedule(at, Ev::Deliver(env));
     }
 }
@@ -575,6 +577,21 @@ mod tests {
             "b0@0 s30 s60 s90 b1@100 s120 s150 s180 b2@200 s210 s240 s270 s300"
         );
         assert_eq!(timeline(250), "b0@0 b1@100 b2@200 s250");
+    }
+
+    #[test]
+    fn a_latency_past_the_clock_delivers_nothing() {
+        // `mean_ms = 1e300` draws saturate to `u64::MAX`: every frame is
+        // due beyond the clock, so no host ever hears from another and
+        // static Push-Sum's spread stays exactly where it started.
+        let mut net =
+            AsyncNet::loopback(50, 100, 10, 0.0, 4, |id| PushSumRevert::new(f64::from(id), 0.0));
+        net.ctl.cfg.latency = LatencyModel::Exponential { mean_ms: 1e300 };
+        net.run(5);
+        let rows = &net.series().rounds;
+        assert!(rows.iter().map(|r| r.messages).sum::<u64>() > 0, "frames were sent");
+        let spread: Vec<f64> = rows.iter().map(|r| r.stddev).collect();
+        assert!(spread.iter().all(|&s| s == spread[0]), "a frame arrived: {spread:?}");
     }
 
     #[test]

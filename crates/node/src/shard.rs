@@ -303,7 +303,7 @@ fn drain_windows<P>(
     let mut w = from_ms;
     while w < to_ms {
         // `lookahead ≥ 1`, so `w_end ≥ w + 1` and `w_end - 1` is safe.
-        let w_end = to_ms.min(w + lookahead);
+        let w_end = to_ms.min(w.saturating_add(lookahead));
         for (me, shard) in (first..).zip(group.iter_mut()) {
             while let Some((key, ev)) = shard.queue.pop_before(w_end - 1) {
                 shard.counters.events += 1;
@@ -415,7 +415,8 @@ where
         shard.stock.give(env.payload);
         return;
     }
-    let at = now_ms + ctx.cfg.latency.sample(&mut node.link);
+    // Saturating, as in `AsyncNet`: a frame due past the clock never arrives.
+    let at = now_ms.saturating_add(ctx.cfg.latency.sample(&mut node.link));
     let key = EventKey::deliver(at, env.to, env.from, node.send_seq);
     node.send_seq += 1;
     let dest = ctx.home[env.to as usize].shard as usize;
@@ -672,6 +673,21 @@ mod tests {
         loss: f64,
     ) -> ShardedNet<PushSumRevert> {
         net_of(seed, n, shards, latency, loss, Box::new(|_, v| PushSumRevert::new(v, 0.01)))
+    }
+
+    #[test]
+    fn a_latency_past_the_clock_delivers_nothing() {
+        // A lookahead of `u64::MAX - 1` ms: the window edge saturates at
+        // the horizon, and every frame is due beyond the clock, so static
+        // Push-Sum's spread never moves.
+        let latency = LatencyModel::Constant { ms: u64::MAX - 1 };
+        let static_push_sum = Box::new(|_, v| PushSumRevert::new(v, 0.0));
+        let mut net = net_of(5, 50, 2, latency, 0.0, static_push_sum);
+        net.run(5);
+        let rows = &net.series().rounds;
+        assert!(rows.iter().map(|r| r.messages).sum::<u64>() > 0, "frames were sent");
+        let spread: Vec<f64> = rows.iter().map(|r| r.stddev).collect();
+        assert!(spread.iter().all(|&s| s == spread[0]), "a frame arrived: {spread:?}");
     }
 
     #[test]

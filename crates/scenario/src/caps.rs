@@ -70,13 +70,11 @@ const fn row(
 /// The protocol half of the table, in the order of `dynagg-core`'s
 /// modules.
 #[rustfmt::skip]
-pub const PROTOCOLS: [ProtocolCaps; 9] = {
+pub const PROTOCOLS: [ProtocolCaps; 8] = {
     use Payload::{AgeMatrix, EpochMass, Mass, Other, SketchBits};
     use ProtocolSpec as P;
     [
     //  name                  keys                                                       pairwise payload
-    row("push-sum",           &[],                                                       true,    Mass,
-        P::PushSum),
     row("push-sum-revert",    &["lambda"],                                               true,    Mass,
         P::PushSumRevert { lambda: 0.01 }),
     row("full-transfer",      &["lambda", "parcels", "window"],                          false,   Mass,

@@ -413,7 +413,6 @@ fn parse_protocol(table: &Table) -> Result<ProtocolSpec, ScenarioError> {
         .ok_or_else(|| ScenarioError::UnknownName { what: "protocol", name: name.into() })?;
     p.check_keys(&[&["name"], row.keys].concat())?;
     Ok(match row.example {
-        P::PushSum => P::PushSum,
         P::PushSumRevert { .. } => P::PushSumRevert { lambda: p.req_f64("lambda")? },
         P::FullTransfer { parcels, window, .. } => P::FullTransfer {
             lambda: p.req_f64("lambda")?,

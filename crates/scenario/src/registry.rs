@@ -25,7 +25,6 @@ use dynagg_core::full_transfer::FullTransfer;
 use dynagg_core::invert_average::InvertAverage;
 use dynagg_core::mass::{Mass, MASS_WIRE_BYTES};
 use dynagg_core::protocol::{NodeId, PairwiseProtocol, PushProtocol};
-use dynagg_core::push_sum::PushSum;
 use dynagg_core::push_sum_revert::PushSumRevert;
 use dynagg_core::tree::TagTree;
 use dynagg_core::wire::WireMessage;
@@ -219,23 +218,13 @@ type Read<'r, P> = &'r mut dyn FnMut(&P);
 fn run_trial(spec: &ScenarioSpec, seed: u64, n: usize, rounds: u64) -> TrialOutput {
     use ProtocolSpec as P;
     let t = Trial { spec, seed, n, rounds };
-    let pairwise = spec.engine == Engine::Pairwise;
     let mut probe = spec.output.probe.map(|Probe::MassWeight| 0.0);
     let mut counter_samples = None;
     let mut series = match spec.protocol {
-        P::PushSum => {
-            let factory = |_, v| PushSum::averaging(v);
-            let read = &mut weigh(&mut probe, PushSum::mass);
-            if pairwise {
-                t.pairwise(factory, read)
-            } else {
-                t.corruptible(factory, read)
-            }
-        }
         P::PushSumRevert { lambda } => {
             let factory = move |_, v| PushSumRevert::new(v, lambda);
             let read = &mut weigh(&mut probe, PushSumRevert::mass);
-            if pairwise {
+            if spec.engine == Engine::Pairwise {
                 t.pairwise(factory, read)
             } else {
                 t.corruptible(factory, read)
@@ -590,10 +579,9 @@ pub fn wire_cost(protocol: &ProtocolSpec, n: usize, seed: u64) -> WireCost {
     use ProtocolSpec as P;
     let scalar = |bytes: usize| WireCost { raw_bytes: bytes, encoded_bytes: bytes };
     match *protocol {
-        P::PushSum
-        | P::PushSumRevert { .. }
-        | P::AdaptiveRevert { .. }
-        | P::FullTransfer { .. } => scalar(MASS_WIRE_BYTES),
+        P::PushSumRevert { .. } | P::AdaptiveRevert { .. } | P::FullTransfer { .. } => {
+            scalar(MASS_WIRE_BYTES)
+        }
         P::EpochPushSum { .. } => scalar(EPOCH_MSG_WIRE_BYTES),
         // TagTree's steady-state frame (the Partial variant): the engine
         // accounts 16 bytes of payload; the wire form adds a tag byte.
@@ -687,7 +675,12 @@ mod tests {
     #[test]
     fn the_reader_visits_the_last_rows_live_hosts_in_id_order() {
         let (n, rounds, seed) = (60usize, 8u64, 5u64);
-        let mut spec = ScenarioSpec::new("parity", seed, EnvSpec::Uniform, ProtocolSpec::PushSum);
+        let mut spec = ScenarioSpec::new(
+            "parity",
+            seed,
+            EnvSpec::Uniform,
+            ProtocolSpec::PushSumRevert { lambda: 0.0 },
+        );
         (spec.n, spec.rounds) = (Some(n), Some(rounds));
         spec.output.probe = Some(Probe::MassWeight); // any readout: the reader runs
         spec.failure = FailureSpec::AtRound {

@@ -285,9 +285,7 @@ pub(crate) fn topology_info(env: &EnvSpec, n: usize) -> TopologyInfo {
 /// protocol in `dynagg-core`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProtocolSpec {
-    /// Static Push-Sum averaging (Fig. 1).
-    PushSum,
-    /// Push-Sum-Revert (§III).
+    /// Push-Sum-Revert (§III); `lambda = 0` is static Push-Sum (Fig. 1).
     PushSumRevert {
         /// Reversion constant λ ∈ [0, 1].
         lambda: f64,
@@ -1181,7 +1179,8 @@ mod tests {
     #[test]
     fn lambda_sweep_needs_lambda_protocol() {
         let mut s = base();
-        s.protocol = ProtocolSpec::PushSum;
+        s.protocol =
+            ProtocolSpec::EpochPushSum { epoch_len: 20, settle_len: None, clique_drift: None };
         s.sweep = Some(Sweep { axis: SweepAxis::Lambda, values: vec![0.1] });
         assert!(matches!(s.validate(), Err(ScenarioError::Unsupported { .. })));
     }

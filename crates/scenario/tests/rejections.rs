@@ -156,7 +156,7 @@ fn lambda_sweep_on_lambdaless_protocol_is_unsupported() {
     let src = replace(
         VALID,
         "[protocol]\nname = \"push-sum-revert\"\nlambda = 0.01",
-        "[protocol]\nname = \"push-sum\"\n\n[sweep]\naxis = \"lambda\"\nvalues = [0.0, 0.1]",
+        "[protocol]\nname = \"epoch-push-sum\"\nepoch_len = 20\n\n[sweep]\naxis = \"lambda\"\nvalues = [0.0, 0.1]",
     );
     assert!(matches!(ScenarioSpec::from_toml_str(&src), Err(ScenarioError::Unsupported { .. })));
 }
@@ -553,8 +553,7 @@ fn mass_weight_probe_reads_the_async_engines() {
     // host keeps counting the half it sent until its own round ends);
     // lost frames take their weight with them.
     let n = 200.0;
-    let push_sum =
-        replace(&src, "name = \"push-sum-revert\"\nlambda = 0.01", "name = \"push-sum\"");
+    let push_sum = replace(&src, "lambda = 0.01", "lambda = 0.0");
     let lossless = run_trial(&push_sum).probe.unwrap();
     assert!((lossless - n).abs() <= n / 2.0, "lossless Σw = {lossless} for {n} hosts");
     let lossy = replace(&push_sum, "rounds = 10", "rounds = 10\nloss = 0.2");
@@ -1134,6 +1133,8 @@ fn deleted_values_are_typed() {
             name("failure mode", "bottom-value"),
         ),
         (protocol("name = \"count-sketch-reset\"\ncutoff = \"slow\""), name("cutoff", "slow")),
+        // Static Push-Sum is `push-sum-revert` at `lambda = 0`.
+        (protocol("name = \"push-sum\""), name("protocol", "push-sum")),
     ];
     for (src, want) in cases {
         assert_eq!(ScenarioSpec::from_toml_str(&src), Err(want), "{src}");

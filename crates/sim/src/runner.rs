@@ -592,7 +592,6 @@ mod tests {
     use super::*;
     use crate::env::uniform::UniformEnv;
     use crate::failure::FailureMode;
-    use dynagg_core::push_sum::PushSum;
     use dynagg_core::push_sum_revert::PushSumRevert;
 
     #[test]
@@ -600,7 +599,7 @@ mod tests {
         let sim = builder(1)
             .environment(UniformEnv::new())
             .nodes_with_paper_values(500)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .truth(Truth::Mean)
             .build();
         let series = sim.run(40);
@@ -615,7 +614,7 @@ mod tests {
         let sim = builder(2)
             .environment(UniformEnv::new())
             .nodes_with_paper_values(500)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .truth(Truth::Mean)
             .build_pairwise();
         let series = sim.run(30);
@@ -628,7 +627,7 @@ mod tests {
             builder(seed)
                 .environment(UniformEnv::new())
                 .nodes_with_paper_values(100)
-                .protocol(|_, v| PushSum::averaging(v))
+                .protocol(|_, v| PushSumRevert::new(v, 0.0))
                 .build()
                 .run(15)
         };
@@ -682,7 +681,7 @@ mod tests {
         let sim = builder(5)
             .environment(UniformEnv::new())
             .nodes_with_paper_values(200)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .failure(FailureSpec::Churn { start: 0, leave_per_round: 0.02, join_per_round: 0.02 })
             .build();
         let series = sim.run(60);
@@ -698,7 +697,7 @@ mod tests {
         let sim = builder(6)
             .environment(UniformEnv::new())
             .nodes_with_constant(50, 1.0)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .build();
         let series = sim.run(5);
         for s in &series.rounds {
@@ -713,7 +712,7 @@ mod tests {
         let sim = builder(7)
             .environment(UniformEnv::new())
             .nodes_with_constant(10, 1.0)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .build();
         let series = sim.run(12);
         assert_eq!(series.rounds.len(), 12);
@@ -728,7 +727,7 @@ mod tests {
         let mut sim = builder(8)
             .environment(UniformEnv::new())
             .nodes_with_paper_values(200)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .message_loss(0.2)
             .build();
         for _ in 0..40 {
@@ -780,7 +779,7 @@ mod tests {
         let sim = builder(10)
             .environment(UniformEnv::new())
             .nodes_with_constant(50, 1.0)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .message_loss(1.0)
             .build();
         let series = sim.run(3);
@@ -795,7 +794,7 @@ mod tests {
         let _ = builder(11)
             .environment(UniformEnv::new())
             .nodes_with_constant(2, 1.0)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .message_loss(1.5);
     }
 
@@ -817,7 +816,7 @@ mod tests {
         let mut sim = builder(13)
             .environment(UniformEnv::new())
             .nodes_with_values(40, |_, id| if id < 20 { 10.0 } else { 90.0 })
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .partition(halves(40, 0, Some(40)))
             .build();
         for _ in 0..40 {
@@ -848,7 +847,7 @@ mod tests {
         let mut sim = builder(14)
             .environment(UniformEnv::new())
             .nodes_with_values(30, |_, id| if id < 15 { 0.0 } else { 100.0 })
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .partition(halves(30, 0, None))
             .build_pairwise();
         for _ in 0..25 {
@@ -869,7 +868,7 @@ mod tests {
             .environment(UniformEnv::new())
             .nodes_with_paper_values(100)
             .protocol(|id, v| {
-                let inner = PushSum::averaging(v);
+                let inner = PushSumRevert::new(v, 0.0);
                 if id == 0 {
                     Adversarial::malicious(inner, Attack::MassInflation { factor: 2.0 }, 10)
                 } else {
@@ -897,7 +896,7 @@ mod tests {
         let mut sim = builder(12)
             .environment(UniformEnv::new())
             .nodes_with_paper_values(100)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .failure(FailureSpec::Churn { start: 0, leave_per_round: 0.5, join_per_round: 0.5 })
             .build();
         for _ in 0..20 {

@@ -2,7 +2,6 @@
 //! reference model, truth computation invariants, and engine determinism
 //! under randomized failure plans.
 
-use dynagg_core::push_sum::PushSum;
 use dynagg_core::push_sum_revert::PushSumRevert;
 use dynagg_sim::alive::AliveSet;
 use dynagg_sim::env::clustered::{ClusteredEnv, MobilityEvent, MobilityKind};
@@ -160,7 +159,7 @@ proptest! {
             runner::builder(seed)
                 .environment(UniformEnv::new())
                 .nodes_with_paper_values(n)
-                .protocol(|_, v| PushSum::averaging(v))
+                .protocol(|_, v| PushSumRevert::new(v, 0.0))
                 .truth(Truth::Mean)
                 .failure(spec)
                 .build()
@@ -210,7 +209,7 @@ proptest! {
         let series = runner::builder(seed)
             .environment(UniformEnv::new())
             .nodes_with_paper_values(50)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .truth(Truth::Mean)
             .failure(FailureSpec::Churn { start: 2, leave_per_round: leave, join_per_round: join })
             .build()
@@ -237,7 +236,7 @@ proptest! {
         let series = runner::builder(seed)
             .environment(UniformEnv::new())
             .nodes_with_paper_values(n)
-            .protocol(|_, v| PushSum::averaging(v))
+            .protocol(|_, v| PushSumRevert::new(v, 0.0))
             .truth(Truth::Mean)
             .failure(FailureSpec::Churn { start: 0, leave_per_round: leave, join_per_round: join })
             .build()

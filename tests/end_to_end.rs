@@ -10,7 +10,6 @@ use dynagg::protocols::count_sketch_reset::CountSketchReset;
 use dynagg::protocols::epoch::EpochPushSum;
 use dynagg::protocols::full_transfer::FullTransfer;
 use dynagg::protocols::invert_average::InvertAverage;
-use dynagg::protocols::push_sum::PushSum;
 use dynagg::protocols::push_sum_revert::PushSumRevert;
 use dynagg::sim::env::spatial::SpatialEnv;
 use dynagg::sim::env::trace::TraceEnv;
@@ -28,7 +27,7 @@ fn push_sum_converges_in_uniform_env() {
     let series = runner::builder(101)
         .environment(UniformEnv::new())
         .nodes_with_paper_values(1_000)
-        .protocol(|_, v| PushSum::averaging(v))
+        .protocol(|_, v| PushSumRevert::new(v, 0.0))
         .truth(Truth::Mean)
         .build()
         .run(35);
@@ -42,7 +41,7 @@ fn push_sum_converges_in_spatial_env() {
     let series = runner::builder(102)
         .environment(SpatialEnv::for_nodes(n))
         .nodes_with_paper_values(n)
-        .protocol(|_, v| PushSum::averaging(v))
+        .protocol(|_, v| PushSumRevert::new(v, 0.0))
         .truth(Truth::Mean)
         .build()
         .run(80);
@@ -60,13 +59,13 @@ fn pairwise_beats_push_on_initial_convergence() {
     let push = runner::builder(103)
         .environment(UniformEnv::new())
         .nodes_with_paper_values(2_000)
-        .protocol(|_, v| PushSum::averaging(v))
+        .protocol(|_, v| PushSumRevert::new(v, 0.0))
         .build()
         .run(60);
     let pairwise = runner::builder(103)
         .environment(UniformEnv::new())
         .nodes_with_paper_values(2_000)
-        .protocol(|_, v| PushSum::averaging(v))
+        .protocol(|_, v| PushSumRevert::new(v, 0.0))
         .build_pairwise()
         .run(60);
     let t_push = push.converged_at(1.0).expect("push converges");
@@ -395,7 +394,7 @@ fn clustered_env_converges_within_cliques() {
     let mut sim = runner::builder(115)
         .environment(ClusteredEnv::new(n, 2, 0.0, 0.0, 115))
         .nodes_with_values(n, |_, id| if id % 2 == 0 { 10.0 } else { 90.0 })
-        .protocol(|_, v| PushSum::averaging(v))
+        .protocol(|_, v| PushSumRevert::new(v, 0.0))
         .truth(Truth::Mean)
         .build();
     for _ in 0..40 {
